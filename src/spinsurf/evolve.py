@@ -2,20 +2,22 @@
 
 States are dicts of plain arrays ("S" always, "u"/"w" for magnetoelastic
 models); `rk4_step` is the classical 4-stage Runge-Kutta update applied
-componentwise. After every full step the spin part is renormalized (the
-pre-projection norm drift is recorded as the integrator's error monitor)
-unless renormalization is switched off.
+componentwise. Model right-hand sides are the array cores of `models` and
+`magnetoelastic`, so no field object is built inside the time loop; fields
+wrap the state only when a snapshot is taken. After every full step the
+spin part is renormalized (the pre-projection norm drift is recorded as
+the integrator's error monitor) unless renormalization is switched off.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Blowup, NonFiniteValue, SpinsurfError
-from .fields import (ScalarField, SpinField, VecField, diff, dot, norm,
-                     project_sphere)
-from .magnetoelastic import catalog_lookup, me_phonon_rhs, me_spin_rhs, MEState
-from .models import hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system
+from .errors import Blowup, GridMismatch, NonFiniteValue, SpinsurfError
+from .fields import (ScalarField, SpinField, VecField, dot, is_unit, norm,
+                     normalize, stencil)
+from .magnetoelastic import catalog_lookup, phonon_core, spin_core, MEState
+from .models import hf_core, lle_core, mx_core, mxiii_core
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,24 @@ def rk4_step(state, rhs_fn, dt, step=0):
     def shifted(base, k, h):
         return {name: base[name] + h * k[name] for name in base}
 
+    def stage(st):
+        k = rhs_fn(st)
+        if not all(np.isfinite(v).all() for v in k.values()):
+            raise Blowup(step)
+        return k
+
     try:
-        k1 = rhs_fn(state)
-        k2 = rhs_fn(shifted(state, k1, dt / 2.0))
-        k3 = rhs_fn(shifted(state, k2, dt / 2.0))
-        k4 = rhs_fn(shifted(state, k3, dt))
+        k1 = stage(state)
+        k2 = stage(shifted(state, k1, dt / 2.0))
+        k3 = stage(shifted(state, k2, dt / 2.0))
+        k4 = stage(shifted(state, k3, dt))
     except NonFiniteValue:
         raise Blowup(step) from None
     out = {}
     for name in state:
         out[name] = state[name] + (dt / 6.0) * (
             k1[name] + 2.0 * k2[name] + 2.0 * k3[name] + k4[name])
-        if not np.all(np.isfinite(out[name])):
+        if not np.isfinite(out[name]).all():
             raise Blowup(step)
     return out
 
@@ -83,10 +91,11 @@ def energy_proxy(S):
     """Sum |S_x|^2 dx (+ |S_y|^2 term in 2-D). A monitoring aid only, not
     a conserved quantity of any of the flows."""
     g = S.grid
-    e = float(np.sum(dot(diff(S, "dx").values, diff(S, "dx").values)))
+    sx = stencil(S.values, g, "dx")
+    e = float(np.sum(dot(sx, sx)))
     if g.is_1d:
         return e * g.dx
-    sy = diff(S, "dy").values
+    sy = stencil(S.values, g, "dy")
     return (e + float(np.sum(dot(sy, sy)))) * g.dx * g.dy
 
 
@@ -100,10 +109,6 @@ def diagnostics(S, drift=0.0, constraint=None):
 # ---------------------------------------------------------------------------
 # model construction
 
-def _vec(grid, arr):
-    return VecField(grid, arr)
-
-
 def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
     """Build an EvolutionModel for a named flow on a given grid.
 
@@ -116,21 +121,18 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
     key = name.lower()
     params = dict(params or {})
 
-    if key == "hf":
-        return EvolutionModel("hf", lambda st: {"S": hf_rhs(_vec(grid, st["S"])).values},
-                              grid)
-    if key == "lle":
-        return EvolutionModel("lle", lambda st: {"S": lle_rhs(_vec(grid, st["S"])).values},
-                              grid)
+    if key in ("hf", "lle"):
+        core = hf_core if key == "hf" else lle_core
+        return EvolutionModel(key, lambda st: {"S": core(st["S"], grid)}, grid)
     if key == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii evolution needs a coefficient set")
 
         def rhs(st):
-            return {"S": mxiii_rhs(_vec(grid, st["S"]), coeffs)[0].values}
+            return {"S": mxiii_core(st["S"], grid, coeffs)[0]}
 
         def constraint(st):
-            return float(np.abs(mxiii_rhs(_vec(grid, st["S"]), coeffs)[1].values).max())
+            return float(np.abs(mxiii_core(st["S"], grid, coeffs)[1]).max())
 
         return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
 
@@ -138,18 +140,19 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
         ab = [params.pop(k, 1.0) for k in ("a1", "a2", "b1", "b2")]
         if params:
             raise ValueError(f"unknown parameters {sorted(params)}")
-        system = mxiiia_system if key == "mxiiia" else mxiiib_system
 
         def rhs(st):
-            return {"S": system(_vec(grid, st["S"]), *ab)[0].values}
+            return {"S": mx_core(key, st["S"], grid, *ab)[0]}
 
         def phi_solver(st):
-            return system(_vec(grid, st["S"]), *ab)[1]
+            return ScalarField(grid, mx_core(key, st["S"], grid, *ab)[1])
 
         return EvolutionModel(key, rhs, grid, phi_solver=phi_solver)
 
     # magnetoelastic catalog
     spec = catalog_lookup(name)
+    if not grid.is_1d:
+        raise ValueError("magnetoelastic models need a 1-D grid")
     if params:
         spec = spec.with_params(**params)
     order = 4 if spec.spin == "D" or spec.phonon == "boussinesq" else 2
@@ -157,25 +160,21 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
     if spec.phonon == "none":
         if external_u is None:
             raise ValueError(f"{spec.name} needs an external displacement field u")
+        if external_u.grid != grid:
+            raise GridMismatch(f"{external_u.grid} != {grid}")
+        u = external_u.values
 
         def rhs(st):
-            state = MEState(_vec(grid, st["S"]), external_u)
-            return {"S": me_spin_rhs(spec, state).values}
+            return {"S": spin_core(spec, st["S"], u, grid)}
 
         return EvolutionModel(spec.name, rhs, grid, spatial_order=order)
 
-    second_order_u = spec.phonon in ("wave", "boussinesq")
-    names = ("S", "u", "w") if second_order_u else ("S", "u")
+    names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
 
     def rhs(st):
-        w = ScalarField(grid, st["w"]) if second_order_u else None
-        state = MEState(_vec(grid, st["S"]), ScalarField(grid, st["u"]), w)
-        out = {"S": me_spin_rhs(spec, state).values}
-        du, dw = me_phonon_rhs(spec, state)
-        out["u"] = du.values
-        if second_order_u:
-            out["w"] = dw.values
-        return out
+        ds = spin_core(spec, st["S"], st["u"], grid)
+        # zip drops the None dw_dt of first-order phonon equations
+        return dict(zip(names, (ds,) + phonon_core(spec, st["S"], st["u"], st.get("w"), grid)))
 
     return EvolutionModel(spec.name, rhs, grid, fields=names, spatial_order=order)
 
@@ -199,7 +198,7 @@ def pack_state(model, initial):
 
 def _snapshot(model, state):
     g = model.grid
-    snap = {"S": SpinField(g, state["S"]) if _is_unit(state["S"])
+    snap = {"S": SpinField(g, state["S"]) if is_unit(state["S"])
             else VecField(g, state["S"])}
     for name in model.fields:
         if name != "S":
@@ -207,10 +206,6 @@ def _snapshot(model, state):
     if model.phi_solver is not None:
         snap["phi"] = model.phi_solver(state)
     return snap
-
-
-def _is_unit(arr):
-    return np.abs(np.linalg.norm(arr, axis=-1) - 1.0).max() <= 1e-12
 
 
 def check_stability(model, opts):
@@ -247,10 +242,12 @@ def evolve(model, initial, opts):
     drift_window = 0.0
     for step in range(1, opts.steps + 1):
         state = rk4_step(state, model.rhs, opts.dt, step)
-        drift = float(np.abs(norm(state["S"]) - 1.0).max())
-        drift_window = max(drift_window, drift)
+        n = norm(state["S"])
+        drift_window = max(drift_window, float(np.abs(n - 1.0).max()))
         if opts.renormalize:
-            state["S"] = project_sphere(VecField(model.grid, state["S"])).values
+            state["S"] = normalize(state["S"], n)
+            if not is_unit(state["S"]):     # |S|^2 overflowed
+                raise Blowup(step)
         if step % opts.snapshot_every == 0:
             record(step * opts.dt, drift_window)
             drift_window = 0.0

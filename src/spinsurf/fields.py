@@ -90,9 +90,13 @@ class SpinField(VecField):
 
     def __post_init__(self):
         super().__post_init__()
-        drift = np.abs(np.linalg.norm(self.values, axis=-1) - 1.0).max()
-        if drift > SPIN_NORM_TOL:
-            raise ValueError(f"spin field norm drift {drift:.3e} exceeds {SPIN_NORM_TOL}")
+        if not is_unit(self.values):
+            raise ValueError(f"spin field is not unit norm to {SPIN_NORM_TOL}")
+
+
+def is_unit(a):
+    """Whether every vector of a (..., 3) array has length 1 to SPIN_NORM_TOL."""
+    return np.abs(norm(a) - 1.0).max() <= SPIN_NORM_TOL
 
 
 def constant_field(grid, value):
@@ -117,7 +121,7 @@ def same_grid(*fields):
 def cross(a, b):
     """Right-handed cross product on (..., 3) arrays."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -125,7 +129,10 @@ def cross(a, b):
 
 
 def dot(a, b):
-    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
+    """Dot product on (..., 3) arrays, summed left to right like numpy's
+    length-3 reduction: bit for bit np.sum(a * b, -1), without its overhead."""
+    p = np.asarray(a) * np.asarray(b)
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 def triple(a, b, c):
@@ -134,85 +141,104 @@ def triple(a, b, c):
 
 
 def norm(a):
-    return np.linalg.norm(np.asarray(a), axis=-1)
+    """Length of (..., 3) vectors; bit for bit np.linalg.norm(a, axis=-1)."""
+    return np.sqrt(dot(a, a))
+
+
+def cmul(coeff, arr):
+    """Multiply a coefficient (float or (ny, nx) array) into a field array."""
+    if np.isscalar(coeff):
+        return coeff * arr
+    if arr.ndim == coeff.ndim + 1:
+        return coeff[..., None] * arr
+    return coeff * arr
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 #
-# All stencils are written in difference-of-neighbours form so that constant
-# fields differentiate to exactly zero in floating point.
+# The stencils act on plain arrays of any shape and dtype, differencing
+# along `axis` with basic slices of swapped-axis views, so no shifted copy
+# of the input is made. They are written in difference-of-neighbours form
+# so that constant fields differentiate to exactly zero in floating point.
 
 def _d1(a, h, axis, periodic):
     if a.shape[axis] < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
-    if periodic:
-        return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
-    a = np.moveaxis(a, axis, 0)
     out = np.empty_like(a)
-    out[1:-1] = a[2:] - a[:-2]
-    # second-order one-sided: -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0)
-    out[0] = 4.0 * (a[1] - a[0]) - (a[2] - a[0])
-    out[-1] = 4.0 * (a[-1] - a[-2]) - (a[-1] - a[-3])
-    return np.moveaxis(out, 0, axis) / (2.0 * h)
+    x, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(x[2:], x[:-2], out=o[1:-1])
+    if periodic:
+        o[0] = x[1] - x[-1]
+        o[-1] = x[0] - x[-2]
+    else:
+        # second-order one-sided: -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0)
+        o[0] = 4.0 * (x[1] - x[0]) - (x[2] - x[0])
+        o[-1] = 4.0 * (x[-1] - x[-2]) - (x[-1] - x[-3])
+    out /= 2.0 * h
+    return out
 
 
 def _d2(a, h, axis, periodic):
-    if a.shape[axis] < 3:
+    n = a.shape[axis]
+    if n < 3:
         raise GridTooSmall("second derivative needs at least 3 nodes")
-    if periodic:
-        up = np.roll(a, -1, axis)
-        dn = np.roll(a, 1, axis)
-        return ((up - a) - (a - dn)) / (h * h)
-    if a.shape[axis] < 4:
+    if not periodic and n < 4:
         raise GridTooSmall("clamped second derivative needs at least 4 nodes")
-    a = np.moveaxis(a, axis, 0)
+    x = a.swapaxes(0, axis)
+    # forward differences d[k] = x[k+1] - x[k], wrapping to d[n-1] = x[0] - x[n-1]
+    # when periodic; the stencil is d[k] - d[k-1]
+    d = np.empty_like(x if periodic else x[1:])
+    np.subtract(x[1:], x[:-1], out=d[:n - 1])
     out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[1:-1]) - (a[1:-1] - a[:-2])
-    # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form
-    d = np.diff(a[:4], axis=0)
-    out[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
-    d = np.diff(a[-4:], axis=0)
-    out[-1] = -2.0 * d[2] + 3.0 * d[1] - d[0]
-    return np.moveaxis(out, 0, axis) / (h * h)
+    o = out.swapaxes(0, axis)
+    np.subtract(d[1:n - 1], d[:n - 2], out=o[1:-1])
+    if periodic:
+        d[-1] = x[0] - x[-1]
+        o[0] = d[0] - d[-1]
+        o[-1] = d[-1] - d[-2]
+    else:
+        # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form
+        o[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
+        o[-1] = -2.0 * d[-1] + 3.0 * d[-2] - d[-3]
+    out /= h * h
+    return out
 
 
-def _require_y(grid):
+def stencil(a, grid, which):
+    """Finite difference of a plain (ny, nx) or (ny, nx, 3) array.
+
+    which: one of "dx", "dy", "dxx", "dyy", "dxy", "dxxxx". Periodic grids
+    wrap; clamped grids use one-sided second-order stencils at the edges.
+    "dxy" is the composition dy(dx(a)), "dxxxx" is dxx(dxx(a)). `diff` is
+    the same on fields.
+    """
+    which = which.lower()
+    if which == "dx":
+        return _d1(a, grid.dx, 1, grid.periodic)
+    if which == "dxx":
+        return _d2(a, grid.dx, 1, grid.periodic)
+    if which == "dxy":
+        return stencil(stencil(a, grid, "dx"), grid, "dy")
+    if which == "dxxxx":
+        if grid.nx < 5:
+            raise GridTooSmall("fourth derivative needs nx >= 5")
+        return stencil(stencil(a, grid, "dxx"), grid, "dxx")
+    if which not in ("dy", "dyy"):
+        raise ValueError(f"unknown derivative {which!r}")
     if grid.is_1d:
         raise GridTooSmall("y-derivative requested on a 1-D grid")
     if grid.ny < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
-
-
-def _wrap_like(f, values):
-    cls = ScalarField if isinstance(f, ScalarField) else VecField
-    return cls(f.grid, values)
+    if which == "dy":
+        return _d1(a, grid.dy, 0, grid.periodic)
+    return _d2(a, grid.dy, 0, grid.periodic)
 
 
 def diff(f, which):
-    """Second-order finite difference of a field.
-
-    which: one of "dx", "dy", "dxx", "dyy", "dxy". Periodic grids wrap;
-    clamped grids use one-sided second-order stencils at the edges. "dxy"
-    is the composition dy(dx(f)).
-    """
-    g = f.grid
-    which = which.lower()
-    if which == "dx":
-        out = _d1(f.values, g.dx, -2 if isinstance(f, VecField) else -1, g.periodic)
-    elif which == "dxx":
-        out = _d2(f.values, g.dx, -2 if isinstance(f, VecField) else -1, g.periodic)
-    elif which == "dy":
-        _require_y(g)
-        out = _d1(f.values, g.dy, 0, g.periodic)
-    elif which == "dyy":
-        _require_y(g)
-        out = _d2(f.values, g.dy, 0, g.periodic)
-    elif which == "dxy":
-        return diff(diff(f, "dx"), "dy")
-    else:
-        raise ValueError(f"unknown derivative {which!r}")
-    return _wrap_like(f, out)
+    """Finite difference of a Scalar/VecField; see `stencil`."""
+    cls = ScalarField if isinstance(f, ScalarField) else VecField
+    return cls(f.grid, stencil(f.values, f.grid, which))
 
 
 def diff4x(f):
@@ -221,15 +247,17 @@ def diff4x(f):
     On periodic grids this is exactly the centered 5-point stencil
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     """
-    if f.grid.nx < 5:
-        raise GridTooSmall("fourth derivative needs nx >= 5")
-    return diff(diff(f, "dxx"), "dxx")
+    return diff(f, "dxxxx")
+
+
+def normalize(v, n):
+    """(..., 3) vectors v divided by their norms n, refusing near-zero norms."""
+    if n.min() < NORM_FLOOR:
+        j, i = np.unravel_index(np.argmin(n), n.shape)
+        raise NearZeroNorm(int(i), int(j), float(n[j, i]))
+    return v / n[..., None]
 
 
 def project_sphere(v):
     """Normalize a VecField onto the unit sphere, returning a SpinField."""
-    n = norm(v.values)
-    if n.min() < NORM_FLOOR:
-        j, i = np.unravel_index(np.argmin(n), n.shape)
-        raise NearZeroNorm(int(i), int(j), float(n[j, i]))
-    return SpinField(v.grid, v.values / n[..., None])
+    return SpinField(v.grid, normalize(v.values, norm(v.values)))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import FormatError, NonFiniteValue
 from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField,
-                     VecField)
+                     VecField, is_unit)
 from .geometry import ResidualReport
 
 FIELD_MAGIC = "# spinsurf-field v1"
@@ -87,7 +87,7 @@ def read_field(path):
 
     if comps == 1:
         return ScalarField(grid, vals[..., 0])
-    if np.abs(np.linalg.norm(vals, axis=-1) - 1.0).max() <= 1e-12:
+    if is_unit(vals):
         return SpinField(grid, vals)
     return VecField(grid, vals)
 

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import DegenerateTangent, GridMismatch
-from .fields import (ScalarField, SpinField, VecField, cross, diff, dot,
-                     norm, same_grid, triple)
+from .fields import (ScalarField, SpinField, VecField, cmul, cross, diff,
+                     dot, norm, same_grid, stencil, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -58,7 +58,7 @@ class CoefficientSet:
         """Discrete derivative of a coefficient; constants short-circuit to 0."""
         c = getattr(self, name)
         if isinstance(c, ScalarField):
-            return diff(c, which).values
+            return stencil(c.values, c.grid, which)
         return 0.0
 
     def is_constant(self, name):
@@ -159,17 +159,19 @@ def classical_coeffs(kind, grid=None, **params):
         a1, a2, b1, b2, a3, phi = need("a1", "a2", "b1", "b2", "a3", "phi")
         a3x = diff(a3, "dx").values if isinstance(a3, ScalarField) else 0.0
         a3y = diff(a3, "dy").values if isinstance(a3, ScalarField) else 0.0
-        phix, phiy = diff(phi, "dx").values, diff(phi, "dy").values
         g = phi.grid
-        if kind == "mxiiia":
-            a5 = ScalarField(g, a3x + phix)
-            b5 = ScalarField(g, a3y - phiy)
-        else:
-            a5 = ScalarField(g, a3x + phiy)
-            b5 = ScalarField(g, a3y - phix)
-        return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2,
-                              a3=a3, b4=a3, a5=a5, b5=b5)
+        cx, cy = phi_drift(kind, phi.values, g)
+        return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3,
+                              a5=ScalarField(g, a3x + cy), b5=ScalarField(g, a3y - cx))
     raise ValueError(f"unknown coefficient kind {kind!r}")
+
+
+def phi_drift(kind, phi, g):
+    """Coefficients (cx, cy) of the M-XIIIA/B drift cx S_x + cy S_y, from
+    the potential array phi: M-XIIIA pairs phi_y S_x + phi_x S_y, M-XIIIB
+    phi_x S_x + phi_y S_y."""
+    px, py = stencil(phi, g, "dx"), stencil(phi, g, "dy")
+    return (py, px) if kind == "mxiiia" else (px, py)
 
 
 def _neg(c):
@@ -194,8 +196,8 @@ def mf_tangents(S, c):
     g = S.grid
     c.check_grid(g)
     s = S.values
-    sx = diff(S, "dx").values
-    sy = diff(S, "dy").values if _needs_y(c) else np.zeros_like(s)
+    sx = stencil(s, g, "dx")
+    sy = stencil(s, g, "dy") if _needs_y(c) else np.zeros_like(s)
     s_sx = cross(s, sx)
     s_sy = cross(s, sy)
 
@@ -203,11 +205,8 @@ def mf_tangents(S, c):
         out = np.zeros_like(s)
         for coeff, term in ((c1, s_sx), (c2, s_sy), (c3, sx), (c4, sy), (c5, s)):
             v = c.value(coeff)
-            if np.isscalar(v):
-                if v != 0.0:
-                    out += v * term
-            else:
-                out += v[..., None] * term
+            if not (np.isscalar(v) and v == 0.0):
+                out += cmul(v, term)
         return out
 
     r_x = VecField(g, side("a1", "a2", "a3", "a4", "a5"))
@@ -236,15 +235,11 @@ def n_system_residual(N, c):
     vec = VecField(g, diff(r_x, "dy").values - diff(r_y, "dx").values)
 
     n = N.values
-    nx = diff(N, "dx").values
-    ny = diff(N, "dy").values
-    nxx = diff(N, "dxx").values
-    nyy = diff(N, "dyy").values
-    nxy = diff(N, "dxy").values
+    nx, ny, nxx, nyy, nxy = (stencil(n, g, w) for w in ("dx", "dy", "dxx", "dyy", "dxy"))
 
     bracket = ((c.value("a1") + c.value("b2")) * triple(n, ny, nx)
-               + dot(n, _cmul(c.value("a3"), nxy) - _cmul(c.value("b4"), nxy)
-                     + _cmul(c.value("a4"), nyy) - _cmul(c.value("b3"), nxx)))
+               + dot(n, cmul(c.value("a3"), nxy) - cmul(c.value("b4"), nxy)
+                     + cmul(c.value("a4"), nyy) - cmul(c.value("b3"), nxx)))
     if not isinstance(N, SpinField):
         nn = dot(n, n)
         if nn.min() < 1e-14:
@@ -256,12 +251,6 @@ def n_system_residual(N, c):
     lhs = (c.deriv("b5", "dx") - c.deriv("a5", "dy")) * np.ones((g.ny, g.nx))
     scal = ScalarField(g, lhs - bracket)
     return ResidualReport(vec, scal)
-
-
-def _cmul(coeff, term):
-    if np.isscalar(coeff):
-        return coeff * term
-    return coeff[..., None] * term
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhononAbsent, UnimplementedModel, UnknownModel
-from .fields import (ScalarField, SpinField, VecField, cross, diff, diff4x,
-                     dot, same_grid, _d1, _d2)
+from .fields import (ScalarField, SpinField, VecField, cross, dot, same_grid,
+                     stencil)
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 PHONON_FAMILIES = ("none", "wave", "boussinesq", "advection", "kdv")
@@ -77,48 +77,43 @@ class MEState:
 
     def __post_init__(self):
         fields = [self.S, self.u] + ([self.w] if self.w is not None else [])
-        g = same_grid(*fields)
-        if not g.is_1d:
+        if not same_grid(*fields).is_1d:
             raise ValueError("magnetoelastic states live on 1-D grids")
-
-
-def _entry(name, spin, phonon, source):
-    return ModelSpec(name, spin, phonon, source)
 
 
 _REGISTRY = {}
 for spec in [
     # 0-type: Landau-Lifshitz equations with external potentials
-    _entry("M-LVII", "A", "none", "s3"),
-    _entry("M-LVI", "B", "none", "s3sq"),
-    _entry("M-LV", "C", "none", "sxsq"),
-    _entry("M-LIV", "D", "none", "sxsq"),
-    _entry("M-LIII", "E", "none", "trform"),
+    ModelSpec("M-LVII", "A", "none", "s3"),
+    ModelSpec("M-LVI", "B", "none", "s3sq"),
+    ModelSpec("M-LV", "C", "none", "sxsq"),
+    ModelSpec("M-LIV", "D", "none", "sxsq"),
+    ModelSpec("M-LIII", "E", "none", "trform"),
     # 1-type: family A coupled through S3
-    _entry("M-LII", "A", "wave", "s3"),
-    _entry("M-LI", "A", "boussinesq", "s3"),
-    _entry("M-L", "A", "advection", "s3"),
-    _entry("M-XLIX", "A", "kdv", "s3"),
+    ModelSpec("M-LII", "A", "wave", "s3"),
+    ModelSpec("M-LI", "A", "boussinesq", "s3"),
+    ModelSpec("M-L", "A", "advection", "s3"),
+    ModelSpec("M-XLIX", "A", "kdv", "s3"),
     # 2-type: family B coupled through S3^2
-    _entry("M-XLVIII", "B", "wave", "s3sq"),
-    _entry("M-XLVII", "B", "boussinesq", "s3sq"),
-    _entry("M-XLVI", "B", "advection", "s3sq"),
-    _entry("M-XLV", "B", "kdv", "s3sq"),
+    ModelSpec("M-XLVIII", "B", "wave", "s3sq"),
+    ModelSpec("M-XLVII", "B", "boussinesq", "s3sq"),
+    ModelSpec("M-XLVI", "B", "advection", "s3sq"),
+    ModelSpec("M-XLV", "B", "kdv", "s3sq"),
     # 3-type: family C coupled through |S_x|^2
-    _entry("M-XLIV", "C", "wave", "sxsq"),
-    _entry("M-XLIII", "C", "boussinesq", "sxsq"),
-    _entry("M-XLII", "C", "advection", "sxsq"),
-    _entry("M-XLI", "C", "kdv", "sxsq"),
+    ModelSpec("M-XLIV", "C", "wave", "sxsq"),
+    ModelSpec("M-XLIII", "C", "boussinesq", "sxsq"),
+    ModelSpec("M-XLII", "C", "advection", "sxsq"),
+    ModelSpec("M-XLI", "C", "kdv", "sxsq"),
     # 4-type: family D coupled through |S_x|^2
-    _entry("M-XL", "D", "wave", "sxsq"),
-    _entry("M-XXXIX", "D", "boussinesq", "sxsq"),
-    _entry("M-XXXVIII", "D", "advection", "sxsq"),
-    _entry("M-XXXVII", "D", "kdv", "sxsq"),
+    ModelSpec("M-XL", "D", "wave", "sxsq"),
+    ModelSpec("M-XXXIX", "D", "boussinesq", "sxsq"),
+    ModelSpec("M-XXXVIII", "D", "advection", "sxsq"),
+    ModelSpec("M-XXXVII", "D", "kdv", "sxsq"),
     # 5-type: family E coupled through tr-form source
-    _entry("M-XXXVI", "E", "wave", "trform"),
-    _entry("M-XXXV", "E", "boussinesq", "trform"),
-    _entry("M-XXXIV", "E", "advection", "trform"),
-    _entry("M-XXXIII", "E", "kdv", "trform"),
+    ModelSpec("M-XXXVI", "E", "wave", "trform"),
+    ModelSpec("M-XXXV", "E", "boussinesq", "trform"),
+    ModelSpec("M-XXXIV", "E", "advection", "trform"),
+    ModelSpec("M-XXXIII", "E", "kdv", "trform"),
     # deliberately unimplemented entries
     ModelSpec("M-LXIX", "-", "-", "-", implemented=False,
               reason="u_x couples to sqrt(S_t^2 - u^2): implicit in the "
@@ -146,78 +141,81 @@ def catalog_lookup(name):
         raise UnknownModel(f"no magnetoelastic model named {name!r}") from None
 
 
-def _check(spec, state):
+def _check(spec):
     if not spec.implemented:
         raise UnimplementedModel(f"{spec.name}: {spec.reason}")
-    same_grid(state.S, state.u)
 
 
-def _coupling(spec, state):
-    s = state.S.values
+def _coupling(spec, s, g):
     if spec.source == "s3":
-        q = s[..., 2]
-    elif spec.source == "s3sq":
-        q = s[..., 2] ** 2
+        return s[..., 2]
+    if spec.source == "s3sq":
+        return s[..., 2] ** 2
+    sx = stencil(s, g, "dx")
+    q = dot(sx, sx)
+    return 0.5 * q if spec.source == "trform" else q
+
+
+def spin_core(spec, s, u, g):
+    """me_spin_rhs on a spin array s and displacement array u."""
+    _check(spec)
+    if spec.spin in ("A", "B"):
+        out = cross(s, stencil(s, g, "dxx"))
+        drive = u if spec.spin == "A" else u * s[..., 2]
+        out += drive[..., None] * cross(s, E3)
+    elif spec.spin in ("C", "D"):
+        sx = stencil(s, g, "dx")
+        coeff = spec.param("mu") * dot(sx, sx) - u + spec.param("m")
+        out = stencil(coeff[..., None] * cross(s, sx), g, "dx")
+        if spec.spin == "D":
+            out = spec.param("n") * cross(s, stencil(s, g, "dxxxx")) + 2.0 * out
+    elif spec.spin == "E":
+        out = cross(s, stencil(s, g, "dxx")) + u[..., None] * stencil(s, g, "dx")
     else:
-        sx = diff(state.S, "dx").values
-        q = dot(sx, sx)
-        if spec.source == "trform":
-            q = 0.5 * q
-    return ScalarField(state.S.grid, q)
+        raise UnimplementedModel(f"{spec.name} has no spin family")
+    return out
+
+
+def phonon_core(spec, s, u, w, g):
+    """me_phonon_rhs on arrays: (du_dt, dw_dt), dw_dt None for first-order
+    phonon equations; du_dt is w itself for wave-type ones."""
+    _check(spec)
+    if spec.phonon == "none":
+        raise PhononAbsent(f"{spec.name} prescribes u externally")
+    q = _coupling(spec, s, g)
+    lam = spec.param("lam")
+
+    if spec.phonon in ("wave", "boussinesq"):
+        if w is None:
+            raise ValueError(f"{spec.name} needs the velocity field w = u_t")
+        acc = (spec.param("nu0") ** 2 * stencil(u, g, "dxx")
+               + lam * stencil(q, g, "dxx"))
+        if spec.phonon == "boussinesq":
+            acc += (spec.param("alpha") * stencil(u ** 2, g, "dxx")
+                    + spec.param("beta") * stencil(u, g, "dxxxx"))
+        return w, acc / spec.param("rho")
+
+    du = -stencil(u, g, "dx") - lam * stencil(q, g, "dx")
+    if spec.phonon == "kdv":
+        uxxx = stencil(stencil(u, g, "dxx"), g, "dx")
+        du -= spec.param("alpha") * stencil(u ** 2, g, "dx") + spec.param("beta") * uxxx
+    return du, None
 
 
 def me_spin_rhs(spec, state):
     """Vector-form spin right-hand side of a catalog model."""
-    _check(spec, state)
     g = state.S.grid
-    s = state.S.values
-    u = state.u.values
-
-    if spec.spin in ("A", "B"):
-        out = cross(s, diff(state.S, "dxx").values)
-        drive = u if spec.spin == "A" else u * s[..., 2]
-        out += drive[..., None] * cross(s, E3)
-    elif spec.spin in ("C", "D"):
-        sx = diff(state.S, "dx").values
-        coeff = spec.param("mu") * dot(sx, sx) - u + spec.param("m")
-        flux = VecField(g, coeff[..., None] * cross(s, sx))
-        out = diff(flux, "dx").values
-        if spec.spin == "D":
-            out = spec.param("n") * cross(s, diff4x(state.S).values) + 2.0 * out
-    elif spec.spin == "E":
-        out = cross(s, diff(state.S, "dxx").values) + u[..., None] * diff(state.S, "dx").values
-    else:
-        raise UnimplementedModel(f"{spec.name} has no spin family")
-    return VecField(g, out)
+    return VecField(g, spin_core(spec, state.S.values, state.u.values, g))
 
 
 def me_phonon_rhs(spec, state):
     """First-order-form phonon right-hand side (du_dt, dw_dt or None)."""
-    _check(spec, state)
-    if spec.phonon == "none":
-        raise PhononAbsent(f"{spec.name} prescribes u externally")
     g = state.u.grid
-    q = _coupling(spec, state)
-    lam = spec.param("lam")
-    u = state.u
-
-    if spec.phonon in ("wave", "boussinesq"):
-        if state.w is None:
-            raise ValueError(f"{spec.name} needs the velocity field w = u_t")
-        acc = (spec.param("nu0") ** 2 * diff(u, "dxx").values
-               + lam * diff(q, "dxx").values)
-        if spec.phonon == "boussinesq":
-            u2 = ScalarField(g, u.values ** 2)
-            acc += (spec.param("alpha") * diff(u2, "dxx").values
-                    + spec.param("beta") * diff4x(u).values)
-        return state.w, ScalarField(g, acc / spec.param("rho"))
-
-    du = -diff(u, "dx").values - lam * diff(q, "dx").values
-    if spec.phonon == "kdv":
-        u2 = ScalarField(g, u.values ** 2)
-        uxxx = diff(diff(u, "dxx"), "dx").values
-        du -= spec.param("alpha") * diff(u2, "dx").values + spec.param("beta") * uxxx
-    return ScalarField(g, du), None
+    w = state.w.values if state.w is not None else None
+    du, dw = phonon_core(spec, state.S.values, state.u.values, w, g)
+    if dw is None:
+        return ScalarField(g, du), None
+    return state.w, ScalarField(g, dw)
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +248,25 @@ def pauli_oracle_rhs(spec, state):
     vector components. Agreement with me_spin_rhs certifies the
     matrix-to-vector translation.
     """
-    _check(spec, state)
+    _check(spec)
     g = state.S.grid
     sm = _to_matrix(state.S.values)          # (ny, nx, 2, 2)
     u = state.u.values[..., None, None]
-    periodic = g.periodic
-
-    def dx(a):
-        return _d1(a, g.dx, 1, periodic)
-
-    def dxx(a):
-        return _d2(a, g.dx, 1, periodic)
 
     if spec.spin == "A":
-        m = _comm(sm, dxx(sm)) + u * _comm(sm, _SIGMA[2])
+        m = _comm(sm, stencil(sm, g, "dxx")) + u * _comm(sm, _SIGMA[2])
     elif spec.spin == "B":
         s3 = np.real(np.trace(sm @ _SIGMA[2], axis1=-2, axis2=-1))[..., None, None] / 2.0
-        m = _comm(sm, dxx(sm)) + u * s3 * _comm(sm, _SIGMA[2])
+        m = _comm(sm, stencil(sm, g, "dxx")) + u * s3 * _comm(sm, _SIGMA[2])
     elif spec.spin in ("C", "D"):
-        smx = dx(sm)
+        smx = stencil(sm, g, "dx")
         sx2 = np.real(np.trace(smx @ smx, axis1=-2, axis2=-1))[..., None, None] / 2.0
         coeff = spec.param("mu") * sx2 - u + spec.param("m")
-        m = dx(coeff * _comm(sm, smx))
+        m = stencil(coeff * _comm(sm, smx), g, "dx")
         if spec.spin == "D":
-            m = spec.param("n") * _comm(sm, dxx(dxx(sm))) + 2.0 * m
+            m = spec.param("n") * _comm(sm, stencil(sm, g, "dxxxx")) + 2.0 * m
     elif spec.spin == "E":
-        m = _comm(sm, dxx(sm)) + 2j * u * dx(sm)
+        m = _comm(sm, stencil(sm, g, "dxx")) + 2j * u * stencil(sm, g, "dx")
     else:
         raise UnimplementedModel(f"{spec.name} has no spin family")
     return VecField(g, _to_vector(m / 2j))

@@ -5,46 +5,72 @@ Landau-Lifshitz equation (LLE), the M-XIII family (plain, A, and B
 variants, the latter two carrying an auxiliary potential phi), and the
 stationary Ishimori equation. All right-hand sides are tangent to the
 sphere up to the discrete S.S_x = O(h^2) identity.
+
+Each formula is written once, as a `*_core` function on plain
+(ny, nx, 3) spin arrays that `evolve` calls directly; the field-level
+functions wrap those cores, and the stationary residuals reuse them.
 """
 
 import numpy as np
 
 from .errors import GridTooSmall
-from .fields import ScalarField, SpinField, VecField, cross, diff, triple
-from .geometry import CoefficientSet, ResidualReport
-from .solvers import mixed_integrate, poisson_solve
+from .fields import ScalarField, VecField, cmul, cross, diff, stencil, triple
+from .geometry import ResidualReport, phi_drift
+from .solvers import mixed_integrate_core, poisson_core
 
 STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
 
 
-def _cmul(coeff, arr):
-    """Multiply a coefficient (float or (ny, nx) array) into a field array."""
-    if np.isscalar(coeff):
-        return coeff * arr
-    if arr.ndim == coeff.ndim + 1:
-        return coeff[..., None] * arr
-    return coeff * arr
+def hf_core(s, g):
+    """S ^ S_xx on a spin array."""
+    return cross(s, stencil(s, g, "dxx"))
+
+
+def lle_core(s, g):
+    """S ^ (S_xx + S_yy) on a spin array."""
+    if g.is_1d:
+        raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
+    return cross(s, stencil(s, g, "dxx") + stencil(s, g, "dyy"))
 
 
 def hf_rhs(S):
     """S ^ S_xx: the HF flow of a 1-D-in-x spin field."""
-    return VecField(S.grid, cross(S.values, diff(S, "dxx").values))
+    return VecField(S.grid, hf_core(S.values, S.grid))
 
 
 def lle_rhs(S):
     """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow."""
-    if S.grid.is_1d:
-        raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    lap = diff(S, "dxx").values + diff(S, "dyy").values
-    return VecField(S.grid, cross(S.values, lap))
+    return VecField(S.grid, lle_core(S.values, S.grid))
 
 
-def _wedge_core(S, a1, a2, b1, b2):
-    """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx]."""
-    inner = (_cmul(a2, diff(S, "dyy").values)
-             + _cmul(a1, diff(S, "dxy").values) - _cmul(b2, diff(S, "dxy").values)
-             - _cmul(b1, diff(S, "dxx").values))
-    return cross(S.values, inner)
+def _flow(s, g, sx, sy, cx, cy, a1, a2, b1, b2):
+    """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + cx S_x + cy S_y, the M-XIII
+    family's wedge core plus its drift."""
+    syy = stencil(s, g, "dyy")
+    sxy = stencil(s, g, "dxy")
+    inner = (cmul(a2, syy) + cmul(a1, sxy) - cmul(b2, sxy)
+             - cmul(b1, stencil(s, g, "dxx")))
+    return cross(s, inner) + cmul(cx, sx) + cmul(cy, sy)
+
+
+def mxiii_core(s, g, c):
+    """M-XIII right-hand side and constraint residual arrays (see mxiii_rhs)."""
+    c.check_grid(g)
+    for name, want in (("b3", 0.0), ("a4", 0.0)):
+        if not (c.is_constant(name) and c.value(name) == want):
+            raise ValueError(f"M-XIII needs {name} = {want}")
+    v3, v4 = c.value("b4"), c.value("a3")
+    if not np.all(np.asarray(v3) == np.asarray(v4)):
+        raise ValueError("M-XIII needs b4 = a3")
+
+    sx = stencil(s, g, "dx")
+    sy = stencil(s, g, "dy")
+    rhs = _flow(s, g, sx, sy, c.deriv("a3", "dy") - c.value("b5"),
+                c.value("a5") - c.deriv("a3", "dx"),
+                c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
+    constraint = (c.deriv("a5", "dy") - c.deriv("b5", "dx")
+                  - (c.value("a1") + c.value("b2")) * triple(s, sx, sy))
+    return rhs, constraint * np.ones((g.ny, g.nx))
 
 
 def mxiii_rhs(S, c):
@@ -58,23 +84,21 @@ def mxiii_rhs(S, c):
     which the flow is supposed to keep small; it is monitored, never
     enforced.
     """
-    g = S.grid
-    c.check_grid(g)
-    for name, want in (("b3", 0.0), ("a4", 0.0)):
-        if not (c.is_constant(name) and c.value(name) == want):
-            raise ValueError(f"M-XIII needs {name} = {want}")
-    v3, v4 = c.value("b4"), c.value("a3")
-    if not np.all(np.asarray(v3) == np.asarray(v4)):
-        raise ValueError("M-XIII needs b4 = a3")
+    rhs, constraint = mxiii_core(S.values, S.grid, c)
+    return VecField(S.grid, rhs), ScalarField(S.grid, constraint)
 
-    sx = diff(S, "dx").values
-    sy = diff(S, "dy").values
-    rhs = (_wedge_core(S, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
-           + _cmul(c.deriv("a3", "dy") - c.value("b5"), sx)
-           + _cmul(c.value("a5") - c.deriv("a3", "dx"), sy))
-    constraint = (c.deriv("a5", "dy") - c.deriv("b5", "dx")
-                  - (c.value("a1") + c.value("b2")) * triple(S.values, sx, sy))
-    return VecField(g, rhs), ScalarField(g, constraint * np.ones((g.ny, g.nx)))
+
+def mx_core(kind, s, g, a1, a2, b1, b2, phi_row=None, phi_col=None):
+    """M-XIIIA/B ("mxiiia"/"mxiiib") right-hand side and potential arrays."""
+    sx = stencil(s, g, "dx")
+    sy = stencil(s, g, "dy")
+    if kind == "mxiiia":
+        phi = mixed_integrate_core(0.5 * (a1 + b2) * triple(s, sx, sy), g,
+                                   phi_row, phi_col)
+    else:
+        raw = (a1 + b2) * triple(s, sx, sy)
+        phi = poisson_core(raw - raw.mean(), g)
+    return _flow(s, g, sx, sy, *phi_drift(kind, phi, g), a1, a2, b1, b2), phi
 
 
 def mxiiia_system(S, a1, a2, b1, b2, phi_row=None, phi_col=None):
@@ -86,15 +110,8 @@ def mxiiia_system(S, a1, a2, b1, b2, phi_row=None, phi_col=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    g = S.grid
-    sx = diff(S, "dx").values
-    sy = diff(S, "dy").values
-    src = ScalarField(g, 0.5 * (a1 + b2) * triple(S.values, sx, sy))
-    phi = mixed_integrate(src, phi_row, phi_col)
-    rhs = (_wedge_core(S, a1, a2, b1, b2)
-           + diff(phi, "dy").values[..., None] * sx
-           + diff(phi, "dx").values[..., None] * sy)
-    return VecField(g, rhs), phi
+    rhs, phi = mx_core("mxiiia", S.values, S.grid, a1, a2, b1, b2, phi_row, phi_col)
+    return VecField(S.grid, rhs), ScalarField(S.grid, phi)
 
 
 def mxiiib_system(S, a1, a2, b1, b2):
@@ -108,16 +125,8 @@ def mxiiib_system(S, a1, a2, b1, b2):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    g = S.grid
-    sx = diff(S, "dx").values
-    sy = diff(S, "dy").values
-    raw = (a1 + b2) * triple(S.values, sx, sy)
-    src = ScalarField(g, raw - raw.mean())
-    phi = poisson_solve(src)
-    rhs = (_wedge_core(S, a1, a2, b1, b2)
-           + diff(phi, "dx").values[..., None] * sx
-           + diff(phi, "dy").values[..., None] * sy)
-    return VecField(g, rhs), phi
+    rhs, phi = mx_core("mxiiib", S.values, S.grid, a1, a2, b1, b2)
+    return VecField(S.grid, rhs), ScalarField(S.grid, phi)
 
 
 def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
@@ -142,20 +151,20 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     if kind == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii stationary residual needs a coefficient set")
-        vec, constraint = mxiii_rhs(S, coeffs)
-        return ResidualReport(vec, constraint)
+        return ResidualReport(*mxiii_rhs(S, coeffs))
 
-    sx = diff(S, "dx").values
-    sy = diff(S, "dy").values
-    trip = triple(S.values, sx, sy)
+    s = S.values
+    sx = stencil(s, g, "dx")
+    sy = stencil(s, g, "dy")
+    trip = triple(s, sx, sy)
 
     if kind == "ishimori":
         if phi is None or alpha is None:
             raise ValueError("ishimori stationary residual needs phi and alpha")
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
-        inner = diff(S, "dxx").values + alpha ** 2 * diff(S, "dyy").values
-        vec = (cross(S.values, inner)
+        inner = stencil(s, g, "dxx") + alpha ** 2 * stencil(s, g, "dyy")
+        vec = (cross(s, inner)
                + diff(phi, "dx").values[..., None] * sy
                + diff(phi, "dy").values[..., None] * sx)
         scal = (alpha ** 2 * diff(phi, "dyy").values - diff(phi, "dxx").values
@@ -166,14 +175,10 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         raise ValueError(f"{kind} stationary residual needs coeffs and phi")
     a1, a2 = coeffs.value("a1"), coeffs.value("a2")
     b1, b2 = coeffs.value("b1"), coeffs.value("b2")
-    core = _wedge_core(S, a1, a2, b1, b2)
-    phix = diff(phi, "dx").values
-    phiy = diff(phi, "dy").values
+    vec = _flow(s, g, sx, sy, *phi_drift(kind, phi.values, phi.grid), a1, a2, b1, b2)
     if kind == "mxiiia":
-        vec = core + phiy[..., None] * sx + phix[..., None] * sy
         scal = diff(phi, "dxy").values - 0.5 * (a1 + b2) * trip
     else:
-        vec = core + phix[..., None] * sx + phiy[..., None] * sy
         scal = (diff(phi, "dxx").values + diff(phi, "dyy").values
                 - (a1 + b2) * trip)
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

@@ -4,7 +4,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import NonConvergence, NonZeroMeanSource
-from .fields import CLAMPED, PERIODIC, ScalarField, diff
+from .fields import CLAMPED, PERIODIC, ScalarField, stencil
 
 POISSON_RTOL = 1e-10
 MEAN_RTOL = 1e-8
@@ -18,10 +18,13 @@ def poisson_solve(rhs):
     The gauge is mean(phi) = 0; a source whose mean exceeds the
     solvability tolerance is rejected.
     """
-    g = rhs.grid
+    return ScalarField(rhs.grid, poisson_core(rhs.values, rhs.grid))
+
+
+def poisson_core(f, g):
+    """poisson_solve on a plain (ny, nx) source array; returns phi's array."""
     if g.boundary != PERIODIC or g.is_1d:
         raise ValueError("Poisson solve needs a periodic 2-D grid")
-    f = rhs.values
     fmax = np.abs(f).max()
     if fmax > 0 and abs(f.mean()) > MEAN_RTOL * fmax:
         raise NonZeroMeanSource(f"source mean {f.mean():.3e} exceeds "
@@ -36,12 +39,12 @@ def poisson_solve(rhs):
     lam[0, 0] = 1.0          # zero mode is gauged away, avoid 0/0
     phi = np.real(np.fft.ifft2(fhat / lam))
     phi -= phi.mean()
+    phi = np.ascontiguousarray(phi)
 
-    out = ScalarField(g, phi)
-    resid = np.abs(diff(out, "dxx").values + diff(out, "dyy").values - f).max()
+    resid = np.abs(stencil(phi, g, "dxx") + stencil(phi, g, "dyy") - f).max()
     if fmax > 0 and resid > POISSON_RTOL * fmax:
         raise NonConvergence(1, resid / fmax)
-    return out
+    return phi
 
 
 def mixed_integrate(f, phi_row=None, phi_col=None):
@@ -53,7 +56,11 @@ def mixed_integrate(f, phi_row=None, phi_col=None):
     with phi_col[0]. Dxy of the result recovers f in the interior at
     second order.
     """
-    g = f.grid
+    return ScalarField(f.grid, mixed_integrate_core(f.values, f.grid, phi_row, phi_col))
+
+
+def mixed_integrate_core(f, g, phi_row=None, phi_col=None):
+    """mixed_integrate on a plain (ny, nx) source array; returns phi's array."""
     if g.boundary != CLAMPED or g.is_1d:
         raise ValueError("mixed-derivative integration needs a clamped 2-D grid")
     phi_row = np.zeros(g.nx) if phi_row is None else np.asarray(phi_row, dtype=float)
@@ -63,7 +70,6 @@ def mixed_integrate(f, phi_row=None, phi_col=None):
     if abs(phi_row[0] - phi_col[0]) > 1e-12 * (1 + abs(phi_row[0])):
         raise ValueError("axis data disagree at the corner node")
 
-    inner = cumulative_trapezoid(f.values, dx=g.dx, axis=1, initial=0.0)
+    inner = cumulative_trapezoid(f, dx=g.dx, axis=1, initial=0.0)
     double = cumulative_trapezoid(inner, dx=g.dy, axis=0, initial=0.0)
-    phi = phi_row[None, :] + phi_col[:, None] - phi_row[0] + double
-    return ScalarField(g, phi)
+    return phi_row[None, :] + phi_col[:, None] - phi_row[0] + double

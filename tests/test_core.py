@@ -1,0 +1,255 @@
+"""The array-level numerical core against independent references.
+
+The stencils are compared bit for bit with the np.roll / np.moveaxis
+formulation written out below, and `evolve` with a plain RK4 loop that
+steps through the public field API. Bitwise equality is the contract: the
+array core reorders no floating-point operation.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from spinsurf import (Blowup, EvolveOptions, Grid, MEState, NearZeroNorm,
+                      ScalarField, SpinField, VecField, catalog_lookup,
+                      classical_coeffs, diff, evolve, evolution_model, hf_rhs,
+                      lle_rhs, me_phonon_rhs, me_spin_rhs, mxiiia_system,
+                      mxiiib_system, project_sphere, rk4_step,
+                      stationary_residual, synth)
+from spinsurf import fields
+from spinsurf.evolve import EvolutionModel
+from spinsurf.fields import SPIN_NORM_TOL, is_unit, stencil
+
+
+# ---------------------------------------------------------------------------
+# stencils
+
+def ref_d1(a, h, axis, periodic):
+    if periodic:
+        return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = a[2:] - a[:-2]
+    out[0] = 4.0 * (a[1] - a[0]) - (a[2] - a[0])
+    out[-1] = 4.0 * (a[-1] - a[-2]) - (a[-1] - a[-3])
+    return np.moveaxis(out, 0, axis) / (2.0 * h)
+
+
+def ref_d2(a, h, axis, periodic):
+    if periodic:
+        up = np.roll(a, -1, axis)
+        dn = np.roll(a, 1, axis)
+        return ((up - a) - (a - dn)) / (h * h)
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[1:-1]) - (a[1:-1] - a[:-2])
+    d = np.diff(a[:4], axis=0)
+    out[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
+    d = np.diff(a[-4:], axis=0)
+    out[-1] = -2.0 * d[2] + 3.0 * d[1] - d[0]
+    return np.moveaxis(out, 0, axis) / (h * h)
+
+
+REFERENCE = {"dx": (ref_d1, 1), "dxx": (ref_d2, 1), "dy": (ref_d1, 0), "dyy": (ref_d2, 0)}
+
+
+@st.composite
+def grid_arrays(draw):
+    ny, nx = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    boundary = draw(st.sampled_from(["periodic", "clamped"]))
+    spacing = st.floats(0.01, 3.0)
+    grid = Grid(nx, ny, draw(spacing), draw(spacing), boundary)
+    shape = (ny, nx) + draw(st.sampled_from([(), (3,)]))
+    values = draw(hnp.arrays(np.float64, shape,
+                             elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return grid, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_arrays(), st.sampled_from(sorted(REFERENCE)))
+def test_stencils_bitwise_equal_roll_reference(case, which):
+    grid, a = case
+    ref, axis = REFERENCE[which]
+    h = grid.dx if axis == 1 else grid.dy
+    want = ref(a, h, axis, grid.periodic)
+    assert np.array_equal(stencil(a, grid, which), want)
+    field = (ScalarField if a.ndim == 2 else VecField)(grid, a)
+    assert np.array_equal(diff(field, which).values, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_arrays())
+def test_composed_stencils_bitwise(case):
+    grid, a = case
+    h, p = grid.dx, grid.periodic
+    assert np.array_equal(stencil(a, grid, "dxy"),
+                          ref_d1(ref_d1(a, grid.dx, 1, p), grid.dy, 0, p))
+    if grid.nx >= 5:
+        assert np.array_equal(stencil(a, grid, "dxxxx"),
+                              ref_d2(ref_d2(a, h, 1, p), h, 1, p))
+
+
+def test_stencil_leaves_input_untouched():
+    a = np.arange(30.0).reshape(5, 6)
+    a.flags.writeable = False
+    stencil(a, Grid(6, 5, 0.5, 0.5, "periodic"), "dyy")
+
+
+# ---------------------------------------------------------------------------
+# evolve against a reference RK4 loop on the field API
+
+def reference_run(grid, rhs, state, dt, steps, every):
+    """The classical RK4 step with per-step sphere projection, every stage
+    wrapped in field objects; returns the states at the snapshot steps."""
+    def shifted(k, h):
+        return {n: state[n] + h * k[n] for n in state}
+
+    out = [dict(state)]
+    for step in range(1, steps + 1):
+        k1 = rhs(state)
+        k2 = rhs(shifted(k1, dt / 2.0))
+        k3 = rhs(shifted(k2, dt / 2.0))
+        k4 = rhs(shifted(k3, dt))
+        state = {n: state[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+                 for n in state}
+        state["S"] = project_sphere(VecField(grid, state["S"])).values
+        if step % every == 0:
+            out.append(dict(state))
+    return out
+
+
+def me_reference(spec, grid):
+    def rhs(st):
+        me = MEState(VecField(grid, st["S"]), ScalarField(grid, st["u"]))
+        return {"S": me_spin_rhs(spec, me).values, "u": me_phonon_rhs(spec, me)[0].values}
+    return rhs
+
+
+G1 = Grid(32, 1, 0.2, 1.0, "periodic")
+G2 = Grid(16, 16, 0.25, 0.25, "periodic")
+
+FLOWS = {
+    "hf": (G1, lambda st: {"S": hf_rhs(VecField(G1, st["S"])).values}),
+    "m-xxxiv": (G1, me_reference(catalog_lookup("m-xxxiv"), G1)),
+    "lle": (G2, lambda st: {"S": lle_rhs(VecField(G2, st["S"])).values}),
+    "mxiiib": (G2, lambda st: {
+        "S": mxiiib_system(VecField(G2, st["S"]), 1.0, 1.0, 1.0, 1.0)[0].values}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_evolve_bitwise_equal_field_api_loop(name):
+    grid, rhs = FLOWS[name]
+    dt = 0.2 * grid.dx ** 2
+    initial = {"S": synth.smooth_spin(grid, seed=5).values}
+    if name == "m-xxxiv":
+        initial["u"] = 0.3 * synth.smooth_scalar(grid, seed=6).values
+    traj = evolve(evolution_model(name, grid), initial,
+                  EvolveOptions(dt=dt, steps=24, snapshot_every=8))
+    want = reference_run(grid, rhs, initial, dt, 24, 8)
+    assert len(traj.snapshots) == len(want) == 4
+    for snap, ref in zip(traj.snapshots, want):
+        assert isinstance(snap["S"], SpinField)
+        for key in ref:
+            assert np.array_equal(snap[key].values, ref[key])
+    if name == "mxiiib":
+        phi = mxiiib_system(traj.snapshots[-1]["S"], 1.0, 1.0, 1.0, 1.0)[1]
+        assert np.array_equal(traj.snapshots[-1]["phi"].values, phi.values)
+
+
+def test_field_constructions_do_not_scale_with_steps(monkeypatch):
+    calls = []
+    original = fields._frozen_array
+    monkeypatch.setattr(fields, "_frozen_array",
+                        lambda *a: calls.append(1) or original(*a))
+    model = evolution_model("m-xxxiv", G1)
+    initial = {"S": synth.smooth_spin(G1, seed=2).values, "u": np.zeros((1, 32))}
+    counts = []
+    for steps in (5, 50):
+        calls.clear()
+        evolve(model, initial, EvolveOptions(dt=0.002, steps=steps, snapshot_every=steps))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 8
+
+
+@pytest.mark.parametrize("kind", ["mxiiia", "mxiiib"])
+def test_stationary_residual_reuses_flow_formula(kind):
+    """With the flow's own potential, the stationary vector residual is the
+    flow right-hand side, bit for bit."""
+    grid = Grid(20, 18, 0.2, 0.25, "clamped" if kind == "mxiiia" else "periodic")
+    S = synth.smooth_spin(grid, seed=9)
+    ab = (0.7, 1.1, -0.4, 0.3)
+    system = mxiiia_system if kind == "mxiiia" else mxiiib_system
+    rhs, phi = system(S, *ab)
+    coeffs = classical_coeffs(kind, **dict(zip(("a1", "a2", "b1", "b2"), ab)),
+                              a3=0.0, phi=phi)
+    rep = stationary_residual(kind, S, phi=phi, coeffs=coeffs)
+    assert np.array_equal(rep.vector_residual.values, rhs.values)
+
+
+# ---------------------------------------------------------------------------
+# failure paths of the time loop
+
+def counting_rhs(bad_call):
+    calls = []
+
+    def rhs(st):
+        calls.append(1)
+        k = np.zeros_like(st["S"])
+        if len(calls) == bad_call:
+            k[0, 3, 1] = np.nan
+        return {"S": k}
+    return rhs
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_nan_in_one_stage_is_blowup_at_that_step(grid1d, stage):
+    # four right-hand side calls per step: call 4*(7-1) + stage is in step 7
+    model = EvolutionModel("nan", counting_rhs(4 * 6 + stage), grid1d)
+    with pytest.raises(Blowup) as exc:
+        evolve(model, {"S": synth.smooth_spin(grid1d, seed=1).values},
+               EvolveOptions(dt=1e-3, steps=20))
+    assert exc.value.step == 7
+
+
+def test_rk4_step_checks_each_stage():
+    seen = []
+
+    def rhs(st):
+        seen.append(st["y"].copy())
+        return {"y": np.full((1, 1), np.nan if len(seen) == 2 else 1.0)}
+
+    with pytest.raises(Blowup) as exc:
+        rk4_step({"y": np.zeros((1, 1))}, rhs, 0.1, step=3)
+    assert exc.value.step == 3
+    assert len(seen) == 2    # stage 3 never ran on the non-finite stage
+
+
+def test_collapsing_vector_is_near_zero_norm(grid1d):
+    S0 = synth.smooth_spin(grid1d, seed=4).values
+    dt = 1e-3
+    k = np.zeros_like(S0)
+    k[0, 5] = -S0[0, 5] / dt      # one step carries node 5 to the origin
+    model = EvolutionModel("collapse", lambda st: {"S": k}, grid1d)
+    with pytest.raises(NearZeroNorm) as exc:
+        evolve(model, {"S": S0}, EvolveOptions(dt=dt, steps=3))
+    assert (exc.value.i, exc.value.j) == (5, 0)
+    assert exc.value.norm < fields.NORM_FLOOR
+
+
+def test_overflowing_norm_fails_post_projection_check(grid1d):
+    S0 = synth.smooth_spin(grid1d, seed=4).values
+    k = np.zeros_like(S0)
+    k[0, 2] = 1e200                  # finite state, |S|^2 overflows
+    model = EvolutionModel("overflow", lambda st: {"S": k}, grid1d)
+    with pytest.raises(Blowup) as exc, np.errstate(over="ignore"):
+        evolve(model, {"S": S0}, EvolveOptions(dt=1e-3, steps=1))
+    assert exc.value.step == 1
+
+
+def test_is_unit_at_tolerance():
+    v = np.array([[[0.0, 0.0, 1.0]]])
+    assert is_unit(v * (1.0 + 0.5 * SPIN_NORM_TOL))
+    assert not is_unit(v * (1.0 + 2.0 * SPIN_NORM_TOL))
+    assert not is_unit(v * np.nan)
