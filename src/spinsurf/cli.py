@@ -15,11 +15,10 @@ import sys
 import numpy as np
 
 from . import fileio, synth
-from .errors import (Blowup, ConfigError, FormatError, NonConvergence,
-                     NonFiniteValue, NonZeroMeanSource, SpinsurfError,
-                     UnimplementedModel, UnknownModel)
-from .fields import CLAMPED, PERIODIC, Grid, ScalarField, SpinField
-from .geometry import CoefficientSet, classical_coeffs, reconstruct_surface, unit_normal
+from .errors import ConfigError, SpinsurfError, UnknownModel
+from .fields import CLAMPED, Grid, ScalarField, SpinField
+from .geometry import (COEFF_NAMES, CoefficientSet, classical_coeffs,
+                       reconstruct_surface, unit_normal)
 from .magnetoelastic import _REGISTRY, catalog_lookup
 from .models import STATIONARY_KINDS, stationary_residual
 from .evolve import EvolveOptions, evolution_model, evolve
@@ -75,8 +74,7 @@ class RunConfig:
         self.params = params
 
     def get(self, key, default=None):
-        v = self.values.get(key)
-        return default if v is None else v
+        return self.values.get(key, default)
 
     def require(self, key):
         v = self.values.get(key)
@@ -86,9 +84,6 @@ class RunConfig:
 
 
 def _coerce(key, typ, raw):
-    if isinstance(raw, typ) and not (typ is bool and isinstance(raw, str)):
-        return raw
-    raw = str(raw)
     try:
         if typ is bool:
             lowered = raw.lower()
@@ -106,7 +101,8 @@ def _read_config_file(path, keys):
     out = {}
     params = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for ln, line in enumerate(lines, start=1):
@@ -137,12 +133,8 @@ def build_parser():
             if command == "catalog":
                 p.add_argument(key, nargs="?", default=None, help=help_text)
                 continue
-            flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, default=None, help=help_text,
-                               type=lambda s: s, metavar="BOOL")
-            else:
-                p.add_argument(flag, default=None, type=str, help=help_text)
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=help_text,
+                           metavar="BOOL" if typ is bool else None)
         p.add_argument("--param", action="append", default=None,
                        metavar="NAME=VALUE", help=_PARAM_HELP)
         p.add_argument("--config", default=None, help="config file of key = value lines")
@@ -171,17 +163,9 @@ def parse_config(argv):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid_from(cfg, boundary_required=False):
-    boundary = cfg.get("boundary")
-    if boundary is None:
-        if boundary_required:
-            raise ConfigError("evolution runs must state boundary explicitly "
-                              "(periodic or clamped)")
-        boundary = PERIODIC
-    if boundary not in (PERIODIC, CLAMPED):
-        raise ConfigError(f"boundary must be periodic or clamped, got {boundary!r}")
-    return Grid(cfg.require("nx"), cfg.get("ny", 1),
-                cfg.require("dx"), cfg.get("dy", 1.0), boundary)
+def _reject_unused(params):
+    if params:
+        raise ConfigError(f"unused parameters {sorted(params)}")
 
 
 def _require_spin(field, path):
@@ -198,7 +182,8 @@ def cmd_simulate(cfg):
         if cfg.get("nx") is not None and grid.nx != cfg.get("nx"):
             raise ConfigError("grid keys conflict with the initial field file")
     else:
-        grid = _grid_from(cfg, boundary_required=True)
+        grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
+                    cfg.get("dy", 1.0), cfg.require("boundary"))
         S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
     params = dict(cfg.params)
 
@@ -213,8 +198,6 @@ def cmd_simulate(cfg):
     external_u = None
     if cfg.get("external_u"):
         external_u = fileio.read_field(cfg.get("external_u"))
-    if name not in SECTION_MODELS:
-        catalog_lookup(name)    # raise UnknownModel early
     model = evolution_model(name, grid, coeffs=coeffs, params=params,
                             external_u=external_u)
 
@@ -224,11 +207,8 @@ def cmd_simulate(cfg):
                          dt_safety=cfg.get("dt_safety", 0.2),
                          allow_unstable_dt=cfg.get("allow_unstable_dt", False))
 
-    initial = {"S": S0.values}
-    if "u" in model.fields:
-        initial["u"] = np.zeros((grid.ny, grid.nx))
-    if "w" in model.fields:
-        initial["w"] = np.zeros((grid.ny, grid.nx))
+    initial = {f: np.zeros((grid.ny, grid.nx)) for f in model.fields}
+    initial["S"] = S0.values
 
     traj = evolve(model, initial, opts)
 
@@ -268,17 +248,17 @@ def cmd_check(cfg):
     if phi is not None and not isinstance(phi, ScalarField):
         raise ConfigError("phi file must hold a scalar field")
     params = dict(cfg.params)
-    alpha = params.pop("alpha", None)
+    alpha = params.pop("alpha", None) if kind == "ishimori" else None
     coeffs = None
     notes = []
     if kind in ("mxiii", "mxiiia", "mxiiib"):
         coeffs = CoefficientSet(**{k: params.pop(k) for k in list(params)
-                                   if k in ("a1", "a2", "a3", "a4", "a5",
-                                            "b1", "b2", "b3", "b4", "b5")})
+                                   if k in COEFF_NAMES})
         notes.append("triple-orientation:S.(Sx^Sy)")
     if kind == "ishimori":
         notes.append("triple-orientation:S.(Sx^Sy)")
         notes.append("drift-pairing:phi_x*S_y+phi_y*S_x")
+    _reject_unused(params)
     rr = stationary_residual(kind, S, phi=phi, coeffs=coeffs, alpha=alpha)
     out = cfg.get("output", "report.json")
     fileio.report(out, kind, S.grid, rr, notes=notes)
@@ -288,6 +268,7 @@ def cmd_check(cfg):
 
 
 def cmd_catalog(cfg):
+    _reject_unused(cfg.params)
     action = cfg.get("action", "list")
     if action == "list":
         for spec in _REGISTRY.values():
@@ -310,6 +291,7 @@ def cmd_catalog(cfg):
 
 
 def cmd_zc(cfg):
+    _reject_unused(cfg.params)
     k, tau, dx, dt = fileio.read_curve(cfg.require("input"))
     nt, nx = k.shape
     C = build_C(k, tau)
@@ -319,31 +301,32 @@ def cmd_zc(cfg):
     if nt >= 3:
         psi = hasimoto(k, tau, dx)
         diag["nlse_residual_max"] = float(nlse_residual(psi, dx, dt).max())
-    grid = Grid(nx, max(nt, 1), dx, dt, CLAMPED)
+    grid = Grid(nx, nt, dx, dt, CLAMPED)
     fileio.report(cfg.get("output", "report.json"), "zc", grid, [diag],
                   notes=["time-axis-identified-with-second-coordinate"])
     print(f"zero-curvature residual max {zc_max:.6e}")
     return 0
 
 
+_PREFIX = {2: "error", 3: "numeric failure", 4: "io error"}
 _DISPATCH = {"simulate": cmd_simulate, "reconstruct": cmd_reconstruct,
              "check": cmd_check, "catalog": cmd_catalog, "zc": cmd_zc}
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
-        return _DISPATCH[cfg.command](cfg)
-    except (ConfigError, UnknownModel, UnimplementedModel, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (Blowup, NonConvergence, NonZeroMeanSource) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except (FormatError, NonFiniteValue, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+        # non-finite results are caught by explicit checks; keep stderr to one line
+        with np.errstate(all="ignore"):
+            return _DISPATCH[cfg.command](cfg)
+    except SpinsurfError as exc:
+        code, message = exc.exit_code, exc
+    except ValueError as exc:       # argument errors raised by the library
+        code, message = 2, exc
+    except OSError as exc:
+        code, message = 4, exc
+    print(f"{_PREFIX[code]}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 
 class SpinsurfError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit_code is the CLI exit status."""
+
+    exit_code = 2       # configuration; 3 is numeric failure, 4 bad input file
 
 
 class GridMismatch(SpinsurfError):
@@ -16,6 +18,8 @@ class GridTooSmall(SpinsurfError):
 class NearZeroNorm(SpinsurfError):
     """Normalization requested at a node with vanishing vector norm."""
 
+    exit_code = 3
+
     def __init__(self, i, j, norm):
         self.i, self.j, self.norm = i, j, norm
         super().__init__(f"near-zero norm {norm:.3e} at node ({i}, {j})")
@@ -23,6 +27,8 @@ class NearZeroNorm(SpinsurfError):
 
 class DegenerateTangent(SpinsurfError):
     """|r_x x r_y| below tolerance; the surface normal is undefined there."""
+
+    exit_code = 3
 
     def __init__(self, i, j):
         self.i, self.j = i, j
@@ -32,9 +38,13 @@ class DegenerateTangent(SpinsurfError):
 class NonZeroMeanSource(SpinsurfError):
     """Periodic Poisson source violates the zero-mean solvability condition."""
 
+    exit_code = 3
+
 
 class NonConvergence(SpinsurfError):
     """Iterative solve failed to reach tolerance."""
+
+    exit_code = 3
 
     def __init__(self, iterations, residual):
         self.iterations, self.residual = iterations, residual
@@ -44,6 +54,8 @@ class NonConvergence(SpinsurfError):
 
 class Blowup(SpinsurfError):
     """Time integration produced a non-finite value."""
+
+    exit_code = 3
 
     def __init__(self, step):
         self.step = step
@@ -65,6 +77,8 @@ class PhononAbsent(SpinsurfError):
 class FormatError(SpinsurfError):
     """Malformed input file."""
 
+    exit_code = 4
+
     def __init__(self, line, message):
         self.line = line
         super().__init__(f"line {line}: {message}")
@@ -72,6 +86,8 @@ class FormatError(SpinsurfError):
 
 class NonFiniteValue(SpinsurfError):
     """NaN or infinity where a finite value is required."""
+
+    exit_code = 4
 
 
 class ConfigError(SpinsurfError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Blowup, GridMismatch, NonFiniteValue, SpinsurfError
+from .errors import Blowup, ConfigError, GridMismatch, NonFiniteValue
 from .fields import (ScalarField, SpinField, VecField, dot, is_unit, norm,
                      normalize, stencil)
 from .magnetoelastic import catalog_lookup, phonon_core, spin_core, MEState
@@ -116,11 +116,13 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
     params a1, a2, b1, b2, default 1), or any implemented magnetoelastic
     catalog name. 0-type catalog models need external_u (a ScalarField,
     held fixed over the run). params for catalog models are forwarded to
-    the coupling constants.
+    the coupling constants. Unused params raise ValueError.
     """
     key = name.lower()
     params = dict(params or {})
 
+    if key in ("hf", "lle", "mxiii") and params:
+        raise ValueError(f"{key} takes no parameters, got {sorted(params)}")
     if key in ("hf", "lle"):
         core = hf_core if key == "hf" else lle_core
         return EvolutionModel(key, lambda st: {"S": core(st["S"], grid)}, grid)
@@ -213,7 +215,7 @@ def check_stability(model, opts):
     h = g.dx if g.is_1d else min(g.dx, g.dy)
     bound = opts.dt_safety * h ** model.spatial_order
     if opts.dt > bound and not opts.allow_unstable_dt:
-        raise SpinsurfError(
+        raise ConfigError(
             f"dt = {opts.dt:g} exceeds the stability bound "
             f"{opts.dt_safety:g} * h^{model.spatial_order} = {bound:g}; "
             f"pass allow_unstable_dt to override")

@@ -31,8 +31,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 1:
             raise GridTooSmall(f"need nx >= 2 and ny >= 1, got {self.nx}x{self.ny}")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
+            raise ValueError("grid spacings must be positive and finite")
         if self.boundary not in (PERIODIC, CLAMPED):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
 

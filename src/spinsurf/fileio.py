@@ -7,85 +7,106 @@ runs produce byte-identical files.
 
 import numpy as np
 
-from .errors import FormatError, NonFiniteValue
-from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField,
-                     VecField, is_unit)
+from .errors import FormatError, GridTooSmall, NonFiniteValue
+from .fields import CLAMPED, Grid, ScalarField, SpinField, VecField, is_unit
 from .geometry import ResidualReport
 
 FIELD_MAGIC = "# spinsurf-field v1"
 CURVE_MAGIC = "# spinsurf-curve v1"
+
+# Header keys and their types, in written order
+_FIELD_KEYS = {"nx": int, "ny": int, "dx": float, "dy": float,
+               "boundary": str, "comps": int}
+_CURVE_KEYS = {"nx": int, "nt": int, "dx": float, "dt": float}
 
 
 def _g17(x):
     return format(float(x), ".17g")
 
 
-def write_field(path, f):
-    """Write a Scalar/Vec/SpinField as row-major CSV with a 2-line header."""
-    g = f.grid
-    comps = 1 if isinstance(f, ScalarField) else 3
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteValue("refusing to write non-finite field")
-    lines = [FIELD_MAGIC,
-             f"# nx={g.nx} ny={g.ny} dx={_g17(g.dx)} dy={_g17(g.dy)} "
-             f"boundary={g.boundary} comps={comps}"]
-    vals = f.values.reshape(g.ny, g.nx, comps)
-    for j in range(g.ny):
-        for i in range(g.nx):
-            nums = ",".join(_g17(v) for v in vals[j, i])
-            lines.append(f"{i},{j},{nums}")
+def _write_table(path, magic, keys, header, vals):
+    """Write the versioned CSV read by _read_table; vals is (ny, nx, ncols)."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue(f"refusing to write non-finite values to {path}")
+    items = (f"{k}={_g17(v) if keys[k] is float else v}" for k, v in header.items())
+    lines = [magic, "# " + " ".join(items)]
+    for j in range(vals.shape[0]):
+        for i, row in enumerate(vals[j].tolist()):
+            lines.append(f"{i},{j}," + ",".join([format(v, ".17g") for v in row]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_field(path):
-    """Inverse of write_field; returns SpinField when the data is unit norm."""
-    with open(path) as fh:
+def _read_table(path, magic, keys, layout):
+    """Read a versioned CSV: the magic line, a `# key=value ...` header line
+    holding `keys`, then one `i,j,v...` row per node in row-major order.
+
+    layout(header) -> (grid, ncols) checks the typed header. Returns the
+    grid and the finite values, shaped (ny, nx, ncols).
+    """
+    # undecodable bytes fail the token checks below, with their line number
+    with open(path, errors="replace") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != FIELD_MAGIC:
-        raise FormatError(1, f"expected header {FIELD_MAGIC!r}")
+    if not lines or lines[0] != magic:
+        raise FormatError(1, f"expected header {magic!r}")
     if len(lines) < 2:
-        raise FormatError(2, "missing grid header")
+        raise FormatError(2, "missing header line")
     header = {}
     for item in lines[1].lstrip("# ").split():
-        if "=" not in item:
+        key, eq, val = item.partition("=")
+        if not eq:
             raise FormatError(2, f"bad header item {item!r}")
-        key, _, val = item.partition("=")
         header[key] = val
     try:
-        nx, ny = int(header["nx"]), int(header["ny"])
-        dx, dy = float(header["dx"]), float(header["dy"])
-        boundary = header["boundary"]
-        comps = int(header["comps"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(2, f"bad grid header: {exc}") from None
-    if comps not in (1, 3):
-        raise FormatError(2, f"comps must be 1 or 3, got {comps}")
-    if boundary not in (PERIODIC, CLAMPED):
-        raise FormatError(2, f"unknown boundary {boundary!r}")
-    grid = Grid(nx, ny, dx, dy, boundary)
+        grid, ncols = layout({k: typ(header[k]) for k, typ in keys.items()})
+    except (KeyError, ValueError, GridTooSmall) as exc:
+        raise FormatError(2, f"bad header: {exc}") from None
 
-    vals = np.empty((ny, nx, comps))
-    expected = nx * ny
+    nx = grid.nx
+    expected = nx * grid.ny
     if len(lines) - 2 != expected:
-        raise FormatError(min(len(lines) + 1, expected + 2),
+        raise FormatError(min(len(lines), expected + 2) + 1,
                           f"expected {expected} data rows, got {len(lines) - 2}")
-    for row, line in enumerate(lines[2:], start=3):
+    vals = np.empty((expected, ncols))
+    for n, line in enumerate(lines[2:]):
         parts = line.split(",")
-        if len(parts) != 2 + comps:
-            raise FormatError(row, f"expected {2 + comps} fields")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            nums = [float(p) for p in parts[2:]]
+            if len(parts) != 2 + ncols:
+                raise ValueError(f"expected {2 + ncols} fields")
+            if int(parts[0]) != n % nx or int(parts[1]) != n // nx:
+                raise ValueError(f"expected node {n % nx},{n // nx} (row-major order)")
+            vals[n] = list(map(float, parts[2:]))
         except ValueError as exc:
-            raise FormatError(row, str(exc)) from None
-        if row - 3 != i + nx * j:
-            raise FormatError(row, f"node ({i},{j}) out of row-major order")
-        vals[j, i] = nums
+            raise FormatError(n + 3, str(exc)) from None
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"{path} contains non-finite values")
+    return grid, vals.reshape(grid.ny, nx, ncols)
 
-    if comps == 1:
+
+def _field_layout(h):
+    if h["comps"] not in (1, 3):
+        raise ValueError(f"comps must be 1 or 3, got {h['comps']}")
+    return Grid(h["nx"], h["ny"], h["dx"], h["dy"], h["boundary"]), h["comps"]
+
+
+def _curve_layout(h):
+    return Grid(h["nx"], h["nt"], h["dx"], h["dt"], CLAMPED), 2
+
+
+def write_field(path, f):
+    """Write a Scalar/Vec/SpinField as row-major CSV with a 2-line header."""
+    g = f.grid
+    comps = 1 if isinstance(f, ScalarField) else 3
+    header = {"nx": g.nx, "ny": g.ny, "dx": g.dx, "dy": g.dy,
+              "boundary": g.boundary, "comps": comps}
+    _write_table(path, FIELD_MAGIC, _FIELD_KEYS, header,
+                 f.values.reshape(g.ny, g.nx, comps))
+
+
+def read_field(path):
+    """Inverse of write_field; returns SpinField when the data is unit norm."""
+    grid, vals = _read_table(path, FIELD_MAGIC, _FIELD_KEYS, _field_layout)
+    if vals.shape[-1] == 1:
         return ScalarField(grid, vals[..., 0])
     if is_unit(vals):
         return SpinField(grid, vals)
@@ -94,19 +115,11 @@ def read_field(path):
 
 def export_mesh(path, mesh, normals=None):
     """Wavefront-OBJ-style mesh: v [vn] lines row-major, then 1-based quads."""
-    g = mesh.grid
     lines = []
-    pos = mesh.positions.values
-    for j in range(g.ny):
-        for i in range(g.nx):
-            x, y, z = pos[j, i]
-            lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
-    if normals is not None:
-        nv = normals.values
-        for j in range(g.ny):
-            for i in range(g.nx):
-                x, y, z = nv[j, i]
-                lines.append(f"vn {x:.9g} {y:.9g} {z:.9g}")
+    for tag, data in (("v", mesh.positions), ("vn", normals)):
+        if data is not None:
+            for x, y, z in data.values.reshape(-1, 3).tolist():
+                lines.append(f"{tag} {x:.9g} {y:.9g} {z:.9g}")
     for quad in mesh.quad_indices():
         a, b, c, d = (int(q) + 1 for q in quad)
         lines.append(f"f {a} {b} {c} {d}")
@@ -160,34 +173,11 @@ def report(path, model, grid, data, notes=()):
 def write_curve(path, k, tau, dx, dt):
     k, tau = np.atleast_2d(k), np.atleast_2d(tau)
     nt, nx = k.shape
-    lines = [CURVE_MAGIC, f"# nx={nx} nt={nt} dx={_g17(dx)} dt={_g17(dt)}"]
-    for j in range(nt):
-        for i in range(nx):
-            lines.append(f"{i},{j},{_g17(k[j, i])},{_g17(tau[j, i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, CURVE_MAGIC, _CURVE_KEYS,
+                 {"nx": nx, "nt": nt, "dx": dx, "dt": dt}, np.stack([k, tau], axis=-1))
 
 
 def read_curve(path):
     """Returns (k, tau, dx, dt) with k, tau shaped (nt, nx)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CURVE_MAGIC:
-        raise FormatError(1, f"expected header {CURVE_MAGIC!r}")
-    header = dict(item.partition("=")[::2] for item in lines[1].lstrip("# ").split())
-    try:
-        nx, nt = int(header["nx"]), int(header["nt"])
-        dx, dt = float(header["dx"]), float(header["dt"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(2, f"bad curve header: {exc}") from None
-    if len(lines) - 2 != nx * nt:
-        raise FormatError(len(lines), f"expected {nx * nt} data rows")
-    k = np.empty((nt, nx))
-    tau = np.empty((nt, nx))
-    for row, line in enumerate(lines[2:], start=3):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(row, "expected i,j,k,tau")
-        i, j = int(parts[0]), int(parts[1])
-        k[j, i], tau[j, i] = float(parts[2]), float(parts[3])
-    return k, tau, dx, dt
+    grid, vals = _read_table(path, CURVE_MAGIC, _CURVE_KEYS, _curve_layout)
+    return vals[..., 0].copy(), vals[..., 1].copy(), grid.dx, grid.dy

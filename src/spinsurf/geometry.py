@@ -126,20 +126,21 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # classical coefficient embeddings
 
-def classical_coeffs(kind, grid=None, **params):
+def classical_coeffs(kind, grid=None, /, **params):
     """Coefficient sets for the named classical tangent formulas.
 
     kind: "rodrigues" (rho1, rho2), "lelieuvre" (rho), "schief" (rho, mu),
     "hf", "lle_stationary", "mxiiia" (a1, a2, b1, b2, a3, phi), or
     "mxiiib" (same parameters). Scalar-function parameters may be floats
-    or ScalarFields on the working grid.
+    or ScalarFields on the working grid (phi only a ScalarField). Missing
+    or unused parameters raise ValueError.
     """
     kind = kind.lower()
 
     def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise ValueError(f"{kind} coefficients need parameters {missing}")
+        if sorted(params) != sorted(names):
+            raise ValueError(f"{kind} coefficients take parameters {list(names)}, "
+                             f"got {sorted(params)}")
         return [params[n] for n in names]
 
     if kind == "rodrigues":
@@ -152,11 +153,15 @@ def classical_coeffs(kind, grid=None, **params):
         rho, mu = need("rho", "mu")
         return CoefficientSet(a1=_neg(rho), b2=rho, a3=mu, b4=mu)
     if kind == "hf":
+        need()
         return CoefficientSet(a5=1.0, b1=1.0)
     if kind == "lle_stationary":
+        need()
         return CoefficientSet(a2=1.0, b1=-1.0)
     if kind in ("mxiiia", "mxiiib"):
         a1, a2, b1, b2, a3, phi = need("a1", "a2", "b1", "b2", "a3", "phi")
+        if not isinstance(phi, ScalarField):
+            raise ValueError(f"{kind} coefficients need phi as a ScalarField")
         a3x = diff(a3, "dx").values if isinstance(a3, ScalarField) else 0.0
         a3y = diff(a3, "dy").values if isinstance(a3, ScalarField) else 0.0
         g = phi.grid

@@ -57,7 +57,7 @@ class ModelSpec:
     def param(self, key):
         return float(self.params.get(key, DEFAULT_PARAMS[key]))
 
-    def with_params(self, **params):
+    def with_params(self, /, **params):
         unknown = set(params) - set(DEFAULT_PARAMS)
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")

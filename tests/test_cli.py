@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinsurf import ConfigError, Grid, fileio, synth
+from spinsurf import ConfigError, Grid, constant_field, fileio, synth
 from spinsurf.cli import main, parse_config
 
 
@@ -67,6 +74,124 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, capsys):
         rc = main(["catalog", "list"])
         assert rc == 0
+
+
+def _simulate(tmp_path, *flags):
+    return ["simulate", "--boundary", "periodic", "--steps", "1",
+            "--output", str(tmp_path / "run"), *flags]
+
+
+def _curve(tmp_path, edit):
+    """zc argv on a valid 8x5 curve file whose lines went through edit."""
+    x = np.linspace(0.0, 4.0, 8)
+    X, T = np.meshgrid(x, np.linspace(0.0, 1.0, 5))
+    path = tmp_path / "c.csv"
+    fileio.write_curve(path, 1.0 + 0.3 * np.sin(X - T), 0.1 * np.cos(X + T),
+                       x[1] - x[0], 0.25)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return ["zc", "--input", str(path), "--output", str(tmp_path / "z.json")]
+
+
+def _check(tmp_path, old="", new=""):
+    """check argv on a valid 8x6 spin field file with old -> new in its header."""
+    path = tmp_path / "S.csv"
+    write_spin(path, Grid(8, 6, 0.25, 0.25, "clamped"), seed=3)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(old, new)
+    path.write_text("\n".join(lines) + "\n")
+    return ["check", "--model", "hf", "--input", str(path),
+            "--output", str(tmp_path / "r.json")]
+
+
+def _flat_normals(tmp_path):
+    path = tmp_path / "flat.csv"
+    fileio.write_field(path, constant_field(Grid(8, 3, 0.25, 0.25, "clamped"),
+                                            (0.0, 0.0, 1.0)))
+    return ["reconstruct", "--input", str(path), "--normals", "true",
+            "--output", str(tmp_path / "m.obj")]
+
+
+def _replace_field(lines, row, col, token):
+    parts = lines[row].split(",")
+    parts[col] = token
+    lines[row] = ",".join(parts)
+    return lines
+
+
+# (id, expected exit code, tmp_path -> argv)
+FAILURES = [
+    ("dt-above-stability-bound", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "64", "--dx", "0.1", "--dt", "1.0")),
+    ("grid-too-small-for-stencil", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "2", "--dx", "0.1", "--dt", "1e-4")),
+    ("lle-on-1d-grid", 2, lambda d: _simulate(
+        d, "--model", "lle", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")),
+    ("mxiii-with-ny-1", 2, lambda d: _simulate(
+        d, "--model", "mxiii", "--nx", "16", "--ny", "1", "--dx", "0.2",
+        "--dt", "1e-4")),
+    ("normals-of-flat-surface", 3, _flat_normals),
+    ("curve-row-index-99", 4, lambda d: _curve(
+        d, lambda ls: _replace_field(ls, 3, 0, "99"))),
+    ("curve-non-numeric-value", 4, lambda d: _curve(
+        d, lambda ls: _replace_field(ls, 4, 2, "abc"))),
+    ("curve-nan-value", 4, lambda d: _curve(
+        d, lambda ls: _replace_field(ls, 4, 3, "nan"))),
+    ("curve-duplicated-row", 4, lambda d: _curve(
+        d, lambda ls: ls[:3] + [ls[2]] + ls[4:])),
+    ("curve-one-line", 4, lambda d: _curve(d, lambda ls: ls[:1])),
+    ("curve-header-item-without-equals", 4, lambda d: _curve(
+        d, lambda ls: [ls[0], ls[1] + " junk"] + ls[2:])),
+    ("field-header-nx-1", 4, lambda d: _check(d, "nx=8", "nx=1")),
+    ("field-header-negative-dx", 4, lambda d: _check(d, "dx=0.25", "dx=-0.1")),
+    ("param-named-self", 2, lambda d: _simulate(
+        d, "--model", "m-xxxiv", "--nx", "16", "--dx", "0.2", "--dt", "1e-5",
+        "--param", "self=1")),
+]
+
+
+@pytest.mark.parametrize("expected, argv_of", [f[1:] for f in FAILURES],
+                         ids=[f[0] for f in FAILURES])
+def test_failure_exit_code_and_one_line(tmp_path, capsys, expected, argv_of):
+    rc = main(argv_of(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == expected
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_overflow_is_one_line_without_warnings(tmp_path, capsys):
+    # numpy's floating-point warnings would add lines to stderr
+    argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2",
+                     "--dt", "inf", "--allow-unstable-dt", "true")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "check", "zc",
+                                     "catalog"])
+def test_unused_param_is_config_error(tmp_path, capsys, command):
+    if command == "simulate":
+        argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2",
+                         "--dt", "1e-4")
+    elif command == "reconstruct":
+        spin = tmp_path / "S.csv"
+        write_spin(spin, Grid(8, 6, 0.25, 0.25, "clamped"), seed=3)
+        argv = ["reconstruct", "--input", str(spin), "--output",
+                str(tmp_path / "m.obj")]
+    elif command == "check":
+        argv = _check(tmp_path)
+    elif command == "zc":
+        argv = _curve(tmp_path, lambda ls: ls)
+    else:
+        argv = ["catalog", "list"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--param", "bogus=3"]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 class TestCatalogCommand:
@@ -136,3 +261,104 @@ class TestEndToEnd:
         assert rc == 0
         doc = json.loads((tmp_path / "z.json").read_text())
         assert doc["diagnostics"][0]["zc_residual_max"] < 0.1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: every run ends in a documented exit code, never a traceback
+
+_CONFIG = """# fuzzed run
+model = hf
+dx = 0.2
+boundary = periodic
+dt = 0.001
+dt_safety = 0.2
+allow_unstable_dt = false
+renormalize = true
+seed = 3
+"""
+_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999", "99", "x", "1.5", "=",
+                     ",", "#", "-x", "periodic", "clamped"]),
+    st.integers(-2, 12).map(str),
+    st.text(st.characters(codec="utf-8"), max_size=5))
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "dup", "swap", "token", "truncate", "byte"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _TOKENS),
+    min_size=1, max_size=3)
+
+
+def _garble(text, edits):
+    """Apply line drops, duplicates, swaps, token swaps, truncation and
+    undecodable bytes to text; returns the bytes to write."""
+    lines = text.splitlines()
+    data = None
+    for op, a, b, token in edits:
+        if not lines:
+            break
+        at, other = a % len(lines), b % len(lines)
+        if op == "drop":
+            del lines[at]
+        elif op == "dup":
+            lines[at] = lines[other]
+        elif op == "swap":
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == "token":
+            parts = lines[at].replace("=", ",").replace(" ", ",").split(",")
+            seps = [c for c in lines[at] if c in "=, "]
+            parts[b % len(parts)] = token
+            lines[at] = parts[0] + "".join(s + p for s, p in zip(seps, parts[1:]))
+        else:
+            raw = "\n".join(lines).encode()
+            cut = a % (len(raw) + 1)
+            data = raw[:cut] if op == "truncate" else raw[:cut] + b"\xff" + raw[cut:]
+            lines = []
+    return data if data is not None else ("\n".join(lines) + "\n").encode()
+
+
+def _fuzz_argv(kind, d, edits, token):
+    path = os.path.join(d, "in")
+    out = os.path.join(d, "out")
+    if kind == "flag":
+        return ["simulate", "--model", "hf", "--nx", "8", "--boundary", "periodic",
+                "--dx", token, "--dt", "1e-4", "--steps", "2", "--output", out]
+    if kind == "config":
+        text = _CONFIG
+        argv = ["simulate", "--config", path, "--nx", "8", "--ny", "1",
+                "--steps", "2", "--output", out]
+    elif kind == "curve":
+        fileio.write_curve(path, 1.0 + 0.1 * np.arange(24.0).reshape(3, 8),
+                           np.full((3, 8), 0.2), 0.5, 0.25)
+        text = Path(path).read_text()
+        argv = ["zc", "--input", path, "--output", out]
+    else:
+        write_spin(path, Grid(6, 5, 0.25, 0.25, "clamped"), seed=7)
+        text = Path(path).read_text()
+        argv = {"check": ["check", "--model", "hf", "--input", path,
+                          "--output", out],
+                "reconstruct": ["reconstruct", "--input", path, "--normals",
+                                "true", "--output", out],
+                "simulate": ["simulate", "--model", "hf", "--initial", path,
+                             "--dt", "1e-4", "--steps", "2", "--output", out]}[kind]
+    with open(path, "wb") as fh:
+        fh.write(_garble(text, edits))
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["check", "reconstruct", "simulate", "curve",
+                             "config", "flag"]),
+       edits=_EDITS, token=_TOKENS)
+def test_fuzzed_inputs_end_in_documented_exit_codes(kind, edits, token):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        argv = _fuzz_argv(kind, d, edits, token)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse rejected the command line
+            assert exc.code == 2
+            return
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1

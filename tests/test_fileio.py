@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinsurf import (CLAMPED, FormatError, Grid, ScalarField, SpinField,
-                      SurfaceMesh, VecField, constant_field, fileio,
+from spinsurf import (CLAMPED, FormatError, Grid, NonFiniteValue, ScalarField,
+                      SpinField, SurfaceMesh, VecField, constant_field, fileio,
                       reconstruct_surface, classical_coeffs, synth,
                       unit_normal)
 
@@ -46,6 +46,18 @@ class TestFieldRoundTrip:
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(FormatError):
             fileio.read_field(path)
+
+    @pytest.mark.parametrize("row, node", [(8, "8,0"), (7, "-1,1")])
+    def test_node_index_outside_grid_rejected(self, tmp_path, row, node):
+        # both nodes have the flat index i + nx*j of their row but lie off the grid
+        path = tmp_path / "S.csv"
+        fileio.write_field(path, synth.smooth_spin(Grid(8, 3, 0.2, 0.2, CLAMPED), seed=4))
+        lines = path.read_text().splitlines()
+        lines[row + 2] = node + "," + lines[row + 2].split(",", 2)[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            fileio.read_field(path)
+        assert exc.value.line == row + 3
 
     def test_missing_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -130,6 +142,12 @@ class TestCurveRoundTrip:
         k2, tau2, dx, dt = fileio.read_curve(path)
         assert np.array_equal(k, k2) and np.array_equal(tau, tau2)
         assert dx == 0.1 and dt == 0.05
+
+    def test_non_finite_not_written(self, tmp_path):
+        k = np.ones((3, 8))
+        k[1, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            fileio.write_curve(tmp_path / "c.csv", k, np.ones((3, 8)), 0.1, 0.05)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.csv"
