@@ -2,8 +2,9 @@
 
 from .errors import (Blowup, ConfigError, DegenerateTangent, FormatError,
                      GridMismatch, GridTooSmall, NearZeroNorm, NonConvergence,
-                     NonFiniteValue, NonZeroMeanSource, PhononAbsent,
-                     SpinsurfError, UnimplementedModel, UnknownModel)
+                     NonFiniteResult, NonFiniteValue, NonZeroMeanSource,
+                     PhononAbsent, SpinsurfError, UnimplementedModel,
+                     UnknownModel)
 from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField, VecField,
                      constant_field, cross, diff, diff4x, dot, norm,
                      project_sphere, same_grid, triple)

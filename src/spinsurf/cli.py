@@ -83,7 +83,7 @@ class RunConfig:
         return v
 
 
-def _coerce(key, typ, raw):
+def _coerce(key, typ, raw, finite=False):
     try:
         if typ is bool:
             lowered = raw.lower()
@@ -92,9 +92,12 @@ def _coerce(key, typ, raw):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"key {key!r} expects {typ.__name__}, got {raw!r}") from None
+    if finite and not np.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _read_config_file(path, keys):
@@ -113,7 +116,7 @@ def _read_config_file(path, keys):
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, raw = (s.strip() for s in line.partition("="))
         if key.startswith("param."):
-            params[key[6:]] = _coerce(key, float, raw)
+            params[key[6:]] = _coerce(key, float, raw, finite=True)
         elif key in keys:
             out[key] = _coerce(key, keys[key][0], raw)
         else:
@@ -156,7 +159,7 @@ def parse_config(argv):
         if "=" not in item:
             raise ConfigError(f"--param expects NAME=VALUE, got {item!r}")
         name, _, raw = item.partition("=")
-        params[name.strip()] = _coerce(name, float, raw)
+        params[name.strip()] = _coerce(name, float, raw, finite=True)
     return RunConfig(ns.command, values, params)
 
 

@@ -62,6 +62,12 @@ class Blowup(SpinsurfError):
         super().__init__(f"non-finite value at step {step}")
 
 
+class NonFiniteResult(SpinsurfError):
+    """A computed result that is to be reported is NaN or infinite."""
+
+    exit_code = 3
+
+
 class UnknownModel(SpinsurfError):
     """Name not present in the model registry."""
 

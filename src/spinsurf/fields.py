@@ -235,6 +235,14 @@ def stencil(a, grid, which):
     return _d2(a, grid.dy, 0, grid.periodic)
 
 
+def cumtrapz(y, d, axis):
+    """Cumulative trapezoid integral of an array along axis with spacing d,
+    0 at the first node, accumulating d * (y[k+1] + y[k]) / 2.0 in order."""
+    y = np.swapaxes(y, 0, axis)
+    s = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + s.shape[1:], s.dtype), s]).swapaxes(0, axis)
+
+
 def diff(f, which):
     """Finite difference of a Scalar/VecField; see `stencil`."""
     cls = ScalarField if isinstance(f, ScalarField) else VecField

@@ -7,7 +7,7 @@ runs produce byte-identical files.
 
 import numpy as np
 
-from .errors import FormatError, GridTooSmall, NonFiniteValue
+from .errors import FormatError, GridTooSmall, NonFiniteResult, NonFiniteValue
 from .fields import CLAMPED, Grid, ScalarField, SpinField, VecField, is_unit
 from .geometry import ResidualReport
 
@@ -138,6 +138,8 @@ def _json_value(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not np.isfinite(v):
+            raise NonFiniteResult(f"refusing to report a non-finite value ({v})")
         return _g17(v)
     if isinstance(v, dict):
         items = ",".join(f'{_json_value(str(k))}:{_json_value(val)}'
@@ -163,8 +165,9 @@ def report(path, model, grid, data, notes=()):
     else:
         doc["diagnostics"] = data
     doc["notes"] = list(notes)
+    text = _json_value(doc) + "\n"      # raises before the file is created
     with open(path, "w") as fh:
-        fh.write(_json_value(doc) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ curl residual, and surfaces are rebuilt by cumulative quadrature.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DegenerateTangent, GridMismatch
-from .fields import (ScalarField, SpinField, VecField, cmul, cross, diff,
-                     dot, norm, same_grid, stencil, triple)
+from .fields import (ScalarField, SpinField, VecField, cmul, cross, cumtrapz,
+                     diff, dot, norm, same_grid, stencil, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -73,13 +72,10 @@ class CoefficientSet:
 
     def __add__(self, other):
         def add(name):
-            a, b = getattr(self, name), getattr(other, name)
-            if isinstance(a, ScalarField) or isinstance(b, ScalarField):
-                av = a.values if isinstance(a, ScalarField) else a
-                bv = b.values if isinstance(b, ScalarField) else b
-                g = a.grid if isinstance(a, ScalarField) else b.grid
-                return ScalarField(g, av + bv)
-            return a + b
+            total = self.value(name) + other.value(name)
+            varying = [c for c in (getattr(self, name), getattr(other, name))
+                       if isinstance(c, ScalarField)]
+            return ScalarField(varying[0].grid, total) if varying else total
         return CoefficientSet(**{n: add(n) for n in COEFF_NAMES})
 
 
@@ -276,8 +272,8 @@ def reconstruct_surface(S, c, base=(0.0, 0.0, 0.0)):
     r_x, r_y = mf_tangents(S, c)
     base = np.asarray(base, dtype=float)
 
-    ix = cumulative_trapezoid(r_x.values, dx=g.dx, axis=1, initial=0.0)
-    iy = cumulative_trapezoid(r_y.values, dx=g.dy, axis=0, initial=0.0)
+    ix = cumtrapz(r_x.values, g.dx, 1)
+    iy = cumtrapz(r_y.values, g.dy, 0)
 
     r_a = base + ix[0:1, :, :] + iy          # row j=0 first, then columns
     r_b = base + iy[:, 0:1, :] + ix          # column i=0 first, then rows

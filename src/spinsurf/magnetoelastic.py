@@ -24,7 +24,7 @@ from [A.sigma, B.sigma] = 2i (AxB).sigma. `pauli_oracle_rhs` redoes the
 computation literally in matrix form and guards the translation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .fields import (ScalarField, SpinField, VecField, cross, dot, same_grid,
                      stencil)
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
-PHONON_FAMILIES = ("none", "wave", "boussinesq", "advection", "kdv")
-SOURCES = ("s3", "s3sq", "sxsq", "trform")
 
 # every coupling constant defaults to 1 so runs are reproducible without
 # any further input
@@ -61,10 +59,7 @@ class ModelSpec:
         unknown = set(params) - set(DEFAULT_PARAMS)
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")
-        merged = dict(self.params)
-        merged.update(params)
-        return ModelSpec(self.name, self.spin, self.phonon, self.source,
-                         self.implemented, self.reason, merged)
+        return replace(self, params={**self.params, **params})
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Auxiliary linear solvers: periodic Poisson and mixed-derivative quadrature."""
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NonConvergence, NonZeroMeanSource
-from .fields import CLAMPED, PERIODIC, ScalarField, stencil
+from .fields import CLAMPED, PERIODIC, ScalarField, cumtrapz, stencil
 
 POISSON_RTOL = 1e-10
 MEAN_RTOL = 1e-8
@@ -70,6 +69,5 @@ def mixed_integrate_core(f, g, phi_row=None, phi_col=None):
     if abs(phi_row[0] - phi_col[0]) > 1e-12 * (1 + abs(phi_row[0])):
         raise ValueError("axis data disagree at the corner node")
 
-    inner = cumulative_trapezoid(f, dx=g.dx, axis=1, initial=0.0)
-    double = cumulative_trapezoid(inner, dx=g.dy, axis=0, initial=0.0)
+    double = cumtrapz(cumtrapz(f, g.dx, 1), g.dy, 0)
     return phi_row[None, :] + phi_col[:, None] - phi_row[0] + double

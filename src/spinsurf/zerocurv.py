@@ -16,10 +16,9 @@ solution of the focusing NLSE  i psi_t + psi_xx + 2 |psi|^2 psi = 0.
 """
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import Blowup, GridTooSmall
-from .fields import cross, diff, same_grid, VecField, _d1, _d2
+from .fields import cross, cumtrapz, diff, same_grid, VecField, _d1, _d2
 
 
 def _d1_any(a, h, axis):
@@ -116,8 +115,7 @@ def hasimoto(k, tau, dx):
     phase, which the NLSE tolerates.
     """
     k, tau = np.asarray(k, dtype=float), np.asarray(tau, dtype=float)
-    phase = cumulative_trapezoid(tau, dx=dx, axis=-1, initial=0.0)
-    return 0.5 * k * np.exp(-1j * phase)
+    return 0.5 * k * np.exp(-1j * cumtrapz(tau, dx, -1))
 
 
 def nlse_residual(psi, dx, dt):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -51,6 +53,15 @@ class TestParseConfig:
     def test_params_collected(self):
         cfg = parse_config(["check", "--param", "a1=1.5", "--param", "b2=-1"])
         assert cfg.params == {"a1": 1.5, "b2": -1.0}
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_param_names_its_key(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match="'lam'"):
+            parse_config(["check", "--param", f"lam={raw}"])
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"param.lam = {raw}\n")
+        with pytest.raises(ConfigError, match="'param.lam'"):
+            parse_config(["check", "--config", str(cfg_file)])
 
 
 class TestExitCodes:
@@ -112,6 +123,12 @@ def _flat_normals(tmp_path):
             "--output", str(tmp_path / "m.obj")]
 
 
+def _huge_curve(lines):
+    """Curve rows with k = tau = 1e200, whose NLSE residual overflows."""
+    return lines[:2] + [",".join(ln.split(",")[:2] + ["1e200", "1e200"])
+                        for ln in lines[2:]]
+
+
 def _replace_field(lines, row, col, token):
     parts = lines[row].split(",")
     parts[col] = token
@@ -147,6 +164,13 @@ FAILURES = [
     ("param-named-self", 2, lambda d: _simulate(
         d, "--model", "m-xxxiv", "--nx", "16", "--dx", "0.2", "--dt", "1e-5",
         "--param", "self=1")),
+    ("zc-non-finite-residual", 3, lambda d: _curve(d, _huge_curve)),
+    ("dt-safety-nan", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
+        "--dt-safety", "nan")),
+    ("param-nan", 2, lambda d: _simulate(
+        d, "--model", "mxiiib", "--nx", "16", "--ny", "16", "--dx", "0.2",
+        "--dy", "0.2", "--dt", "1e-4", "--param", "a1=nan")),
 ]
 
 
@@ -192,6 +216,27 @@ def test_unused_param_is_config_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv + ["--param", "bogus=3"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+# prints the top-level packages from site-packages that `import spinsurf.cli` loads
+_SITE_IMPORTS = """
+import sys, sysconfig
+before = set(sys.modules)
+import spinsurf.cli
+site = (sysconfig.get_path("purelib"), sysconfig.get_path("platlib"))
+files = {m: getattr(sys.modules[m], "__file__", None) or "" for m in set(sys.modules) - before}
+print(*sorted({m.partition(".")[0] for m, f in files.items() if f.startswith(site)}))
+"""
+
+
+def test_cli_imports_no_third_party_package_but_numpy():
+    # every CLI call pays for what importing the CLI loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _SITE_IMPORTS],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert set(out.split()) <= {"numpy", "spinsurf"}, out
 
 
 class TestCatalogCommand:

@@ -1,8 +1,9 @@
 """The array-level numerical core against independent references.
 
 The stencils are compared bit for bit with the np.roll / np.moveaxis
-formulation written out below, and `evolve` with a plain RK4 loop that
-steps through the public field API. Bitwise equality is the contract: the
+formulation written out below, the cumulative trapezoid with an explicit
+accumulation loop, and `evolve` with a plain RK4 loop that steps through
+the public field API. Bitwise equality is the contract: the
 array core reorders no floating-point operation.
 """
 
@@ -94,6 +95,40 @@ def test_stencil_leaves_input_untouched():
     a = np.arange(30.0).reshape(5, 6)
     a.flags.writeable = False
     stencil(a, Grid(6, 5, 0.5, 0.5, "periodic"), "dyy")
+
+
+# ---------------------------------------------------------------------------
+# cumulative trapezoid quadrature
+
+def ref_cumtrapz(y, d, axis):
+    y = np.moveaxis(y, axis, 0)
+    out = np.zeros(y.shape)
+    acc = np.zeros(y.shape[1:])
+    for i in range(1, y.shape[0]):
+        acc += d * (y[i] + y[i - 1]) / 2.0
+        out[i] = acc
+    return np.moveaxis(out, 0, axis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=9),
+                  elements=st.floats(-1e6, 1e6)),
+       st.floats(1e-3, 10.0), st.sampled_from([0, 1, -1]))
+def test_cumtrapz_bitwise_equal_accumulation_loop(y, d, axis):
+    got = fields.cumtrapz(y, d, axis)
+    assert got.shape == y.shape
+    assert np.array_equal(got, ref_cumtrapz(y, d, axis))
+
+
+def test_cumtrapz_of_linear_integrand_is_exact():
+    # dyadic nodes and coefficients keep every operation exact, so the
+    # closed form 3x + x^2 must come out bit for bit
+    x = np.arange(9) * 0.25
+    want = 3.0 * x + x ** 2
+    assert np.array_equal(fields.cumtrapz(3.0 + 2.0 * x, 0.25, 0), want)
+    plane = np.stack([3.0 + 2.0 * x, -1.0 + 0.5 * x])
+    assert np.array_equal(fields.cumtrapz(plane, 0.25, -1),
+                          np.stack([want, -x + 0.25 * x ** 2]))
 
 
 # ---------------------------------------------------------------------------

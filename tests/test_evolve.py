@@ -101,6 +101,12 @@ class TestEvolve:
         evolve(model, {"S": pole(grid1d).values},
                EvolveOptions(dt=1.0, steps=1, allow_unstable_dt=True))
 
+    @pytest.mark.parametrize("safety", [np.nan, np.inf, 0.0, -0.2])
+    def test_dt_safety_must_be_positive_and_finite(self, safety):
+        # nan would switch the stability check off, a negative value invert it
+        with pytest.raises(ValueError, match="dt_safety"):
+            EvolveOptions(dt=1e-4, steps=1, dt_safety=safety)
+
     def test_fourth_order_model_tighter_bound(self):
         g = Grid(64, 1, 0.2, 1.0, "periodic")
         # family D carries a fourth derivative; 0-type models take a fixed

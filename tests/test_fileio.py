@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spinsurf import (CLAMPED, FormatError, Grid, NonFiniteValue, ScalarField,
-                      SpinField, SurfaceMesh, VecField, constant_field, fileio,
-                      reconstruct_surface, classical_coeffs, synth,
-                      unit_normal)
+from spinsurf import (CLAMPED, FormatError, Grid, NonFiniteResult, NonFiniteValue,
+                      ScalarField, SpinField, SurfaceMesh, VecField,
+                      constant_field, fileio, reconstruct_surface,
+                      classical_coeffs, synth, unit_normal)
 
 
 class TestFieldRoundTrip:
@@ -131,6 +131,14 @@ class TestReport:
         fileio.report(path, "m", grid1d, [{"a": 0.5}], notes=[])
         doc = json.loads(path.read_text())
         assert doc["model"] == "m" and doc["diagnostics"] == [{"a": 0.5}]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_not_reported(self, tmp_path, grid1d, value):
+        # "inf"/"nan" are not JSON; the report is refused before its file exists
+        path = tmp_path / "r.json"
+        with pytest.raises(NonFiniteResult):
+            fileio.report(path, "m", grid1d, [{"a": 0.5, "b": value}])
+        assert not path.exists()
 
 
 class TestCurveRoundTrip:
