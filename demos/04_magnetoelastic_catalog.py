@@ -12,7 +12,7 @@ Run:  python3 demos/04_magnetoelastic_catalog.py
 
 import numpy as np
 
-from spinsurf import (EvolveOptions, Grid, MEState, catalog_lookup,
+from spinsurf import (EvolveOptions, Grid, catalog_lookup,
                       catalog_names, evolve, evolution_model, me_spin_rhs,
                       pauli_oracle_rhs, synth)
 
@@ -25,14 +25,15 @@ for name in catalog_names():
 print("  (! = registered but not implemented; see spec.reason)")
 
 grid = Grid(64, 1, 0.2, 1.0, "periodic")
-state = MEState(synth.smooth_spin(grid, seed=1),
-                synth.smooth_scalar(grid, seed=2))
+# spin array, displacement array and grid: the right-hand sides' arguments
+state = (synth.smooth_spin(grid, seed=1).values,
+         synth.smooth_scalar(grid, seed=2).values, grid)
 
 print("\nvector form vs Pauli-matrix oracle, one model per family:")
 for name in ("M-LVII", "M-LVI", "M-LV", "M-LIV", "M-LIII"):
     spec = catalog_lookup(name)
-    gap = np.abs(me_spin_rhs(spec, state).values
-                 - pauli_oracle_rhs(spec, state).values).max()
+    gap = np.abs(me_spin_rhs(spec, *state)
+                 - pauli_oracle_rhs(spec, *state)).max()
     print(f"  {name:<8} family {spec.spin}: max |vector - oracle| = {gap:.2e}")
 
 print("\nevolving M-XXXIV (spin + advected displacement) for 500 steps:")

@@ -6,14 +6,14 @@ from .errors import (Blowup, ConfigError, DegenerateTangent, FormatError,
                      PhononAbsent, SpinsurfError, UnimplementedModel,
                      UnknownModel)
 from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField, VecField,
-                     constant_field, cross, diff, diff4x, dot, norm,
+                     constant_field, cross, diff, dot, norm,
                      project_sphere, same_grid, triple)
 from .geometry import (CoefficientSet, ResidualReport, SurfaceMesh,
                        classical_coeffs, mf_tangents, n_system_residual,
                        reconstruct_surface, unit_normal)
 from .models import (hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system,
                      stationary_residual)
-from .magnetoelastic import (MEState, ModelSpec, catalog_lookup, catalog_names,
+from .magnetoelastic import (ModelSpec, catalog_lookup, catalog_names,
                              me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs)
 from .solvers import mixed_integrate, poisson_solve
 from .evolve import (EvolveOptions, Trajectory, check_stability, diagnostics,

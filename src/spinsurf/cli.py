@@ -182,8 +182,10 @@ def cmd_simulate(cfg):
     if cfg.get("initial"):
         S0 = _require_spin(fileio.read_field(cfg.require("initial")), cfg.get("initial"))
         grid = S0.grid
-        if cfg.get("nx") is not None and grid.nx != cfg.get("nx"):
-            raise ConfigError("grid keys conflict with the initial field file")
+        for key in _GRID_KEYS:
+            if cfg.get(key) is not None and cfg.get(key) != getattr(grid, key):
+                raise ConfigError(f"{key} = {cfg.get(key)} conflicts with the initial "
+                                  f"field file ({getattr(grid, key)})")
     else:
         grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
                     cfg.get("dy", 1.0), cfg.require("boundary"))
@@ -201,6 +203,8 @@ def cmd_simulate(cfg):
     external_u = None
     if cfg.get("external_u"):
         external_u = fileio.read_field(cfg.get("external_u"))
+        if not isinstance(external_u, ScalarField):
+            raise ConfigError("external_u file must hold a scalar field")
     model = evolution_model(name, grid, coeffs=coeffs, params=params,
                             external_u=external_u)
 

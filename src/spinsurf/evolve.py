@@ -2,8 +2,8 @@
 
 States are dicts of plain arrays ("S" always, "u"/"w" for magnetoelastic
 models); `rk4_step` is the classical 4-stage Runge-Kutta update applied
-componentwise. Model right-hand sides are the array cores of `models` and
-`magnetoelastic`, so no field object is built inside the time loop; fields
+componentwise. Model right-hand sides are the array functions of `models`
+and `magnetoelastic`, so no field object is built inside the time loop; fields
 wrap the state only when a snapshot is taken. After every full step the
 spin part is renormalized (the pre-projection norm drift is recorded as
 the integrator's error monitor) unless renormalization is switched off.
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Blowup, ConfigError, GridMismatch
-from .fields import (ScalarField, SpinField, VecField, dot, is_unit, norm,
-                     normalize, stencil)
-from .magnetoelastic import catalog_lookup, phonon_core, spin_core, MEState
-from .models import hf_core, lle_core, mx_core, mxiii_core
+from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
+                     project_sphere)
+from .magnetoelastic import catalog_lookup, me_phonon_rhs, me_spin_rhs
+from .models import hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ def energy_proxy(S):
     """Sum |S_x|^2 dx (+ |S_y|^2 term in 2-D). A monitoring aid only, not
     a conserved quantity of any of the flows."""
     g = S.grid
-    sx = stencil(S.values, g, "dx")
+    sx = diff(S.values, g, "dx")
     e = float(np.sum(dot(sx, sx)))
     if g.is_1d:
         return e * g.dx
-    sy = stencil(S.values, g, "dy")
+    sy = diff(S.values, g, "dy")
     return (e + float(np.sum(dot(sy, sy)))) * g.dx * g.dy
 
 
@@ -114,26 +114,30 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
     name: "hf", "lle", "mxiii" (needs coeffs), "mxiiia"/"mxiiib" (optional
     params a1, a2, b1, b2, default 1), or any implemented magnetoelastic
     catalog name. 0-type catalog models need external_u (a ScalarField,
-    held fixed over the run). params for catalog models are forwarded to
-    the coupling constants. Unused params raise ValueError.
+    held fixed over the run), and no other model takes one. params for
+    catalog models are forwarded to the coupling constants. Unused params
+    raise ValueError.
     """
     key = name.lower()
     params = dict(params or {})
+    if external_u is not None and (key in ("hf", "lle", "mxiii", "mxiiia", "mxiiib")
+                                   or catalog_lookup(name).phonon != "none"):
+        raise ValueError(f"{name} takes no external displacement field u")
 
     if key in ("hf", "lle", "mxiii") and params:
         raise ValueError(f"{key} takes no parameters, got {sorted(params)}")
     if key in ("hf", "lle"):
-        core = hf_core if key == "hf" else lle_core
-        return EvolutionModel(key, lambda st: {"S": core(st["S"], grid)}, grid)
+        flow = hf_rhs if key == "hf" else lle_rhs
+        return EvolutionModel(key, lambda st: {"S": flow(st["S"], grid)}, grid)
     if key == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii evolution needs a coefficient set")
 
         def rhs(st):
-            return {"S": mxiii_core(st["S"], grid, coeffs)[0]}
+            return {"S": mxiii_rhs(st["S"], grid, coeffs)[0]}
 
         def constraint(st):
-            return float(np.abs(mxiii_core(st["S"], grid, coeffs)[1]).max())
+            return float(np.abs(mxiii_rhs(st["S"], grid, coeffs)[1]).max())
 
         return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
 
@@ -141,12 +145,13 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
         ab = [params.pop(k, 1.0) for k in ("a1", "a2", "b1", "b2")]
         if params:
             raise ValueError(f"unknown parameters {sorted(params)}")
+        system = mxiiia_system if key == "mxiiia" else mxiiib_system
 
         def rhs(st):
-            return {"S": mx_core(key, st["S"], grid, *ab)[0]}
+            return {"S": system(st["S"], grid, *ab)[0]}
 
         def phi_solver(st):
-            return ScalarField(grid, mx_core(key, st["S"], grid, *ab)[1])
+            return ScalarField(grid, system(st["S"], grid, *ab)[1])
 
         return EvolutionModel(key, rhs, grid, phi_solver=phi_solver)
 
@@ -166,35 +171,37 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
         u = external_u.values
 
         def rhs(st):
-            return {"S": spin_core(spec, st["S"], u, grid)}
+            return {"S": me_spin_rhs(spec, st["S"], u, grid)}
 
         return EvolutionModel(spec.name, rhs, grid, spatial_order=order)
 
     names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
 
     def rhs(st):
-        ds = spin_core(spec, st["S"], st["u"], grid)
+        ds = me_spin_rhs(spec, st["S"], st["u"], grid)
+        phonon = me_phonon_rhs(spec, st["S"], st["u"], st.get("w"), grid)
         # zip drops the None dw_dt of first-order phonon equations
-        return dict(zip(names, (ds,) + phonon_core(spec, st["S"], st["u"], st.get("w"), grid)))
+        return dict(zip(names, (ds,) + phonon))
 
     return EvolutionModel(spec.name, rhs, grid, fields=names, spatial_order=order)
 
 
 def pack_state(model, initial):
-    """Normalize an initial state (SpinField, MEState, or dict) to arrays."""
+    """Normalize an initial state (SpinField, or dict of fields or arrays) to
+    arrays, each checked against the shape that model.grid gives it."""
     if isinstance(initial, SpinField):
-        state = {"S": initial.values}
-    elif isinstance(initial, MEState):
-        state = {"S": initial.S.values, "u": initial.u.values}
-        if initial.w is not None:
-            state["w"] = initial.w.values
-    else:
-        state = {k: (v.values if hasattr(v, "values") else np.asarray(v, dtype=float))
-                 for k, v in initial.items()}
-    missing = set(model.fields) - set(state)
+        initial = {"S": initial}
+    missing = set(model.fields) - set(initial)
     if missing:
         raise ValueError(f"initial state is missing fields {sorted(missing)}")
-    return {k: np.array(state[k], dtype=float) for k in model.fields}
+    g, state = model.grid, {}
+    for k in model.fields:
+        v = initial[k]
+        state[k] = np.array(v.values if hasattr(v, "values") else v, dtype=float)
+        want = (g.ny, g.nx, 3) if k == "S" else (g.ny, g.nx)
+        if state[k].shape != want:
+            raise ValueError(f"initial {k} has shape {state[k].shape}, expected {want}")
+    return state
 
 
 def _snapshot(model, state):
@@ -246,7 +253,7 @@ def evolve(model, initial, opts):
         n = norm(state["S"])
         drift_window = max(drift_window, float(np.abs(n - 1.0).max()))
         if opts.renormalize:
-            state["S"] = normalize(state["S"], n)
+            state["S"] = project_sphere(state["S"], n)
             if not is_unit(state["S"]):     # |S|^2 overflowed
                 raise Blowup(step)
         if step % opts.snapshot_every == 0:

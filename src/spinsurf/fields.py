@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooSmall, NearZeroNorm, NonFiniteValue
+from .errors import GridMismatch, GridTooSmall, NearZeroNorm, NonFiniteResult
 
 PERIODIC = "periodic"
 CLAMPED = "clamped"
@@ -60,7 +60,7 @@ def _frozen_array(values, shape):
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteValue("field contains non-finite values")
+        raise NonFiniteResult("field contains non-finite values")
     a.flags.writeable = False
     return a
 
@@ -205,13 +205,14 @@ def _d2(a, h, axis, periodic):
     return out
 
 
-def stencil(a, grid, which):
+def diff(a, grid, which):
     """Finite difference of a plain (ny, nx) or (ny, nx, 3) array.
 
     which: one of "dx", "dy", "dxx", "dyy", "dxy", "dxxxx". Periodic grids
     wrap; clamped grids use one-sided second-order stencils at the edges.
-    "dxy" is the composition dy(dx(a)), "dxxxx" is dxx(dxx(a)). `diff` is
-    the same on fields.
+    "dxy" is the composition dy(dx(a)), "dxxxx" is dxx(dxx(a)). On periodic
+    grids "dxxxx" is exactly the centered 5-point stencil
+    (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     """
     which = which.lower()
     if which == "dx":
@@ -219,11 +220,11 @@ def stencil(a, grid, which):
     if which == "dxx":
         return _d2(a, grid.dx, 1, grid.periodic)
     if which == "dxy":
-        return stencil(stencil(a, grid, "dx"), grid, "dy")
+        return diff(diff(a, grid, "dx"), grid, "dy")
     if which == "dxxxx":
         if grid.nx < 5:
             raise GridTooSmall("fourth derivative needs nx >= 5")
-        return stencil(stencil(a, grid, "dxx"), grid, "dxx")
+        return diff(diff(a, grid, "dxx"), grid, "dxx")
     if which not in ("dy", "dyy"):
         raise ValueError(f"unknown derivative {which!r}")
     if grid.is_1d:
@@ -243,29 +244,9 @@ def cumtrapz(y, d, axis):
     return np.concatenate([np.zeros((1,) + s.shape[1:], s.dtype), s]).swapaxes(0, axis)
 
 
-def diff(f, which):
-    """Finite difference of a Scalar/VecField; see `stencil`."""
-    cls = ScalarField if isinstance(f, ScalarField) else VecField
-    return cls(f.grid, stencil(f.values, f.grid, which))
-
-
-def diff4x(f):
-    """Fourth x-derivative as the composition dxx(dxx(f)).
-
-    On periodic grids this is exactly the centered 5-point stencil
-    (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
-    """
-    return diff(f, "dxxxx")
-
-
-def normalize(v, n):
+def project_sphere(v, n):
     """(..., 3) vectors v divided by their norms n, refusing near-zero norms."""
     if n.min() < NORM_FLOOR:
         j, i = np.unravel_index(np.argmin(n), n.shape)
         raise NearZeroNorm(int(i), int(j), float(n[j, i]))
     return v / n[..., None]
-
-
-def project_sphere(v):
-    """Normalize a VecField onto the unit sphere, returning a SpinField."""
-    return SpinField(v.grid, normalize(v.values, norm(v.values)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch
 from .fields import (ScalarField, SpinField, VecField, cmul, cross, cumtrapz,
-                     diff, dot, norm, same_grid, stencil, triple)
+                     diff, dot, norm, same_grid, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -57,7 +57,7 @@ class CoefficientSet:
         """Discrete derivative of a coefficient; constants short-circuit to 0."""
         c = getattr(self, name)
         if isinstance(c, ScalarField):
-            return stencil(c.values, c.grid, which)
+            return diff(c.values, c.grid, which)
         return 0.0
 
     def is_constant(self, name):
@@ -158,8 +158,8 @@ def classical_coeffs(kind, grid=None, /, **params):
         a1, a2, b1, b2, a3, phi = need("a1", "a2", "b1", "b2", "a3", "phi")
         if not isinstance(phi, ScalarField):
             raise ValueError(f"{kind} coefficients need phi as a ScalarField")
-        a3x = diff(a3, "dx").values if isinstance(a3, ScalarField) else 0.0
-        a3y = diff(a3, "dy").values if isinstance(a3, ScalarField) else 0.0
+        a3x = diff(a3.values, a3.grid, "dx") if isinstance(a3, ScalarField) else 0.0
+        a3y = diff(a3.values, a3.grid, "dy") if isinstance(a3, ScalarField) else 0.0
         g = phi.grid
         cx, cy = phi_drift(kind, phi.values, g)
         return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3,
@@ -171,7 +171,7 @@ def phi_drift(kind, phi, g):
     """Coefficients (cx, cy) of the M-XIIIA/B drift cx S_x + cy S_y, from
     the potential array phi: M-XIIIA pairs phi_y S_x + phi_x S_y, M-XIIIB
     phi_x S_x + phi_y S_y."""
-    px, py = stencil(phi, g, "dx"), stencil(phi, g, "dy")
+    px, py = diff(phi, g, "dx"), diff(phi, g, "dy")
     return (py, px) if kind == "mxiiia" else (px, py)
 
 
@@ -197,8 +197,8 @@ def mf_tangents(S, c):
     g = S.grid
     c.check_grid(g)
     s = S.values
-    sx = stencil(s, g, "dx")
-    sy = stencil(s, g, "dy") if _needs_y(c) else np.zeros_like(s)
+    sx = diff(s, g, "dx")
+    sy = diff(s, g, "dy") if _needs_y(c) else np.zeros_like(s)
     s_sx = cross(s, sx)
     s_sy = cross(s, sy)
 
@@ -233,10 +233,10 @@ def n_system_residual(N, c):
     g = same_grid(N)
     c.check_grid(g)
     r_x, r_y = mf_tangents(N, c)
-    vec = VecField(g, diff(r_x, "dy").values - diff(r_y, "dx").values)
+    vec = VecField(g, diff(r_x.values, g, "dy") - diff(r_y.values, g, "dx"))
 
     n = N.values
-    nx, ny, nxx, nyy, nxy = (stencil(n, g, w) for w in ("dx", "dy", "dxx", "dyy", "dxy"))
+    nx, ny, nxx, nyy, nxy = (diff(n, g, w) for w in ("dx", "dy", "dxx", "dyy", "dxy"))
 
     bracket = ((c.value("a1") + c.value("b2")) * triple(n, ny, nx)
                + dot(n, cmul(c.value("a3"), nxy) - cmul(c.value("b4"), nxy)
@@ -284,10 +284,10 @@ def reconstruct_surface(S, c, base=(0.0, 0.0, 0.0)):
 
 def unit_normal(mesh):
     """Discrete unit normal r_x ^ r_y / |r_x ^ r_y| of a surface mesh."""
-    r = mesh.positions
-    n = cross(diff(r, "dx").values, diff(r, "dy").values)
+    r, g = mesh.positions.values, mesh.grid
+    n = cross(diff(r, g, "dx"), diff(r, g, "dy"))
     mag = norm(n)
     if mag.min() < 1e-10:
         j, i = np.unravel_index(np.argmin(mag), mag.shape)
         raise DegenerateTangent(int(i), int(j))
-    return VecField(mesh.grid, n / mag[..., None])
+    return VecField(g, n / mag[..., None])

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PhononAbsent, UnimplementedModel, UnknownModel
-from .fields import (ScalarField, SpinField, VecField, cross, dot, same_grid,
-                     stencil)
+from .fields import cross, diff, dot
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -60,20 +59,6 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")
         return replace(self, params={**self.params, **params})
-
-
-@dataclass(frozen=True)
-class MEState:
-    """Spin field plus lattice displacement u (and u_t for wave-type models)."""
-
-    S: SpinField
-    u: ScalarField
-    w: ScalarField = None
-
-    def __post_init__(self):
-        fields = [self.S, self.u] + ([self.w] if self.w is not None else [])
-        if not same_grid(*fields).is_1d:
-            raise ValueError("magnetoelastic states live on 1-D grids")
 
 
 _REGISTRY = {}
@@ -146,34 +131,36 @@ def _coupling(spec, s, g):
         return s[..., 2]
     if spec.source == "s3sq":
         return s[..., 2] ** 2
-    sx = stencil(s, g, "dx")
+    sx = diff(s, g, "dx")
     q = dot(sx, sx)
     return 0.5 * q if spec.source == "trform" else q
 
 
-def spin_core(spec, s, u, g):
-    """me_spin_rhs on a spin array s and displacement array u."""
+def me_spin_rhs(spec, s, u, g):
+    """Vector-form spin right-hand side of a catalog model, on a spin array s
+    and a displacement array u."""
     _check(spec)
     if spec.spin in ("A", "B"):
-        out = cross(s, stencil(s, g, "dxx"))
+        out = cross(s, diff(s, g, "dxx"))
         drive = u if spec.spin == "A" else u * s[..., 2]
         out += drive[..., None] * cross(s, E3)
     elif spec.spin in ("C", "D"):
-        sx = stencil(s, g, "dx")
+        sx = diff(s, g, "dx")
         coeff = spec.param("mu") * dot(sx, sx) - u + spec.param("m")
-        out = stencil(coeff[..., None] * cross(s, sx), g, "dx")
+        out = diff(coeff[..., None] * cross(s, sx), g, "dx")
         if spec.spin == "D":
-            out = spec.param("n") * cross(s, stencil(s, g, "dxxxx")) + 2.0 * out
+            out = spec.param("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * out
     elif spec.spin == "E":
-        out = cross(s, stencil(s, g, "dxx")) + u[..., None] * stencil(s, g, "dx")
+        out = cross(s, diff(s, g, "dxx")) + u[..., None] * diff(s, g, "dx")
     else:
         raise UnimplementedModel(f"{spec.name} has no spin family")
     return out
 
 
-def phonon_core(spec, s, u, w, g):
-    """me_phonon_rhs on arrays: (du_dt, dw_dt), dw_dt None for first-order
-    phonon equations; du_dt is w itself for wave-type ones."""
+def me_phonon_rhs(spec, s, u, w, g):
+    """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
+    dw_dt is None for first-order phonon equations, and du_dt is the
+    velocity w itself for wave-type ones."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
@@ -183,34 +170,18 @@ def phonon_core(spec, s, u, w, g):
     if spec.phonon in ("wave", "boussinesq"):
         if w is None:
             raise ValueError(f"{spec.name} needs the velocity field w = u_t")
-        acc = (spec.param("nu0") ** 2 * stencil(u, g, "dxx")
-               + lam * stencil(q, g, "dxx"))
+        acc = (spec.param("nu0") ** 2 * diff(u, g, "dxx")
+               + lam * diff(q, g, "dxx"))
         if spec.phonon == "boussinesq":
-            acc += (spec.param("alpha") * stencil(u ** 2, g, "dxx")
-                    + spec.param("beta") * stencil(u, g, "dxxxx"))
+            acc += (spec.param("alpha") * diff(u ** 2, g, "dxx")
+                    + spec.param("beta") * diff(u, g, "dxxxx"))
         return w, acc / spec.param("rho")
 
-    du = -stencil(u, g, "dx") - lam * stencil(q, g, "dx")
+    du = -diff(u, g, "dx") - lam * diff(q, g, "dx")
     if spec.phonon == "kdv":
-        uxxx = stencil(stencil(u, g, "dxx"), g, "dx")
-        du -= spec.param("alpha") * stencil(u ** 2, g, "dx") + spec.param("beta") * uxxx
+        uxxx = diff(diff(u, g, "dxx"), g, "dx")
+        du -= spec.param("alpha") * diff(u ** 2, g, "dx") + spec.param("beta") * uxxx
     return du, None
-
-
-def me_spin_rhs(spec, state):
-    """Vector-form spin right-hand side of a catalog model."""
-    g = state.S.grid
-    return VecField(g, spin_core(spec, state.S.values, state.u.values, g))
-
-
-def me_phonon_rhs(spec, state):
-    """First-order-form phonon right-hand side (du_dt, dw_dt or None)."""
-    g = state.u.grid
-    w = state.w.values if state.w is not None else None
-    du, dw = phonon_core(spec, state.S.values, state.u.values, w, g)
-    if dw is None:
-        return ScalarField(g, du), None
-    return state.w, ScalarField(g, dw)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +206,7 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def pauli_oracle_rhs(spec, state):
+def pauli_oracle_rhs(spec, s, u, g):
     """me_spin_rhs recomputed literally in 2x2 matrix form.
 
     Builds S = S.sigma per node, evaluates the published commutator
@@ -244,24 +215,23 @@ def pauli_oracle_rhs(spec, state):
     matrix-to-vector translation.
     """
     _check(spec)
-    g = state.S.grid
-    sm = _to_matrix(state.S.values)          # (ny, nx, 2, 2)
-    u = state.u.values[..., None, None]
+    sm = _to_matrix(s)                       # (ny, nx, 2, 2)
+    u = u[..., None, None]
 
     if spec.spin == "A":
-        m = _comm(sm, stencil(sm, g, "dxx")) + u * _comm(sm, _SIGMA[2])
+        m = _comm(sm, diff(sm, g, "dxx")) + u * _comm(sm, _SIGMA[2])
     elif spec.spin == "B":
         s3 = np.real(np.trace(sm @ _SIGMA[2], axis1=-2, axis2=-1))[..., None, None] / 2.0
-        m = _comm(sm, stencil(sm, g, "dxx")) + u * s3 * _comm(sm, _SIGMA[2])
+        m = _comm(sm, diff(sm, g, "dxx")) + u * s3 * _comm(sm, _SIGMA[2])
     elif spec.spin in ("C", "D"):
-        smx = stencil(sm, g, "dx")
+        smx = diff(sm, g, "dx")
         sx2 = np.real(np.trace(smx @ smx, axis1=-2, axis2=-1))[..., None, None] / 2.0
         coeff = spec.param("mu") * sx2 - u + spec.param("m")
-        m = stencil(coeff * _comm(sm, smx), g, "dx")
+        m = diff(coeff * _comm(sm, smx), g, "dx")
         if spec.spin == "D":
-            m = spec.param("n") * _comm(sm, stencil(sm, g, "dxxxx")) + 2.0 * m
+            m = spec.param("n") * _comm(sm, diff(sm, g, "dxxxx")) + 2.0 * m
     elif spec.spin == "E":
-        m = _comm(sm, stencil(sm, g, "dxx")) + 2j * u * stencil(sm, g, "dx")
+        m = _comm(sm, diff(sm, g, "dxx")) + 2j * u * diff(sm, g, "dx")
     else:
         raise UnimplementedModel(f"{spec.name} has no spin family")
-    return VecField(g, _to_vector(m / 2j))
+    return _to_vector(m / 2j)

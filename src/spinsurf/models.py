@@ -6,55 +6,54 @@ variants, the latter two carrying an auxiliary potential phi), and the
 stationary Ishimori equation. All right-hand sides are tangent to the
 sphere up to the discrete S.S_x = O(h^2) identity.
 
-Each formula is written once, as a `*_core` function on plain
-(ny, nx, 3) spin arrays that `evolve` calls directly; the field-level
-functions wrap those cores, and the stationary residuals reuse them.
+Each formula is written once, on plain (ny, nx, 3) spin arrays with the
+grid passed explicitly; `evolve` calls these functions directly, and the
+stationary residuals reuse them.
 """
 
 import numpy as np
 
 from .errors import GridTooSmall
-from .fields import ScalarField, VecField, cmul, cross, diff, stencil, triple
+from .fields import ScalarField, VecField, cmul, cross, diff, triple
 from .geometry import ResidualReport, phi_drift
-from .solvers import mixed_integrate_core, poisson_core
+from .solvers import mixed_integrate, poisson_solve
 
 STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
 
 
-def hf_core(s, g):
-    """S ^ S_xx on a spin array."""
-    return cross(s, stencil(s, g, "dxx"))
+def hf_rhs(s, g):
+    """S ^ S_xx: the HF flow of a 1-D-in-x spin array."""
+    return cross(s, diff(s, g, "dxx"))
 
 
-def lle_core(s, g):
-    """S ^ (S_xx + S_yy) on a spin array."""
+def lle_rhs(s, g):
+    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow."""
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    return cross(s, stencil(s, g, "dxx") + stencil(s, g, "dyy"))
-
-
-def hf_rhs(S):
-    """S ^ S_xx: the HF flow of a 1-D-in-x spin field."""
-    return VecField(S.grid, hf_core(S.values, S.grid))
-
-
-def lle_rhs(S):
-    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow."""
-    return VecField(S.grid, lle_core(S.values, S.grid))
+    return cross(s, diff(s, g, "dxx") + diff(s, g, "dyy"))
 
 
 def _flow(s, g, sx, sy, cx, cy, a1, a2, b1, b2):
     """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + cx S_x + cy S_y, the M-XIII
     family's wedge core plus its drift."""
-    syy = stencil(s, g, "dyy")
-    sxy = stencil(s, g, "dxy")
+    syy = diff(s, g, "dyy")
+    sxy = diff(s, g, "dxy")
     inner = (cmul(a2, syy) + cmul(a1, sxy) - cmul(b2, sxy)
-             - cmul(b1, stencil(s, g, "dxx")))
+             - cmul(b1, diff(s, g, "dxx")))
     return cross(s, inner) + cmul(cx, sx) + cmul(cy, sy)
 
 
-def mxiii_core(s, g, c):
-    """M-XIII right-hand side and constraint residual arrays (see mxiii_rhs)."""
+def mxiii_rhs(s, g, c):
+    """M-XIII flow and its coefficient-constraint residual.
+
+    The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. Returns the
+    evolution right-hand side and the (ny, nx) array
+
+        (a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y)
+
+    which the flow is supposed to keep small; it is monitored, never
+    enforced.
+    """
     c.check_grid(g)
     for name, want in (("b3", 0.0), ("a4", 0.0)):
         if not (c.is_constant(name) and c.value(name) == want):
@@ -63,8 +62,8 @@ def mxiii_core(s, g, c):
     if not np.all(np.asarray(v3) == np.asarray(v4)):
         raise ValueError("M-XIII needs b4 = a3")
 
-    sx = stencil(s, g, "dx")
-    sy = stencil(s, g, "dy")
+    sx = diff(s, g, "dx")
+    sy = diff(s, g, "dy")
     rhs = _flow(s, g, sx, sy, c.deriv("a3", "dy") - c.value("b5"),
                 c.value("a5") - c.deriv("a3", "dx"),
                 c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
@@ -73,35 +72,7 @@ def mxiii_core(s, g, c):
     return rhs, constraint * np.ones((g.ny, g.nx))
 
 
-def mxiii_rhs(S, c):
-    """M-XIII flow and its coefficient-constraint residual.
-
-    The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. Returns the
-    evolution right-hand side and the scalar field
-
-        (a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y)
-
-    which the flow is supposed to keep small; it is monitored, never
-    enforced.
-    """
-    rhs, constraint = mxiii_core(S.values, S.grid, c)
-    return VecField(S.grid, rhs), ScalarField(S.grid, constraint)
-
-
-def mx_core(kind, s, g, a1, a2, b1, b2, phi_row=None, phi_col=None):
-    """M-XIIIA/B ("mxiiia"/"mxiiib") right-hand side and potential arrays."""
-    sx = stencil(s, g, "dx")
-    sy = stencil(s, g, "dy")
-    if kind == "mxiiia":
-        phi = mixed_integrate_core(0.5 * (a1 + b2) * triple(s, sx, sy), g,
-                                   phi_row, phi_col)
-    else:
-        raw = (a1 + b2) * triple(s, sx, sy)
-        phi = poisson_core(raw - raw.mean(), g)
-    return _flow(s, g, sx, sy, *phi_drift(kind, phi, g), a1, a2, b1, b2), phi
-
-
-def mxiiia_system(S, a1, a2, b1, b2, phi_row=None, phi_col=None):
+def mxiiia_system(s, g, a1, a2, b1, b2, phi_row=None, phi_col=None):
     """M-XIIIA right-hand side with its potential.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
@@ -110,11 +81,13 @@ def mxiiia_system(S, a1, a2, b1, b2, phi_row=None, phi_col=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    rhs, phi = mx_core("mxiiia", S.values, S.grid, a1, a2, b1, b2, phi_row, phi_col)
-    return VecField(S.grid, rhs), ScalarField(S.grid, phi)
+    sx = diff(s, g, "dx")
+    sy = diff(s, g, "dy")
+    phi = mixed_integrate(0.5 * (a1 + b2) * triple(s, sx, sy), g, phi_row, phi_col)
+    return _flow(s, g, sx, sy, *phi_drift("mxiiia", phi, g), a1, a2, b1, b2), phi
 
 
-def mxiiib_system(S, a1, a2, b1, b2):
+def mxiiib_system(s, g, a1, a2, b1, b2):
     """M-XIIIB right-hand side with its potential.
 
     phi solves phi_xx + phi_yy = (a1+b2) S.(S_x ^ S_y) on a periodic grid
@@ -125,8 +98,11 @@ def mxiiib_system(S, a1, a2, b1, b2):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    rhs, phi = mx_core("mxiiib", S.values, S.grid, a1, a2, b1, b2)
-    return VecField(S.grid, rhs), ScalarField(S.grid, phi)
+    sx = diff(s, g, "dx")
+    sy = diff(s, g, "dy")
+    raw = (a1 + b2) * triple(s, sx, sy)
+    phi = poisson_solve(raw - raw.mean(), g)
+    return _flow(s, g, sx, sy, *phi_drift("mxiiib", phi, g), a1, a2, b1, b2), phi
 
 
 def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
@@ -141,21 +117,21 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     kind = kind.lower()
     if kind not in STATIONARY_KINDS:
         raise ValueError(f"unknown stationary kind {kind!r}")
-    g = S.grid
+    g, s = S.grid, S.values
     zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
 
     if kind == "hf":
-        return ResidualReport(hf_rhs(S), zeros)
+        return ResidualReport(VecField(g, hf_rhs(s, g)), zeros)
     if kind == "lle":
-        return ResidualReport(lle_rhs(S), zeros)
+        return ResidualReport(VecField(g, lle_rhs(s, g)), zeros)
     if kind == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii stationary residual needs a coefficient set")
-        return ResidualReport(*mxiii_rhs(S, coeffs))
+        rhs, constraint = mxiii_rhs(s, g, coeffs)
+        return ResidualReport(VecField(g, rhs), ScalarField(g, constraint))
 
-    s = S.values
-    sx = stencil(s, g, "dx")
-    sy = stencil(s, g, "dy")
+    sx = diff(s, g, "dx")
+    sy = diff(s, g, "dy")
     trip = triple(s, sx, sy)
 
     if kind == "ishimori":
@@ -163,11 +139,12 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
             raise ValueError("ishimori stationary residual needs phi and alpha")
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
-        inner = stencil(s, g, "dxx") + alpha ** 2 * stencil(s, g, "dyy")
+        inner = diff(s, g, "dxx") + alpha ** 2 * diff(s, g, "dyy")
+        p, pg = phi.values, phi.grid
         vec = (cross(s, inner)
-               + diff(phi, "dx").values[..., None] * sy
-               + diff(phi, "dy").values[..., None] * sx)
-        scal = (alpha ** 2 * diff(phi, "dyy").values - diff(phi, "dxx").values
+               + diff(p, pg, "dx")[..., None] * sy
+               + diff(p, pg, "dy")[..., None] * sx)
+        scal = (alpha ** 2 * diff(p, pg, "dyy") - diff(p, pg, "dxx")
                 - alpha ** 2 * trip)
         return ResidualReport(VecField(g, vec), ScalarField(g, scal))
 
@@ -177,8 +154,8 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     b1, b2 = coeffs.value("b1"), coeffs.value("b2")
     vec = _flow(s, g, sx, sy, *phi_drift(kind, phi.values, phi.grid), a1, a2, b1, b2)
     if kind == "mxiiia":
-        scal = diff(phi, "dxy").values - 0.5 * (a1 + b2) * trip
+        scal = diff(phi.values, phi.grid, "dxy") - 0.5 * (a1 + b2) * trip
     else:
-        scal = (diff(phi, "dxx").values + diff(phi, "dyy").values
+        scal = (diff(phi.values, phi.grid, "dxx") + diff(phi.values, phi.grid, "dyy")
                 - (a1 + b2) * trip)
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VecField, project_sphere
+from .fields import ScalarField, SpinField, VecField, norm, project_sphere
 
 
 def smooth_scalar(grid, seed=0, modes=3, amplitude=1.0):
@@ -38,7 +38,7 @@ def smooth_spin(grid, seed=0, modes=3, tilt=0.5):
     """
     v = smooth_vec(grid, seed=seed, modes=modes, amplitude=tilt).values.copy()
     v[..., 2] += 2.0
-    return project_sphere(VecField(grid, v))
+    return SpinField(grid, project_sphere(v, norm(v)))
 
 
 def equator_spin(grid, a=1.0, b=0.0):
@@ -46,4 +46,4 @@ def equator_spin(grid, a=1.0, b=0.0):
     x, y = grid.meshgrid()
     theta = a * x + b * y
     s = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
-    return project_sphere(VecField(grid, s))
+    return SpinField(grid, project_sphere(s, norm(s)))

@@ -154,6 +154,6 @@ def vector_zc_residual(R1, R2):
     g = same_grid(R1, R2)
     if g.is_1d:
         raise GridTooSmall("vector zero-curvature residual needs a 2-D grid")
-    resid = (diff(R1, "dy").values - diff(R2, "dx").values
+    resid = (diff(R1.values, g, "dy") - diff(R2.values, g, "dx")
              + 2.0 * cross(R1.values, R2.values))
     return VecField(g, resid), float(np.linalg.norm(resid, axis=-1).max())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, EvolveOptions, Grid,
-                      MEState, ScalarField, SpinField, UnimplementedModel,
+                      ScalarField, SpinField, UnimplementedModel,
                       build_C, classical_coeffs, constant_field, cross, diff,
                       evolve, evolution_model, fileio, hasimoto, me_spin_rhs,
                       mf_tangents, mixed_integrate, n_system_residual,
@@ -40,7 +40,7 @@ def test_1_compatibility_matches_curl_oracle():
             ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5"),
             rng.uniform(-2, 2, 10))))
         rx, ry = mf_tangents(S, c)
-        curl = diff(rx, "dy").values - diff(ry, "dx").values
+        curl = diff(rx.values, g, "dy") - diff(ry.values, g, "dx")
         rep = n_system_residual(S, c)
         worst = max(worst, np.abs(rep.vector_residual.values - curl).max())
     assert worst <= CURL_MATCH_TOL
@@ -122,8 +122,8 @@ def test_5_poisson_and_mixed_solvers():
     k = 2 * np.pi / (g.nx * g.dx)
     el = 2 * np.pi / (g.ny * g.dy)
     rhs = ScalarField(g, -(k ** 2 + el ** 2) * np.sin(k * x) * np.sin(el * y))
-    phi = poisson_solve(rhs)
-    lap = diff(phi, "dxx").values + diff(phi, "dyy").values
+    phi = poisson_solve(rhs.values, g)
+    lap = diff(phi, g, "dxx") + diff(phi, g, "dyy")
     assert np.abs(lap - rhs.values).max() <= POISSON_TOL
 
     errs = []
@@ -131,8 +131,8 @@ def test_5_poisson_and_mixed_solvers():
         gc = Grid(n, n, 4.0 / (n - 1), 4.0 / (n - 1), CLAMPED)
         xc, yc = gc.meshgrid()
         f = ScalarField(gc, np.sin(xc) * np.cos(0.7 * yc))
-        phi = mixed_integrate(f)
-        errs.append(np.abs(diff(phi, "dxy").values - f.values).max())
+        phi = mixed_integrate(f.values, gc)
+        errs.append(np.abs(diff(phi, gc, "dxy") - f.values).max())
     assert RATIO_WINDOW[0] < errs[0] / errs[1] < RATIO_WINDOW[1]
 
 
@@ -149,9 +149,9 @@ def test_6_catalog_oracle_equivalence():
         for seed in range(100):
             S = synth.smooth_spin(g, seed=seed)
             u = synth.smooth_scalar(g, seed=5000 + seed)
-            state = MEState(S, u)
-            d = np.abs(me_spin_rhs(spec, state).values
-                       - pauli_oracle_rhs(spec, state).values).max()
+            state = (S.values, u.values, g)
+            d = np.abs(me_spin_rhs(spec, *state)
+                       - pauli_oracle_rhs(spec, *state)).max()
             worst = max(worst, d)
     assert worst <= ORACLE_TOL
 
@@ -162,10 +162,10 @@ def test_6_catalog_oracle_equivalence():
     for name in ("M-LXIX", "M-V"):
         spec = catalog_lookup(name)
         assert not spec.implemented and spec.reason
-        state = MEState(synth.smooth_spin(g, seed=0),
-                        synth.smooth_scalar(g, seed=1))
+        state = (synth.smooth_spin(g, seed=0).values,
+                 synth.smooth_scalar(g, seed=1).values, g)
         with pytest.raises(UnimplementedModel):
-            me_spin_rhs(spec, state)
+            me_spin_rhs(spec, *state)
 
 
 def test_7_nlse_pipeline():

@@ -123,6 +123,29 @@ def _flat_normals(tmp_path):
             "--output", str(tmp_path / "m.obj")]
 
 
+def _spin(tmp_path):
+    """Path of a valid 8x6 spin field file."""
+    path = tmp_path / "S.csv"
+    write_spin(path, Grid(8, 6, 0.25, 0.25, "clamped"), seed=3)
+    return str(path)
+
+
+def _initial(tmp_path, *flags):
+    """simulate argv on a valid 1-D spin field file (nx=16, dx=0.1, periodic)."""
+    path = tmp_path / "s1d.csv"
+    write_spin(path, Grid(16, 1, 0.1, 1.0, "periodic"), seed=2)
+    return ["simulate", "--model", "hf", "--initial", str(path), "--dt", "1e-4",
+            "--steps", "1", "--output", str(tmp_path / "run"), *flags]
+
+
+def _external_u(tmp_path, model, u):
+    """simulate argv on a 16-node 1-D grid with u written as --external-u."""
+    path = tmp_path / "u.csv"
+    fileio.write_field(path, u(Grid(16, 1, 0.2, 1.0, "periodic")))
+    return _simulate(tmp_path, "--model", model, "--nx", "16", "--dx", "0.2",
+                     "--dt", "1e-5", "--external-u", str(path))
+
+
 def _huge_curve(lines):
     """Curve rows with k = tau = 1e200, whose NLSE residual overflows."""
     return lines[:2] + [",".join(ln.split(",")[:2] + ["1e200", "1e200"])
@@ -171,6 +194,20 @@ FAILURES = [
     ("param-nan", 2, lambda d: _simulate(
         d, "--model", "mxiiib", "--nx", "16", "--ny", "16", "--dx", "0.2",
         "--dy", "0.2", "--dt", "1e-4", "--param", "a1=nan")),
+    ("reconstruct-overflowing-tangents", 3, lambda d: [
+        "reconstruct", "--input", _spin(d), "--coeffs", "lelieuvre",
+        "--param", "rho=1e308", "--output", str(d / "m.obj")]),
+    ("check-overflowing-residual", 3, lambda d: [
+        "check", "--model", "mxiii", "--input", _spin(d), "--param", "a1=1e308",
+        "--param", "a2=1e308", "--output", str(d / "r.json")]),
+    ("initial-conflicting-dx", 2, lambda d: _initial(d, "--dx", "0.5")),
+    ("initial-conflicting-dy", 2, lambda d: _initial(d, "--dy", "0.5")),
+    ("initial-conflicting-ny", 2, lambda d: _initial(d, "--ny", "5")),
+    ("initial-conflicting-boundary", 2, lambda d: _initial(d, "--boundary", "clamped")),
+    ("external-u-vector-field", 2, lambda d: _external_u(
+        d, "m-lvii", lambda g: synth.smooth_spin(g, seed=1))),
+    ("external-u-for-hf", 2, lambda d: _external_u(
+        d, "hf", lambda g: constant_field(g, 0.5))),
 ]
 
 

@@ -3,7 +3,7 @@
 The stencils are compared bit for bit with the np.roll / np.moveaxis
 formulation written out below, the cumulative trapezoid with an explicit
 accumulation loop, and `evolve` with a plain RK4 loop that steps through
-the public field API. Bitwise equality is the contract: the
+the public right-hand sides. Bitwise equality is the contract: the
 array core reorders no floating-point operation.
 """
 
@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinsurf import (Blowup, EvolveOptions, Grid, MEState, NearZeroNorm,
-                      ScalarField, SpinField, VecField, catalog_lookup,
-                      classical_coeffs, diff, evolve, evolution_model, hf_rhs,
-                      lle_rhs, me_phonon_rhs, me_spin_rhs, mxiiia_system,
-                      mxiiib_system, project_sphere, rk4_step,
-                      stationary_residual, synth)
+from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
+                      SpinField, VecField, catalog_lookup, classical_coeffs,
+                      diff, evolve, evolution_model, hf_rhs, lle_rhs,
+                      me_phonon_rhs, me_spin_rhs, mxiiia_system, mxiiib_system,
+                      norm, project_sphere, rk4_step, stationary_residual,
+                      synth)
 from spinsurf import fields
 from spinsurf.evolve import EvolutionModel
-from spinsurf.fields import SPIN_NORM_TOL, is_unit, stencil
+from spinsurf.fields import SPIN_NORM_TOL, is_unit
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,9 @@ def test_stencils_bitwise_equal_roll_reference(case, which):
     ref, axis = REFERENCE[which]
     h = grid.dx if axis == 1 else grid.dy
     want = ref(a, h, axis, grid.periodic)
-    assert np.array_equal(stencil(a, grid, which), want)
+    assert np.array_equal(diff(a, grid, which), want)
     field = (ScalarField if a.ndim == 2 else VecField)(grid, a)
-    assert np.array_equal(diff(field, which).values, want)
+    assert np.array_equal(diff(field.values, field.grid, which), want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,17 +84,17 @@ def test_stencils_bitwise_equal_roll_reference(case, which):
 def test_composed_stencils_bitwise(case):
     grid, a = case
     h, p = grid.dx, grid.periodic
-    assert np.array_equal(stencil(a, grid, "dxy"),
+    assert np.array_equal(diff(a, grid, "dxy"),
                           ref_d1(ref_d1(a, grid.dx, 1, p), grid.dy, 0, p))
     if grid.nx >= 5:
-        assert np.array_equal(stencil(a, grid, "dxxxx"),
+        assert np.array_equal(diff(a, grid, "dxxxx"),
                               ref_d2(ref_d2(a, h, 1, p), h, 1, p))
 
 
 def test_stencil_leaves_input_untouched():
     a = np.arange(30.0).reshape(5, 6)
     a.flags.writeable = False
-    stencil(a, Grid(6, 5, 0.5, 0.5, "periodic"), "dyy")
+    diff(a, Grid(6, 5, 0.5, 0.5, "periodic"), "dyy")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +132,11 @@ def test_cumtrapz_of_linear_integrand_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# evolve against a reference RK4 loop on the field API
+# evolve against a reference RK4 loop on the public right-hand sides
 
 def reference_run(grid, rhs, state, dt, steps, every):
-    """The classical RK4 step with per-step sphere projection, every stage
-    wrapped in field objects; returns the states at the snapshot steps."""
+    """The classical RK4 step with per-step sphere projection, each projected
+    state admitted as a SpinField; returns the states at the snapshot steps."""
     def shifted(k, h):
         return {n: state[n] + h * k[n] for n in state}
 
@@ -148,7 +148,7 @@ def reference_run(grid, rhs, state, dt, steps, every):
         k4 = rhs(shifted(k3, dt))
         state = {n: state[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
                  for n in state}
-        state["S"] = project_sphere(VecField(grid, state["S"])).values
+        state["S"] = SpinField(grid, project_sphere(state["S"], norm(state["S"]))).values
         if step % every == 0:
             out.append(dict(state))
     return out
@@ -156,8 +156,8 @@ def reference_run(grid, rhs, state, dt, steps, every):
 
 def me_reference(spec, grid):
     def rhs(st):
-        me = MEState(VecField(grid, st["S"]), ScalarField(grid, st["u"]))
-        return {"S": me_spin_rhs(spec, me).values, "u": me_phonon_rhs(spec, me)[0].values}
+        return {"S": me_spin_rhs(spec, st["S"], st["u"], grid),
+                "u": me_phonon_rhs(spec, st["S"], st["u"], None, grid)[0]}
     return rhs
 
 
@@ -165,11 +165,10 @@ G1 = Grid(32, 1, 0.2, 1.0, "periodic")
 G2 = Grid(16, 16, 0.25, 0.25, "periodic")
 
 FLOWS = {
-    "hf": (G1, lambda st: {"S": hf_rhs(VecField(G1, st["S"])).values}),
+    "hf": (G1, lambda st: {"S": hf_rhs(st["S"], G1)}),
     "m-xxxiv": (G1, me_reference(catalog_lookup("m-xxxiv"), G1)),
-    "lle": (G2, lambda st: {"S": lle_rhs(VecField(G2, st["S"])).values}),
-    "mxiiib": (G2, lambda st: {
-        "S": mxiiib_system(VecField(G2, st["S"]), 1.0, 1.0, 1.0, 1.0)[0].values}),
+    "lle": (G2, lambda st: {"S": lle_rhs(st["S"], G2)}),
+    "mxiiib": (G2, lambda st: {"S": mxiiib_system(st["S"], G2, 1.0, 1.0, 1.0, 1.0)[0]}),
 }
 
 
@@ -189,8 +188,8 @@ def test_evolve_bitwise_equal_field_api_loop(name):
         for key in ref:
             assert np.array_equal(snap[key].values, ref[key])
     if name == "mxiiib":
-        phi = mxiiib_system(traj.snapshots[-1]["S"], 1.0, 1.0, 1.0, 1.0)[1]
-        assert np.array_equal(traj.snapshots[-1]["phi"].values, phi.values)
+        phi = mxiiib_system(traj.snapshots[-1]["S"].values, grid, 1.0, 1.0, 1.0, 1.0)[1]
+        assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
 
 
 def test_field_constructions_do_not_scale_with_steps(monkeypatch):
@@ -216,11 +215,12 @@ def test_stationary_residual_reuses_flow_formula(kind):
     S = synth.smooth_spin(grid, seed=9)
     ab = (0.7, 1.1, -0.4, 0.3)
     system = mxiiia_system if kind == "mxiiia" else mxiiib_system
-    rhs, phi = system(S, *ab)
+    rhs, phi = system(S.values, grid, *ab)
+    phi = ScalarField(grid, phi)
     coeffs = classical_coeffs(kind, **dict(zip(("a1", "a2", "b1", "b2"), ab)),
                               a3=0.0, phi=phi)
     rep = stationary_residual(kind, S, phi=phi, coeffs=coeffs)
-    assert np.array_equal(rep.vector_residual.values, rhs.values)
+    assert np.array_equal(rep.vector_residual.values, rhs)
 
 
 # ---------------------------------------------------------------------------

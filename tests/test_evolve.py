@@ -92,6 +92,21 @@ class TestEvolve:
                               "w": np.zeros((1, g.nx))}, opts)
         assert "u" in traj.snapshots[-1]
 
+    @pytest.mark.parametrize("name", ["S", "u"])
+    def test_initial_shapes_checked_against_grid(self, name):
+        g = Grid(16, 1, 0.2, 1.0, "periodic")
+        initial = {"S": synth.smooth_spin(g, seed=1).values, "u": np.zeros((1, 16))}
+        initial[name] = np.concatenate([initial[name]] * 2)
+        with pytest.raises(ValueError, match=f"initial {name} has shape"):
+            evolve(evolution_model("m-xxxiv", g), initial,
+                   EvolveOptions(dt=1e-4, steps=1))
+
+    @pytest.mark.parametrize("name", ["hf", "mxiiib", "m-xxxiv", "m-lii"])
+    def test_external_u_only_for_0_type_models(self, name):
+        g = Grid(16, 16 if name == "mxiiib" else 1, 0.2, 0.2, "periodic")
+        with pytest.raises(ValueError, match="external displacement"):
+            evolution_model(name, g, external_u=constant_field(g, 0.1))
+
     def test_stability_bound_enforced(self, grid1d):
         model = evolution_model("hf", grid1d)
         with pytest.raises(SpinsurfError):

@@ -58,7 +58,7 @@ class TestMfTangents:
     def test_a3_selects_sx(self, grid2d):
         S = synth.smooth_spin(grid2d, seed=2)
         rx, ry = mf_tangents(S, CoefficientSet(a3=1.0))
-        assert np.array_equal(rx.values, diff(S, "dx").values)
+        assert np.array_equal(rx.values, diff(S.values, grid2d, "dx"))
         assert np.all(ry.values == 0.0)
 
     def test_linearity(self, grid2d, rng):
@@ -91,9 +91,25 @@ class TestNSystemResidual:
             ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5"),
             rng.uniform(-1, 1, 10))))
         rx, ry = mf_tangents(S, c)
-        curl = diff(rx, "dy").values - diff(ry, "dx").values
+        curl = diff(rx.values, grid2d, "dy") - diff(ry.values, grid2d, "dx")
         rep = n_system_residual(S, c)
         assert np.abs(rep.vector_residual.values - curl).max() < 1e-12
+
+
+    @pytest.mark.parametrize("nx, ny, dx, dy, m, n", [
+        (32, 24, 0.2, 0.25, 1, 1), (64, 40, 0.1, 0.15, 2, 3), (16, 16, 0.3, 0.3, 1, 2)])
+    def test_hf_equator_closed_form(self, nx, ny, dx, dy, m, n):
+        # S = (cos t, sin t, 0), t = a x + b y, periodic. With the HF
+        # coefficients r_x = S and r_y = S ^ S_x = (sin(a dx)/dx) e3 is
+        # constant, so the curl dy(r_x) - dx(r_y) is the central difference
+        # dy(S) = (sin(b dy)/dy)(-sin t, cos t, 0); every scalar term has a
+        # zero coefficient.
+        g = Grid(nx, ny, dx, dy, PERIODIC)
+        a, b = 2 * np.pi * m / (nx * dx), 2 * np.pi * n / (ny * dy)
+        rep = n_system_residual(synth.equator_spin(g, a, b), classical_coeffs("hf"))
+        exact = abs(np.sin(b * dy)) / dy
+        assert abs(rep.vector_max - exact) <= 1e-12 * exact
+        assert rep.scalar_max == 0.0
 
 
 class TestReconstructSurface:

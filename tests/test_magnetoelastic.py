@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsurf import (Grid, MEState, PhononAbsent, ScalarField, SpinField,
+from spinsurf import (Grid, PhononAbsent, ScalarField, SpinField,
                       UnimplementedModel, UnknownModel, catalog_lookup,
                       catalog_names, constant_field, cross, diff, dot,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
@@ -18,11 +18,11 @@ def pole(grid):
                                            (grid.ny, grid.nx, 3)).copy())
 
 
-def random_state(grid, seed, with_w=False):
+def random_state(grid, seed):
+    """(s, u, grid): the spin and displacement arrays of a random state."""
     S = synth.smooth_spin(grid, seed=seed)
     u = synth.smooth_scalar(grid, seed=seed + 1000)
-    w = synth.smooth_scalar(grid, seed=seed + 2000) if with_w else None
-    return MEState(S, u, w)
+    return S.values, u.values, grid
 
 
 class TestCatalog:
@@ -47,7 +47,7 @@ class TestCatalog:
         assert not spec.implemented
         assert len(spec.reason) > 10
         with pytest.raises(UnimplementedModel):
-            me_spin_rhs(spec, random_state(grid1d, 0))
+            me_spin_rhs(spec, *random_state(grid1d, 0))
 
     def test_names_sorted_by_registry(self):
         assert list(catalog_names()) == list(_REGISTRY)
@@ -61,50 +61,50 @@ class TestCatalog:
 class TestSpinRhs:
     @pytest.mark.parametrize("family,name", sorted(FAMILY_EXAMPLES.items()))
     def test_constant_state_zero(self, grid1d, family, name):
-        state = MEState(pole(grid1d), constant_field(grid1d, 0.7))
-        out = me_spin_rhs(catalog_lookup(name), state)
-        assert np.all(out.values == 0.0)
+        state = (pole(grid1d).values, constant_field(grid1d, 0.7).values, grid1d)
+        out = me_spin_rhs(catalog_lookup(name), *state)
+        assert np.all(out == 0.0)
 
     def test_family_e_equator_analytic(self):
         n, k, c = 256, 1.0, 0.8
         g = Grid(n, 1, 2 * np.pi / n, 1.0, "periodic")
         S = synth.equator_spin(g, a=k)
-        state = MEState(S, constant_field(g, c))
-        out = me_spin_rhs(catalog_lookup("M-LIII"), state)
+        state = (S.values, constant_field(g, c).values, g)
+        out = me_spin_rhs(catalog_lookup("M-LIII"), *state)
         theta = k * g.x()
         expect = c * k * np.stack([-np.sin(theta), np.cos(theta),
                                    np.zeros(n)], axis=-1)
-        assert np.abs(out.values[0] - expect).max() < 2e-3
+        assert np.abs(out[0] - expect).max() < 2e-3
 
     @pytest.mark.parametrize("family,name", sorted(FAMILY_EXAMPLES.items()))
     def test_matches_pauli_oracle(self, grid1d, family, name):
         spec = catalog_lookup(name)
         for seed in range(5):
             state = random_state(grid1d, seed)
-            vec = me_spin_rhs(spec, state).values
-            mat = pauli_oracle_rhs(spec, state).values
+            vec = me_spin_rhs(spec, *state)
+            mat = pauli_oracle_rhs(spec, *state)
             assert np.abs(vec - mat).max() <= 1e-12
 
 
 class TestPhononRhs:
     def test_wave_constant_state(self, grid1d):
-        state = MEState(pole(grid1d), constant_field(grid1d, 0.3),
-                        constant_field(grid1d, 0.0))
-        du, dw = me_phonon_rhs(catalog_lookup("M-LII"), state)
-        assert np.all(du.values == 0.0)
-        assert np.all(dw.values == 0.0)
+        du, dw = me_phonon_rhs(catalog_lookup("M-LII"), pole(grid1d).values,
+                               constant_field(grid1d, 0.3).values,
+                               constant_field(grid1d, 0.0).values, grid1d)
+        assert np.all(du == 0.0)
+        assert np.all(dw == 0.0)
 
     def test_advection_pure_transport(self, grid1d):
         u = synth.smooth_scalar(grid1d, seed=9)
-        state = MEState(pole(grid1d), u)
-        du, dw = me_phonon_rhs(catalog_lookup("M-L"), state)
+        du, dw = me_phonon_rhs(catalog_lookup("M-L"), pole(grid1d).values, u.values,
+                               None, grid1d)
         assert dw is None
-        assert np.abs(du.values + diff(u, "dx").values).max() < 1e-14
+        assert np.abs(du + diff(u.values, grid1d, "dx")).max() < 1e-14
 
     def test_none_type_has_no_phonon(self, grid1d):
-        state = MEState(pole(grid1d), constant_field(grid1d, 0.0))
         with pytest.raises(PhononAbsent):
-            me_phonon_rhs(catalog_lookup("M-LVII"), state)
+            me_phonon_rhs(catalog_lookup("M-LVII"), pole(grid1d).values,
+                          constant_field(grid1d, 0.0).values, None, grid1d)
 
     def test_kdv_travelling_wave_residual(self):
         # u_t + u_x + alpha (u^2)_x + beta u_xxx = 0 (lam = 0) admits
@@ -118,10 +118,10 @@ class TestPhononRhs:
             g = Grid(n, 1, L / n, 1.0, "periodic")
             x = g.x() - L / 2
             prof = 6.0 * kk ** 2 / np.cosh(kk * x) ** 2
-            state = MEState(pole(g), ScalarField(g, prof[None, :]))
-            du, _ = me_phonon_rhs(spec, state)
+            du, _ = me_phonon_rhs(spec, pole(g).values,
+                                  ScalarField(g, prof[None, :]).values, None, g)
             ut_exact = c * 12.0 * kk ** 3 * np.tanh(kk * x) / np.cosh(kk * x) ** 2
-            errs.append(np.abs(du.values[0] - ut_exact).max())
+            errs.append(np.abs(du[0] - ut_exact).max())
         assert 3.3 < errs[0] / errs[1] < 4.7
 
 
@@ -136,9 +136,9 @@ class TestPauliOracle:
         assert np.abs(_to_vector(_to_matrix(v)) - v).max() < 1e-14
 
     def test_constant_state_zero(self, grid1d):
-        state = MEState(pole(grid1d), constant_field(grid1d, 1.3))
-        out = pauli_oracle_rhs(catalog_lookup("M-LVI"), state)
-        assert np.abs(out.values).max() < 1e-15
+        state = (pole(grid1d).values, constant_field(grid1d, 1.3).values, grid1d)
+        out = pauli_oracle_rhs(catalog_lookup("M-LVI"), *state)
+        assert np.abs(out).max() < 1e-15
 
 
 class TestRegistryShape:
@@ -149,5 +149,5 @@ class TestRegistryShape:
     def test_every_implemented_entry_is_usable(self, grid1d):
         state = random_state(grid1d, 3)
         for name in IMPLEMENTED:
-            out = me_spin_rhs(catalog_lookup(name), state)
-            assert np.all(np.isfinite(out.values))
+            out = me_spin_rhs(catalog_lookup(name), *state)
+            assert np.all(np.isfinite(out))
