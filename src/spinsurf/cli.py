@@ -17,14 +17,11 @@ import numpy as np
 from . import fileio, synth
 from .errors import ConfigError, SpinsurfError, UnknownModel
 from .fields import CLAMPED, Grid, ScalarField, SpinField
-from .geometry import (COEFF_NAMES, CoefficientSet, classical_coeffs,
-                       reconstruct_surface, unit_normal)
+from .geometry import classical_coeffs, reconstruct_surface, unit_normal
 from .magnetoelastic import _REGISTRY, catalog_lookup
-from .models import STATIONARY_KINDS, stationary_residual
+from .models import PHI_KINDS, STATIONARY_KINDS, section_args, stationary_residual
 from .evolve import EvolveOptions, evolution_model, evolve
 from .zerocurv import build_C, hasimoto, nlse_residual, solve_D, zc_residual
-
-SECTION_MODELS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
 
 # key -> (type, help); the single source of truth for config validation
 _GRID_KEYS = {
@@ -190,23 +187,12 @@ def cmd_simulate(cfg):
         grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
                     cfg.get("dy", 1.0), cfg.require("boundary"))
         S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
-    params = dict(cfg.params)
-
-    coeffs = None
-    if name == "mxiii":
-        a3 = params.pop("a3", 0.0)
-        coeffs = CoefficientSet(
-            a1=params.pop("a1", 0.0), a2=params.pop("a2", 1.0),
-            b1=params.pop("b1", 0.0), b2=params.pop("b2", 0.0),
-            a3=a3, b4=a3,
-            a5=params.pop("a5", 0.0), b5=params.pop("b5", 0.0))
     external_u = None
     if cfg.get("external_u"):
         external_u = fileio.read_field(cfg.get("external_u"))
         if not isinstance(external_u, ScalarField):
             raise ConfigError("external_u file must hold a scalar field")
-    model = evolution_model(name, grid, coeffs=coeffs, params=params,
-                            external_u=external_u)
+    model = evolution_model(name, grid, params=cfg.params, external_u=external_u)
 
     opts = EvolveOptions(dt=cfg.require("dt"), steps=cfg.require("steps"),
                          renormalize=cfg.get("renormalize", True),
@@ -250,23 +236,18 @@ def cmd_check(cfg):
     kind = cfg.require("model").lower()
     if kind not in STATIONARY_KINDS:
         raise UnknownModel(f"unknown stationary kind {kind!r}")
+    if cfg.get("phi") and kind not in PHI_KINDS:
+        raise ConfigError(f"{kind} reads no potential; drop --phi")
     S = _require_spin(fileio.read_field(cfg.require("input")), cfg.get("input"))
     phi = fileio.read_field(cfg.get("phi")) if cfg.get("phi") else None
     if phi is not None and not isinstance(phi, ScalarField):
         raise ConfigError("phi file must hold a scalar field")
-    params = dict(cfg.params)
-    alpha = params.pop("alpha", None) if kind == "ishimori" else None
-    coeffs = None
     notes = []
-    if kind in ("mxiii", "mxiiia", "mxiiib"):
-        coeffs = CoefficientSet(**{k: params.pop(k) for k in list(params)
-                                   if k in COEFF_NAMES})
+    if kind.startswith("mxiii") or kind == "ishimori":
         notes.append("triple-orientation:S.(Sx^Sy)")
     if kind == "ishimori":
-        notes.append("triple-orientation:S.(Sx^Sy)")
         notes.append("drift-pairing:phi_x*S_y+phi_y*S_x")
-    _reject_unused(params)
-    rr = stationary_residual(kind, S, phi=phi, coeffs=coeffs, alpha=alpha)
+    rr = stationary_residual(kind, S, phi=phi, **section_args(kind, cfg.params))
     out = cfg.get("output", "report.json")
     fileio.report(out, kind, S.grid, rr, notes=notes)
     print(f"vector residual max {rr.vector_max:.6e}  "
@@ -281,7 +262,7 @@ def cmd_catalog(cfg):
         for spec in _REGISTRY.values():
             print("\t".join([spec.name, spec.spin, spec.phonon, spec.source,
                              "true" if spec.implemented else "false"]))
-        for name in SECTION_MODELS:
+        for name in STATIONARY_KINDS:
             print("\t".join([name, "-", "-", "-", "true"]))
         return 0
     if action == "show":

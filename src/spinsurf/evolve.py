@@ -16,8 +16,9 @@ import numpy as np
 from .errors import Blowup, ConfigError, GridMismatch
 from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
                      project_sphere)
-from .magnetoelastic import catalog_lookup, me_phonon_rhs, me_spin_rhs
-from .models import hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system
+from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
+from .models import (STATIONARY_KINDS, hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system,
+                     mxiiib_system, section_args)
 
 
 @dataclass(frozen=True)
@@ -108,60 +109,49 @@ def diagnostics(S, drift=0.0, constraint=None):
 # ---------------------------------------------------------------------------
 # model construction
 
-def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
+def evolution_model(name, grid, params=None, external_u=None):
     """Build an EvolutionModel for a named flow on a given grid.
 
-    name: "hf", "lle", "mxiii" (needs coeffs), "mxiiia"/"mxiiib" (optional
-    params a1, a2, b1, b2, default 1), or any implemented magnetoelastic
-    catalog name. 0-type catalog models need external_u (a ScalarField,
-    held fixed over the run), and no other model takes one. params for
-    catalog models are forwarded to the coupling constants. Unused params
-    raise ValueError.
+    name: "hf", "lle", "mxiii", "mxiiia", "mxiiib", or any implemented
+    magnetoelastic catalog name. params are the constants its formulas read,
+    with defaults from `models.SECTION_PARAMS` or `magnetoelastic.FAMILIES`;
+    any other name raises ValueError. 0-type catalog models need external_u
+    (a ScalarField, held fixed over the run), and no other model takes one.
+    spatial_order, which sets the step bound, is the highest derivative order.
     """
     key = name.lower()
-    params = dict(params or {})
-    if external_u is not None and (key in ("hf", "lle", "mxiii", "mxiiia", "mxiiib")
+    params = params or {}
+    if external_u is not None and (key in STATIONARY_KINDS
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
-
-    if key in ("hf", "lle", "mxiii") and params:
-        raise ValueError(f"{key} takes no parameters, got {sorted(params)}")
-    if key in ("hf", "lle"):
-        flow = hf_rhs if key == "hf" else lle_rhs
+    c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
+    flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
+    if flow is not None:
         return EvolutionModel(key, lambda st: {"S": flow(st["S"], grid)}, grid)
     if key == "mxiii":
-        if coeffs is None:
-            raise ValueError("mxiii evolution needs a coefficient set")
-
         def rhs(st):
-            return {"S": mxiii_rhs(st["S"], grid, coeffs)[0]}
+            return {"S": mxiii_rhs(st["S"], grid, c)[0]}
 
         def constraint(st):
-            return float(np.abs(mxiii_rhs(st["S"], grid, coeffs)[1]).max())
+            return float(np.abs(mxiii_rhs(st["S"], grid, c)[1]).max())
 
         return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
 
-    if key in ("mxiiia", "mxiiib"):
-        ab = [params.pop(k, 1.0) for k in ("a1", "a2", "b1", "b2")]
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)}")
-        system = mxiiia_system if key == "mxiiia" else mxiiib_system
-
+    system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
+    if system is not None:
         def rhs(st):
-            return {"S": system(st["S"], grid, *ab)[0]}
+            return {"S": system(st["S"], grid, c.a1, c.a2, c.b1, c.b2)[0]}
 
         def phi_solver(st):
-            return ScalarField(grid, system(st["S"], grid, *ab)[1])
+            return ScalarField(grid, system(st["S"], grid, c.a1, c.a2, c.b1, c.b2)[1])
 
         return EvolutionModel(key, rhs, grid, phi_solver=phi_solver)
 
     # magnetoelastic catalog
-    spec = catalog_lookup(name)
+    spec = catalog_lookup(name).with_params(**params)
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
-    if params:
-        spec = spec.with_params(**params)
-    order = 4 if spec.spin == "D" or spec.phonon == "boussinesq" else 2
+    order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
 
     if spec.phonon == "none":
         if external_u is None:
@@ -187,17 +177,14 @@ def evolution_model(name, grid, coeffs=None, params=None, external_u=None):
 
 
 def pack_state(model, initial):
-    """Normalize an initial state (SpinField, or dict of fields or arrays) to
-    arrays, each checked against the shape that model.grid gives it."""
-    if isinstance(initial, SpinField):
-        initial = {"S": initial}
+    """Copy an initial state, a dict of arrays, to float arrays, each
+    checked against the shape that model.grid gives it."""
     missing = set(model.fields) - set(initial)
     if missing:
         raise ValueError(f"initial state is missing fields {sorted(missing)}")
     g, state = model.grid, {}
     for k in model.fields:
-        v = initial[k]
-        state[k] = np.array(v.values if hasattr(v, "values") else v, dtype=float)
+        state[k] = np.array(initial[k], dtype=float)
         want = (g.ny, g.nx, 3) if k == "S" else (g.ny, g.nx)
         if state[k].shape != want:
             raise ValueError(f"initial {k} has shape {state[k].shape}, expected {want}")
@@ -254,7 +241,7 @@ def evolve(model, initial, opts):
         drift_window = max(drift_window, float(np.abs(n - 1.0).max()))
         if opts.renormalize:
             state["S"] = project_sphere(state["S"], n)
-            if not is_unit(state["S"]):     # |S|^2 overflowed
+            if drift_window == np.inf:      # |S|^2 overflowed; S itself is finite
                 raise Blowup(step)
         if step % opts.snapshot_every == 0:
             record(step * opts.dt, drift_window)

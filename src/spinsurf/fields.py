@@ -214,7 +214,6 @@ def diff(a, grid, which):
     grids "dxxxx" is exactly the centered 5-point stencil
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     """
-    which = which.lower()
     if which == "dx":
         return _d1(a, grid.dx, 1, grid.periodic)
     if which == "dxx":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch
 from .fields import (ScalarField, SpinField, VecField, cmul, cross, cumtrapz,
-                     diff, dot, norm, same_grid, triple)
+                     diff, dot, norm, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -122,7 +122,7 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # classical coefficient embeddings
 
-def classical_coeffs(kind, grid=None, /, **params):
+def classical_coeffs(kind, /, **params):
     """Coefficient sets for the named classical tangent formulas.
 
     kind: "rodrigues" (rho1, rho2), "lelieuvre" (rho), "schief" (rho, mu),
@@ -230,7 +230,7 @@ def n_system_residual(N, c):
     and for a general N the same bracket with the additional N.N_x, N.N_y
     terms, divided by N.N.
     """
-    g = same_grid(N)
+    g = N.grid
     c.check_grid(g)
     r_x, r_y = mf_tangents(N, c)
     vec = VecField(g, diff(r_x.values, g, "dy") - diff(r_y.values, g, "dx"))

@@ -33,10 +33,13 @@ from .fields import cross, diff, dot
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
-# every coupling constant defaults to 1 so runs are reproducible without
-# any further input
-DEFAULT_PARAMS = {"mu": 1.0, "m": 1.0, "n": 1.0, "rho": 1.0, "nu0": 1.0,
-                  "alpha": 1.0, "beta": 1.0, "lam": 1.0}
+# family -> (the coupling constants its formula reads, its highest x-derivative);
+# every constant defaults to 1 so runs are reproducible without further input
+FAMILIES = {"A": ((), 2), "B": ((), 2), "C": (("mu", "m"), 2),
+            "D": (("mu", "m", "n"), 4), "E": ((), 2), "none": ((), 0),
+            "wave": (("nu0", "rho", "lam"), 2), "advection": (("lam",), 1),
+            "boussinesq": (("nu0", "rho", "lam", "alpha", "beta"), 4),
+            "kdv": (("lam", "alpha", "beta"), 3)}
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -52,12 +55,15 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def param(self, key):
-        return float(self.params.get(key, DEFAULT_PARAMS[key]))
+        return float(self.params.get(key, 1.0))
 
     def with_params(self, /, **params):
-        unknown = set(params) - set(DEFAULT_PARAMS)
-        if unknown:
-            raise ValueError(f"unknown parameters {sorted(unknown)}")
+        """This entry with coupling constants set; refuses any name it does not read."""
+        _check(self)
+        reads = FAMILIES[self.spin][0] + FAMILIES[self.phonon][0]
+        unread = set(params) - set(reads)
+        if unread:
+            raise ValueError(f"{self.name} reads only {list(reads)}, not {sorted(unread)}")
         return replace(self, params={**self.params, **params})
 
 

@@ -13,12 +13,33 @@ stationary residuals reuse them.
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridMismatch, GridTooSmall
 from .fields import ScalarField, VecField, cmul, cross, diff, triple
-from .geometry import ResidualReport, phi_drift
+from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
-STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
+# section model -> the parameters its formulas read and their defaults
+# (None: no default); M-XIII also has b4 = a3 and b3 = a4 = 0
+_AB = {"a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}
+SECTION_PARAMS = {"hf": {}, "lle": {},
+                  "mxiii": {"a1": 0.0, "a2": 1.0, "b1": 0.0, "b2": 0.0, "a3": 0.0,
+                            "a5": 0.0, "b5": 0.0},
+                  "mxiiia": _AB, "mxiiib": _AB, "ishimori": {"alpha": None}}
+STATIONARY_KINDS = tuple(SECTION_PARAMS)
+PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
+
+
+def section_args(kind, params):
+    """`stationary_residual`'s coeffs/alpha from a section model's named
+    parameters and their defaults; a name it does not read raises ValueError."""
+    table = SECTION_PARAMS[kind]
+    unread = set(params) - set(table)
+    if unread:
+        raise ValueError(f"{kind} reads only {list(table)}, not {sorted(unread)}")
+    p = {**table, **params}
+    if not p or kind == "ishimori":
+        return p
+    return {"coeffs": CoefficientSet(b4=p.get("a3", 0.0), **p)}
 
 
 def hf_rhs(s, g):
@@ -72,18 +93,18 @@ def mxiii_rhs(s, g, c):
     return rhs, constraint * np.ones((g.ny, g.nx))
 
 
-def mxiiia_system(s, g, a1, a2, b1, b2, phi_row=None, phi_col=None):
+def mxiiia_system(s, g, a1, a2, b1, b2):
     """M-XIIIA right-hand side with its potential.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
-    quadrature on a clamped grid, gauged to the prescribed (default zero)
-    values on the seed row and column. The flow is
+    quadrature on a clamped grid, gauged to zero on the seed row and
+    column. The flow is
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
     sx = diff(s, g, "dx")
     sy = diff(s, g, "dy")
-    phi = mixed_integrate(0.5 * (a1 + b2) * triple(s, sx, sy), g, phi_row, phi_col)
+    phi = mixed_integrate(0.5 * (a1 + b2) * triple(s, sx, sy), g)
     return _flow(s, g, sx, sy, *phi_drift("mxiiia", phi, g), a1, a2, b1, b2), phi
 
 
@@ -110,14 +131,17 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
 
     kind: "hf", "lle", "mxiii" (needs coeffs), "mxiiia"/"mxiiib" (need
     coeffs for a1, a2, b1, b2 and the potential phi), or "ishimori"
-    (needs phi and alpha != 0). The vector part is the stationary
-    equation's left-hand side; the scalar part is the potential/
-    coefficient constraint written as LHS - RHS.
+    (needs phi and alpha != 0); `section_args` builds coeffs and alpha
+    from named parameters, and phi must live on S's grid. The vector part
+    is the stationary equation's left-hand side; the scalar part is the
+    potential/coefficient constraint written as LHS - RHS.
     """
     kind = kind.lower()
     if kind not in STATIONARY_KINDS:
         raise ValueError(f"unknown stationary kind {kind!r}")
     g, s = S.grid, S.values
+    if phi is not None and phi.grid != g:
+        raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
     zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
 
     if kind == "hf":
@@ -140,11 +164,11 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
         inner = diff(s, g, "dxx") + alpha ** 2 * diff(s, g, "dyy")
-        p, pg = phi.values, phi.grid
+        p = phi.values
         vec = (cross(s, inner)
-               + diff(p, pg, "dx")[..., None] * sy
-               + diff(p, pg, "dy")[..., None] * sx)
-        scal = (alpha ** 2 * diff(p, pg, "dyy") - diff(p, pg, "dxx")
+               + diff(p, g, "dx")[..., None] * sy
+               + diff(p, g, "dy")[..., None] * sx)
+        scal = (alpha ** 2 * diff(p, g, "dyy") - diff(p, g, "dxx")
                 - alpha ** 2 * trip)
         return ResidualReport(VecField(g, vec), ScalarField(g, scal))
 
@@ -152,10 +176,10 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         raise ValueError(f"{kind} stationary residual needs coeffs and phi")
     a1, a2 = coeffs.value("a1"), coeffs.value("a2")
     b1, b2 = coeffs.value("b1"), coeffs.value("b2")
-    vec = _flow(s, g, sx, sy, *phi_drift(kind, phi.values, phi.grid), a1, a2, b1, b2)
+    vec = _flow(s, g, sx, sy, *phi_drift(kind, phi.values, g), a1, a2, b1, b2)
     if kind == "mxiiia":
-        scal = diff(phi.values, phi.grid, "dxy") - 0.5 * (a1 + b2) * trip
+        scal = diff(phi.values, g, "dxy") - 0.5 * (a1 + b2) * trip
     else:
-        scal = (diff(phi.values, phi.grid, "dxx") + diff(phi.values, phi.grid, "dyy")
+        scal = (diff(phi.values, g, "dxx") + diff(phi.values, g, "dyy")
                 - (a1 + b2) * trip)
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinsurf import ConfigError, Grid, constant_field, fileio, synth
 from spinsurf.cli import main, parse_config
+from spinsurf import ResidualReport, ScalarField, VecField, evolution_model
 
 
 def write_spin(path, grid, seed=0):
@@ -130,6 +131,18 @@ def _spin(tmp_path):
     return str(path)
 
 
+def _check_phi(tmp_path, model, phi_grid, *flags):
+    """check argv for model on the valid 8x6 spin field file (dx = dy = 0.25)
+    with a potential file on phi_grid."""
+    path = tmp_path / "phi.csv"
+    fileio.write_field(path, synth.smooth_scalar(phi_grid, seed=4))
+    return ["check", "--model", model, "--input", _spin(tmp_path), "--phi", str(path),
+            "--output", str(tmp_path / "r.json"), *flags]
+
+
+PHI_GRID = Grid(8, 6, 0.25, 0.25, "clamped")
+
+
 def _initial(tmp_path, *flags):
     """simulate argv on a valid 1-D spin field file (nx=16, dx=0.1, periodic)."""
     path = tmp_path / "s1d.csv"
@@ -208,6 +221,19 @@ FAILURES = [
         d, "m-lvii", lambda g: synth.smooth_spin(g, seed=1))),
     ("external-u-for-hf", 2, lambda d: _external_u(
         d, "hf", lambda g: constant_field(g, 0.5))),
+    ("param-not-read-by-catalog-model", 2, lambda d: _simulate(
+        d, "--model", "m-xxxiv", "--nx", "16", "--dx", "0.2", "--dt", "1e-5",
+        "--param", "mu=5")),
+    ("check-param-not-read", 2, lambda d: _check_phi(
+        d, "mxiiib", PHI_GRID, "--param", "a5=3")),
+    ("check-phi-for-hf", 2, lambda d: _check_phi(d, "hf", PHI_GRID)),
+    ("kdv-dt-above-h3-bound", 2, lambda d: _simulate(
+        d, "--model", "m-xlix", "--nx", "128", "--dx", "0.1", "--dt", "0.002",
+        "--steps", "100")),
+    ("check-phi-other-nx", 2, lambda d: _check_phi(
+        d, "ishimori", Grid(10, 6, 0.25, 0.25, "clamped"), "--param", "alpha=1")),
+    ("check-phi-other-spacing", 2, lambda d: _check_phi(
+        d, "ishimori", Grid(8, 6, 0.5, 0.5, "clamped"), "--param", "alpha=1")),
 ]
 
 
@@ -219,6 +245,36 @@ def test_failure_exit_code_and_one_line(tmp_path, capsys, expected, argv_of):
     assert rc == expected
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_kdv_bound_is_named_h3(tmp_path, capsys):
+    # 100 steps: at the h^2 bound this run passed the check and blew up at step 16
+    assert main(_simulate(tmp_path, "--model", "m-xlix", "--nx", "128", "--dx", "0.1",
+                          "--dt", "0.002", "--steps", "100")) == 2
+    assert "0.2 * h^3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["mxiii", "mxiiia", "mxiiib"])
+def test_check_and_simulate_share_defaults(tmp_path, capsys, kind):
+    """With no --param, check's vector residual is the right-hand side that
+    simulate's model evaluates on the same field (mxiiia/b with the flow's
+    own potential)."""
+    g = Grid(12, 10, 0.25, 0.3, "clamped" if kind == "mxiiia" else "periodic")
+    spin = tmp_path / "S.csv"
+    write_spin(spin, g, seed=5)
+    s = fileio.read_field(spin).values
+    model = evolution_model(kind, g)
+    argv = ["check", "--model", kind, "--input", str(spin),
+            "--output", str(tmp_path / "r.json")]
+    if model.phi_solver:
+        fileio.write_field(tmp_path / "phi.csv", model.phi_solver({"S": s}))
+        argv += ["--phi", str(tmp_path / "phi.csv")]
+    assert main(argv) == 0
+    got = json.loads((tmp_path / "r.json").read_text())["vector_residual"]
+    want = ResidualReport(VecField(g, model.rhs({"S": s})["S"]),
+                          ScalarField(g, np.zeros((g.ny, g.nx))))
+    assert want.vector_max > 0.0
+    assert (got["max"], got["l2"]) == (want.vector_max, want.vector_l2)
 
 
 def test_overflow_is_one_line_without_warnings(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from spinsurf import (Blowup, EvolveOptions, Grid, ScalarField, SpinField, SpinsurfError,
                       check_stability, constant_field, energy_proxy, evolve,
                       evolution_model, rk4_step, synth)
+from spinsurf.magnetoelastic import _REGISTRY
 
 
 def pole(grid):
@@ -145,3 +146,41 @@ class TestEnergyProxy:
         L = n * g.dx
         # the discrete spectrum shifts k^2 to (sin(k dx)/dx)^2: rel tol 2e-3
         assert abs(energy_proxy(S) - k ** 2 * L) < 2e-3 * k ** 2 * L
+
+
+# ---------------------------------------------------------------------------
+# step bounds from each model's highest x-derivative
+
+CATALOG = [name for name, spec in _REGISTRY.items() if spec.implemented]
+KDV_ORDER_3 = ("M-XLIX", "M-XLV", "M-XLI", "M-XXXIII")
+
+
+def catalog_model(name, g):
+    """evolution_model for a catalog name; 0-type models get u = 0."""
+    u = constant_field(g, 0.0) if _REGISTRY[name].phonon == "none" else None
+    return evolution_model(name, g, external_u=u)
+
+
+def test_spatial_order_is_the_highest_derivative():
+    g1, g2 = Grid(16, 1, 0.2, 1.0, "periodic"), Grid(16, 16, 0.2, 0.2, "periodic")
+    for name in ("hf", "lle", "mxiii", "mxiiia", "mxiiib"):
+        assert evolution_model(name, g2).spatial_order == 2
+    for name in CATALOG:
+        spec = _REGISTRY[name]
+        # the bound before the KdV models got h^3: 4 for family D and the
+        # Boussinesq phonons, else 2
+        before = 4 if spec.spin == "D" or spec.phonon == "boussinesq" else 2
+        want = 3 if name in KDV_ORDER_3 else before
+        assert catalog_model(name, g1).spatial_order == want, name
+
+
+@pytest.mark.parametrize("name", KDV_ORDER_3 + ("M-XXXVII",))
+def test_kdv_models_run_at_their_admitted_dt(name):
+    g = Grid(128, 1, 0.1, 1.0, "periodic")
+    model = evolution_model(name, g)
+    dt = 0.2 * g.dx ** model.spatial_order
+    opts = EvolveOptions(dt=dt, steps=500, snapshot_every=500)
+    check_stability(model, opts)
+    traj = evolve(model, {"S": synth.smooth_spin(g, seed=1).values,
+                          "u": np.zeros((1, 128))}, opts)
+    assert np.isfinite(traj.snapshots[-1]["u"].values).all()

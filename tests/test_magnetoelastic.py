@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spinsurf import (Grid, PhononAbsent, ScalarField, SpinField,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES)
+from spinsurf.magnetoelastic import FAMILIES
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
 FAMILY_EXAMPLES = {"A": "M-LVII", "B": "M-LVI", "C": "M-LV",
@@ -151,3 +154,36 @@ class TestRegistryShape:
         for name in IMPLEMENTED:
             out = me_spin_rhs(catalog_lookup(name), *state)
             assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# FAMILIES lists exactly the coupling constants each formula reads
+
+ALL_CONSTANTS = {c for reads, _ in FAMILIES.values() for c in reads}
+
+
+def all_rhs(spec, s, u, w, g):
+    """Every array the spin and phonon right-hand sides return."""
+    out = [me_spin_rhs(spec, s, u, g)]
+    if spec.phonon != "none":
+        out += [a for a in me_phonon_rhs(spec, s, u, w, g) if a is not None]
+    return out
+
+
+@pytest.mark.parametrize("name", IMPLEMENTED)
+def test_families_list_exactly_the_constants_read(name):
+    g = Grid(32, 1, 0.2, 1.0, "periodic")
+    s, u, _ = random_state(g, 7)
+    w = synth.smooth_scalar(g, seed=8).values
+    spec = catalog_lookup(name)
+    reads = FAMILIES[spec.spin][0] + FAMILIES[spec.phonon][0]
+    base = all_rhs(spec, s, u, w, g)
+    for c in reads:
+        out = all_rhs(spec.with_params(**{c: 2.0}), s, u, w, g)
+        assert any(not np.array_equal(a, b) for a, b in zip(base, out)), c
+    for c in ALL_CONSTANTS - set(reads):
+        with pytest.raises(ValueError, match=f"\\['{c}'\\]"):
+            spec.with_params(**{c: 2.0})
+        # set past with_params, the constant changes nothing
+        out = all_rhs(replace(spec, params={c: 2.0}), s, u, w, g)
+        assert all(np.array_equal(a, b) for a, b in zip(base, out)), c
