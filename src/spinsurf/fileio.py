@@ -18,23 +18,47 @@ CURVE_MAGIC = "# spinsurf-curve v1"
 _FIELD_KEYS = {"nx": int, "ny": int, "dx": float, "dy": float,
                "boundary": str, "comps": int}
 _CURVE_KEYS = {"nx": int, "nt": int, "dx": float, "dt": float}
+_BLOCK = 2048   # rows per bulk parse or `%` write; a block's temporaries stay < 1 MB
 
 
 def _g17(x):
     return format(float(x), ".17g")
 
 
+def _write_rows(fh, fmt, rows, nx=None):
+    """Write a 2-D array's rows, one `%` of fmt per block, led by node i, j given nx."""
+    for a in range(0, len(rows), _BLOCK):
+        block = rows[a:a + _BLOCK]
+        if nx is not None:
+            n = np.arange(a, a + len(block))
+            block = np.column_stack([n % nx, n // nx, block])
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+
+
 def _write_table(path, magic, keys, header, vals):
     """Write the versioned CSV read by _read_table; vals is (ny, nx, ncols)."""
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"refusing to write non-finite values to {path}")
+    _, nx, ncols = vals.shape
     items = (f"{k}={_g17(v) if keys[k] is float else v}" for k, v in header.items())
-    lines = [magic, "# " + " ".join(items)]
-    for j in range(vals.shape[0]):
-        for i, row in enumerate(vals[j].tolist()):
-            lines.append(f"{i},{j}," + ",".join([format(v, ".17g") for v in row]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{magic}\n# {' '.join(items)}\n")
+        _write_rows(fh, "%d,%d" + ",%.17g" * ncols + "\n", vals.reshape(-1, ncols), nx)
+
+
+def _parse_block(rows, first, nx, ncols):
+    """Bulk parse of the data rows first, first + 1, ...: a bare ValueError unless
+    each has 1 + ncols commas, i and j as str() of its node and float() values."""
+    width = 2 + ncols
+    nodes = range(first, first + len(rows))
+    tokens = ",".join(rows).split(",")
+    if ({row.count(",") for row in rows} != {width - 1}
+            or tokens[0::width] != [str(n % nx) for n in nodes]
+            or tokens[1::width] != [str(n // nx) for n in nodes]):
+        raise ValueError
+    del tokens[0::width]            # the i column, then the j column
+    del tokens[0::width - 1]
+    return np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, ncols)
 
 
 def _read_table(path, magic, keys, layout):
@@ -68,16 +92,22 @@ def _read_table(path, magic, keys, layout):
         raise FormatError(min(len(lines), expected + 2) + 1,
                           f"expected {expected} data rows, got {len(lines) - 2}")
     vals = np.empty((expected, ncols))
-    for n, line in enumerate(lines[2:]):
-        parts = line.split(",")
+    for a in range(0, expected, _BLOCK):
+        rows = lines[2 + a:2 + a + _BLOCK]
         try:
-            if len(parts) != 2 + ncols:
-                raise ValueError(f"expected {2 + ncols} fields")
-            if int(parts[0]) != n % nx or int(parts[1]) != n // nx:
-                raise ValueError(f"expected node {n % nx},{n // nx} (row-major order)")
-            vals[n] = list(map(float, parts[2:]))
-        except ValueError as exc:
-            raise FormatError(n + 3, str(exc)) from None
+            vals[a:a + len(rows)] = _parse_block(rows, a, nx, ncols)
+        except ValueError:      # per line: names the first bad row, or reads them all
+            for n, line in enumerate(rows, a):
+                parts = line.split(",")
+                try:
+                    if len(parts) != 2 + ncols:
+                        raise ValueError(f"expected {2 + ncols} fields")
+                    if int(parts[0]) != n % nx or int(parts[1]) != n // nx:
+                        raise ValueError(f"expected node {n % nx},{n // nx} "
+                                         "(row-major order)")
+                    vals[n] = list(map(float, parts[2:]))
+                except ValueError as exc:
+                    raise FormatError(n + 3, str(exc)) from None
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"{path} contains non-finite values")
     return grid, vals.reshape(grid.ny, nx, ncols)
@@ -115,16 +145,11 @@ def read_field(path):
 
 def export_mesh(path, mesh, normals=None):
     """Wavefront-OBJ-style mesh: v [vn] lines row-major, then 1-based quads."""
-    lines = []
-    for tag, data in (("v", mesh.positions), ("vn", normals)):
-        if data is not None:
-            for x, y, z in data.values.reshape(-1, 3).tolist():
-                lines.append(f"{tag} {x:.9g} {y:.9g} {z:.9g}")
-    for quad in mesh.quad_indices():
-        a, b, c, d = (int(q) + 1 for q in quad)
-        lines.append(f"f {a} {b} {c} {d}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for tag, data in (("v", mesh.positions), ("vn", normals)):
+            if data is not None:
+                _write_rows(fh, tag + " %.9g %.9g %.9g\n", data.values.reshape(-1, 3))
+        _write_rows(fh, "f %d %d %d %d\n", mesh.quad_indices() + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ class ModelSpec:
         unread = set(params) - set(reads)
         if unread:
             raise ValueError(f"{self.name} reads only {list(reads)}, not {sorted(unread)}")
+        if "rho" in params and not 0.0 < float(params["rho"]) < np.inf:
+            raise ValueError(f"{self.name}: density rho must be finite and > 0")
         return replace(self, params={**self.params, **params})
 
 

@@ -163,13 +163,14 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
             raise ValueError("ishimori stationary residual needs phi and alpha")
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
-        inner = diff(s, g, "dxx") + alpha ** 2 * diff(s, g, "dyy")
+        alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
+        inner = diff(s, g, "dxx") + alpha2 * diff(s, g, "dyy")
         p = phi.values
         vec = (cross(s, inner)
                + diff(p, g, "dx")[..., None] * sy
                + diff(p, g, "dy")[..., None] * sx)
-        scal = (alpha ** 2 * diff(p, g, "dyy") - diff(p, g, "dxx")
-                - alpha ** 2 * trip)
+        scal = (alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx")
+                - alpha2 * trip)
         return ResidualReport(VecField(g, vec), ScalarField(g, scal))
 
     if coeffs is None or phi is None:

@@ -102,8 +102,10 @@ def solve_D(C, D_at_x0, dx, dt):
         k3 = f(cm, ctm, d + 0.5 * dx * k2)
         k4 = f(c1, ct1, d + dx * k3)
         D[:, i + 1] = d + (dx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(D[:, i + 1])):
-            raise Blowup(i + 1)
+    # a non-finite entry carries into all later columns: the first one is the step
+    bad = ~np.isfinite(D[:, 1:]).all(axis=(0, 2, 3))
+    if bad.any():
+        raise Blowup(int(bad.argmax()) + 1)
     return D
 
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinsurf import Grid
+
+# CI runs `pytest --hypothesis-profile=ci`: properties without their own
+# max_examples draw ten times the default number of examples
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture

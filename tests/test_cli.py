@@ -234,6 +234,14 @@ FAILURES = [
         d, "ishimori", Grid(10, 6, 0.25, 0.25, "clamped"), "--param", "alpha=1")),
     ("check-phi-other-spacing", 2, lambda d: _check_phi(
         d, "ishimori", Grid(8, 6, 0.5, 0.5, "clamped"), "--param", "alpha=1")),
+    ("check-ishimori-overflowing-alpha", 3, lambda d: _check_phi(
+        d, "ishimori", PHI_GRID, "--param", "alpha=1e200")),
+    ("catalog-density-zero", 2, lambda d: _simulate(
+        d, "--model", "m-lii", "--nx", "32", "--dx", "0.2", "--dt", "1e-3",
+        "--steps", "3", "--param", "rho=0")),
+    ("catalog-density-negative", 2, lambda d: _simulate(
+        d, "--model", "m-lii", "--nx", "32", "--dx", "0.2", "--dt", "1e-3",
+        "--steps", "3", "--param", "rho=-1")),
 ]
 
 

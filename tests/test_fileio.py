@@ -1,7 +1,15 @@
+import os
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from spinsurf import (CLAMPED, FormatError, Grid, NonFiniteResult, NonFiniteValue,
+from spinsurf import (CLAMPED, FormatError, Grid, GridTooSmall, NonFiniteResult, NonFiniteValue,
                       ScalarField, SpinField, SurfaceMesh, VecField,
                       constant_field, fileio, reconstruct_surface,
                       classical_coeffs, synth, unit_normal)
@@ -162,3 +170,272 @@ class TestCurveRoundTrip:
         path.write_text("# spinsurf-field v1\n")
         with pytest.raises(FormatError):
             fileio.read_curve(path)
+
+
+# ---------------------------------------------------------------------------
+# block writers and the bulk reader against the per-line code they replaced
+
+def _reference_write_table(path, magic, keys, header, vals):
+    """The f-string CSV writer; write_field and write_curve must match its bytes."""
+    items = (f"{k}={fileio._g17(v) if keys[k] is float else v}" for k, v in header.items())
+    lines = [magic, "# " + " ".join(items)]
+    for j in range(vals.shape[0]):
+        for i, row in enumerate(vals[j].tolist()):
+            lines.append(f"{i},{j}," + ",".join([format(v, ".17g") for v in row]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_export_mesh(path, mesh, normals=None):
+    lines = []
+    for tag, data in (("v", mesh.positions), ("vn", normals)):
+        if data is not None:
+            for x, y, z in data.values.reshape(-1, 3).tolist():
+                lines.append(f"{tag} {x:.9g} {y:.9g} {z:.9g}")
+    for quad in mesh.quad_indices():
+        a, b, c, d = (int(q) + 1 for q in quad)
+        lines.append(f"f {a} {b} {c} {d}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_read_table(path, magic, keys, layout):
+    """The per-line reader; _read_table must agree with it on every file."""
+    with open(path, errors="replace") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != magic:
+        raise FormatError(1, f"expected header {magic!r}")
+    if len(lines) < 2:
+        raise FormatError(2, "missing header line")
+    header = {}
+    for item in lines[1].lstrip("# ").split():
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise FormatError(2, f"bad header item {item!r}")
+        header[key] = val
+    try:
+        grid, ncols = layout({k: typ(header[k]) for k, typ in keys.items()})
+    except (KeyError, ValueError, GridTooSmall) as exc:
+        raise FormatError(2, f"bad header: {exc}") from None
+    nx = grid.nx
+    expected = nx * grid.ny
+    if len(lines) - 2 != expected:
+        raise FormatError(min(len(lines), expected + 2) + 1,
+                          f"expected {expected} data rows, got {len(lines) - 2}")
+    vals = np.empty((expected, ncols))
+    for n, line in enumerate(lines[2:]):
+        parts = line.split(",")
+        try:
+            if len(parts) != 2 + ncols:
+                raise ValueError(f"expected {2 + ncols} fields")
+            if int(parts[0]) != n % nx or int(parts[1]) != n // nx:
+                raise ValueError(f"expected node {n % nx},{n // nx} (row-major order)")
+            vals[n] = list(map(float, parts[2:]))
+        except ValueError as exc:
+            raise FormatError(n + 3, str(exc)) from None
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue(f"{path} contains non-finite values")
+    return grid, vals.reshape(grid.ny, nx, ncols)
+
+
+TABLE_FORMATS = {
+    "field": (fileio.FIELD_MAGIC, fileio._FIELD_KEYS, fileio._field_layout),
+    "curve": (fileio.CURVE_MAGIC, fileio._CURVE_KEYS, fileio._curve_layout)}
+
+
+def _outcome(read, path, kind):
+    """What a reader makes of a file: the exception's type, line and message,
+    or the grid and the values' bytes."""
+    try:
+        grid, vals = read(path, *TABLE_FORMATS[kind])
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return grid, vals.shape, vals.tobytes()
+
+
+def _write_kind(path, kind, vals):
+    ny, nx, ncols = vals.shape
+    if kind == "curve":
+        fileio.write_curve(path, vals[..., 0], vals[..., 1], 0.1, 0.05)
+        return
+    g = Grid(nx, ny, 0.25, 0.5, CLAMPED)
+    fileio.write_field(path, ScalarField(g, vals[..., 0]) if ncols == 1 else VecField(g, vals))
+
+
+def _assert_readers_agree(kind, vals, edit_rows, newline="\n"):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        _write_kind(path, kind, vals)
+        lines = Path(path).read_text().splitlines()
+        lines = lines[:2] + edit_rows(lines[2:])
+        Path(path).write_bytes((newline.join(lines) + newline).encode())
+        got = _outcome(fileio._read_table, path, kind)
+        assert got == _outcome(_reference_read_table, path, kind)
+        return got
+
+
+_TOKENS = st.sampled_from(["+3", " 3", "3 ", "03", "-0", "1_0", " 1.5", "nan", "inf",
+                           "0x1p3", "1e999", "1e-400", "-0.0", "", "x", "\u0663"])
+_ROW_EDITS = st.lists(st.tuples(
+    st.sampled_from(["token", "extra", "merge", "swap", "dup", "drop", "compensate"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _TOKENS), max_size=3)
+
+
+def _garble_rows(rows, edits):
+    """Token swaps, extra and merged fields, moved or lost rows, and pairs of
+    adjacent rows whose field counts compensate."""
+    rows = list(rows)
+    for op, a, b, token in edits:
+        if not rows:
+            break
+        r = a % len(rows)
+        parts = rows[r].split(",")
+        if op == "token":
+            parts[b % len(parts)] = token
+        elif op == "extra":
+            parts.append(token)
+        elif op == "merge" and len(parts) > 1:
+            c = b % (len(parts) - 1)
+            parts[c:c + 2] = [parts[c] + parts[c + 1]]
+        elif op == "swap":
+            s = b % len(rows)
+            rows[r], rows[s] = rows[s], rows[r]
+            continue
+        elif op == "dup":
+            rows[r] = rows[b % len(rows)]
+            continue
+        elif op == "drop":
+            del rows[r]
+            continue
+        elif op == "compensate" and r + 1 < len(rows):
+            # move one field across the boundary to the next row: the joined
+            # token stream stays the same, only the per-row counts are wrong
+            after = rows[r + 1].split(",")
+            if b % 2:
+                after.insert(0, parts.pop())
+            else:
+                parts.append(after.pop(0))
+            rows[r + 1] = ",".join(after)
+        rows[r] = ",".join(parts)
+    return rows
+
+
+@st.composite
+def _tables(draw):
+    """(kind, values) of a field file (1-D or 2-D, 1 or 3 comps) or a curve file."""
+    kind = draw(st.sampled_from(["field", "curve"]))
+    ncols = 2 if kind == "curve" else draw(st.sampled_from([1, 3]))
+    shape = (draw(st.integers(1, 7)), draw(st.integers(2, 9)), ncols)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return kind, draw(hnp.arrays(np.float64, shape, elements=finite))
+
+
+@settings(deadline=None)
+@given(table=_tables(), edits=_ROW_EDITS, newline=st.sampled_from(["\n", "\r\n"]),
+       block=st.sampled_from([1, 3, fileio._BLOCK]))
+def test_bulk_reader_matches_per_line_reader(table, edits, newline, block):
+    # small blocks put block edges inside the garbled rows
+    with mock.patch.object(fileio, "_BLOCK", block):
+        _assert_readers_agree(*table, lambda rows: _garble_rows(rows, edits), newline)
+
+
+def _set(row, col, token):
+    def edit(rows):
+        parts = rows[row].split(",")
+        parts[col] = token
+        rows[row] = ",".join(parts)
+        return rows
+    return edit
+
+
+def _compensate(rows):
+    rows[0], rows[1] = "0,0,1,1,1,1", "0,1,1,1"
+    return rows
+
+
+# rows 3 and 2500 (in the second block) of a 64x40 field: node i is 3 and 4
+@pytest.mark.parametrize("edit, outcome", [
+    (_set(3, 0, "+3"), Grid), (_set(3, 0, " 3"), Grid), (_set(2500, 0, "+4"), Grid),
+    (_set(3, 2, "1_0"), Grid), (_set(2500, 3, " 1.5"), Grid),
+    (_set(3, 2, "nan"), NonFiniteValue), (_set(3, 4, "inf"), NonFiniteValue),
+    (_set(2500, 2, "1e999"), NonFiniteValue),
+    (_set(3, 2, "0x1p3"), FormatError), (_set(2500, 2, "0x1p3"), FormatError),
+    (_compensate, FormatError)],
+    ids=["plus-index", "space-index", "plus-index-2nd-block", "underscore", "space-value",
+         "nan", "inf", "1e999", "hex-float", "hex-float-2nd-block", "compensating-rows"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bulk_reader_explicit_rows(edit, outcome, newline):
+    vals = np.random.default_rng(7).standard_normal((40, 64, 3))
+    got = _assert_readers_agree("field", vals, edit, newline)[0]
+    assert (got if isinstance(got, type) else type(got)) is outcome
+
+
+# -0.0, the smallest subnormal, huge and integral values at the head of a
+# table of more than one block
+_SPECIAL = [-0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 0.1, 1.0 / 3.0, 2.5e-310, 1e16]
+
+
+def _special(shape):
+    vals = np.random.default_rng(11).standard_normal(shape).ravel()
+    vals[:len(_SPECIAL)] = _SPECIAL
+    vals[4096:4096 + len(_SPECIAL)] = _SPECIAL
+    return vals.reshape(shape)
+
+
+class TestBlockWriters:
+    G = Grid(70, 61, 0.25, 0.5, CLAMPED)        # 4270 rows
+
+    def test_write_field_bytes(self, tmp_path):
+        g = self.G
+        for vals in (_special((g.ny, g.nx, 3)), _special((g.ny, g.nx, 1))):
+            f = VecField(g, vals) if vals.shape[-1] == 3 else ScalarField(g, vals[..., 0])
+            fileio.write_field(tmp_path / "a.csv", f)
+            header = {"nx": g.nx, "ny": g.ny, "dx": g.dx, "dy": g.dy,
+                      "boundary": g.boundary, "comps": vals.shape[-1]}
+            _reference_write_table(tmp_path / "b.csv", fileio.FIELD_MAGIC,
+                                   fileio._FIELD_KEYS, header, vals)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_write_curve_bytes(self, tmp_path):
+        vals = _special((61, 70, 2))
+        fileio.write_curve(tmp_path / "a.csv", vals[..., 0], vals[..., 1], 0.1, 1 / 3)
+        _reference_write_table(tmp_path / "b.csv", fileio.CURVE_MAGIC, fileio._CURVE_KEYS,
+                               {"nx": 70, "nt": 61, "dx": 0.1, "dt": 1 / 3}, vals)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_export_mesh_bytes(self, tmp_path, with_normals):
+        g = self.G
+        mesh = SurfaceMesh(VecField(g, _special((g.ny, g.nx, 3))))
+        normals = VecField(g, _special((g.ny, g.nx, 3))[::-1].copy()) if with_normals else None
+        fileio.export_mesh(tmp_path / "a.obj", mesh, normals)
+        _reference_export_mesh(tmp_path / "b.obj", mesh, normals)
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+
+
+def _traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_mesh_peak_memory_below_file_size(tmp_path):
+    # the bench history: 256x401 with normals, a 9 MB file; building every
+    # line as a string first peaked at about 50 MB
+    g = Grid(256, 401, 0.1, 0.01, CLAMPED)
+    x, y = g.meshgrid()
+    mesh = SurfaceMesh(VecField(g, np.stack([x, y, np.sin(x) * y], axis=-1)))
+    normals = unit_normal(mesh)
+    path = tmp_path / "m.obj"
+    peak = _traced_peak(lambda: fileio.export_mesh(path, mesh, normals))
+    assert peak < path.stat().st_size
+
+
+def test_write_field_peak_memory_below_file_size(tmp_path):
+    S = synth.smooth_spin(Grid(128, 128, 0.2, 0.2), seed=5)
+    path = tmp_path / "S.csv"
+    peak = _traced_peak(lambda: fileio.write_field(path, S))
+    assert peak < path.stat().st_size

@@ -60,6 +60,12 @@ class TestCatalog:
         assert spec.param("lam") == 0.5
         assert catalog_lookup("M-XXXIV").param("lam") == 1.0
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_density_must_be_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            catalog_lookup("M-LII").with_params(rho=rho)
+        assert catalog_lookup("M-LII").with_params(rho=1e-3).param("rho") == 1e-3
+
 
 class TestSpinRhs:
     @pytest.mark.parametrize("family,name", sorted(FAMILY_EXAMPLES.items()))

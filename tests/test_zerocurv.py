@@ -4,7 +4,7 @@ import pytest
 from spinsurf import (Grid, build_C, build_D, constant_field, cross, hasimoto,
                       nlse_residual, nlse_soliton, solve_D, synth,
                       vector_zc_residual, zc_residual)
-from spinsurf.errors import GridTooSmall
+from spinsurf.errors import Blowup, GridTooSmall
 
 
 class TestBuildC:
@@ -90,6 +90,22 @@ class TestSolveD:
                             (3, 8, 3, 3)).copy()
         D = solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
         assert np.abs(D).max() == 0.0
+
+    @pytest.mark.parametrize("column", [1, 5, 7])
+    def test_blowup_names_first_non_finite_column(self, column):
+        # C[:, column] first enters the step that computes D[:, column]
+        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
+        C[1, column, 0, 1] = np.inf
+        with pytest.raises(Blowup) as exc, np.errstate(invalid="ignore"):
+            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
+        assert exc.value.step == column
+
+    def test_non_finite_initial_data_is_blowup_at_step_1(self):
+        D0 = np.zeros((3, 3, 3))
+        D0[2, 1, 0] = np.nan
+        with pytest.raises(Blowup) as exc:
+            solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
+        assert exc.value.step == 1
 
 
 class TestHasimoto:
