@@ -19,7 +19,8 @@ from .errors import ConfigError, SpinsurfError, UnknownModel
 from .fields import CLAMPED, Grid, ScalarField, SpinField
 from .geometry import classical_coeffs, reconstruct_surface, unit_normal
 from .magnetoelastic import _REGISTRY, catalog_lookup
-from .models import PHI_KINDS, STATIONARY_KINDS, section_args, stationary_residual
+from .models import (PHI_KINDS, SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY,
+                     section_args, stationary_residual)
 from .evolve import EvolveOptions, evolution_model, evolve
 from .zerocurv import build_C, hasimoto, nlse_residual, solve_D, zc_residual
 
@@ -34,10 +35,10 @@ _GRID_KEYS = {
 _EVOLVE_KEYS = {
     "dt": (float, "time step"),
     "steps": (int, "number of time steps"),
-    "snapshot_every": (int, "snapshot stride (default 1)"),
-    "dt_safety": (float, "stability safety factor (default 0.2)"),
+    "snapshot_every": (int, f"snapshot stride (default {EvolveOptions.snapshot_every})"),
+    "dt_safety": (float, f"stability safety factor (default {EvolveOptions.dt_safety})"),
     "allow_unstable_dt": (bool, "override the dt stability bound"),
-    "renormalize": (bool, "project the spin field each step (default true)"),
+    "renormalize": (bool, f"renormalize S each step (default {EvolveOptions.renormalize})"),
 }
 _COMMAND_KEYS = {
     "simulate": {**_GRID_KEYS, **_EVOLVE_KEYS,
@@ -168,16 +169,21 @@ def _reject_unused(params):
         raise ConfigError(f"unused parameters {sorted(params)}")
 
 
-def _require_spin(field, path):
-    if not isinstance(field, SpinField):
-        raise ConfigError(f"{path} does not hold a unit spin field")
+def _read(path, cls):
+    """The field in the file at path, refused unless it is a cls."""
+    field = fileio.read_field(path)
+    if not isinstance(field, cls):
+        kind = "a unit spin" if cls is SpinField else "a scalar"
+        raise ConfigError(f"{path} does not hold {kind} field")
     return field
 
 
 def cmd_simulate(cfg):
     name = cfg.require("model").lower()
     if cfg.get("initial"):
-        S0 = _require_spin(fileio.read_field(cfg.require("initial")), cfg.get("initial"))
+        if cfg.get("seed") is not None:
+            raise ConfigError("seed only seeds a synthesized field; drop it or --initial")
+        S0 = _read(cfg.require("initial"), SpinField)
         grid = S0.grid
         for key in _GRID_KEYS:
             if cfg.get(key) is not None and cfg.get(key) != getattr(grid, key):
@@ -187,18 +193,12 @@ def cmd_simulate(cfg):
         grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
                     cfg.get("dy", 1.0), cfg.require("boundary"))
         S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
-    external_u = None
-    if cfg.get("external_u"):
-        external_u = fileio.read_field(cfg.get("external_u"))
-        if not isinstance(external_u, ScalarField):
-            raise ConfigError("external_u file must hold a scalar field")
+    external_u = _read(cfg.get("external_u"), ScalarField) if cfg.get("external_u") else None
     model = evolution_model(name, grid, params=cfg.params, external_u=external_u)
 
-    opts = EvolveOptions(dt=cfg.require("dt"), steps=cfg.require("steps"),
-                         renormalize=cfg.get("renormalize", True),
-                         snapshot_every=cfg.get("snapshot_every", 1),
-                         dt_safety=cfg.get("dt_safety", 0.2),
-                         allow_unstable_dt=cfg.get("allow_unstable_dt", False))
+    for key in ("dt", "steps"):     # the options without a default
+        cfg.require(key)
+    opts = EvolveOptions(**{k: v for k, v in cfg.values.items() if k in _EVOLVE_KEYS})
 
     initial = {f: np.zeros((grid.ny, grid.nx)) for f in model.fields}
     initial["S"] = S0.values
@@ -219,7 +219,7 @@ def cmd_simulate(cfg):
 
 
 def cmd_reconstruct(cfg):
-    S = _require_spin(fileio.read_field(cfg.require("input")), cfg.get("input"))
+    S = _read(cfg.require("input"), SpinField)
     kind = cfg.get("coeffs", "hf")
     coeffs = classical_coeffs(kind, **cfg.params)
     mesh, mismatch = reconstruct_surface(S, coeffs)
@@ -238,10 +238,8 @@ def cmd_check(cfg):
         raise UnknownModel(f"unknown stationary kind {kind!r}")
     if cfg.get("phi") and kind not in PHI_KINDS:
         raise ConfigError(f"{kind} reads no potential; drop --phi")
-    S = _require_spin(fileio.read_field(cfg.require("input")), cfg.get("input"))
-    phi = fileio.read_field(cfg.get("phi")) if cfg.get("phi") else None
-    if phi is not None and not isinstance(phi, ScalarField):
-        raise ConfigError("phi file must hold a scalar field")
+    S = _read(cfg.require("input"), SpinField)
+    phi = _read(cfg.get("phi"), ScalarField) if cfg.get("phi") else None
     notes = []
     if kind.startswith("mxiii") or kind == "ishimori":
         notes.append("triple-orientation:S.(Sx^Sy)")
@@ -258,24 +256,34 @@ def cmd_check(cfg):
 def cmd_catalog(cfg):
     _reject_unused(cfg.params)
     action = cfg.get("action", "list")
+    if action not in ("list", "show"):
+        raise ConfigError(f"catalog action must be list or show, got {action!r}")
     if action == "list":
+        if cfg.get("name") is not None:
+            raise ConfigError(f"catalog list takes no name; use catalog show {cfg.get('name')}")
         for spec in _REGISTRY.values():
             print("\t".join([spec.name, spec.spin, spec.phonon, spec.source,
                              "true" if spec.implemented else "false"]))
         for name in STATIONARY_KINDS:
             print("\t".join([name, "-", "-", "-", "true"]))
         return 0
-    if action == "show":
-        spec = catalog_lookup(cfg.require("name"))
-        print(f"name: {spec.name}")
-        print(f"spin family: {spec.spin}")
-        print(f"phonon family: {spec.phonon}")
-        print(f"coupling source: {spec.source}")
-        print(f"implemented: {spec.implemented}")
+    name = cfg.require("name")
+    kind = name.lower()
+    if kind in SECTION_PARAMS:
+        params = [f"{k}={v:g}" if v is not None else f"{k} (required)"
+                  for k, v in SECTION_PARAMS[kind].items()]
+        rows = {"name": kind, "parameters": ", ".join(params) or "none",
+                "check needs --phi": kind in PHI_KINDS,
+                "simulate steps it": kind not in STATIONARY_ONLY}
+    else:
+        spec = catalog_lookup(name)
+        rows = {"name": spec.name, "spin family": spec.spin, "phonon family": spec.phonon,
+                "coupling source": spec.source, "implemented": spec.implemented}
         if spec.reason:
-            print(f"reason: {spec.reason}")
-        return 0
-    raise ConfigError(f"catalog action must be list or show, got {action!r}")
+            rows["reason"] = spec.reason
+    for label, value in rows.items():
+        print(f"{label}: {value}")
+    return 0
 
 
 def cmd_zc(cfg):

@@ -17,8 +17,8 @@ from .errors import Blowup, ConfigError, GridMismatch
 from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
                      project_sphere)
 from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
-from .models import (STATIONARY_KINDS, hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system,
-                     mxiiib_system, section_args)
+from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs, mxiii_rhs,
+                     mxiiia_system, mxiiib_system, section_args)
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,17 @@ def evolution_model(name, grid, params=None, external_u=None):
     """Build an EvolutionModel for a named flow on a given grid.
 
     name: "hf", "lle", "mxiii", "mxiiia", "mxiiib", or any implemented
-    magnetoelastic catalog name. params are the constants its formulas read,
-    with defaults from `models.SECTION_PARAMS` or `magnetoelastic.FAMILIES`;
-    any other name raises ValueError. 0-type catalog models need external_u
-    (a ScalarField, held fixed over the run), and no other model takes one.
+    magnetoelastic catalog name; `models.STATIONARY_ONLY` names are refused.
+    params are the constants its formulas read, with defaults from
+    `models.SECTION_PARAMS` or `magnetoelastic.FAMILIES`; any other name
+    raises ValueError. 0-type catalog models need external_u (a ScalarField,
+    held fixed over the run), and no other model takes one.
     spatial_order, which sets the step bound, is the highest derivative order.
     """
     key = name.lower()
     params = params or {}
+    if key in STATIONARY_ONLY:
+        raise ValueError(f"{key} is stationary, with no flow; use check --model {key}")
     if external_u is not None and (key in STATIONARY_KINDS
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")

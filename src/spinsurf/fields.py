@@ -149,9 +149,7 @@ def cmul(coeff, arr):
     """Multiply a coefficient (float or (ny, nx) array) into a field array."""
     if np.isscalar(coeff):
         return coeff * arr
-    if arr.ndim == coeff.ndim + 1:
-        return coeff[..., None] * arr
-    return coeff * arr
+    return coeff[..., None] * arr
 
 
 # ---------------------------------------------------------------------------

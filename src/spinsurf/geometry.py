@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateTangent, GridMismatch
+from .errors import DegenerateTangent, GridMismatch, NearZeroNorm
 from .fields import (ScalarField, SpinField, VecField, cmul, cross, cumtrapz,
                      diff, dot, norm, triple)
 
@@ -103,10 +103,10 @@ class ResidualReport:
 
     vector_residual: VecField
     scalar_residual: ScalarField
-    vector_max: float = field(default=None)
-    vector_l2: float = field(default=None)
-    scalar_max: float = field(default=None)
-    scalar_l2: float = field(default=None)
+    vector_max: float = field(init=False)
+    vector_l2: float = field(init=False)
+    scalar_max: float = field(init=False)
+    scalar_l2: float = field(init=False)
 
     def __post_init__(self):
         g = self.vector_residual.grid
@@ -228,7 +228,7 @@ def n_system_residual(N, c):
                          + a4 S_yy - b3 S_xx)]
 
     and for a general N the same bracket with the additional N.N_x, N.N_y
-    terms, divided by N.N.
+    terms, divided by N.N; a node with N.N < 1e-14 raises NearZeroNorm.
     """
     g = N.grid
     c.check_grid(g)
@@ -244,7 +244,8 @@ def n_system_residual(N, c):
     if not isinstance(N, SpinField):
         nn = dot(n, n)
         if nn.min() < 1e-14:
-            raise ZeroDivisionError("zero-norm node in general-N scalar residual")
+            j, i = np.unravel_index(np.argmax(nn < 1e-14), nn.shape)
+            raise NearZeroNorm(int(i), int(j), float(np.sqrt(nn[j, i])))
         extra = ((c.deriv("a3", "dy") - c.value("b5") - c.deriv("b3", "dx")) * dot(n, nx)
                  + (c.value("a5") + c.deriv("a4", "dy") - c.deriv("b4", "dx")) * dot(n, ny))
         bracket = (bracket + extra) / nn

@@ -3,8 +3,9 @@
 Covers the isotropic Heisenberg ferromagnet (HF), the 2+1-D
 Landau-Lifshitz equation (LLE), the M-XIII family (plain, A, and B
 variants, the latter two carrying an auxiliary potential phi), and the
-stationary Ishimori equation. All right-hand sides are tangent to the
-sphere up to the discrete S.S_x = O(h^2) identity.
+stationary Ishimori equation, whose vector part is M-XIIIA's flow at
+(a1, a2, b1, b2) = (0, alpha^2, -1, 0). All right-hand sides are tangent
+to the sphere up to the discrete S.S_x = O(h^2) identity.
 
 Each formula is written once, on plain (ny, nx, 3) spin arrays with the
 grid passed explicitly; `evolve` calls these functions directly, and the
@@ -27,6 +28,7 @@ SECTION_PARAMS = {"hf": {}, "lle": {},
                   "mxiiia": _AB, "mxiiib": _AB, "ishimori": {"alpha": None}}
 STATIONARY_KINDS = tuple(SECTION_PARAMS)
 PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
+STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulate not
 
 
 def section_args(kind, params):
@@ -142,12 +144,10 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     g, s = S.grid, S.values
     if phi is not None and phi.grid != g:
         raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
-    zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
-
-    if kind == "hf":
-        return ResidualReport(VecField(g, hf_rhs(s, g)), zeros)
-    if kind == "lle":
-        return ResidualReport(VecField(g, lle_rhs(s, g)), zeros)
+    flow = {"hf": hf_rhs, "lle": lle_rhs}.get(kind)
+    if flow is not None:        # no scalar part
+        zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
+        return ResidualReport(VecField(g, flow(s, g)), zeros)
     if kind == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii stationary residual needs a coefficient set")
@@ -164,11 +164,10 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
         alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
-        inner = diff(s, g, "dxx") + alpha2 * diff(s, g, "dyy")
         p = phi.values
-        vec = (cross(s, inner)
-               + diff(p, g, "dx")[..., None] * sy
-               + diff(p, g, "dy")[..., None] * sx)
+        # M-XIIIA's flow at (0, alpha^2, -1, 0), its drift summed as phi_x S_y + phi_y S_x
+        vec = _flow(s, g, sy, sx, diff(p, g, "dx"), diff(p, g, "dy"),
+                    0.0, alpha2, -1.0, 0.0)
         scal = (alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx")
                 - alpha2 * trip)
         return ResidualReport(VecField(g, vec), ScalarField(g, scal))

@@ -42,24 +42,14 @@ def poisson_solve(f, g):
     return phi
 
 
-def mixed_integrate(f, g, phi_row=None, phi_col=None):
+def mixed_integrate(f, g):
     """Invert phi_xy = f on a clamped grid by cumulative 2-D trapezoid.
 
-    f is the (ny, nx) source array; returns phi's array. phi_row
-    prescribes phi along the seed row y = y0 (length nx), phi_col along
-    the seed column x = x0 (length ny); both default to zero. The corner
-    value phi(x0, y0) is taken from phi_row[0], which must agree with
-    phi_col[0]. Dxy of the result recovers f in the interior at second
-    order.
+    f is the (ny, nx) source array; returns phi's array, gauged to zero on
+    the seed row y = y0 and the seed column x = x0. Dxy of the result
+    recovers f in the interior at second order.
     """
     if g.boundary != CLAMPED or g.is_1d:
         raise ValueError("mixed-derivative integration needs a clamped 2-D grid")
-    phi_row = np.zeros(g.nx) if phi_row is None else np.asarray(phi_row, dtype=float)
-    phi_col = np.zeros(g.ny) if phi_col is None else np.asarray(phi_col, dtype=float)
-    if phi_row.shape != (g.nx,) or phi_col.shape != (g.ny,):
-        raise ValueError("axis data must have lengths nx and ny")
-    if abs(phi_row[0] - phi_col[0]) > 1e-12 * (1 + abs(phi_row[0])):
-        raise ValueError("axis data disagree at the corner node")
-
-    double = cumtrapz(cumtrapz(f, g.dx, 1), g.dy, 0)
-    return phi_row[None, :] + phi_col[:, None] - phi_row[0] + double
+    # adding 0.0 turns the -0.0 that a signed zero source leaves into 0.0
+    return 0.0 + cumtrapz(cumtrapz(f, g.dx, 1), g.dy, 0)

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinsurf import ConfigError, Grid, constant_field, fileio, synth
 from spinsurf.cli import main, parse_config
-from spinsurf import ResidualReport, ScalarField, VecField, evolution_model
+from spinsurf import (ResidualReport, ScalarField, VecField, catalog_lookup,
+                      evolution_model)
 
 
 def write_spin(path, grid, seed=0):
@@ -159,6 +160,12 @@ def _external_u(tmp_path, model, u):
                      "--dt", "1e-5", "--external-u", str(path))
 
 
+def _field_file(tmp_path, name, field):
+    """Path of a file holding field."""
+    fileio.write_field(tmp_path / name, field)
+    return str(tmp_path / name)
+
+
 def _huge_curve(lines):
     """Curve rows with k = tau = 1e200, whose NLSE residual overflows."""
     return lines[:2] + [",".join(ln.split(",")[:2] + ["1e200", "1e200"])
@@ -242,7 +249,47 @@ FAILURES = [
     ("catalog-density-negative", 2, lambda d: _simulate(
         d, "--model", "m-lii", "--nx", "32", "--dx", "0.2", "--dt", "1e-3",
         "--steps", "3", "--param", "rho=-1")),
+    ("initial-with-seed", 2, lambda d: _initial(d, "--seed", "7")),
+    ("catalog-list-with-name", 2, lambda d: ["catalog", "list", "m-xxxiv"]),
+    ("simulate-stationary-ishimori", 2, lambda d: _simulate(
+        d, "--model", "ishimori", "--nx", "16", "--ny", "16", "--dx", "0.2",
+        "--dy", "0.2", "--dt", "1e-4", "--param", "alpha=1")),
+    ("0-type-without-external-u", 2, lambda d: _simulate(
+        d, "--model", "m-lvii", "--nx", "16", "--dx", "0.2", "--dt", "1e-5")),
+    ("external-u-on-other-grid", 2, lambda d: _simulate(
+        d, "--model", "m-lvii", "--nx", "16", "--dx", "0.2", "--dt", "1e-5",
+        "--external-u", _field_file(d, "u.csv", constant_field(
+            Grid(20, 1, 0.2, 1.0, "periodic"), 0.5)))),
+    ("config-unreadable", 2, lambda d: ["simulate", "--config", str(d / "none.cfg")]),
+    ("param-without-equals", 2, lambda d: ["check", "--param", "a1"]),
+    ("input-not-a-spin-field", 2, lambda d: [
+        "check", "--model", "hf", "--input", _field_file(d, "f.csv", constant_field(
+            Grid(8, 6, 0.25, 0.25, "clamped"), 0.5))]),
+    ("phi-not-a-scalar-field", 2, lambda d: [
+        "check", "--model", "ishimori", "--input", _spin(d), "--param", "alpha=1",
+        "--phi", _field_file(d, "phi.csv", synth.smooth_vec(PHI_GRID, seed=4))]),
+    ("check-unknown-model", 2, lambda d: ["check", "--model", "heat", "--input", _spin(d)]),
+    ("catalog-bad-action", 2, lambda d: ["catalog", "describe", "m-xxxiv"]),
+    ("reconstruct-1d-field", 2, lambda d: [
+        "reconstruct", "--output", str(d / "m.obj"), "--input",
+        _field_file(d, "s1d.csv", synth.smooth_spin(Grid(16, 1, 0.1, 1.0), seed=2))]),
 ]
+
+# what the message of a failure in FAILURES names: its setting, or the way out
+FAILURE_MESSAGES = {
+    "initial-with-seed": "seed",
+    "catalog-list-with-name": "m-xxxiv",
+    "simulate-stationary-ishimori": "use check",
+    "0-type-without-external-u": "needs an external displacement field u",
+    "external-u-on-other-grid": "Grid(nx=20",
+    "config-unreadable": "none.cfg",
+    "param-without-equals": "'a1'",
+    "input-not-a-spin-field": "f.csv does not hold a unit spin field",
+    "phi-not-a-scalar-field": "phi.csv does not hold a scalar field",
+    "check-unknown-model": "unknown stationary kind 'heat'",
+    "catalog-bad-action": "'describe'",
+    "reconstruct-1d-field": "surface reconstruction needs ny >= 2",
+}
 
 
 @pytest.mark.parametrize("expected, argv_of", [f[1:] for f in FAILURES],
@@ -253,6 +300,13 @@ def test_failure_exit_code_and_one_line(tmp_path, capsys, expected, argv_of):
     assert rc == expected
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_MESSAGES))
+def test_failure_message_names_the_cause(tmp_path, capsys, name):
+    argv_of = next(f[2] for f in FAILURES if f[0] == name)
+    assert main(argv_of(tmp_path)) == 2
+    assert FAILURE_MESSAGES[name] in capsys.readouterr().err
 
 
 def test_kdv_bound_is_named_h3(tmp_path, capsys):
@@ -356,6 +410,43 @@ class TestCatalogCommand:
     def test_show_unknown(self, capsys):
         assert main(["catalog", "show", "m-foo"]) == 2
 
+    def test_show_unimplemented_prints_its_reason(self, capsys):
+        assert main(["catalog", "show", "m-lxix"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[4:] == ["implemented: False", "reason: " + catalog_lookup("m-lxix").reason]
+
+    def test_show_section_models(self, capsys):
+        assert main(["catalog", "show", "ishimori"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "name: ishimori", "parameters: alpha (required)",
+            "check needs --phi: True", "simulate steps it: False"]
+        assert main(["catalog", "show", "MXIII"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "name: mxiii", "parameters: a1=0, a2=1, b1=0, b2=0, a3=0, a5=0, b5=0"]
+
+    @pytest.mark.parametrize("kind", ["hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori"])
+    def test_show_agrees_with_simulate_and_check(self, tmp_path, capsys, kind):
+        """What `catalog show` says of a section model is what simulate and
+        check do with it."""
+        assert main(["catalog", "show", kind]) == 0
+        lines = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+        g = Grid(16, 16, 0.2, 0.2, "clamped")
+        boundary = "clamped" if kind == "mxiiia" else "periodic"
+        simulate = _simulate(tmp_path, "--model", kind, "--nx", "16", "--ny", "16",
+                             "--dx", "0.2", "--dy", "0.2", "--boundary", boundary,
+                             "--dt", "1e-4")
+        simulate += ["--param", "alpha=1"] if kind == "ishimori" else []
+        assert (main(simulate) == 0) == (lines["simulate steps it"] == "True")
+        check = ["check", "--model", kind, "--input", _field_file(
+                 tmp_path, "S.csv", synth.smooth_spin(g, seed=1)),
+                 "--output", str(tmp_path / "r.json")]
+        check += ["--param", "alpha=1"] if kind == "ishimori" else []
+        needs_phi = main(check) != 0
+        assert needs_phi == (lines["check needs --phi"] == "True")
+        if needs_phi:
+            phi = _field_file(tmp_path, "phi.csv", synth.smooth_scalar(g, seed=2))
+            assert main(check + ["--phi", phi]) == 0
+
 
 class TestEndToEnd:
     def test_check_writes_report(self, tmp_path, capsys):
@@ -392,6 +483,17 @@ class TestEndToEnd:
                         "snap_000002_S.csv"]
         doc = json.loads((outdir / "report.json").read_text())
         assert len(doc["diagnostics"]) == 3
+
+    def test_simulate_0_type_with_external_u(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        u = _field_file(tmp_path, "u.csv", synth.smooth_scalar(
+            Grid(32, 1, 0.2, 1.0, "periodic"), seed=3))
+        rc = main(["simulate", "--model", "m-lvii", "--nx", "32", "--dx", "0.2",
+                   "--boundary", "periodic", "--dt", "0.002", "--steps", "10",
+                   "--snapshot-every", "5", "--external-u", u, "--output", str(outdir)])
+        assert rc == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "report.json", "snap_000000_S.csv", "snap_000001_S.csv", "snap_000002_S.csv"]
 
     def test_zc_reports_residual(self, tmp_path, capsys):
         n = 32

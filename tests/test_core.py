@@ -21,6 +21,7 @@ from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
 from spinsurf import fields
 from spinsurf.evolve import EvolutionModel
 from spinsurf.fields import SPIN_NORM_TOL, is_unit
+from spinsurf.magnetoelastic import _REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,28 @@ def test_evolve_bitwise_equal_field_api_loop(name):
     if name == "mxiiib":
         phi = mxiiib_system(traj.snapshots[-1]["S"].values, grid, 1.0, 1.0, 1.0, 1.0)[1]
         assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
+
+
+ZERO_TYPE = [spec.name for spec in _REGISTRY.values()
+             if spec.implemented and spec.phonon == "none"]
+
+
+@pytest.mark.parametrize("name", ZERO_TYPE)
+def test_evolve_bitwise_equal_loop_with_external_u(name):
+    """0-type models step S alone, with the given u held fixed."""
+    spec = catalog_lookup(name)
+    u = 0.3 * synth.smooth_scalar(G1, seed=6).values
+    model = evolution_model(name, G1, external_u=ScalarField(G1, u))
+    dt = 0.2 * G1.dx ** model.spatial_order
+    initial = {"S": synth.smooth_spin(G1, seed=5).values}
+    traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8))
+    want = reference_run(G1, lambda st: {"S": me_spin_rhs(spec, st["S"], u, G1)},
+                         initial, dt, 24, 8)
+    assert len(traj.snapshots) == len(want) == 4
+    for snap, ref in zip(traj.snapshots, want):
+        assert set(snap) == {"S"}
+        assert np.array_equal(snap["S"].values, ref["S"])
+    assert not np.array_equal(want[-1]["S"], initial["S"])
 
 
 def test_field_constructions_do_not_scale_with_steps(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spinsurf import (Blowup, EvolveOptions, Grid, ScalarField, SpinField, SpinsurfError,
-                      check_stability, constant_field, energy_proxy, evolve,
-                      evolution_model, rk4_step, synth)
+from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
+                      ScalarField, SpinField, SpinsurfError, check_stability,
+                      constant_field, energy_proxy, evolve, evolution_model,
+                      mxiii_rhs, rk4_step, synth)
 from spinsurf.magnetoelastic import _REGISTRY
 
 
@@ -184,3 +185,32 @@ def test_kdv_models_run_at_their_admitted_dt(name):
     traj = evolve(model, {"S": synth.smooth_spin(g, seed=1).values,
                           "u": np.zeros((1, 128))}, opts)
     assert np.isfinite(traj.snapshots[-1]["u"].values).all()
+
+
+@pytest.mark.parametrize("params", [{}, {"a1": 0.7, "b2": 0.4}])
+def test_mxiii_constraint_diagnostic(params):
+    """Each snapshot's constraint_residual is max |mxiii_rhs(S)[1]|; with the
+    defaults (a1 + b2 = 0, constant a5 and b5) that constraint is zero."""
+    g = Grid(16, 14, 0.25, 0.3, "periodic")
+    traj = evolve(evolution_model("mxiii", g, params=params),
+                  {"S": synth.smooth_spin(g, seed=3).values},
+                  EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
+    c = CoefficientSet(a2=1.0, **params)
+    got = [d["constraint_residual"] for d in traj.diagnostics]
+    want = [float(np.abs(mxiii_rhs(snap["S"].values, g, c)[1]).max())
+            for snap in traj.snapshots]
+    assert len(got) == 4 and got == want
+    assert all(v > 0.0 for v in got) if params else all(v == 0.0 for v in got)
+
+
+def test_stationary_only_model_is_refused():
+    with pytest.raises(ValueError, match="check --model ishimori"):
+        evolution_model("ishimori", Grid(16, 16, 0.2, 0.2, "periodic"))
+
+
+def test_0_type_model_needs_u_on_its_grid():
+    g = Grid(16, 1, 0.2, 1.0, "periodic")
+    with pytest.raises(ValueError, match="needs an external displacement"):
+        evolution_model("m-lvii", g)
+    with pytest.raises(GridMismatch):
+        evolution_model("m-lvii", g, external_u=constant_field(Grid(16, 1, 0.4, 1.0), 0.1))

@@ -33,6 +33,14 @@ class TestFieldRoundTrip:
         assert isinstance(back, ScalarField)
         assert np.array_equal(back.values, f.values)
 
+    def test_non_unit_vector_field_bitwise(self, tmp_path, grid2d):
+        v = synth.smooth_vec(grid2d, seed=34)
+        path = tmp_path / "v.csv"
+        fileio.write_field(path, v)
+        back = fileio.read_field(path)
+        assert type(back) is VecField
+        assert np.array_equal(back.values, v.values)
+
     def test_write_is_deterministic(self, tmp_path, grid1d):
         f = synth.smooth_scalar(grid1d, seed=33)
         fileio.write_field(tmp_path / "a.csv", f)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
-                      Grid, ScalarField, SpinField, SurfaceMesh, VecField,
+                      Grid, NearZeroNorm, ScalarField, SpinField, SurfaceMesh, VecField,
                       classical_coeffs, constant_field, diff, mf_tangents,
                       n_system_residual, reconstruct_surface, synth,
                       unit_normal)
@@ -84,6 +84,15 @@ class TestNSystemResidual:
         N = constant_field(grid2d, (0.3, -1.2, 0.9))
         rep = n_system_residual(N, CoefficientSet(a1=1.0, b2=0.5, a5=-2.0))
         assert rep.vector_max == 0.0 and rep.scalar_max == 0.0
+
+    def test_zero_norm_node_is_near_zero_norm(self, grid2d):
+        n = synth.smooth_vec(grid2d, seed=7).values.copy()
+        n[5, 3] = 0.0
+        n[9, 2] = 0.0
+        with pytest.raises(NearZeroNorm) as exc:
+            n_system_residual(VecField(grid2d, n), CoefficientSet(a1=1.0))
+        # the first zero node in row-major order, as node (i, j)
+        assert (exc.value.i, exc.value.j, exc.value.norm) == (3, 5, 0.0)
 
     def test_matches_curl_oracle(self, grid2d, rng):
         S = synth.smooth_spin(grid2d, seed=6)

@@ -65,6 +65,31 @@ class TestMxiiiRhs:
         expect = cross(S.values, diff(S.values, grid2d, "dyy"))
         assert np.array_equal(rhs, expect)
 
+    def test_varying_coefficients_match_formula(self):
+        """Varying a3 (= b4), a5 and b5 enter through their own derivatives:
+        rhs = S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx]
+              + (a3_y - b5) S_x + (a5 - a3_x) S_y,
+        constraint = (a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y)."""
+        g = Grid(20, 16, 0.25, 0.3, PERIODIC)
+        a3, a5, b5 = (synth.smooth_scalar(g, seed=k) for k in (21, 22, 23))
+        a1, a2, b1, b2 = 0.7, 1.2, -0.4, 0.3
+        c = CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3, a5=a5, b5=b5)
+        s = synth.smooth_spin(g, seed=24).values
+        rhs, constraint = mxiii_rhs(s, g, c)
+
+        def d(f, which):
+            return diff(f, g, which)
+
+        sx, sy = d(s, "dx"), d(s, "dy")
+        wedge = np.cross(s, a2 * d(s, "dyy") + (a1 - b2) * d(s, "dxy") - b1 * d(s, "dxx"))
+        want = (wedge + (d(a3.values, "dy") - b5.values)[..., None] * sx
+                + (a5.values - d(a3.values, "dx"))[..., None] * sy)
+        want_c = (d(a5.values, "dy") - d(b5.values, "dx")
+                  - (a1 + b2) * np.einsum("...k,...k", s, np.cross(sx, sy)))
+        assert np.abs(want).max() > 0.1 and np.abs(want_c).max() > 0.1
+        assert np.abs(rhs - want).max() < 1e-12 * np.abs(want).max()
+        assert np.abs(constraint - want_c).max() < 1e-12 * np.abs(want_c).max()
+
     @pytest.mark.parametrize("bad", [{"b3": 1.0}, {"a4": 1.0}, {"b4": 2.0}])
     def test_coefficient_constraints_enforced(self, grid2d, bad):
         with pytest.raises(ValueError):

@@ -63,18 +63,15 @@ class TestMixedIntegrate:
             errs.append(np.abs(phi - x ** 2 * y ** 3).max())
         assert 3.3 < errs[0] / errs[1] < 4.7
 
-    def test_axis_data_gauge(self):
-        g = Grid(8, 8, 0.25, 0.25, CLAMPED)
-        row = np.linspace(0.0, 1.0, g.nx)
-        col = np.full(g.ny, row[0])
-        phi = mixed_integrate(constant_field(g, 0.0).values, g, phi_row=row, phi_col=col)
-        assert np.abs(phi - row[None, :]).max() < 1e-14
-
-    def test_inconsistent_corner_rejected(self):
-        g = Grid(8, 8, 0.25, 0.25, CLAMPED)
-        with pytest.raises(ValueError):
-            mixed_integrate(constant_field(g, 0.0).values, g,
-                            phi_row=np.zeros(g.nx), phi_col=np.ones(g.ny))
+    def test_axis_data_gauge(self, rng):
+        # phi is pinned to zero on the seed row y = y0 and the seed column
+        # x = x0, as +0.0 also where the source is a negative zero
+        g = Grid(8, 7, 0.25, 0.3, CLAMPED)
+        for f in (rng.standard_normal((g.ny, g.nx)), np.full((g.ny, g.nx), -0.0)):
+            phi = mixed_integrate(f, g)
+            for edge in (phi[0, :], phi[:, 0]):
+                assert np.all(edge == 0.0) and not np.signbit(edge).any()
+        assert not np.signbit(phi).any()
 
     def test_periodic_rejected(self, grid2d):
         with pytest.raises(ValueError):
