@@ -7,6 +7,12 @@ and `magnetoelastic`, so no field object is built inside the time loop; fields
 wrap the state only when a snapshot is taken. After every full step the
 spin part is renormalized (the pre-projection norm drift is recorded as
 the integrator's error monitor) unless renormalization is switched off.
+
+The time loop reuses its arrays: `evolve` builds one workspace per run
+(RK4's stage, product and sum arrays per field, and the spin norms) and
+steps the state in place, and `evolution_model` gives the hf, lle and
+M-XIIIA/B right-hand sides one `fields.Scratch` each. A model's rhs may
+therefore return arrays that its next call overwrites; snapshots copy.
 """
 
 from dataclasses import dataclass, field
@@ -14,11 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Blowup, ConfigError, GridMismatch
-from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
-                     project_sphere)
+from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit,
+                     norm, project_sphere)
 from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
-from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs, mxiii_rhs,
-                     mxiiia_system, mxiiib_system, section_args)
+from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs,
+                     mxiii_constraint, mxiii_potential, mxiii_rhs, mxiiia_system,
+                     mxiiib_system, section_args)
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class EvolutionModel:
     """A named flow: state layout, right-hand side, and stability order."""
 
     name: str
-    rhs: object                    # dict of arrays -> dict of arrays
+    rhs: object                    # dict of arrays -> dict of arrays its next call may overwrite
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
@@ -60,28 +67,40 @@ class EvolutionModel:
     phi_solver: object = None      # dict of arrays -> ScalarField, diagnostic
 
 
-def rk4_step(state, rhs_fn, dt, step=0):
-    """One classical Runge-Kutta step on a dict-of-arrays state."""
+def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
+    """One classical Runge-Kutta step on a dict-of-arrays state.
+
+    The new state is written into out's arrays (which may be state's own)
+    and work holds three arrays per field, shaped like it: the stage state,
+    a product and the running sum k1 + 2 k2 + 2 k3 + k4. Either is
+    allocated when not given. Each k is used up before anything it may
+    alias is overwritten, so rhs_fn may return its input, or one buffer at
+    every stage.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-
-    def shifted(base, k, h):
-        return {name: base[name] + h * k[name] for name in base}
-
-    def stage(st):
+    if work is None:
+        work = {name: [np.empty(np.shape(v)) for _ in range(3)] for name, v in state.items()}
+    if out is None:
+        out = {name: np.empty(np.shape(v)) for name, v in state.items()}
+    st, stages = state, {name: bufs[0] for name, bufs in work.items()}
+    for stage, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
         k = rhs_fn(st)
         if not all(np.isfinite(v).all() for v in k.values()):
             raise Blowup(step)
-        return k
-
-    k1 = stage(state)
-    k2 = stage(shifted(state, k1, dt / 2.0))
-    k3 = stage(shifted(state, k2, dt / 2.0))
-    k4 = stage(shifted(state, k3, dt))
-    out = {}
-    for name in state:
-        out[name] = state[name] + (dt / 6.0) * (
-            k1[name] + 2.0 * k2[name] + 2.0 * k3[name] + k4[name])
+        for name, (y, p, acc) in work.items():
+            if stage == 0:
+                np.copyto(acc, k[name])
+            elif stage == 3:
+                acc += k[name]
+            else:
+                acc += np.multiply(k[name], 2.0, out=p)
+            if h is not None:
+                np.add(state[name], np.multiply(k[name], h, out=p), out=y)
+        st = stages
+    for name, (y, p, acc) in work.items():
+        acc *= dt / 6.0
+        np.add(state[name], acc, out=out[name])
         if not np.isfinite(out[name]).all():
             raise Blowup(step)
     return out
@@ -128,25 +147,30 @@ def evolution_model(name, grid, params=None, external_u=None):
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
     c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
+    work = Scratch()            # the right-hand side's buffers, its result among them
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
     if flow is not None:
-        return EvolutionModel(key, lambda st: {"S": flow(st["S"], grid)}, grid)
+        return EvolutionModel(key, lambda st: {"S": flow(st["S"], grid, work)}, grid)
+
+    def first_diffs(s):         # the leading arguments of the potential and constraint
+        return s, grid, diff(s, grid, "dx"), diff(s, grid, "dy")
+
     if key == "mxiii":
         def rhs(st):
             return {"S": mxiii_rhs(st["S"], grid, c)[0]}
 
         def constraint(st):
-            return float(np.abs(mxiii_rhs(st["S"], grid, c)[1]).max())
+            return float(np.abs(mxiii_constraint(*first_diffs(st["S"]), c)).max())
 
         return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
 
     system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
     if system is not None:
         def rhs(st):
-            return {"S": system(st["S"], grid, c.a1, c.a2, c.b1, c.b2)[0]}
+            return {"S": system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, work)[0]}
 
         def phi_solver(st):
-            return ScalarField(grid, system(st["S"], grid, c.a1, c.a2, c.b1, c.b2)[1])
+            return ScalarField(grid, mxiii_potential(key, *first_diffs(st["S"]), c.a1, c.b2))
 
         return EvolutionModel(key, rhs, grid, phi_solver=phi_solver)
 
@@ -195,12 +219,13 @@ def pack_state(model, initial):
 
 
 def _snapshot(model, state):
+    # field objects freeze the array they are given: hand them copies, not
+    # the state that the next step overwrites
     g = model.grid
-    snap = {"S": SpinField(g, state["S"]) if is_unit(state["S"])
-            else VecField(g, state["S"])}
+    snap = {"S": (SpinField if is_unit(state["S"]) else VecField)(g, state["S"].copy())}
     for name in model.fields:
         if name != "S":
-            snap[name] = ScalarField(g, state[name])
+            snap[name] = ScalarField(g, state[name].copy())
     if model.phi_solver is not None:
         snap["phi"] = model.phi_solver(state)
     return snap
@@ -226,6 +251,9 @@ def evolve(model, initial, opts):
     """
     check_stability(model, opts)
     state = pack_state(model, initial)
+    # the run's workspace (see the module docstring); each step overwrites state
+    work = {name: [np.empty_like(v) for _ in range(3)] for name, v in state.items()}
+    n = np.empty(state["S"].shape[:-1])
 
     traj = Trajectory()
 
@@ -239,13 +267,14 @@ def evolve(model, initial, opts):
     record(0.0, 0.0)
     drift_window = 0.0
     for step in range(1, opts.steps + 1):
-        state = rk4_step(state, model.rhs, opts.dt, step)
-        n = norm(state["S"])
-        drift_window = max(drift_window, float(np.abs(n - 1.0).max()))
+        rk4_step(state, model.rhs, opts.dt, step, out=state, work=work)
+        norm(state["S"], out=n)
         if opts.renormalize:
-            state["S"] = project_sphere(state["S"], n)
-            if drift_window == np.inf:      # |S|^2 overflowed; S itself is finite
-                raise Blowup(step)
+            project_sphere(state["S"], n, out=state["S"])
+        n -= 1.0
+        drift_window = max(drift_window, float(np.abs(n, out=n).max()))
+        if opts.renormalize and drift_window == np.inf:
+            raise Blowup(step)              # |S|^2 overflowed; S itself is finite
         if step % opts.snapshot_every == 0:
             record(step * opts.dt, drift_window)
             drift_window = 0.0

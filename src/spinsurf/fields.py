@@ -115,16 +115,30 @@ def same_grid(*fields):
     return g
 
 
+class Scratch(dict):
+    """Float arrays kept from call to call: `scratch[name, shape]` allocates
+    one on the first request for that name and shape and returns the same
+    array after, so a function handed a fresh Scratch allocates everything."""
+
+    def __missing__(self, key):
+        buf = self[key] = np.empty(key[1])
+        return buf
+
+
 # ---------------------------------------------------------------------------
 # vector algebra (on trailing-axis-3 arrays)
 
-def cross(a, b):
-    """Right-handed cross product on (..., 3) arrays."""
+def cross(a, b, out=None):
+    """Right-handed cross product on (..., 3) arrays, written into out (which
+    must not overlap a or b) when given."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    if out is None:
+        out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
     return out
 
 
@@ -140,16 +154,19 @@ def triple(a, b, c):
     return dot(a, cross(b, c))
 
 
-def norm(a):
-    """Length of (..., 3) vectors; bit for bit np.linalg.norm(a, axis=-1)."""
-    return np.sqrt(dot(a, a))
+def norm(a, out=None):
+    """Length of (..., 3) vectors, into out (shaped like a[..., 0]) when given;
+    bit for bit np.linalg.norm(a, axis=-1): squares summed left to right."""
+    sq = np.multiply(a[..., 0], a[..., 0], out=out)
+    sq += a[..., 1] * a[..., 1]
+    sq += a[..., 2] * a[..., 2]
+    return np.sqrt(sq, out=out)
 
 
-def cmul(coeff, arr):
-    """Multiply a coefficient (float or (ny, nx) array) into a field array."""
-    if np.isscalar(coeff):
-        return coeff * arr
-    return coeff[..., None] * arr
+def cmul(coeff, arr, out=None):
+    """Multiply a coefficient (float or (ny, nx) array) into a field array,
+    into out when given."""
+    return np.multiply(coeff if np.isscalar(coeff) else coeff[..., None], arr, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +176,14 @@ def cmul(coeff, arr):
 # along `axis` with basic slices of swapped-axis views, so no shifted copy
 # of the input is made. They are written in difference-of-neighbours form
 # so that constant fields differentiate to exactly zero in floating point.
+# An `out` array receives the result and a `tmp` array shaped like the input
+# holds the second difference's forward differences; each is allocated when
+# not given, and neither may overlap the input.
 
-def _d1(a, h, axis, periodic):
+def _d1(a, h, axis, periodic, out=None):
     if a.shape[axis] < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
-    out = np.empty_like(a)
+    out = np.empty_like(a) if out is None else out
     x, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
     np.subtract(x[2:], x[:-2], out=o[1:-1])
     if periodic:
@@ -177,7 +197,7 @@ def _d1(a, h, axis, periodic):
     return out
 
 
-def _d2(a, h, axis, periodic):
+def _d2(a, h, axis, periodic, out=None, tmp=None):
     n = a.shape[axis]
     if n < 3:
         raise GridTooSmall("second derivative needs at least 3 nodes")
@@ -186,9 +206,10 @@ def _d2(a, h, axis, periodic):
     x = a.swapaxes(0, axis)
     # forward differences d[k] = x[k+1] - x[k], wrapping to d[n-1] = x[0] - x[n-1]
     # when periodic; the stencil is d[k] - d[k-1]
-    d = np.empty_like(x if periodic else x[1:])
+    d = (np.empty_like(a) if tmp is None else tmp).swapaxes(0, axis)
+    d = d if periodic else d[1:]
     np.subtract(x[1:], x[:-1], out=d[:n - 1])
-    out = np.empty_like(a)
+    out = np.empty_like(a) if out is None else out
     o = out.swapaxes(0, axis)
     np.subtract(d[1:n - 1], d[:n - 2], out=o[1:-1])
     if periodic:
@@ -203,8 +224,9 @@ def _d2(a, h, axis, periodic):
     return out
 
 
-def diff(a, grid, which):
-    """Finite difference of a plain (ny, nx) or (ny, nx, 3) array.
+def diff(a, grid, which, out=None, tmp=None):
+    """Finite difference of a plain (ny, nx) or (ny, nx, 3) array, written
+    into out when given; tmp, shaped like a, is second-difference scratch.
 
     which: one of "dx", "dy", "dxx", "dyy", "dxy", "dxxxx". Periodic grids
     wrap; clamped grids use one-sided second-order stencils at the edges.
@@ -213,15 +235,15 @@ def diff(a, grid, which):
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     """
     if which == "dx":
-        return _d1(a, grid.dx, 1, grid.periodic)
+        return _d1(a, grid.dx, 1, grid.periodic, out)
     if which == "dxx":
-        return _d2(a, grid.dx, 1, grid.periodic)
+        return _d2(a, grid.dx, 1, grid.periodic, out, tmp)
     if which == "dxy":
-        return diff(diff(a, grid, "dx"), grid, "dy")
+        return diff(diff(a, grid, "dx"), grid, "dy", out)
     if which == "dxxxx":
         if grid.nx < 5:
             raise GridTooSmall("fourth derivative needs nx >= 5")
-        return diff(diff(a, grid, "dxx"), grid, "dxx")
+        return diff(diff(a, grid, "dxx", tmp=tmp), grid, "dxx", out, tmp)
     if which not in ("dy", "dyy"):
         raise ValueError(f"unknown derivative {which!r}")
     if grid.is_1d:
@@ -229,8 +251,8 @@ def diff(a, grid, which):
     if grid.ny < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
     if which == "dy":
-        return _d1(a, grid.dy, 0, grid.periodic)
-    return _d2(a, grid.dy, 0, grid.periodic)
+        return _d1(a, grid.dy, 0, grid.periodic, out)
+    return _d2(a, grid.dy, 0, grid.periodic, out, tmp)
 
 
 def cumtrapz(y, d, axis):
@@ -241,9 +263,10 @@ def cumtrapz(y, d, axis):
     return np.concatenate([np.zeros((1,) + s.shape[1:], s.dtype), s]).swapaxes(0, axis)
 
 
-def project_sphere(v, n):
-    """(..., 3) vectors v divided by their norms n, refusing near-zero norms."""
+def project_sphere(v, n, out=None):
+    """(..., 3) vectors v divided by their norms n, into out (which may be v)
+    when given; refuses near-zero norms."""
     if n.min() < NORM_FLOOR:
         j, i = np.unravel_index(np.argmin(n), n.shape)
         raise NearZeroNorm(int(i), int(j), float(n[j, i]))
-    return v / n[..., None]
+    return np.divide(v, n[..., None], out=out)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch, NearZeroNorm
-from .fields import (ScalarField, SpinField, VecField, cmul, cross, cumtrapz,
-                     diff, dot, norm, triple)
+from .fields import (NORM_FLOOR, ScalarField, SpinField, VecField, cmul, cross,
+                     cumtrapz, diff, dot, norm, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -228,7 +228,8 @@ def n_system_residual(N, c):
                          + a4 S_yy - b3 S_xx)]
 
     and for a general N the same bracket with the additional N.N_x, N.N_y
-    terms, divided by N.N; a node with N.N < 1e-14 raises NearZeroNorm.
+    terms, divided by N.N; a node with |N| < NORM_FLOOR raises NearZeroNorm,
+    as `project_sphere` refuses it.
     """
     g = N.grid
     c.check_grid(g)
@@ -243,8 +244,9 @@ def n_system_residual(N, c):
                      + cmul(c.value("a4"), nyy) - cmul(c.value("b3"), nxx)))
     if not isinstance(N, SpinField):
         nn = dot(n, n)
-        if nn.min() < 1e-14:
-            j, i = np.unravel_index(np.argmax(nn < 1e-14), nn.shape)
+        small = np.sqrt(nn) < NORM_FLOOR     # |N|, bit for bit norm(n)
+        if small.any():
+            j, i = np.unravel_index(np.argmax(small), nn.shape)
             raise NearZeroNorm(int(i), int(j), float(np.sqrt(nn[j, i])))
         extra = ((c.deriv("a3", "dy") - c.value("b5") - c.deriv("b3", "dx")) * dot(n, nx)
                  + (c.value("a5") + c.deriv("a4", "dy") - c.deriv("b4", "dx")) * dot(n, ny))

@@ -15,7 +15,7 @@ stationary residuals reuse them.
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, VecField, cmul, cross, diff, triple
+from .fields import ScalarField, Scratch, VecField, cmul, cross, diff, triple
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -44,38 +44,55 @@ def section_args(kind, params):
     return {"coeffs": CoefficientSet(b4=p.get("a3", 0.0), **p)}
 
 
-def hf_rhs(s, g):
-    """S ^ S_xx: the HF flow of a 1-D-in-x spin array."""
-    return cross(s, diff(s, g, "dxx"))
+def hf_rhs(s, g, work=None):
+    """S ^ S_xx: the HF flow of a 1-D-in-x spin array. work, a `Scratch`,
+    holds the buffers (the result among them) from call to call."""
+    w = Scratch() if work is None else work
+    sxx = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
+    return cross(s, sxx, out=w["rhs", s.shape])
 
 
-def lle_rhs(s, g):
-    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow."""
+def lle_rhs(s, g, work=None):
+    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; work as for hf_rhs."""
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    return cross(s, diff(s, g, "dxx") + diff(s, g, "dyy"))
+    w = Scratch() if work is None else work
+    lap = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
+    lap += diff(s, g, "dyy", out=w["syy", s.shape], tmp=w["t", s.shape])
+    return cross(s, lap, out=w["rhs", s.shape])
 
 
-def _flow(s, g, sx, sy, cx, cy, a1, a2, b1, b2):
-    """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + cx S_x + cy S_y, the M-XIII
-    family's wedge core plus its drift."""
-    syy = diff(s, g, "dyy")
-    sxy = diff(s, g, "dxy")
-    inner = (cmul(a2, syy) + cmul(a1, sxy) - cmul(b2, sxy)
-             - cmul(b1, diff(s, g, "dxx")))
-    return cross(s, inner) + cmul(cx, sx) + cmul(cy, sy)
+def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None):
+    """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + c1 v1 + c2 v2, the M-XIII
+    family's wedge core plus its drift ((c1, v1), (c2, v2)). S_xy is the
+    y-difference of sx, which must be S_x; work as for hf_rhs."""
+    w = Scratch() if work is None else work
+    t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
+    cmul(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
+    diff(sx, g, "dy", out=sxy)
+    inner += cmul(a1, sxy, out=t)
+    inner -= cmul(b2, sxy, out=t)
+    inner -= cmul(b1, diff(s, g, "dxx", out=sxy, tmp=t), out=sxy)
+    out = cross(s, inner, out=w["rhs", s.shape])
+    for c, v in drift:
+        out += cmul(c, v, out=t)
+    return out
+
+
+def mxiii_constraint(s, g, sx, sy, c):
+    """(a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y) on the grid, from S and its
+    first differences: the M-XIII coefficient constraint."""
+    constraint = (c.deriv("a5", "dy") - c.deriv("b5", "dx")
+                  - (c.value("a1") + c.value("b2")) * triple(s, sx, sy))
+    return constraint * np.ones((g.ny, g.nx))
 
 
 def mxiii_rhs(s, g, c):
     """M-XIII flow and its coefficient-constraint residual.
 
     The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. Returns the
-    evolution right-hand side and the (ny, nx) array
-
-        (a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y)
-
-    which the flow is supposed to keep small; it is monitored, never
-    enforced.
+    evolution right-hand side and the (ny, nx) `mxiii_constraint`, which
+    the flow is supposed to keep small; it is monitored, never enforced.
     """
     c.check_grid(g)
     for name, want in (("b3", 0.0), ("a4", 0.0)):
@@ -87,16 +104,34 @@ def mxiii_rhs(s, g, c):
 
     sx = diff(s, g, "dx")
     sy = diff(s, g, "dy")
-    rhs = _flow(s, g, sx, sy, c.deriv("a3", "dy") - c.value("b5"),
-                c.value("a5") - c.deriv("a3", "dx"),
-                c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
-    constraint = (c.deriv("a5", "dy") - c.deriv("b5", "dx")
-                  - (c.value("a1") + c.value("b2")) * triple(s, sx, sy))
-    return rhs, constraint * np.ones((g.ny, g.nx))
+    drift = ((c.deriv("a3", "dy") - c.value("b5"), sx),
+             (c.value("a5") - c.deriv("a3", "dx"), sy))
+    rhs = _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
+    return rhs, mxiii_constraint(s, g, sx, sy, c)
 
 
-def mxiiia_system(s, g, a1, a2, b1, b2):
-    """M-XIIIA right-hand side with its potential.
+def mxiii_potential(kind, s, g, sx, sy, a1, b2):
+    """The potential phi of M-XIIIA (kind "mxiiia") or M-XIIIB (kind
+    "mxiiib"), from S and its first differences; see `mxiiia_system` and
+    `mxiiib_system` for the equations it solves."""
+    trip = triple(s, sx, sy)
+    if kind == "mxiiia":
+        return mixed_integrate(0.5 * (a1 + b2) * trip, g)
+    raw = (a1 + b2) * trip
+    return poisson_solve(raw - raw.mean(), g)
+
+
+def _system(kind, s, g, a1, a2, b1, b2, work):
+    w = Scratch() if work is None else work
+    sx = diff(s, g, "dx", out=w["sx", s.shape])
+    sy = diff(s, g, "dy", out=w["sy", s.shape])
+    phi = mxiii_potential(kind, s, g, sx, sy, a1, b2)
+    cx, cy = phi_drift(kind, phi, g)
+    return _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2, w), phi
+
+
+def mxiiia_system(s, g, a1, a2, b1, b2, work=None):
+    """M-XIIIA right-hand side with its potential; work as for hf_rhs.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
     quadrature on a clamped grid, gauged to zero on the seed row and
@@ -104,14 +139,11 @@ def mxiiia_system(s, g, a1, a2, b1, b2):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    sx = diff(s, g, "dx")
-    sy = diff(s, g, "dy")
-    phi = mixed_integrate(0.5 * (a1 + b2) * triple(s, sx, sy), g)
-    return _flow(s, g, sx, sy, *phi_drift("mxiiia", phi, g), a1, a2, b1, b2), phi
+    return _system("mxiiia", s, g, a1, a2, b1, b2, work)
 
 
-def mxiiib_system(s, g, a1, a2, b1, b2):
-    """M-XIIIB right-hand side with its potential.
+def mxiiib_system(s, g, a1, a2, b1, b2, work=None):
+    """M-XIIIB right-hand side with its potential; work as for hf_rhs.
 
     phi solves phi_xx + phi_yy = (a1+b2) S.(S_x ^ S_y) on a periodic grid
     in the zero-mean gauge. The discrete source mean (a quadrature leftover
@@ -121,11 +153,7 @@ def mxiiib_system(s, g, a1, a2, b1, b2):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    sx = diff(s, g, "dx")
-    sy = diff(s, g, "dy")
-    raw = (a1 + b2) * triple(s, sx, sy)
-    phi = poisson_solve(raw - raw.mean(), g)
-    return _flow(s, g, sx, sy, *phi_drift("mxiiib", phi, g), a1, a2, b1, b2), phi
+    return _system("mxiiib", s, g, a1, a2, b1, b2, work)
 
 
 def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
@@ -166,8 +194,8 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
         p = phi.values
         # M-XIIIA's flow at (0, alpha^2, -1, 0), its drift summed as phi_x S_y + phi_y S_x
-        vec = _flow(s, g, sy, sx, diff(p, g, "dx"), diff(p, g, "dy"),
-                    0.0, alpha2, -1.0, 0.0)
+        drift = ((diff(p, g, "dx"), sy), (diff(p, g, "dy"), sx))
+        vec = _flow(s, g, sx, drift, 0.0, alpha2, -1.0, 0.0)
         scal = (alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx")
                 - alpha2 * trip)
         return ResidualReport(VecField(g, vec), ScalarField(g, scal))
@@ -176,7 +204,8 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         raise ValueError(f"{kind} stationary residual needs coeffs and phi")
     a1, a2 = coeffs.value("a1"), coeffs.value("a2")
     b1, b2 = coeffs.value("b1"), coeffs.value("b2")
-    vec = _flow(s, g, sx, sy, *phi_drift(kind, phi.values, g), a1, a2, b1, b2)
+    cx, cy = phi_drift(kind, phi.values, g)
+    vec = _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2)
     if kind == "mxiiia":
         scal = diff(phi.values, g, "dxy") - 0.5 * (a1 + b2) * trip
     else:

@@ -1,5 +1,7 @@
 """Auxiliary linear solvers: periodic Poisson and mixed-derivative quadrature."""
 
+import functools
+
 import numpy as np
 
 from .errors import NonConvergence, NonZeroMeanSource
@@ -7,6 +9,19 @@ from .fields import CLAMPED, PERIODIC, cumtrapz, diff
 
 POISSON_RTOL = 1e-10
 MEAN_RTOL = 1e-8
+
+
+@functools.lru_cache(maxsize=8)
+def _symbol(g):
+    """The 5-point Laplacian's Fourier symbol on a periodic grid, read-only,
+    with 1 in the zero mode that the solve gauges away (avoiding 0/0)."""
+    kx = np.arange(g.nx)
+    ky = np.arange(g.ny)
+    lam = ((2.0 * np.cos(2 * np.pi * kx[None, :] / g.nx) - 2.0) / g.dx ** 2
+           + (2.0 * np.cos(2 * np.pi * ky[:, None] / g.ny) - 2.0) / g.dy ** 2)
+    lam[0, 0] = 1.0
+    lam.flags.writeable = False
+    return lam
 
 
 def poisson_solve(f, g):
@@ -25,14 +40,9 @@ def poisson_solve(f, g):
         raise NonZeroMeanSource(f"source mean {f.mean():.3e} exceeds "
                                 f"{MEAN_RTOL:g} * max|rhs|")
 
-    kx = np.arange(g.nx)
-    ky = np.arange(g.ny)
-    lam = ((2.0 * np.cos(2 * np.pi * kx[None, :] / g.nx) - 2.0) / g.dx ** 2
-           + (2.0 * np.cos(2 * np.pi * ky[:, None] / g.ny) - 2.0) / g.dy ** 2)
     fhat = np.fft.fft2(f)
     fhat[0, 0] = 0.0
-    lam[0, 0] = 1.0          # zero mode is gauged away, avoid 0/0
-    phi = np.real(np.fft.ifft2(fhat / lam))
+    phi = np.real(np.fft.ifft2(fhat / _symbol(g)))
     phi -= phi.mean()
     phi = np.ascontiguousarray(phi)
 

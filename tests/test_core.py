@@ -157,39 +157,46 @@ def reference_run(grid, rhs, state, dt, steps, every):
 
 def me_reference(spec, grid):
     def rhs(st):
-        return {"S": me_spin_rhs(spec, st["S"], st["u"], grid),
-                "u": me_phonon_rhs(spec, st["S"], st["u"], None, grid)[0]}
+        du, dw = me_phonon_rhs(spec, st["S"], st["u"], st.get("w"), grid)
+        return {"S": me_spin_rhs(spec, st["S"], st["u"], grid), "u": du, "w": dw}
     return rhs
 
 
 G1 = Grid(32, 1, 0.2, 1.0, "periodic")
 G2 = Grid(16, 16, 0.25, 0.25, "periodic")
+G2C = Grid(16, 14, 0.25, 0.25, "clamped")
 
 FLOWS = {
     "hf": (G1, lambda st: {"S": hf_rhs(st["S"], G1)}),
     "m-xxxiv": (G1, me_reference(catalog_lookup("m-xxxiv"), G1)),
+    "m-lii": (G1, me_reference(catalog_lookup("m-lii"), G1)),
     "lle": (G2, lambda st: {"S": lle_rhs(st["S"], G2)}),
     "mxiiib": (G2, lambda st: {"S": mxiiib_system(st["S"], G2, 1.0, 1.0, 1.0, 1.0)[0]}),
+    "mxiiia": (G2C, lambda st: {"S": mxiiia_system(st["S"], G2C, 1.0, 1.0, 1.0, 1.0)[0]}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOWS))
 def test_evolve_bitwise_equal_field_api_loop(name):
+    """evolve, which reuses its arrays, against the allocating loop; the
+    snapshots are compared after the run, so no later step wrote into them."""
     grid, rhs = FLOWS[name]
     dt = 0.2 * grid.dx ** 2
-    initial = {"S": synth.smooth_spin(grid, seed=5).values}
-    if name == "m-xxxiv":
-        initial["u"] = 0.3 * synth.smooth_scalar(grid, seed=6).values
-    traj = evolve(evolution_model(name, grid), initial,
-                  EvolveOptions(dt=dt, steps=24, snapshot_every=8))
+    model = evolution_model(name, grid)
+    initial = {"S": synth.smooth_spin(grid, seed=5).values,
+               "u": 0.3 * synth.smooth_scalar(grid, seed=6).values,
+               "w": 0.1 * synth.smooth_scalar(grid, seed=7).values}
+    initial = {k: initial[k] for k in model.fields}
+    traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8))
     want = reference_run(grid, rhs, initial, dt, 24, 8)
     assert len(traj.snapshots) == len(want) == 4
     for snap, ref in zip(traj.snapshots, want):
         assert isinstance(snap["S"], SpinField)
         for key in ref:
             assert np.array_equal(snap[key].values, ref[key])
-    if name == "mxiiib":
-        phi = mxiiib_system(traj.snapshots[-1]["S"].values, grid, 1.0, 1.0, 1.0, 1.0)[1]
+    if name in ("mxiiia", "mxiiib"):
+        system = mxiiia_system if name == "mxiiia" else mxiiib_system
+        phi = system(traj.snapshots[-1]["S"].values, grid, 1.0, 1.0, 1.0, 1.0)[1]
         assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
 
 

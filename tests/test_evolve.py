@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       constant_field, energy_proxy, evolve, evolution_model,
                       mxiii_rhs, rk4_step, synth)
 from spinsurf.magnetoelastic import _REGISTRY
+
+evolve_module = importlib.import_module("spinsurf.evolve")
+models_module = importlib.import_module("spinsurf.models")
 
 
 def pole(grid):
@@ -214,3 +220,61 @@ def test_0_type_model_needs_u_on_its_grid():
         evolution_model("m-lvii", g)
     with pytest.raises(GridMismatch):
         evolution_model("m-lvii", g, external_u=constant_field(Grid(16, 1, 0.4, 1.0), 0.1))
+
+
+# ---------------------------------------------------------------------------
+# the time loop reuses its arrays (test_core compares it bit for bit with a
+# loop that allocates them)
+
+def test_lle_steps_allocate_no_grid_sized_array(monkeypatch):
+    """After the first, an LLE step on 128^2 (RK4 with its right-hand sides,
+    projection and drift) allocates no (ny, nx, 3) float array: its traced
+    peak stays below one."""
+    g = Grid(128, 128, 0.2, 0.2, "periodic")
+    grid_array = g.ny * g.nx * 3 * 8
+    marks = []      # (current, peak) traced bytes as each step starts
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return rk4_step(*args, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "rk4_step", marked)
+    initial = {"S": synth.smooth_spin(g, seed=1).values}
+    tracemalloc.start()
+    try:
+        evolve(evolution_model("lle", g), initial,
+               EvolveOptions(dt=0.008, steps=4, snapshot_every=4))
+    finally:
+        tracemalloc.stop()
+    # growth above the level at its start, for steps 1-3
+    growth = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+    assert growth[0] > 3 * grid_array     # the first step allocates the buffers
+    assert max(growth[1:]) < grid_array
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+def test_snapshot_potential_does_not_rerun_the_flow(monkeypatch):
+    """phi_solver solves only for phi: 20 steps are 80 flow evaluations,
+    whatever the number of snapshots."""
+    calls = count_calls(monkeypatch, models_module, "_flow")
+    g = Grid(64, 64, 0.2, 0.2, "periodic")
+    traj = evolve(evolution_model("mxiiib", g), {"S": synth.smooth_spin(g, seed=2).values},
+                  EvolveOptions(dt=0.008, steps=20, snapshot_every=4))
+    assert len(traj.snapshots) == 6 and all("phi" in snap for snap in traj.snapshots)
+    assert len(calls) == 80
+
+
+def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
+    calls = count_calls(monkeypatch, evolve_module, "mxiii_rhs")
+    g = Grid(16, 14, 0.25, 0.3, "periodic")
+    traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7}),
+                  {"S": synth.smooth_spin(g, seed=3).values},
+                  EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
+    assert len(traj.diagnostics) == 4 and len(calls) == 24

@@ -7,6 +7,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       diff, dot, norm, project_sphere, same_grid,
                       triple)
 from spinsurf.errors import GridTooSmall
+from spinsurf.fields import Scratch, cmul
 
 E1, E2, E3 = np.eye(3)
 
@@ -176,3 +177,44 @@ class TestProjectSphere:
         with pytest.raises(NearZeroNorm) as exc:
             project_sphere(v, norm(v))
         assert exc.value.i == 3
+
+
+# ---------------------------------------------------------------------------
+# out= arrays: the same code path as allocation, so the same bits
+
+@pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+@pytest.mark.parametrize("which", ["dx", "dy", "dxx", "dyy", "dxy", "dxxxx"])
+def test_diff_into_out_is_the_allocated_result(boundary, which, rng):
+    g = Grid(12, 9, 0.3, 0.2, boundary)
+    for shape in ((9, 12), (9, 12, 3)):
+        a = rng.standard_normal(shape)
+        out, tmp = np.full(shape, np.nan), np.full(shape, np.nan)
+        assert diff(a, g, which, out=out, tmp=tmp) is out
+        assert np.array_equal(out, diff(a, g, which))
+
+
+def test_vector_kernels_into_out_are_the_allocated_results(rng):
+    a, b = rng.standard_normal((2, 7, 5, 3))
+    c = rng.standard_normal((7, 5))
+    for kernel, args in ((cross, (a, b)), (norm, (a,)), (cmul, (c, a)), (cmul, (2.5, a)),
+                         (project_sphere, (a, norm(a)))):
+        want = kernel(*args)
+        out = np.full(want.shape, np.nan)
+        assert kernel(*args, out=out) is out
+        assert np.array_equal(out, want), kernel.__name__
+    n, want = norm(a), a / norm(a)[..., None]
+    assert project_sphere(a, n, out=a) is a and np.array_equal(a, want)
+
+
+def test_norm_is_numpys(rng):
+    a = rng.standard_normal((6, 4, 3)) * 10.0 ** rng.integers(-5, 5, (6, 4, 1))
+    assert np.array_equal(norm(a), np.linalg.norm(a, axis=-1))
+    assert np.array_equal(norm(a), np.sqrt(dot(a, a)))
+
+
+def test_scratch_keeps_one_array_per_name_and_shape():
+    w = Scratch()
+    a = w["x", (4, 3)]
+    assert w["x", (4, 3)] is a
+    assert w["x", (3, 4)] is not a and w["y", (4, 3)] is not a
+    assert a.dtype == float and len(w) == 3

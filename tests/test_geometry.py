@@ -4,8 +4,8 @@ import pytest
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
                       Grid, NearZeroNorm, ScalarField, SpinField, SurfaceMesh, VecField,
                       classical_coeffs, constant_field, diff, mf_tangents,
-                      n_system_residual, reconstruct_surface, synth,
-                      unit_normal)
+                      n_system_residual, norm, project_sphere, reconstruct_surface,
+                      synth, unit_normal)
 
 
 class TestClassicalCoeffs:
@@ -93,6 +93,23 @@ class TestNSystemResidual:
             n_system_residual(VecField(grid2d, n), CoefficientSet(a1=1.0))
         # the first zero node in row-major order, as node (i, j)
         assert (exc.value.i, exc.value.j, exc.value.norm) == (3, 5, 0.0)
+
+    @pytest.mark.parametrize("size, refused", [(5e-8, False), (5e-9, True)])
+    def test_near_zero_floor_is_project_spheres(self, size, refused):
+        """n_system_residual and project_sphere refuse the same nodes: one of
+        norm 5e-8 passes both, one of norm 5e-9 neither."""
+        g = Grid(16, 16, 0.2, 0.2, PERIODIC)
+        n = synth.smooth_spin(g, seed=7).values.copy()
+        n[4, 9] *= size
+        checks = (lambda: project_sphere(n, norm(n)),
+                  lambda: n_system_residual(VecField(g, n), CoefficientSet(a1=1.0)))
+        for check in checks:
+            if not refused:
+                check()
+                continue
+            with pytest.raises(NearZeroNorm) as exc:
+                check()
+            assert (exc.value.i, exc.value.j, exc.value.norm) == (9, 4, norm(n)[4, 9])
 
     def test_matches_curl_oracle(self, grid2d, rng):
         S = synth.smooth_spin(grid2d, seed=6)

@@ -3,6 +3,7 @@ import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, Grid, NonZeroMeanSource, ScalarField,
                       constant_field, diff, mixed_integrate, poisson_solve)
+from spinsurf import solvers
 from spinsurf.errors import GridTooSmall
 
 
@@ -38,6 +39,17 @@ class TestPoisson:
     def test_clamped_rejected(self, grid2d_clamped):
         with pytest.raises(ValueError):
             poisson_solve(constant_field(grid2d_clamped, 0.0).values, grid2d_clamped)
+
+    def test_symbol_built_once_per_grid(self, grid2d, rng):
+        """Equal grids share one read-only symbol, and a solve leaves it as
+        it was."""
+        lam = solvers._symbol(grid2d)
+        before = lam.copy()
+        src = rng.standard_normal((32, 32))
+        poisson_solve(src - src.mean(), Grid(32, 32, 0.2, 0.2, PERIODIC))
+        assert solvers._symbol(Grid(32, 32, 0.2, 0.2, PERIODIC)) is lam
+        assert not lam.flags.writeable and np.array_equal(lam, before)
+        assert lam[0, 0] == 1.0 and (lam.ravel()[1:] < 0.0).all()
 
 
 class TestMixedIntegrate:
