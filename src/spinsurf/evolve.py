@@ -1,18 +1,22 @@
 """Method-of-lines time integration with per-step sphere projection.
 
-States are dicts of plain arrays ("S" always, "u"/"w" for magnetoelastic
-models); `rk4_step` is the classical 4-stage Runge-Kutta update applied
-componentwise. Model right-hand sides are the array functions of `models`
-and `magnetoelastic`, so no field object is built inside the time loop; fields
-wrap the state only when a snapshot is taken. After every full step the
-spin part is renormalized (the pre-projection norm drift is recorded as
-the integrator's error monitor) unless renormalization is switched off.
+A state is a `State`: its fields ("S" always, "u"/"w" for magnetoelastic
+models) are named views of one contiguous float array, so `rk4_step`, the
+classical 4-stage Runge-Kutta update, runs its stage, sum and finite-check
+arithmetic once per stage on the whole array. Model right-hand sides are
+the array functions of `models` and `magnetoelastic`, so no field object is
+built inside the time loop; fields wrap the state only when a snapshot is
+taken. After every full step the spin part is renormalized (the
+pre-projection norm drift is recorded as the integrator's error monitor)
+unless renormalization is switched off.
 
 The time loop reuses its arrays: `evolve` builds one workspace per run
-(RK4's stage, product and sum arrays per field, and the spin norms) and
-steps the state in place, and `evolution_model` gives the hf, lle and
-M-XIIIA/B right-hand sides one `fields.Scratch` each. A model's rhs may
-therefore return arrays that its next call overwrites; snapshots copy.
+(RK4's stage, product and sum arrays, and the spin norms) and steps the
+state in place, and `evolution_model` gives each right-hand side one
+`fields.Scratch`, its result a `State` whose views are the Scratch's output
+buffers. A magnetoelastic model computes S_x once per stage for its spin and
+phonon equations. A model's rhs therefore returns arrays that its next call
+overwrites; snapshots copy.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +44,11 @@ class EvolveOptions:
     def __post_init__(self):
         if not (self.dt > 0 and self.steps > 0 and self.snapshot_every > 0):
             raise ValueError("dt, steps, snapshot_every must be positive")
+        if self.steps % self.snapshot_every:
+            # the last steps would go unreported, or a trailing snapshot
+            # would break the uniform time spacing of the stack
+            raise ValueError(f"steps = {self.steps} is not a multiple of "
+                             f"snapshot_every = {self.snapshot_every}")
         if not 0 < self.dt_safety < np.inf:
             raise ValueError(f"need a finite dt_safety > 0, got {self.dt_safety}")
 
@@ -59,7 +68,7 @@ class EvolutionModel:
     """A named flow: state layout, right-hand side, and stability order."""
 
     name: str
-    rhs: object                    # dict of arrays -> dict of arrays its next call may overwrite
+    rhs: object                    # dict of arrays -> State (or dict) its next call overwrites
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
@@ -67,42 +76,61 @@ class EvolutionModel:
     phi_solver: object = None      # dict of arrays -> ScalarField, diagnostic
 
 
-def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
-    """One classical Runge-Kutta step on a dict-of-arrays state.
+class State(dict):
+    """Copies of named arrays, held as views of one contiguous float array,
+    `data`, in the order given."""
 
-    The new state is written into out's arrays (which may be state's own)
-    and work holds three arrays per field, shaped like it: the stage state,
-    a product and the running sum k1 + 2 k2 + 2 k3 + k4. Either is
-    allocated when not given. Each k is used up before anything it may
-    alias is overwritten, so rhs_fn may return its input, or one buffer at
-    every stage.
+    def __init__(self, arrays):
+        super().__init__()
+        self.data = np.concatenate([np.ravel(v) for v in arrays.values()], dtype=float)
+        start = 0
+        for name, v in arrays.items():
+            self[name] = self.data[start:start + np.size(v)].reshape(np.shape(v))
+            start += np.size(v)
+
+
+def rk4_workspace(state):
+    """rk4_step's work for a State: the stage state, a product and a sum."""
+    return State(state), np.empty_like(state.data), np.empty_like(state.data)
+
+
+def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
+    """One classical Runge-Kutta step on a `State` (a dict of arrays is
+    packed into one first).
+
+    rhs_fn maps a state to a State laid out like it; any other dict of
+    arrays it returns is packed, a copy. The new state is written into out,
+    a State (which may be state itself), and work is `rk4_workspace(state)`:
+    the stage state, a product and the running sum k1 + 2 k2 + 2 k3 + k4.
+    Either is allocated when not given. Each k is used up before anything
+    it may alias is overwritten, so rhs_fn may return its input, or one
+    buffer at every stage.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if work is None:
-        work = {name: [np.empty(np.shape(v)) for _ in range(3)] for name, v in state.items()}
-    if out is None:
-        out = {name: np.empty(np.shape(v)) for name, v in state.items()}
-    st, stages = state, {name: bufs[0] for name, bufs in work.items()}
-    for stage, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
+    if not isinstance(state, State):
+        state = State(state)
+    y, (stage, p, acc) = state.data, work or rk4_workspace(state)
+    out = State(state) if out is None else out
+    st = state
+    for i, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
         k = rhs_fn(st)
-        if not all(np.isfinite(v).all() for v in k.values()):
+        k = k.data if isinstance(k, State) else State({name: k[name] for name in state}).data
+        if not np.isfinite(k).all():
             raise Blowup(step)
-        for name, (y, p, acc) in work.items():
-            if stage == 0:
-                np.copyto(acc, k[name])
-            elif stage == 3:
-                acc += k[name]
-            else:
-                acc += np.multiply(k[name], 2.0, out=p)
-            if h is not None:
-                np.add(state[name], np.multiply(k[name], h, out=p), out=y)
-        st = stages
-    for name, (y, p, acc) in work.items():
-        acc *= dt / 6.0
-        np.add(state[name], acc, out=out[name])
-        if not np.isfinite(out[name]).all():
-            raise Blowup(step)
+        if i == 0:
+            np.copyto(acc, k)
+        elif i == 3:
+            acc += k
+        else:
+            acc += np.multiply(k, 2.0, out=p)
+        if h is not None:
+            np.add(y, np.multiply(k, h, out=p), out=stage.data)
+        st = stage
+    acc *= dt / 6.0
+    np.add(y, acc, out=out.data)
+    if not np.isfinite(out.data).all():
+        raise Blowup(step)
     return out
 
 
@@ -147,10 +175,22 @@ def evolution_model(name, grid, params=None, external_u=None):
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
     c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
-    work = Scratch()            # the right-hand side's buffers, its result among them
+
+    def buffered(fields, fill):
+        # the rhs: fill(st, work) writes the derivative into the output buffers
+        # of its Scratch ("rhs" for S, "du", "dw"), the views of one State
+        dk = State({k: np.zeros(shape) for k, shape in _shapes(grid, fields).items()})
+        outputs = zip(("rhs", "du", "dw"), dk.values())
+        work = Scratch({(buf, v.shape): v for buf, v in outputs})
+
+        def rhs(st):
+            fill(st, work)
+            return dk
+        return rhs
+
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
     if flow is not None:
-        return EvolutionModel(key, lambda st: {"S": flow(st["S"], grid, work)}, grid)
+        return EvolutionModel(key, buffered(("S",), lambda st, w: flow(st["S"], grid, w)), grid)
 
     def first_diffs(s):         # the leading arguments of the potential and constraint
         return s, grid, diff(s, grid, "dx"), diff(s, grid, "dy")
@@ -166,8 +206,7 @@ def evolution_model(name, grid, params=None, external_u=None):
 
     system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
     if system is not None:
-        def rhs(st):
-            return {"S": system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, work)[0]}
+        rhs = buffered(("S",), lambda st, w: system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, w))
 
         def phi_solver(st):
             return ScalarField(grid, mxiii_potential(key, *first_diffs(st["S"]), c.a1, c.b2))
@@ -186,46 +225,48 @@ def evolution_model(name, grid, params=None, external_u=None):
         if external_u.grid != grid:
             raise GridMismatch(f"{external_u.grid} != {grid}")
         u = external_u.values
-
-        def rhs(st):
-            return {"S": me_spin_rhs(spec, st["S"], u, grid)}
-
+        rhs = buffered(("S",), lambda st, w: me_spin_rhs(spec, st["S"], u, grid, w))
         return EvolutionModel(spec.name, rhs, grid, spatial_order=order)
 
     names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
 
-    def rhs(st):
-        ds = me_spin_rhs(spec, st["S"], st["u"], grid)
-        phonon = me_phonon_rhs(spec, st["S"], st["u"], st.get("w"), grid)
-        # zip drops the None dw_dt of first-order phonon equations
-        return dict(zip(names, (ds,) + phonon))
+    def fill(st, work):
+        s, u = st["S"], st["u"]
+        # S_x once per stage, for both equations of the families that read it
+        sx = diff(s, grid, "dx", out=work["sx", s.shape]) if spec.spin in ("C", "D", "E") else None
+        me_spin_rhs(spec, s, u, grid, work, sx)
+        me_phonon_rhs(spec, s, u, st.get("w"), grid, work, sx)
 
-    return EvolutionModel(spec.name, rhs, grid, fields=names, spatial_order=order)
+    return EvolutionModel(spec.name, buffered(names, fill), grid, fields=names,
+                          spatial_order=order)
+
+
+def _shapes(grid, fields):
+    return {k: (grid.ny, grid.nx, 3) if k == "S" else (grid.ny, grid.nx) for k in fields}
 
 
 def pack_state(model, initial):
-    """Copy an initial state, a dict of arrays, to float arrays, each
+    """Copy an initial state, a dict of arrays, into one `State`, each field
     checked against the shape that model.grid gives it."""
     missing = set(model.fields) - set(initial)
     if missing:
         raise ValueError(f"initial state is missing fields {sorted(missing)}")
-    g, state = model.grid, {}
-    for k in model.fields:
-        state[k] = np.array(initial[k], dtype=float)
-        want = (g.ny, g.nx, 3) if k == "S" else (g.ny, g.nx)
-        if state[k].shape != want:
-            raise ValueError(f"initial {k} has shape {state[k].shape}, expected {want}")
-    return state
+    arrays = {}
+    for k, want in _shapes(model.grid, model.fields).items():
+        arrays[k] = np.asarray(initial[k], dtype=float)
+        if arrays[k].shape != want:
+            raise ValueError(f"initial {k} has shape {arrays[k].shape}, expected {want}")
+    return State(arrays)
 
 
 def _snapshot(model, state):
-    # field objects freeze the array they are given: hand them copies, not
-    # the state that the next step overwrites
+    # field objects copy the writeable arrays they are given, so the next
+    # step, which overwrites state, leaves the snapshot alone
     g = model.grid
-    snap = {"S": (SpinField if is_unit(state["S"]) else VecField)(g, state["S"].copy())}
+    snap = {"S": (SpinField if is_unit(state["S"]) else VecField)(g, state["S"])}
     for name in model.fields:
         if name != "S":
-            snap[name] = ScalarField(g, state[name].copy())
+            snap[name] = ScalarField(g, state[name])
     if model.phi_solver is not None:
         snap["phi"] = model.phi_solver(state)
     return snap
@@ -252,7 +293,7 @@ def evolve(model, initial, opts):
     check_stability(model, opts)
     state = pack_state(model, initial)
     # the run's workspace (see the module docstring); each step overwrites state
-    work = {name: [np.empty_like(v) for _ in range(3)] for name, v in state.items()}
+    work = rk4_workspace(state)
     n = np.empty(state["S"].shape[:-1])
 
     traj = Trajectory()

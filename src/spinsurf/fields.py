@@ -2,9 +2,16 @@
 
 Fields live on uniform 2-D grids (ny = 1 degenerates to 1-D). Node (i, j)
 maps to flat index i + nx*j, i.e. arrays are stored with shape (ny, nx)
-[, 3] in C order. All field objects are immutable after construction.
+[, 3] in C order. All field objects are immutable after construction: a
+field holds a read-only copy of a writeable array it is given, so the
+caller's array stays writeable and the field does not change with it.
+
+The stencils difference the C-order flat array at a fixed offset, so every
+axis is one contiguous pass; their `out` and `tmp` arrays must be
+C-contiguous.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +64,8 @@ class Grid:
 
 def _frozen_array(values, shape):
     a = np.ascontiguousarray(values, dtype=float)
+    if a is values and a.flags.writeable:
+        a = a.copy()            # freeze a copy, never the caller's array
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -142,11 +151,15 @@ def cross(a, b, out=None):
     return out
 
 
-def dot(a, b):
+def dot(a, b, out=None, tmp=None):
     """Dot product on (..., 3) arrays, summed left to right like numpy's
-    length-3 reduction: bit for bit np.sum(a * b, -1), without its overhead."""
-    p = np.asarray(a) * np.asarray(b)
-    return p[..., 0] + p[..., 1] + p[..., 2]
+    length-3 reduction: bit for bit np.sum(a * b, -1), without its overhead.
+    Written into out (shaped like a[..., 0]) when given; tmp, shaped like the
+    product, holds the products."""
+    p = np.multiply(a, b, out=tmp)
+    out = np.add(p[..., 0], p[..., 1], out=out)
+    out += p[..., 2]
+    return out
 
 
 def triple(a, b, c):
@@ -172,23 +185,34 @@ def cmul(coeff, arr, out=None):
 # ---------------------------------------------------------------------------
 # finite differences
 #
-# The stencils act on plain arrays of any shape and dtype, differencing
-# along `axis` with basic slices of swapped-axis views, so no shifted copy
-# of the input is made. They are written in difference-of-neighbours form
-# so that constant fields differentiate to exactly zero in floating point.
-# An `out` array receives the result and a `tmp` array shaped like the input
-# holds the second difference's forward differences; each is allocated when
-# not given, and neither may overlap the input.
+# The stencils act on plain arrays of any shape and dtype. Along `axis`,
+# neighbours sit k = prod(shape[axis + 1:]) apart in the C-order flat array,
+# so one pass over the flat arrays at offset k differences every axis with
+# contiguous reads and writes, and no shifted copy of the input is made. The
+# pass also computes lanes that straddle the ends of the axis (garbage from
+# unrelated nodes) until the boundary slabs are written over them; for finite
+# input they stay finite below magnitudes of about 8.9e307, where any
+# difference can overflow. The stencils are written in difference-of-
+# neighbours form so that constant fields differentiate to exactly zero in
+# floating point. An `out` array receives the result and a `tmp` array shaped
+# like the input holds the second difference's forward differences; each is
+# allocated when not given, must be C-contiguous (the flat view of any other
+# array is a copy, and the result would be lost), and may not overlap the
+# input, except that `_d2` may write out over its own input.
 
 def _d1(a, h, axis, periodic, out=None):
     if a.shape[axis] < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
-    out = np.empty_like(a) if out is None else out
+    out = np.empty(a.shape, a.dtype) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
+    xf, k = a.ravel(), math.prod(a.shape[axis + 1:])
+    n = xf.size
+    np.subtract(xf[2 * k:], xf[:n - 2 * k], out=out.ravel()[k:n - k])
     x, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
-    np.subtract(x[2:], x[:-2], out=o[1:-1])
     if periodic:
-        o[0] = x[1] - x[-1]
-        o[-1] = x[0] - x[-2]
+        np.subtract(x[1], x[-1], out=o[0, ...])
+        np.subtract(x[0], x[-2], out=o[-1, ...])
     else:
         # second-order one-sided: -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0)
         o[0] = 4.0 * (x[1] - x[0]) - (x[2] - x[0])
@@ -203,19 +227,27 @@ def _d2(a, h, axis, periodic, out=None, tmp=None):
         raise GridTooSmall("second derivative needs at least 3 nodes")
     if not periodic and n < 4:
         raise GridTooSmall("clamped second derivative needs at least 4 nodes")
-    x = a.swapaxes(0, axis)
-    # forward differences d[k] = x[k+1] - x[k], wrapping to d[n-1] = x[0] - x[n-1]
-    # when periodic; the stencil is d[k] - d[k-1]
-    d = (np.empty_like(a) if tmp is None else tmp).swapaxes(0, axis)
-    d = d if periodic else d[1:]
-    np.subtract(x[1:], x[:-1], out=d[:n - 1])
-    out = np.empty_like(a) if out is None else out
-    o = out.swapaxes(0, axis)
-    np.subtract(d[1:n - 1], d[:n - 2], out=o[1:-1])
+    tmp = np.empty(a.shape, a.dtype) if tmp is None else tmp
+    out = np.empty(a.shape, a.dtype) if out is None else out
+    if not (out.flags.c_contiguous and tmp.flags.c_contiguous):
+        raise ValueError("out and tmp must be C-contiguous arrays")
+    xf, df, of = a.ravel(), tmp.ravel(), out.ravel()
+    k, size = math.prod(a.shape[axis + 1:]), xf.size
+    # forward differences d[i] = x[i+1] - x[i], wrapping to d[n-1] = x[0] - x[n-1]
+    # when periodic (clamped, the last slab of tmp is never set); every read of
+    # the input comes before the first write to out
+    np.subtract(xf[k:], xf[:size - k], out=df[:size - k])
+    x, d = a.swapaxes(0, axis), tmp.swapaxes(0, axis)
     if periodic:
-        d[-1] = x[0] - x[-1]
-        o[0] = d[0] - d[-1]
-        o[-1] = d[-1] - d[-2]
+        np.subtract(x[0], x[-1], out=d[-1, ...])
+    else:
+        d = d[:-1]
+    # the stencil d[i] - d[i-1]
+    np.subtract(df[k:size - k], df[:size - 2 * k], out=of[k:size - k])
+    o = out.swapaxes(0, axis)
+    if periodic:
+        np.subtract(d[0], d[-1], out=o[0, ...])
+        np.subtract(d[-1], d[-2], out=o[-1, ...])
     else:
         # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form
         o[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
@@ -233,6 +265,9 @@ def diff(a, grid, which, out=None, tmp=None):
     "dxy" is the composition dy(dx(a)), "dxxxx" is dxx(dxx(a)). On periodic
     grids "dxxxx" is exactly the centered 5-point stencil
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
+    out and tmp must be C-contiguous. Values above about 8.9e307 in
+    magnitude may overflow, with numpy's warning, in lanes that the
+    boundary stencils then overwrite (see the comment above `_d1`).
     """
     if which == "dx":
         return _d1(a, grid.dx, 1, grid.periodic, out)
@@ -243,7 +278,8 @@ def diff(a, grid, which, out=None, tmp=None):
     if which == "dxxxx":
         if grid.nx < 5:
             raise GridTooSmall("fourth derivative needs nx >= 5")
-        return diff(diff(a, grid, "dxx", tmp=tmp), grid, "dxx", out, tmp)
+        out = diff(a, grid, "dxx", out, tmp)
+        return diff(out, grid, "dxx", out, tmp)
     if which not in ("dy", "dyy"):
         raise ValueError(f"unknown derivative {which!r}")
     if grid.is_1d:

@@ -46,7 +46,7 @@ def section_args(kind, params):
 
 def hf_rhs(s, g, work=None):
     """S ^ S_xx: the HF flow of a 1-D-in-x spin array. work, a `Scratch`,
-    holds the buffers (the result among them) from call to call."""
+    holds the buffers (the result, "rhs", among them) from call to call."""
     w = Scratch() if work is None else work
     sxx = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
     return cross(s, sxx, out=w["rhs", s.shape])

@@ -273,6 +273,9 @@ FAILURES = [
     ("reconstruct-1d-field", 2, lambda d: [
         "reconstruct", "--output", str(d / "m.obj"), "--input",
         _field_file(d, "s1d.csv", synth.smooth_spin(Grid(16, 1, 0.1, 1.0), seed=2))]),
+    ("steps-not-a-multiple-of-snapshot-every", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.1", "--dt", "1e-4",
+        "--steps", "7", "--snapshot-every", "5")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out

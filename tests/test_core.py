@@ -19,6 +19,7 @@ from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
                       norm, project_sphere, rk4_step, stationary_residual,
                       synth)
 from spinsurf import fields
+from spinsurf.errors import GridTooSmall
 from spinsurf.evolve import EvolutionModel
 from spinsurf.fields import SPIN_NORM_TOL, is_unit
 from spinsurf.magnetoelastic import _REGISTRY
@@ -98,6 +99,85 @@ def test_stencil_leaves_input_untouched():
     diff(a, Grid(6, 5, 0.5, 0.5, "periodic"), "dyy")
 
 
+# Every layout the package differences: grid arrays (1-D and 2-D, scalar and
+# vector), complex (nt, nx) histories as nlse_residual takes them and
+# (nt, nx, 3, 3) stacks as zc_residual takes them; axis lengths start at 3,
+# below the clamped second difference's minimum.
+LAYOUTS = {"1-D": ((1,), (), float), "1-D vector": ((1,), (3,), float),
+           "2-D": (None, (), float), "2-D vector": (None, (3,), float),
+           "complex": (None, (), complex), "stack": (None, (3, 3), float)}
+DIFF_REFERENCE = {
+    "dx": lambda a, g, p: ref_d1(a, g.dx, 1, p),
+    "dxx": lambda a, g, p: ref_d2(a, g.dx, 1, p),
+    "dy": lambda a, g, p: ref_d1(a, g.dy, 0, p),
+    "dyy": lambda a, g, p: ref_d2(a, g.dy, 0, p),
+    "dxy": lambda a, g, p: ref_d1(ref_d1(a, g.dx, 1, p), g.dy, 0, p),
+    "dxxxx": lambda a, g, p: ref_d2(ref_d2(a, g.dx, 1, p), g.dx, 1, p),
+}
+
+
+@st.composite
+def layout_arrays(draw):
+    rows, tail, dtype = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    n = st.integers(3, 11)
+    shape = (rows or (draw(n),)) + (draw(n),) + tail
+    part = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+    a = draw(part) + (1j * draw(part) if dtype is complex else 0.0)
+    return a, draw(st.floats(0.01, 3.0)), draw(st.booleans())
+
+
+def least_nodes(stencil, periodic):
+    return 4 if stencil is fields._d2 and not periodic else 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_arrays())
+def test_flat_stencils_bitwise_equal_reference_on_every_axis(case):
+    """_d1 and _d2 difference the flat array at an offset; on every axis of
+    every layout they equal the np.roll / slice reference bit for bit, also
+    for an input that is not C-contiguous, and refuse too short an axis."""
+    a, h, periodic = case
+    strided = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert not strided.flags.c_contiguous
+    for stencil, ref in ((fields._d1, ref_d1), (fields._d2, ref_d2)):
+        for axis in range(a.ndim):
+            if a.shape[axis] < least_nodes(stencil, periodic):
+                with pytest.raises(GridTooSmall):
+                    stencil(a, h, axis, periodic)
+                continue
+            want = ref(a, h, axis, periodic)
+            assert np.array_equal(stencil(a, h, axis, periodic), want)
+            assert np.array_equal(stencil(strided, h, axis, periodic), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_arrays(), st.floats(0.01, 3.0))
+def test_every_diff_kind_bitwise_equal_reference(case, dy):
+    a, dx, periodic = case
+    if a.dtype == complex or a.ndim > 3:
+        return                          # diff takes (ny, nx) and (ny, nx, 3) arrays
+    g = Grid(a.shape[1], a.shape[0], dx, dy, "periodic" if periodic else "clamped")
+    d2_least = 3 if periodic else 4
+    least = {"dx": (3, 0), "dxx": (d2_least, 0), "dy": (0, 3), "dyy": (0, d2_least),
+             "dxy": (3, 3), "dxxxx": (5, 0)}
+    for which, (nx, ny) in least.items():
+        if g.nx < nx or (ny and (g.is_1d or g.ny < ny)):
+            with pytest.raises(GridTooSmall):
+                diff(a, g, which)
+            continue
+        assert np.array_equal(diff(a, g, which), DIFF_REFERENCE[which](a, g, periodic)), which
+
+
+@pytest.mark.parametrize("stencil, buffer", [(fields._d1, "out"), (fields._d2, "out"),
+                                             (fields._d2, "tmp")])
+def test_stencil_refuses_a_buffer_that_is_not_c_contiguous(stencil, buffer, rng):
+    """The flat view of such an array would be a copy, and the result lost."""
+    a = rng.standard_normal((6, 7, 3))
+    bufs = {buffer: np.empty((6, 14, 3))[:, ::2]}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        stencil(a, 0.1, 1, True, **bufs)
+
+
 # ---------------------------------------------------------------------------
 # cumulative trapezoid quadrature
 
@@ -170,6 +250,10 @@ FLOWS = {
     "hf": (G1, lambda st: {"S": hf_rhs(st["S"], G1)}),
     "m-xxxiv": (G1, me_reference(catalog_lookup("m-xxxiv"), G1)),
     "m-lii": (G1, me_reference(catalog_lookup("m-lii"), G1)),
+    "m-l": (G1, me_reference(catalog_lookup("m-l"), G1)),
+    "m-xlv": (G1, me_reference(catalog_lookup("m-xlv"), G1)),
+    "m-xliv": (G1, me_reference(catalog_lookup("m-xliv"), G1)),
+    "m-xxxix": (G1, me_reference(catalog_lookup("m-xxxix"), G1)),
     "lle": (G2, lambda st: {"S": lle_rhs(st["S"], G2)}),
     "mxiiib": (G2, lambda st: {"S": mxiiib_system(st["S"], G2, 1.0, 1.0, 1.0, 1.0)[0]}),
     "mxiiia": (G2C, lambda st: {"S": mxiiia_system(st["S"], G2C, 1.0, 1.0, 1.0, 1.0)[0]}),
@@ -181,8 +265,8 @@ def test_evolve_bitwise_equal_field_api_loop(name):
     """evolve, which reuses its arrays, against the allocating loop; the
     snapshots are compared after the run, so no later step wrote into them."""
     grid, rhs = FLOWS[name]
-    dt = 0.2 * grid.dx ** 2
     model = evolution_model(name, grid)
+    dt = 0.2 * grid.dx ** model.spatial_order
     initial = {"S": synth.smooth_spin(grid, seed=5).values,
                "u": 0.3 * synth.smooth_scalar(grid, seed=6).values,
                "w": 0.1 * synth.smooth_scalar(grid, seed=7).values}

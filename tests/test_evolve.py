@@ -8,6 +8,7 @@ from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       ScalarField, SpinField, SpinsurfError, check_stability,
                       constant_field, energy_proxy, evolve, evolution_model,
                       mxiii_rhs, rk4_step, synth)
+from spinsurf import VecField
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
@@ -209,6 +210,26 @@ def test_mxiii_constraint_diagnostic(params):
     assert all(v > 0.0 for v in got) if params else all(v == 0.0 for v in got)
 
 
+def test_steps_must_be_a_multiple_of_snapshot_every():
+    """With 7 steps and a snapshot every 5, steps 6 and 7 would go unreported."""
+    with pytest.raises(ValueError, match="steps = 7 is not a multiple of snapshot_every = 5"):
+        EvolveOptions(dt=1e-4, steps=7, snapshot_every=5)
+
+
+def test_field_of_a_right_hand_side_leaves_the_model_usable():
+    """Wrapping a model's rhs result in a field copies it: the model's buffer
+    stays writeable, so the next evolve with the model runs."""
+    g = Grid(16, 16, 0.25, 0.25, "periodic")
+    model = evolution_model("lle", g)
+    s = synth.smooth_spin(g, seed=1).values
+    k = model.rhs({"S": s})["S"]
+    field = VecField(g, k)
+    before = k.copy()
+    evolve(model, {"S": s}, EvolveOptions(dt=0.002, steps=2, snapshot_every=2))
+    assert k.flags.writeable and not np.array_equal(k, before)
+    assert np.array_equal(field.values, before)
+
+
 def test_stationary_only_model_is_refused():
     with pytest.raises(ValueError, match="check --model ishimori"):
         evolution_model("ishimori", Grid(16, 16, 0.2, 0.2, "periodic"))
@@ -251,6 +272,41 @@ def test_lle_steps_allocate_no_grid_sized_array(monkeypatch):
     growth = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
     assert growth[0] > 3 * grid_array     # the first step allocates the buffers
     assert max(growth[1:]) < grid_array
+
+
+def traced_step_growth(monkeypatch, model, initial, opts):
+    """Traced peak bytes above the level at each step's start, for all but
+    the last step."""
+    marks = []
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return rk4_step(*args, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "rk4_step", marked)
+    tracemalloc.start()
+    try:
+        evolve(model, initial, opts)
+    finally:
+        tracemalloc.stop()
+    return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+
+
+@pytest.mark.parametrize("name", ["m-xxxiv", "m-lii"])
+def test_catalog_steps_allocate_no_vector_array(monkeypatch, name):
+    """After the first, a step of a coupled catalog model on 4,096 sites
+    allocates no (1, nx, 3) float array: the packed state and derivative and
+    the right-hand sides' Scratch hold them all."""
+    g = Grid(4096, 1, 0.1, 1.0, "periodic")
+    vector_array = g.nx * 3 * 8
+    model = evolution_model(name, g)
+    initial = {"S": synth.smooth_spin(g, seed=1).values,
+               "u": 0.1 * synth.smooth_scalar(g, seed=2).values, "w": np.zeros((1, g.nx))}
+    growth = traced_step_growth(monkeypatch, model, {k: initial[k] for k in model.fields},
+                                EvolveOptions(dt=0.002, steps=4, snapshot_every=4))
+    assert growth[0] > 3 * vector_array     # the first step allocates the buffers
+    assert max(growth[1:]) < vector_array
 
 
 def count_calls(monkeypatch, module, name):

@@ -54,6 +54,17 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
+    @pytest.mark.parametrize("kind, tail", [(ScalarField, ()), (VecField, (3,))])
+    def test_callers_array_stays_writeable(self, grid1d, kind, tail):
+        """A field keeps a read-only copy of a writeable array: the caller may
+        go on writing it, and the field does not change with it."""
+        a = np.zeros((1, grid1d.nx) + tail)
+        f = kind(grid1d, a)
+        assert a.flags.writeable and not f.values.flags.writeable
+        a += 1.0
+        assert np.all(f.values == 0.0)
+        assert kind(grid1d, f.values).values is f.values     # read-only: not copied again
+
     def test_same_grid_mismatch(self, grid1d, grid2d):
         a = constant_field(grid1d, 1.0)
         b = constant_field(grid2d, 1.0)
@@ -218,3 +229,10 @@ def test_scratch_keeps_one_array_per_name_and_shape():
     assert w["x", (4, 3)] is a
     assert w["x", (3, 4)] is not a and w["y", (4, 3)] is not a
     assert a.dtype == float and len(w) == 3
+
+
+def test_dot_into_out_is_the_allocated_result(rng):
+    a, b = rng.standard_normal((2, 7, 5, 3))
+    out, tmp = np.full((7, 5), np.nan), np.full((7, 5, 3), np.nan)
+    assert dot(a, b, out=out, tmp=tmp) is out
+    assert np.array_equal(out, dot(a, b)) and np.array_equal(out, np.sum(a * b, -1))

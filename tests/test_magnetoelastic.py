@@ -9,6 +9,7 @@ from spinsurf import (Grid, PhononAbsent, ScalarField, SpinField,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES)
+from spinsurf import fields
 from spinsurf.magnetoelastic import FAMILIES
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
@@ -193,3 +194,64 @@ def test_families_list_exactly_the_constants_read(name):
         # set past with_params, the constant changes nothing
         out = all_rhs(replace(spec, params={c: 2.0}), s, u, w, g)
         assert all(np.array_equal(a, b) for a, b in zip(base, out)), c
+
+
+# ---------------------------------------------------------------------------
+# the buffered right-hand sides against the formulas written out
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def written_out_rhs(spec, s, u, w, g):
+    """Each catalog formula as one allocating expression, in the
+    floating-point order that me_spin_rhs and me_phonon_rhs keep."""
+    p = spec.param
+    sx = diff(s, g, "dx")
+    if spec.spin in ("A", "B"):
+        drive = u if spec.spin == "A" else u * s[..., 2]
+        ds = cross(s, diff(s, g, "dxx")) + drive[..., None] * cross(s, E3)
+    elif spec.spin in ("C", "D"):
+        coeff = p("mu") * dot(sx, sx) - u + p("m")
+        ds = diff(coeff[..., None] * cross(s, sx), g, "dx")
+        if spec.spin == "D":
+            ds = p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
+    else:
+        ds = cross(s, diff(s, g, "dxx")) + u[..., None] * sx
+    if spec.phonon == "none":
+        return [ds]
+    q = {"s3": s[..., 2], "s3sq": s[..., 2] ** 2, "sxsq": dot(sx, sx),
+         "trform": 0.5 * dot(sx, sx)}[spec.source]
+    if spec.phonon in ("wave", "boussinesq"):
+        acc = p("nu0") ** 2 * diff(u, g, "dxx") + p("lam") * diff(q, g, "dxx")
+        if spec.phonon == "boussinesq":
+            acc += p("alpha") * diff(u ** 2, g, "dxx") + p("beta") * diff(u, g, "dxxxx")
+        return [ds, w, acc / p("rho")]
+    du = -diff(u, g, "dx") - p("lam") * diff(q, g, "dx")
+    if spec.phonon == "kdv":
+        du -= (p("alpha") * diff(u ** 2, g, "dx")
+               + p("beta") * diff(diff(u, g, "dxx"), g, "dx"))
+    return [ds, du]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("name", IMPLEMENTED)
+def test_buffered_rhs_bitwise_equal_written_out_formula(name, boundary):
+    """Allocating, and buffered with one Scratch and a shared S_x over two
+    states in turn, both right-hand sides equal the written-out formula."""
+    g = Grid(24, 1, 0.2, 1.0, boundary)
+    spec = catalog_lookup(name)
+    rng = np.random.default_rng(len(name))
+    spec = spec.with_params(**{c: rng.uniform(0.5, 2.0) for c in
+                               FAMILIES[spec.spin][0] + FAMILIES[spec.phonon][0]})
+    work = fields.Scratch()
+    for seed in (3, 4):
+        s, u, _ = random_state(g, seed)
+        w = synth.smooth_scalar(g, seed=seed + 2000).values
+        want = written_out_rhs(spec, s, u, w, g)
+        assert all(np.array_equal(a, b) for a, b in zip(all_rhs(spec, s, u, w, g), want))
+        sx = diff(s, g, "dx")
+        got = [me_spin_rhs(spec, s, u, g, work, sx)]
+        if spec.phonon != "none":
+            got += [a for a in me_phonon_rhs(spec, s, u, w, g, work, sx) if a is not None]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
