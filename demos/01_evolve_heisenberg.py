@@ -28,6 +28,6 @@ for t, rec in zip(traj.times, traj.diagnostics):
           f"{rec['max_norm_drift']:18.3e}")
 
 final = traj.spins()[-1]
-print("\nfinal spin at the left end:", np.round(final.values[0, 0], 6))
+print("\nfinal spin at the left end:", np.round(final.values[:, 0, 0], 6))
 print("max |S| deviation in the final snapshot:",
-      np.abs(np.linalg.norm(final.values, axis=-1) - 1.0).max())
+      np.abs(np.linalg.norm(final.values, axis=0) - 1.0).max())

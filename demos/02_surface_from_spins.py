@@ -30,8 +30,8 @@ traj = evolve(evolution_model("hf", grid),
               {"S": synth.smooth_spin(grid, seed=8).values},
               EvolveOptions(dt=dt, steps=steps))
 
-history = np.concatenate([s["S"].values for s in traj.snapshots], axis=0)
-hist_grid = Grid(n, history.shape[0], grid.dx, dt, "periodic")
+history = np.concatenate([s["S"].values for s in traj.snapshots], axis=-2)
+hist_grid = Grid(n, history.shape[-2], grid.dx, dt, "periodic")
 S = SpinField(hist_grid, history)
 
 mesh, mismatch = reconstruct_surface(S, classical_coeffs("hf"))

@@ -11,8 +11,8 @@ from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField, VecField,
 from .geometry import (CoefficientSet, ResidualReport, SurfaceMesh,
                        classical_coeffs, mf_tangents, n_system_residual,
                        reconstruct_surface, unit_normal)
-from .models import (hf_rhs, lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system,
-                     stationary_residual)
+from .models import (hf_rhs, lle_rhs, mxiii_constraint, mxiii_rhs, mxiiia_system,
+                     mxiiib_system, stationary_residual)
 from .magnetoelastic import (ModelSpec, catalog_lookup, catalog_names,
                              me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs)
 from .solvers import mixed_integrate, poisson_solve

@@ -65,20 +65,17 @@ _COMMAND_KEYS = {
 _PARAM_HELP = "named real parameter, repeatable (e.g. --param a1=1 --param lam=0.5)"
 
 
-class RunConfig:
-    def __init__(self, command, values, params):
-        self.command = command
-        self.values = values
-        self.params = params
+class RunConfig(dict):
+    """A command's option values, with its named parameters in params."""
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def __init__(self, command, values, params):
+        super().__init__(values)
+        self.command, self.params = command, params
 
     def require(self, key):
-        v = self.values.get(key)
-        if v is None:
+        if self.get(key) is None:
             raise ConfigError(f"missing required key {key!r}")
-        return v
+        return self[key]
 
 
 def _coerce(key, typ, raw, finite=False):
@@ -198,11 +195,9 @@ def cmd_simulate(cfg):
 
     for key in ("dt", "steps"):     # the options without a default
         cfg.require(key)
-    opts = EvolveOptions(**{k: v for k, v in cfg.values.items() if k in _EVOLVE_KEYS})
+    opts = EvolveOptions(**{k: v for k, v in cfg.items() if k in _EVOLVE_KEYS})
 
-    initial = {f: np.zeros((grid.ny, grid.nx)) for f in model.fields}
-    initial["S"] = S0.values
-
+    initial = {f: S0.values if f == "S" else np.zeros((grid.ny, grid.nx)) for f in model.fields}
     traj = evolve(model, initial, opts)
 
     outdir = cfg.get("output", ".")

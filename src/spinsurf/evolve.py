@@ -1,7 +1,8 @@
 """Method-of-lines time integration with per-step sphere projection.
 
-A state is a `State`: its fields ("S" always, "u"/"w" for magnetoelastic
-models) are named views of one contiguous float array, so `rk4_step`, the
+A state is a `State`: its fields, the (3, ny, nx) spin array "S" (components
+first, see `fields`) and for magnetoelastic models the (ny, nx) "u" and "w",
+are named views of one contiguous float array, so `rk4_step`, the
 classical 4-stage Runge-Kutta update, runs its stage, sum and finite-check
 arithmetic once per stage on the whole array. Model right-hand sides are
 the array functions of `models` and `magnetoelastic`, so no field object is
@@ -68,7 +69,7 @@ class EvolutionModel:
     """A named flow: state layout, right-hand side, and stability order."""
 
     name: str
-    rhs: object                    # dict of arrays -> State (or dict) its next call overwrites
+    rhs: object                    # State -> State that its next call overwrites
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
@@ -95,27 +96,22 @@ def rk4_workspace(state):
 
 
 def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
-    """One classical Runge-Kutta step on a `State` (a dict of arrays is
-    packed into one first).
+    """One classical Runge-Kutta step on a `State`.
 
-    rhs_fn maps a state to a State laid out like it; any other dict of
-    arrays it returns is packed, a copy. The new state is written into out,
-    a State (which may be state itself), and work is `rk4_workspace(state)`:
-    the stage state, a product and the running sum k1 + 2 k2 + 2 k3 + k4.
-    Either is allocated when not given. Each k is used up before anything
-    it may alias is overwritten, so rhs_fn may return its input, or one
-    buffer at every stage.
+    rhs_fn maps a state to a State laid out like it. The new state is
+    written into out, a State (which may be state itself), and work is
+    `rk4_workspace(state)`: the stage state, a product and the running sum
+    k1 + 2 k2 + 2 k3 + k4. Either is allocated when not given. Each k is
+    used up before anything it may alias is overwritten, so rhs_fn may
+    return its input, or one buffer at every stage.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not isinstance(state, State):
-        state = State(state)
     y, (stage, p, acc) = state.data, work or rk4_workspace(state)
     out = State(state) if out is None else out
     st = state
     for i, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
-        k = rhs_fn(st)
-        k = k.data if isinstance(k, State) else State({name: k[name] for name in state}).data
+        k = rhs_fn(st).data
         if not np.isfinite(k).all():
             raise Blowup(step)
         if i == 0:
@@ -196,12 +192,10 @@ def evolution_model(name, grid, params=None, external_u=None):
         return s, grid, diff(s, grid, "dx"), diff(s, grid, "dy")
 
     if key == "mxiii":
-        def rhs(st):
-            return {"S": mxiii_rhs(st["S"], grid, c)[0]}
-
-        def constraint(st):
+        def constraint(st):     # once per snapshot, not per stage
             return float(np.abs(mxiii_constraint(*first_diffs(st["S"]), c)).max())
 
+        rhs = buffered(("S",), lambda st, w: mxiii_rhs(st["S"], grid, c, w))
         return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
 
     system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
@@ -242,7 +236,7 @@ def evolution_model(name, grid, params=None, external_u=None):
 
 
 def _shapes(grid, fields):
-    return {k: (grid.ny, grid.nx, 3) if k == "S" else (grid.ny, grid.nx) for k in fields}
+    return {k: (3, grid.ny, grid.nx) if k == "S" else (grid.ny, grid.nx) for k in fields}
 
 
 def pack_state(model, initial):
@@ -294,7 +288,7 @@ def evolve(model, initial, opts):
     state = pack_state(model, initial)
     # the run's workspace (see the module docstring); each step overwrites state
     work = rk4_workspace(state)
-    n = np.empty(state["S"].shape[:-1])
+    n = np.empty(state["S"].shape[1:])
 
     traj = Trajectory()
 

@@ -1,17 +1,19 @@
 """Grids, scalar/vector fields, and second-order finite-difference calculus.
 
 Fields live on uniform 2-D grids (ny = 1 degenerates to 1-D). Node (i, j)
-maps to flat index i + nx*j, i.e. arrays are stored with shape (ny, nx)
-[, 3] in C order. All field objects are immutable after construction: a
-field holds a read-only copy of a writeable array it is given, so the
-caller's array stays writeable and the field does not change with it.
+maps to flat index i + nx*j in C order; scalars are (ny, nx) arrays and
+vectors (3, ny, nx), components first, so x is axis -1 and y axis -2 for
+both and a (ny, nx) coefficient broadcasts against a vector as it is. All
+field objects are immutable after construction: a field holds a read-only
+copy of a writeable array it is given, so the caller's array stays
+writeable and the field does not change with it.
 
 The stencils difference the C-order flat array at a fixed offset, so every
 axis is one contiguous pass; their `out` and `tmp` arrays must be
 C-contiguous.
 """
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +93,7 @@ class VecField:
 
     def __post_init__(self):
         object.__setattr__(self, "values",
-                           _frozen_array(self.values, (self.grid.ny, self.grid.nx, 3)))
+                           _frozen_array(self.values, (3, self.grid.ny, self.grid.nx)))
 
 
 class SpinField(VecField):
@@ -104,7 +106,7 @@ class SpinField(VecField):
 
 
 def is_unit(a):
-    """Whether every vector of a (..., 3) array has length 1 to SPIN_NORM_TOL."""
+    """Whether every vector of a (3, ...) array has length 1 to SPIN_NORM_TOL."""
     return np.abs(norm(a) - 1.0).max() <= SPIN_NORM_TOL
 
 
@@ -113,7 +115,7 @@ def constant_field(grid, value):
     value = np.asarray(value, dtype=float)
     if value.ndim == 0:
         return ScalarField(grid, np.full((grid.ny, grid.nx), float(value)))
-    return VecField(grid, np.broadcast_to(value, (grid.ny, grid.nx, 3)).copy())
+    return VecField(grid, np.broadcast_to(value.reshape(3, 1, 1), (3, grid.ny, grid.nx)).copy())
 
 
 def same_grid(*fields):
@@ -135,30 +137,33 @@ class Scratch(dict):
 
 
 # ---------------------------------------------------------------------------
-# vector algebra (on trailing-axis-3 arrays)
+# vector algebra (on components-first (3, ...) arrays)
 
 def cross(a, b, out=None):
-    """Right-handed cross product on (..., 3) arrays, written into out (which
+    """Right-handed cross product on (3, ...) arrays, written into out (which
     must not overlap a or b) when given."""
     a, b = np.asarray(a), np.asarray(b)
     if out is None:
         out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    a0, a1, a2, b0, b1, b2 = a[0], a[1], a[2], b[0], b[1], b[2]
+    o0, o1, o2 = out[0, ...], out[1, ...], out[2, ...]      # arrays even for 3-vectors
+    np.multiply(a1, b2, out=o0)
+    o0 -= a2 * b1
+    np.multiply(a2, b0, out=o1)
+    o1 -= a0 * b2
+    np.multiply(a0, b1, out=o2)
+    o2 -= a1 * b0
     return out
 
 
 def dot(a, b, out=None, tmp=None):
-    """Dot product on (..., 3) arrays, summed left to right like numpy's
-    length-3 reduction: bit for bit np.sum(a * b, -1), without its overhead.
-    Written into out (shaped like a[..., 0]) when given; tmp, shaped like the
+    """Dot product on (3, ...) arrays, summed left to right like numpy's
+    length-3 reduction: bit for bit np.sum(a * b, 0), without its overhead.
+    Written into out (shaped like a[0]) when given; tmp, shaped like the
     product, holds the products."""
     p = np.multiply(a, b, out=tmp)
-    out = np.add(p[..., 0], p[..., 1], out=out)
-    out += p[..., 2]
+    out = np.add(p[0], p[1], out=out)
+    out += p[2]
     return out
 
 
@@ -168,30 +173,25 @@ def triple(a, b, c):
 
 
 def norm(a, out=None):
-    """Length of (..., 3) vectors, into out (shaped like a[..., 0]) when given;
-    bit for bit np.linalg.norm(a, axis=-1): squares summed left to right."""
-    sq = np.multiply(a[..., 0], a[..., 0], out=out)
-    sq += a[..., 1] * a[..., 1]
-    sq += a[..., 2] * a[..., 2]
+    """Length of (3, ...) vectors, into out (shaped like a[0]) when given;
+    bit for bit np.linalg.norm(a, axis=0): squares summed left to right."""
+    sq = np.multiply(a[0], a[0], out=out)
+    sq += a[1] * a[1]
+    sq += a[2] * a[2]
     return np.sqrt(sq, out=out)
-
-
-def cmul(coeff, arr, out=None):
-    """Multiply a coefficient (float or (ny, nx) array) into a field array,
-    into out when given."""
-    return np.multiply(coeff if np.isscalar(coeff) else coeff[..., None], arr, out=out)
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 #
 # The stencils act on plain arrays of any shape and dtype. Along `axis`,
-# neighbours sit k = prod(shape[axis + 1:]) apart in the C-order flat array,
-# so one pass over the flat arrays at offset k differences every axis with
-# contiguous reads and writes, and no shifted copy of the input is made. The
-# pass also computes lanes that straddle the ends of the axis (garbage from
-# unrelated nodes) until the boundary slabs are written over them; for finite
-# input they stay finite below magnitudes of about 8.9e307, where any
+# neighbours sit k = out.strides[axis] / out.itemsize apart in the C-order
+# flat array, so one pass over the flat arrays at offset k differences every
+# axis with contiguous reads and writes, and no shifted copy of the input is
+# made. The pass also computes lanes that straddle the ends of the axis
+# (garbage from unrelated nodes) until the boundary slabs, a[..., i] for the
+# last axis and a[..., i, :] for the one before, are written over them; for
+# finite input they stay finite below magnitudes of about 8.9e307, where any
 # difference can overflow. The stencils are written in difference-of-
 # neighbours form so that constant fields differentiate to exactly zero in
 # floating point. An `out` array receives the result and a `tmp` array shaped
@@ -200,23 +200,34 @@ def cmul(coeff, arr, out=None):
 # array is a copy, and the result would be lost), and may not overlap the
 # input, except that `_d2` may write out over its own input.
 
+@functools.lru_cache
+def _slabs(n, after):
+    """Boundary slabs along an axis of n nodes and `after` axes after it: at[i]
+    indexes node i (a[..., i, :] when after = 1), at[i, j] nodes i and j."""
+    rest = (slice(None),) * after
+    at = {i: (..., i, *rest) for i in (0, 1, 2, -1, -2, -3, -4)}
+    at[0, -1] = (..., slice(None, None, n - 1), *rest)
+    at[1, 0] = (..., slice(1, None, -1), *rest)
+    at[-1, -2] = (..., slice(-1, -3, -1), *rest)
+    return at
+
+
 def _d1(a, h, axis, periodic, out=None):
     if a.shape[axis] < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
     out = np.empty(a.shape, a.dtype) if out is None else out
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
-    xf, k = a.ravel(), math.prod(a.shape[axis + 1:])
-    n = xf.size
-    np.subtract(xf[2 * k:], xf[:n - 2 * k], out=out.ravel()[k:n - k])
-    x, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
-    if periodic:
-        np.subtract(x[1], x[-1], out=o[0, ...])
-        np.subtract(x[0], x[-2], out=o[-1, ...])
+    xf, of = a.ravel(), out.ravel()
+    k, n = out.strides[axis] // out.itemsize, xf.size
+    np.subtract(xf[2 * k:], xf[:n - 2 * k], out=of[k:n - k])
+    at = _slabs(a.shape[axis], (-1 - axis) % a.ndim)
+    if periodic:        # out[0] = x[1] - x[n-1], out[n-1] = x[0] - x[n-2]
+        np.subtract(a[at[1, 0]], a[at[-1, -2]], out=out[at[0, -1]])
     else:
         # second-order one-sided: -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0)
-        o[0] = 4.0 * (x[1] - x[0]) - (x[2] - x[0])
-        o[-1] = 4.0 * (x[-1] - x[-2]) - (x[-1] - x[-3])
+        out[at[0]] = 4.0 * (a[at[1]] - a[at[0]]) - (a[at[2]] - a[at[0]])
+        out[at[-1]] = 4.0 * (a[at[-1]] - a[at[-2]]) - (a[at[-1]] - a[at[-3]])
     out /= 2.0 * h
     return out
 
@@ -232,32 +243,29 @@ def _d2(a, h, axis, periodic, out=None, tmp=None):
     if not (out.flags.c_contiguous and tmp.flags.c_contiguous):
         raise ValueError("out and tmp must be C-contiguous arrays")
     xf, df, of = a.ravel(), tmp.ravel(), out.ravel()
-    k, size = math.prod(a.shape[axis + 1:]), xf.size
-    # forward differences d[i] = x[i+1] - x[i], wrapping to d[n-1] = x[0] - x[n-1]
-    # when periodic (clamped, the last slab of tmp is never set); every read of
-    # the input comes before the first write to out
+    k, size = out.strides[axis] // out.itemsize, xf.size
+    at = _slabs(n, (-1 - axis) % a.ndim)
+    # forward differences d[i] = x[i+1] - x[i] in tmp, wrapping to d[n-1] =
+    # x[0] - x[n-1] when periodic (clamped, the last slab of tmp is never
+    # set); every read of the input comes before the first write to out
     np.subtract(xf[k:], xf[:size - k], out=df[:size - k])
-    x, d = a.swapaxes(0, axis), tmp.swapaxes(0, axis)
     if periodic:
-        np.subtract(x[0], x[-1], out=d[-1, ...])
-    else:
-        d = d[:-1]
+        np.subtract(a[at[0]], a[at[-1]], out=tmp[at[-1]])
     # the stencil d[i] - d[i-1]
     np.subtract(df[k:size - k], df[:size - 2 * k], out=of[k:size - k])
-    o = out.swapaxes(0, axis)
-    if periodic:
-        np.subtract(d[0], d[-1], out=o[0, ...])
-        np.subtract(d[-1], d[-2], out=o[-1, ...])
+    if periodic:        # out[0] = d[0] - d[n-1], out[n-1] = d[n-1] - d[n-2]
+        np.subtract(tmp[at[0, -1]], tmp[at[-1, -2]], out=out[at[0, -1]])
     else:
-        # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form
-        o[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
-        o[-1] = -2.0 * d[-1] + 3.0 * d[-2] - d[-3]
+        # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form,
+        # from d[0], d[1], d[2] and d[n-2], d[n-3], d[n-4]
+        out[at[0]] = -2.0 * tmp[at[0]] + 3.0 * tmp[at[1]] - tmp[at[2]]
+        out[at[-1]] = -2.0 * tmp[at[-2]] + 3.0 * tmp[at[-3]] - tmp[at[-4]]
     out /= h * h
     return out
 
 
 def diff(a, grid, which, out=None, tmp=None):
-    """Finite difference of a plain (ny, nx) or (ny, nx, 3) array, written
+    """Finite difference of a plain (ny, nx) or (3, ny, nx) array, written
     into out when given; tmp, shaped like a, is second-difference scratch.
 
     which: one of "dx", "dy", "dxx", "dyy", "dxy", "dxxxx". Periodic grids
@@ -270,9 +278,9 @@ def diff(a, grid, which, out=None, tmp=None):
     boundary stencils then overwrite (see the comment above `_d1`).
     """
     if which == "dx":
-        return _d1(a, grid.dx, 1, grid.periodic, out)
+        return _d1(a, grid.dx, -1, grid.periodic, out)
     if which == "dxx":
-        return _d2(a, grid.dx, 1, grid.periodic, out, tmp)
+        return _d2(a, grid.dx, -1, grid.periodic, out, tmp)
     if which == "dxy":
         return diff(diff(a, grid, "dx"), grid, "dy", out)
     if which == "dxxxx":
@@ -287,8 +295,8 @@ def diff(a, grid, which, out=None, tmp=None):
     if grid.ny < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
     if which == "dy":
-        return _d1(a, grid.dy, 0, grid.periodic, out)
-    return _d2(a, grid.dy, 0, grid.periodic, out, tmp)
+        return _d1(a, grid.dy, -2, grid.periodic, out)
+    return _d2(a, grid.dy, -2, grid.periodic, out, tmp)
 
 
 def cumtrapz(y, d, axis):
@@ -300,9 +308,9 @@ def cumtrapz(y, d, axis):
 
 
 def project_sphere(v, n, out=None):
-    """(..., 3) vectors v divided by their norms n, into out (which may be v)
+    """(3, ...) vectors v divided by their norms n, into out (which may be v)
     when given; refuses near-zero norms."""
     if n.min() < NORM_FLOOR:
         j, i = np.unravel_index(np.argmin(n), n.shape)
         raise NearZeroNorm(int(i), int(j), float(n[j, i]))
-    return np.divide(v, n[..., None], out=out)
+    return np.divide(v, n, out=out)

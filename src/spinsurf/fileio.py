@@ -2,7 +2,8 @@
 
 All real numbers are written with 17 significant digits so that
 write -> read round-trips reproduce float64 values exactly and repeated
-runs produce byte-identical files.
+runs produce byte-identical files. A file row holds one node's components,
+which come first in memory, (comps, ny, nx): the transpose is made here.
 """
 
 import numpy as np
@@ -36,14 +37,14 @@ def _write_rows(fh, fmt, rows, nx=None):
 
 
 def _write_table(path, magic, keys, header, vals):
-    """Write the versioned CSV read by _read_table; vals is (ny, nx, ncols)."""
+    """Write the versioned CSV read by _read_table; vals is (ncols, ny, nx)."""
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"refusing to write non-finite values to {path}")
-    _, nx, ncols = vals.shape
+    ncols, _, nx = vals.shape
     items = (f"{k}={_g17(v) if keys[k] is float else v}" for k, v in header.items())
     with open(path, "w") as fh:
         fh.write(f"{magic}\n# {' '.join(items)}\n")
-        _write_rows(fh, "%d,%d" + ",%.17g" * ncols + "\n", vals.reshape(-1, ncols), nx)
+        _write_rows(fh, "%d,%d" + ",%.17g" * ncols + "\n", vals.reshape(ncols, -1).T, nx)
 
 
 def _parse_block(rows, first, nx, ncols):
@@ -66,7 +67,7 @@ def _read_table(path, magic, keys, layout):
     holding `keys`, then one `i,j,v...` row per node in row-major order.
 
     layout(header) -> (grid, ncols) checks the typed header. Returns the
-    grid and the finite values, shaped (ny, nx, ncols).
+    grid and the finite values, shaped (ncols, ny, nx).
     """
     # undecodable bytes fail the token checks below, with their line number
     with open(path, errors="replace") as fh:
@@ -110,7 +111,7 @@ def _read_table(path, magic, keys, layout):
                     raise FormatError(n + 3, str(exc)) from None
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"{path} contains non-finite values")
-    return grid, vals.reshape(grid.ny, nx, ncols)
+    return grid, vals.T.reshape(ncols, grid.ny, nx)
 
 
 def _field_layout(h):
@@ -130,17 +131,15 @@ def write_field(path, f):
     header = {"nx": g.nx, "ny": g.ny, "dx": g.dx, "dy": g.dy,
               "boundary": g.boundary, "comps": comps}
     _write_table(path, FIELD_MAGIC, _FIELD_KEYS, header,
-                 f.values.reshape(g.ny, g.nx, comps))
+                 f.values.reshape(comps, g.ny, g.nx))
 
 
 def read_field(path):
     """Inverse of write_field; returns SpinField when the data is unit norm."""
     grid, vals = _read_table(path, FIELD_MAGIC, _FIELD_KEYS, _field_layout)
-    if vals.shape[-1] == 1:
-        return ScalarField(grid, vals[..., 0])
-    if is_unit(vals):
-        return SpinField(grid, vals)
-    return VecField(grid, vals)
+    if len(vals) == 1:
+        return ScalarField(grid, vals[0])
+    return (SpinField if is_unit(vals) else VecField)(grid, vals)
 
 
 def export_mesh(path, mesh, normals=None):
@@ -148,7 +147,7 @@ def export_mesh(path, mesh, normals=None):
     with open(path, "w") as fh:
         for tag, data in (("v", mesh.positions), ("vn", normals)):
             if data is not None:
-                _write_rows(fh, tag + " %.9g %.9g %.9g\n", data.values.reshape(-1, 3))
+                _write_rows(fh, tag + " %.9g %.9g %.9g\n", data.values.reshape(3, -1).T)
         _write_rows(fh, "f %d %d %d %d\n", mesh.quad_indices() + 1)
 
 
@@ -202,10 +201,10 @@ def write_curve(path, k, tau, dx, dt):
     k, tau = np.atleast_2d(k), np.atleast_2d(tau)
     nt, nx = k.shape
     _write_table(path, CURVE_MAGIC, _CURVE_KEYS,
-                 {"nx": nx, "nt": nt, "dx": dx, "dt": dt}, np.stack([k, tau], axis=-1))
+                 {"nx": nx, "nt": nt, "dx": dx, "dt": dt}, np.stack([k, tau]))
 
 
 def read_curve(path):
     """Returns (k, tau, dx, dt) with k, tau shaped (nt, nx)."""
     grid, vals = _read_table(path, CURVE_MAGIC, _CURVE_KEYS, _curve_layout)
-    return vals[..., 0].copy(), vals[..., 1].copy(), grid.dx, grid.dy
+    return vals[0].copy(), vals[1].copy(), grid.dx, grid.dy

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch, NearZeroNorm
-from .fields import (NORM_FLOOR, ScalarField, SpinField, VecField, cmul, cross,
-                     cumtrapz, diff, dot, norm, triple)
+from .fields import (NORM_FLOOR, ScalarField, SpinField, VecField, cross, cumtrapz,
+                     diff, dot, norm, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -207,7 +207,7 @@ def mf_tangents(S, c):
         for coeff, term in ((c1, s_sx), (c2, s_sy), (c3, sx), (c4, sy), (c5, s)):
             v = c.value(coeff)
             if not (np.isscalar(v) and v == 0.0):
-                out += cmul(v, term)
+                out += v * term
         return out
 
     r_x = VecField(g, side("a1", "a2", "a3", "a4", "a5"))
@@ -240,8 +240,8 @@ def n_system_residual(N, c):
     nx, ny, nxx, nyy, nxy = (diff(n, g, w) for w in ("dx", "dy", "dxx", "dyy", "dxy"))
 
     bracket = ((c.value("a1") + c.value("b2")) * triple(n, ny, nx)
-               + dot(n, cmul(c.value("a3"), nxy) - cmul(c.value("b4"), nxy)
-                     + cmul(c.value("a4"), nyy) - cmul(c.value("b3"), nxx)))
+               + dot(n, c.value("a3") * nxy - c.value("b4") * nxy
+                     + c.value("a4") * nyy - c.value("b3") * nxx))
     if not isinstance(N, SpinField):
         nn = dot(n, n)
         small = np.sqrt(nn) < NORM_FLOOR     # |N|, bit for bit norm(n)
@@ -273,13 +273,13 @@ def reconstruct_surface(S, c, base=(0.0, 0.0, 0.0)):
     if g.ny < 2:
         raise ValueError("surface reconstruction needs ny >= 2")
     r_x, r_y = mf_tangents(S, c)
-    base = np.asarray(base, dtype=float)
+    base = np.asarray(base, dtype=float).reshape(3, 1, 1)
 
-    ix = cumtrapz(r_x.values, g.dx, 1)
-    iy = cumtrapz(r_y.values, g.dy, 0)
+    ix = cumtrapz(r_x.values, g.dx, -1)
+    iy = cumtrapz(r_y.values, g.dy, -2)
 
-    r_a = base + ix[0:1, :, :] + iy          # row j=0 first, then columns
-    r_b = base + iy[:, 0:1, :] + ix          # column i=0 first, then rows
+    r_a = base + ix[:, 0:1, :] + iy          # row j=0 first, then columns
+    r_b = base + iy[:, :, 0:1] + ix          # column i=0 first, then rows
 
     mismatch = float(norm(r_a - r_b).max())
     return SurfaceMesh(VecField(g, r_a)), mismatch
@@ -293,4 +293,4 @@ def unit_normal(mesh):
     if mag.min() < 1e-10:
         j, i = np.unravel_index(np.argmin(mag), mag.shape)
         raise DegenerateTangent(int(i), int(j))
-    return VecField(g, n / mag[..., None])
+    return VecField(g, n / mag)

@@ -41,7 +41,7 @@ FAMILIES = {"A": ((), 2), "B": ((), 2), "C": (("mu", "m"), 2),
             "boussinesq": (("nu0", "rho", "lam", "alpha", "beta"), 4),
             "kdv": (("lam", "alpha", "beta"), 3)}
 
-E3 = np.array([0.0, 0.0, 1.0])
+E3 = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,11 @@ def _sx(s, g, ws, sx):
 
 
 def _coupling(spec, s, g, ws, sx):
-    q = ws["q", s.shape[:-1]]
+    q = ws["q", s.shape[1:]]
     if spec.source == "s3":
-        q[...] = s[..., 2]
+        q[...] = s[2]
     elif spec.source == "s3sq":
-        np.square(s[..., 2], out=q)
+        np.square(s[2], out=q)
     else:
         sx = _sx(s, g, ws, sx)
         dot(sx, sx, out=q, tmp=ws["t", s.shape])
@@ -167,8 +167,8 @@ def me_spin_rhs(spec, s, u, g, work=None, sx=None):
     out, t = ws["rhs", v], ws["t", v]
     if spec.spin in ("A", "B"):
         cross(s, diff(s, g, "dxx", out=ws["sxx", v], tmp=t), out=out)
-        drive = u if spec.spin == "A" else np.multiply(u, s[..., 2], out=ws["drive", u.shape])
-        out += np.multiply(drive[..., None], cross(s, E3, out=t), out=t)
+        drive = u if spec.spin == "A" else np.multiply(u, s[2], out=ws["drive", u.shape])
+        out += np.multiply(drive, cross(s, E3, out=t), out=t)
     elif spec.spin in ("C", "D"):
         sx = _sx(s, g, ws, sx)
         coeff = dot(sx, sx, out=ws["coeff", u.shape], tmp=t)
@@ -176,7 +176,7 @@ def me_spin_rhs(spec, s, u, g, work=None, sx=None):
         coeff -= u
         coeff += spec.param("m")
         flux = cross(s, sx, out=t)
-        flux *= coeff[..., None]
+        flux *= coeff
         diff(flux, g, "dx", out=out)
         if spec.spin == "D":
             bend = cross(s, diff(s, g, "dxxxx", out=ws["sxx", v], tmp=t), out=t)
@@ -186,7 +186,7 @@ def me_spin_rhs(spec, s, u, g, work=None, sx=None):
     elif spec.spin == "E":
         sx = _sx(s, g, ws, sx)
         cross(s, diff(s, g, "dxx", out=ws["sxx", v], tmp=t), out=out)
-        out += np.multiply(u[..., None], sx, out=t)
+        out += np.multiply(u, sx, out=t)
     else:
         raise UnimplementedModel(f"{spec.name} has no spin family")
     return out
@@ -248,17 +248,19 @@ _SIGMA = np.array([[[0, 1], [1, 0]],
 
 
 def _to_matrix(vec):
-    """(..., 3) real vectors -> (..., 2, 2) matrices V.sigma."""
-    return np.einsum("...k,kab->...ab", vec, _SIGMA)
+    """(3, ...) real vectors -> (2, 2, ...) matrices V.sigma, entries first
+    like the vector components, so that the x-stencils act on them as is."""
+    return np.einsum("k...,kab->ab...", vec, _SIGMA)
 
 
 def _to_vector(mat):
     """Inverse of _to_matrix for traceless Hermitian-combination matrices."""
-    return np.real(np.einsum("...ab,kba->...k", mat, _SIGMA)) / 2.0
+    return np.real(np.einsum("ab...,kba->k...", mat, _SIGMA)) / 2.0
 
 
 def _comm(a, b):
-    return a @ b - b @ a
+    """Node-wise commutator of (2, 2, ...) matrices."""
+    return np.einsum("ab...,bc...->ac...", a, b) - np.einsum("ab...,bc...->ac...", b, a)
 
 
 def pauli_oracle_rhs(spec, s, u, g):
@@ -270,17 +272,16 @@ def pauli_oracle_rhs(spec, s, u, g):
     matrix-to-vector translation.
     """
     _check(spec)
-    sm = _to_matrix(s)                       # (ny, nx, 2, 2)
-    u = u[..., None, None]
+    sm = _to_matrix(s)                       # (2, 2, ny, nx)
 
     if spec.spin == "A":
         m = _comm(sm, diff(sm, g, "dxx")) + u * _comm(sm, _SIGMA[2])
     elif spec.spin == "B":
-        s3 = np.real(np.trace(sm @ _SIGMA[2], axis1=-2, axis2=-1))[..., None, None] / 2.0
+        s3 = np.real(np.einsum("ab...,ba...->...", sm, _SIGMA[2])) / 2.0     # tr(S sigma3) / 2
         m = _comm(sm, diff(sm, g, "dxx")) + u * s3 * _comm(sm, _SIGMA[2])
     elif spec.spin in ("C", "D"):
         smx = diff(sm, g, "dx")
-        sx2 = np.real(np.trace(smx @ smx, axis1=-2, axis2=-1))[..., None, None] / 2.0
+        sx2 = np.real(np.einsum("ab...,ba...->...", smx, smx)) / 2.0        # tr(S_x S_x) / 2
         coeff = spec.param("mu") * sx2 - u + spec.param("m")
         m = diff(coeff * _comm(sm, smx), g, "dx")
         if spec.spin == "D":

@@ -7,7 +7,7 @@ stationary Ishimori equation, whose vector part is M-XIIIA's flow at
 (a1, a2, b1, b2) = (0, alpha^2, -1, 0). All right-hand sides are tangent
 to the sphere up to the discrete S.S_x = O(h^2) identity.
 
-Each formula is written once, on plain (ny, nx, 3) spin arrays with the
+Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `evolve` calls these functions directly, and the
 stationary residuals reuse them.
 """
@@ -15,7 +15,7 @@ stationary residuals reuse them.
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, Scratch, VecField, cmul, cross, diff, triple
+from .fields import ScalarField, Scratch, VecField, cross, diff, triple
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -68,14 +68,14 @@ def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None):
     y-difference of sx, which must be S_x; work as for hf_rhs."""
     w = Scratch() if work is None else work
     t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
-    cmul(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
+    np.multiply(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
     diff(sx, g, "dy", out=sxy)
-    inner += cmul(a1, sxy, out=t)
-    inner -= cmul(b2, sxy, out=t)
-    inner -= cmul(b1, diff(s, g, "dxx", out=sxy, tmp=t), out=sxy)
+    inner += np.multiply(a1, sxy, out=t)
+    inner -= np.multiply(b2, sxy, out=t)
+    inner -= np.multiply(b1, diff(s, g, "dxx", out=sxy, tmp=t), out=sxy)
     out = cross(s, inner, out=w["rhs", s.shape])
     for c, v in drift:
-        out += cmul(c, v, out=t)
+        out += np.multiply(c, v, out=t)
     return out
 
 
@@ -87,27 +87,26 @@ def mxiii_constraint(s, g, sx, sy, c):
     return constraint * np.ones((g.ny, g.nx))
 
 
-def mxiii_rhs(s, g, c):
-    """M-XIII flow and its coefficient-constraint residual.
+def mxiii_rhs(s, g, c, work=None):
+    """M-XIII flow; work as for hf_rhs.
 
-    The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. Returns the
-    evolution right-hand side and the (ny, nx) `mxiii_constraint`, which
-    the flow is supposed to keep small; it is monitored, never enforced.
+    The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. The flow is
+    supposed to keep `mxiii_constraint` small; it is monitored, never
+    enforced.
     """
     c.check_grid(g)
     for name, want in (("b3", 0.0), ("a4", 0.0)):
         if not (c.is_constant(name) and c.value(name) == want):
             raise ValueError(f"M-XIII needs {name} = {want}")
-    v3, v4 = c.value("b4"), c.value("a3")
-    if not np.all(np.asarray(v3) == np.asarray(v4)):
+    if not np.all(c.value("b4") == c.value("a3")):
         raise ValueError("M-XIII needs b4 = a3")
 
-    sx = diff(s, g, "dx")
-    sy = diff(s, g, "dy")
+    w = Scratch() if work is None else work
+    sx = diff(s, g, "dx", out=w["sx", s.shape])
+    sy = diff(s, g, "dy", out=w["sy", s.shape])
     drift = ((c.deriv("a3", "dy") - c.value("b5"), sx),
              (c.value("a5") - c.deriv("a3", "dx"), sy))
-    rhs = _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"))
-    return rhs, mxiii_constraint(s, g, sx, sy, c)
+    return _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"), w)
 
 
 def mxiii_potential(kind, s, g, sx, sy, a1, b2):
@@ -179,8 +178,9 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     if kind == "mxiii":
         if coeffs is None:
             raise ValueError("mxiii stationary residual needs a coefficient set")
-        rhs, constraint = mxiii_rhs(s, g, coeffs)
-        return ResidualReport(VecField(g, rhs), ScalarField(g, constraint))
+        rhs = VecField(g, mxiii_rhs(s, g, coeffs))      # validates coeffs first
+        sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
+        return ResidualReport(rhs, ScalarField(g, mxiii_constraint(s, g, sx, sy, coeffs)))
 
     sx = diff(s, g, "dx")
     sy = diff(s, g, "dy")

@@ -27,7 +27,7 @@ def smooth_scalar(grid, seed=0, modes=3, amplitude=1.0):
 def smooth_vec(grid, seed=0, modes=3, amplitude=1.0):
     comps = [smooth_scalar(grid, seed=seed * 3 + k + 1, modes=modes,
                            amplitude=amplitude).values for k in range(3)]
-    return VecField(grid, np.stack(comps, axis=-1))
+    return VecField(grid, np.stack(comps))
 
 
 def smooth_spin(grid, seed=0, modes=3, tilt=0.5):
@@ -37,7 +37,7 @@ def smooth_spin(grid, seed=0, modes=3, tilt=0.5):
     projection is well conditioned for every seed.
     """
     v = smooth_vec(grid, seed=seed, modes=modes, amplitude=tilt).values.copy()
-    v[..., 2] += 2.0
+    v[2] += 2.0
     return SpinField(grid, project_sphere(v, norm(v)))
 
 
@@ -45,5 +45,5 @@ def equator_spin(grid, a=1.0, b=0.0):
     """S = (cos(a x + b y), sin(a x + b y), 0), an in-plane winding field."""
     x, y = grid.meshgrid()
     theta = a * x + b * y
-    s = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+    s = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
     return SpinField(grid, project_sphere(s, norm(s)))

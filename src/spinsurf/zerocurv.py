@@ -18,7 +18,7 @@ solution of the focusing NLSE  i psi_t + psi_xx + 2 |psi|^2 psi = 0.
 import numpy as np
 
 from .errors import Blowup, GridTooSmall
-from .fields import cross, cumtrapz, diff, same_grid, VecField, _d1, _d2
+from .fields import cross, cumtrapz, diff, norm, same_grid, VecField, _d1, _d2
 
 
 def _d1_any(a, h, axis):
@@ -158,4 +158,4 @@ def vector_zc_residual(R1, R2):
         raise GridTooSmall("vector zero-curvature residual needs a 2-D grid")
     resid = (diff(R1.values, g, "dy") - diff(R2.values, g, "dx")
              + 2.0 * cross(R1.values, R2.values))
-    return VecField(g, resid), float(np.linalg.norm(resid, axis=-1).max())
+    return VecField(g, resid), float(norm(resid).max())

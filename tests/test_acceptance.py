@@ -53,8 +53,8 @@ def _hf_surface_mismatch(n, steps, snapshot_every):
     S0 = synth.smooth_spin(g, seed=8)
     opts = EvolveOptions(dt=dt, steps=steps, snapshot_every=snapshot_every)
     traj = evolve(model, {"S": S0.values}, opts)
-    stack = np.concatenate([s["S"].values for s in traj.snapshots], axis=0)
-    hist = Grid(n, stack.shape[0], g.dx, dt * snapshot_every, PERIODIC)
+    stack = np.concatenate([s["S"].values for s in traj.snapshots], axis=-2)
+    hist = Grid(n, stack.shape[-2], g.dx, dt * snapshot_every, PERIODIC)
     S = SpinField(hist, stack)
     _, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
     return mismatch
@@ -81,7 +81,7 @@ def test_3_norm_preservation_1000_steps():
     traj = evolve(model, {"S": synth.smooth_spin(g, seed=9).values}, opts)
     for S in traj.spins():
         assert isinstance(S, SpinField)
-        assert np.abs(np.linalg.norm(S.values, axis=-1) - 1.0).max() <= 1e-12
+        assert np.abs(np.linalg.norm(S.values, axis=0) - 1.0).max() <= 1e-12
     drift = max(rec["max_norm_drift"] for rec in traj.diagnostics)
     assert drift <= 2.0 * PINNED_DRIFT_PER_STEP
 
@@ -105,7 +105,7 @@ def test_4_stationary_checks():
     assert errs[1] < 1e-3
 
     g = Grid(24, 24, 0.3, 0.3, PERIODIC)
-    S = SpinField(g, np.broadcast_to([0.0, 0.0, 1.0], (24, 24, 3)).copy())
+    S = SpinField(g, np.broadcast_to(np.reshape([0.0, 0.0, 1.0], (3, 1, 1)), (3, 24, 24)).copy())
     phi = constant_field(g, 0.0)
     coeffs = CoefficientSet(a1=1.0, a2=1.0, b2=0.5)
     for kind in ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori"):
@@ -203,7 +203,7 @@ def test_8_vector_zero_curvature_closed_forms():
     r1, r2 = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, -0.5])
     resid, _ = vector_zc_residual(constant_field(g, r1), constant_field(g, r2))
     assert np.array_equal(resid.values,
-                          np.broadcast_to(2.0 * cross(r1, r2),
+                          np.broadcast_to(2.0 * cross(r1, r2).reshape(3, 1, 1),
                                           resid.values.shape))
     zero = constant_field(g, (0.0, 0.0, 0.0))
     assert vector_zc_residual(zero, zero)[1] == 0.0

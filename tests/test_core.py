@@ -20,7 +20,7 @@ from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
                       synth)
 from spinsurf import fields
 from spinsurf.errors import GridTooSmall
-from spinsurf.evolve import EvolutionModel
+from spinsurf.evolve import EvolutionModel, State
 from spinsurf.fields import SPIN_NORM_TOL, is_unit
 from spinsurf.magnetoelastic import _REGISTRY
 
@@ -54,7 +54,7 @@ def ref_d2(a, h, axis, periodic):
     return np.moveaxis(out, 0, axis) / (h * h)
 
 
-REFERENCE = {"dx": (ref_d1, 1), "dxx": (ref_d2, 1), "dy": (ref_d1, 0), "dyy": (ref_d2, 0)}
+REFERENCE = {"dx": (ref_d1, -1), "dxx": (ref_d2, -1), "dy": (ref_d1, -2), "dyy": (ref_d2, -2)}
 
 
 @st.composite
@@ -63,7 +63,7 @@ def grid_arrays(draw):
     boundary = draw(st.sampled_from(["periodic", "clamped"]))
     spacing = st.floats(0.01, 3.0)
     grid = Grid(nx, ny, draw(spacing), draw(spacing), boundary)
-    shape = (ny, nx) + draw(st.sampled_from([(), (3,)]))
+    shape = draw(st.sampled_from([(), (3,)])) + (ny, nx)
     values = draw(hnp.arrays(np.float64, shape,
                              elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
     return grid, values
@@ -74,7 +74,7 @@ def grid_arrays(draw):
 def test_stencils_bitwise_equal_roll_reference(case, which):
     grid, a = case
     ref, axis = REFERENCE[which]
-    h = grid.dx if axis == 1 else grid.dy
+    h = grid.dx if axis == -1 else grid.dy
     want = ref(a, h, axis, grid.periodic)
     assert np.array_equal(diff(a, grid, which), want)
     field = (ScalarField if a.ndim == 2 else VecField)(grid, a)
@@ -87,10 +87,10 @@ def test_composed_stencils_bitwise(case):
     grid, a = case
     h, p = grid.dx, grid.periodic
     assert np.array_equal(diff(a, grid, "dxy"),
-                          ref_d1(ref_d1(a, grid.dx, 1, p), grid.dy, 0, p))
+                          ref_d1(ref_d1(a, grid.dx, -1, p), grid.dy, -2, p))
     if grid.nx >= 5:
         assert np.array_equal(diff(a, grid, "dxxxx"),
-                              ref_d2(ref_d2(a, h, 1, p), h, 1, p))
+                              ref_d2(ref_d2(a, h, -1, p), h, -1, p))
 
 
 def test_stencil_leaves_input_untouched():
@@ -100,27 +100,27 @@ def test_stencil_leaves_input_untouched():
 
 
 # Every layout the package differences: grid arrays (1-D and 2-D, scalar and
-# vector), complex (nt, nx) histories as nlse_residual takes them and
-# (nt, nx, 3, 3) stacks as zc_residual takes them; axis lengths start at 3,
-# below the clamped second difference's minimum.
-LAYOUTS = {"1-D": ((1,), (), float), "1-D vector": ((1,), (3,), float),
-           "2-D": (None, (), float), "2-D vector": (None, (3,), float),
-           "complex": (None, (), complex), "stack": (None, (3, 3), float)}
+# components-first vector), complex (nt, nx) histories as nlse_residual takes
+# them and (nt, nx, 3, 3) stacks as zc_residual takes them; axis lengths
+# start at 3, below the clamped second difference's minimum.
+LAYOUTS = {"1-D": ((), (1,), (), float), "1-D vector": ((3,), (1,), (), float),
+           "2-D": ((), None, (), float), "2-D vector": ((3,), None, (), float),
+           "complex": ((), None, (), complex), "stack": ((), None, (3, 3), float)}
 DIFF_REFERENCE = {
-    "dx": lambda a, g, p: ref_d1(a, g.dx, 1, p),
-    "dxx": lambda a, g, p: ref_d2(a, g.dx, 1, p),
-    "dy": lambda a, g, p: ref_d1(a, g.dy, 0, p),
-    "dyy": lambda a, g, p: ref_d2(a, g.dy, 0, p),
-    "dxy": lambda a, g, p: ref_d1(ref_d1(a, g.dx, 1, p), g.dy, 0, p),
-    "dxxxx": lambda a, g, p: ref_d2(ref_d2(a, g.dx, 1, p), g.dx, 1, p),
+    "dx": lambda a, g, p: ref_d1(a, g.dx, -1, p),
+    "dxx": lambda a, g, p: ref_d2(a, g.dx, -1, p),
+    "dy": lambda a, g, p: ref_d1(a, g.dy, -2, p),
+    "dyy": lambda a, g, p: ref_d2(a, g.dy, -2, p),
+    "dxy": lambda a, g, p: ref_d1(ref_d1(a, g.dx, -1, p), g.dy, -2, p),
+    "dxxxx": lambda a, g, p: ref_d2(ref_d2(a, g.dx, -1, p), g.dx, -1, p),
 }
 
 
 @st.composite
 def layout_arrays(draw):
-    rows, tail, dtype = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    lead, rows, tail, dtype = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
     n = st.integers(3, 11)
-    shape = (rows or (draw(n),)) + (draw(n),) + tail
+    shape = lead + (rows or (draw(n),)) + (draw(n),) + tail
     part = hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3, allow_subnormal=False))
     a = draw(part) + (1j * draw(part) if dtype is complex else 0.0)
     return a, draw(st.floats(0.01, 3.0)), draw(st.booleans())
@@ -155,8 +155,8 @@ def test_flat_stencils_bitwise_equal_reference_on_every_axis(case):
 def test_every_diff_kind_bitwise_equal_reference(case, dy):
     a, dx, periodic = case
     if a.dtype == complex or a.ndim > 3:
-        return                          # diff takes (ny, nx) and (ny, nx, 3) arrays
-    g = Grid(a.shape[1], a.shape[0], dx, dy, "periodic" if periodic else "clamped")
+        return                          # diff takes (ny, nx) and (3, ny, nx) arrays
+    g = Grid(a.shape[-1], a.shape[-2], dx, dy, "periodic" if periodic else "clamped")
     d2_least = 3 if periodic else 4
     least = {"dx": (3, 0), "dxx": (d2_least, 0), "dy": (0, 3), "dyy": (0, d2_least),
              "dxy": (3, 3), "dxxxx": (5, 0)}
@@ -347,8 +347,8 @@ def counting_rhs(bad_call):
         calls.append(1)
         k = np.zeros_like(st["S"])
         if len(calls) == bad_call:
-            k[0, 3, 1] = np.nan
-        return {"S": k}
+            k[1, 0, 3] = np.nan
+        return State({"S": k})
     return rhs
 
 
@@ -367,10 +367,10 @@ def test_rk4_step_checks_each_stage():
 
     def rhs(st):
         seen.append(st["y"].copy())
-        return {"y": np.full((1, 1), np.nan if len(seen) == 2 else 1.0)}
+        return State({"y": np.full((1, 1), np.nan if len(seen) == 2 else 1.0)})
 
     with pytest.raises(Blowup) as exc:
-        rk4_step({"y": np.zeros((1, 1))}, rhs, 0.1, step=3)
+        rk4_step(State({"y": np.zeros((1, 1))}), rhs, 0.1, step=3)
     assert exc.value.step == 3
     assert len(seen) == 2    # stage 3 never ran on the non-finite stage
 
@@ -379,8 +379,8 @@ def test_collapsing_vector_is_near_zero_norm(grid1d):
     S0 = synth.smooth_spin(grid1d, seed=4).values
     dt = 1e-3
     k = np.zeros_like(S0)
-    k[0, 5] = -S0[0, 5] / dt      # one step carries node 5 to the origin
-    model = EvolutionModel("collapse", lambda st: {"S": k}, grid1d)
+    k[:, 0, 5] = -S0[:, 0, 5] / dt      # one step carries node 5 to the origin
+    model = EvolutionModel("collapse", lambda st: State({"S": k}), grid1d)
     with pytest.raises(NearZeroNorm) as exc:
         evolve(model, {"S": S0}, EvolveOptions(dt=dt, steps=3))
     assert (exc.value.i, exc.value.j) == (5, 0)
@@ -390,15 +390,15 @@ def test_collapsing_vector_is_near_zero_norm(grid1d):
 def test_overflowing_norm_fails_post_projection_check(grid1d):
     S0 = synth.smooth_spin(grid1d, seed=4).values
     k = np.zeros_like(S0)
-    k[0, 2] = 1e200                  # finite state, |S|^2 overflows
-    model = EvolutionModel("overflow", lambda st: {"S": k}, grid1d)
+    k[:, 0, 2] = 1e200                  # finite state, |S|^2 overflows
+    model = EvolutionModel("overflow", lambda st: State({"S": k}), grid1d)
     with pytest.raises(Blowup) as exc, np.errstate(over="ignore"):
         evolve(model, {"S": S0}, EvolveOptions(dt=1e-3, steps=1))
     assert exc.value.step == 1
 
 
 def test_is_unit_at_tolerance():
-    v = np.array([[[0.0, 0.0, 1.0]]])
+    v = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
     assert is_unit(v * (1.0 + 0.5 * SPIN_NORM_TOL))
     assert not is_unit(v * (1.0 + 2.0 * SPIN_NORM_TOL))
     assert not is_unit(v * np.nan)

@@ -7,8 +7,9 @@ import pytest
 from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       ScalarField, SpinField, SpinsurfError, check_stability,
                       constant_field, energy_proxy, evolve, evolution_model,
-                      mxiii_rhs, rk4_step, synth)
+                      diff, mxiii_constraint, rk4_step, synth)
 from spinsurf import VecField
+from spinsurf.evolve import State
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
@@ -16,26 +17,26 @@ models_module = importlib.import_module("spinsurf.models")
 
 
 def pole(grid):
-    return SpinField(grid, np.broadcast_to([0.0, 0.0, 1.0],
-                                           (grid.ny, grid.nx, 3)).copy())
+    return SpinField(grid, np.broadcast_to(np.reshape([0.0, 0.0, 1.0], (3, 1, 1)),
+                                           (3, grid.ny, grid.nx)).copy())
 
 
 class TestRk4Step:
     def test_zero_rhs_bitwise_unchanged(self, rng):
-        state = {"S": rng.standard_normal((1, 16, 3))}
-        out = rk4_step(state, lambda st: {"S": np.zeros_like(st["S"])}, 0.1)
+        state = State({"S": rng.standard_normal((3, 1, 16))})
+        out = rk4_step(state, lambda st: State({"S": np.zeros_like(st["S"])}), 0.1)
         assert np.array_equal(out["S"], state["S"])
 
     def test_exponential_taylor_remainder(self):
         dt = 0.1
-        state = {"y": np.array([[1.0]])}
-        out = rk4_step(state, lambda st: {"y": st["y"]}, dt)
+        state = State({"y": np.array([[1.0]])})
+        out = rk4_step(state, lambda st: State({"y": st["y"]}), dt)
         assert abs(out["y"][0, 0] - np.exp(dt)) <= dt ** 5
 
     def test_blowup_on_nan(self):
-        state = {"y": np.array([[1.0]])}
+        state = State({"y": np.array([[1.0]])})
         with pytest.raises(Blowup):
-            rk4_step(state, lambda st: {"y": st["y"] * np.nan}, 0.1, step=7)
+            rk4_step(state, lambda st: State({"y": st["y"] * np.nan}), 0.1, step=7)
 
     def test_hf_self_convergence(self):
         g = Grid(48, 1, 0.2, 1.0, "periodic")
@@ -196,7 +197,7 @@ def test_kdv_models_run_at_their_admitted_dt(name):
 
 @pytest.mark.parametrize("params", [{}, {"a1": 0.7, "b2": 0.4}])
 def test_mxiii_constraint_diagnostic(params):
-    """Each snapshot's constraint_residual is max |mxiii_rhs(S)[1]|; with the
+    """Each snapshot's constraint_residual is max |mxiii_constraint(S)|; with the
     defaults (a1 + b2 = 0, constant a5 and b5) that constraint is zero."""
     g = Grid(16, 14, 0.25, 0.3, "periodic")
     traj = evolve(evolution_model("mxiii", g, params=params),
@@ -204,8 +205,8 @@ def test_mxiii_constraint_diagnostic(params):
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
     c = CoefficientSet(a2=1.0, **params)
     got = [d["constraint_residual"] for d in traj.diagnostics]
-    want = [float(np.abs(mxiii_rhs(snap["S"].values, g, c)[1]).max())
-            for snap in traj.snapshots]
+    want = [float(np.abs(mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), c)).max())
+            for s in (snap["S"].values for snap in traj.snapshots)]
     assert len(got) == 4 and got == want
     assert all(v > 0.0 for v in got) if params else all(v == 0.0 for v in got)
 
@@ -249,7 +250,7 @@ def test_0_type_model_needs_u_on_its_grid():
 
 def test_lle_steps_allocate_no_grid_sized_array(monkeypatch):
     """After the first, an LLE step on 128^2 (RK4 with its right-hand sides,
-    projection and drift) allocates no (ny, nx, 3) float array: its traced
+    projection and drift) allocates no (3, ny, nx) float array: its traced
     peak stays below one."""
     g = Grid(128, 128, 0.2, 0.2, "periodic")
     grid_array = g.ny * g.nx * 3 * 8
@@ -296,7 +297,7 @@ def traced_step_growth(monkeypatch, model, initial, opts):
 @pytest.mark.parametrize("name", ["m-xxxiv", "m-lii"])
 def test_catalog_steps_allocate_no_vector_array(monkeypatch, name):
     """After the first, a step of a coupled catalog model on 4,096 sites
-    allocates no (1, nx, 3) float array: the packed state and derivative and
+    allocates no (3, 1, nx) float array: the packed state and derivative and
     the right-hand sides' Scratch hold them all."""
     g = Grid(4096, 1, 0.1, 1.0, "periodic")
     vector_array = g.nx * 3 * 8
@@ -334,3 +335,15 @@ def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
     assert len(traj.diagnostics) == 4 and len(calls) == 24
+
+
+def test_mxiii_constraint_once_per_snapshot(monkeypatch):
+    """The constraint is a snapshot diagnostic: no RK4 stage evaluates it,
+    through either module's name for it."""
+    calls = [count_calls(monkeypatch, module, "mxiii_constraint")
+             for module in (evolve_module, models_module)]
+    g = Grid(16, 14, 0.25, 0.3, "periodic")
+    traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7}),
+                  {"S": synth.smooth_spin(g, seed=3).values},
+                  EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
+    assert len(traj.snapshots) == sum(map(len, calls)) == 4

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       ScalarField, SpinField, VecField, constant_field, cross,
                       diff, dot, norm, project_sphere, same_grid,
                       triple)
 from spinsurf.errors import GridTooSmall
-from spinsurf.fields import Scratch, cmul
+from spinsurf.fields import Scratch
 
 E1, E2, E3 = np.eye(3)
 
@@ -44,8 +45,8 @@ class TestFields:
             VecField(grid1d, np.zeros((1, grid1d.nx)))
 
     def test_spin_requires_unit_norm(self, grid1d):
-        v = np.zeros((1, grid1d.nx, 3))
-        v[..., 2] = 1.5
+        v = np.zeros((3, 1, grid1d.nx))
+        v[2] = 1.5
         with pytest.raises(ValueError):
             SpinField(grid1d, v)
 
@@ -54,11 +55,11 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
-    @pytest.mark.parametrize("kind, tail", [(ScalarField, ()), (VecField, (3,))])
-    def test_callers_array_stays_writeable(self, grid1d, kind, tail):
+    @pytest.mark.parametrize("kind, lead", [(ScalarField, ()), (VecField, (3,))])
+    def test_callers_array_stays_writeable(self, grid1d, kind, lead):
         """A field keeps a read-only copy of a writeable array: the caller may
         go on writing it, and the field does not change with it."""
-        a = np.zeros((1, grid1d.nx) + tail)
+        a = np.zeros(lead + (1, grid1d.nx))
         f = kind(grid1d, a)
         assert a.flags.writeable and not f.values.flags.writeable
         a += 1.0
@@ -174,7 +175,7 @@ class TestProjectSphere:
         v = constant_field(grid1d, (0.0, 0.0, 2.0))
         out = SpinField(grid1d, project_sphere(v.values, norm(v.values)))
         assert isinstance(out, SpinField)
-        assert np.all(out.values[..., 2] == 1.0)
+        assert np.all(out.values[2] == 1.0)
 
     def test_idempotence(self, grid1d):
         from spinsurf import synth
@@ -183,8 +184,8 @@ class TestProjectSphere:
         assert np.abs(again - S.values).max() < 1e-15
 
     def test_zero_node_rejected(self, grid1d):
-        v = np.ones((1, grid1d.nx, 3))
-        v[0, 3] = 0.0
+        v = np.ones((3, 1, grid1d.nx))
+        v[:, 0, 3] = 0.0
         with pytest.raises(NearZeroNorm) as exc:
             project_sphere(v, norm(v))
         assert exc.value.i == 3
@@ -197,7 +198,7 @@ class TestProjectSphere:
 @pytest.mark.parametrize("which", ["dx", "dy", "dxx", "dyy", "dxy", "dxxxx"])
 def test_diff_into_out_is_the_allocated_result(boundary, which, rng):
     g = Grid(12, 9, 0.3, 0.2, boundary)
-    for shape in ((9, 12), (9, 12, 3)):
+    for shape in ((9, 12), (3, 9, 12)):
         a = rng.standard_normal(shape)
         out, tmp = np.full(shape, np.nan), np.full(shape, np.nan)
         assert diff(a, g, which, out=out, tmp=tmp) is out
@@ -205,21 +206,19 @@ def test_diff_into_out_is_the_allocated_result(boundary, which, rng):
 
 
 def test_vector_kernels_into_out_are_the_allocated_results(rng):
-    a, b = rng.standard_normal((2, 7, 5, 3))
-    c = rng.standard_normal((7, 5))
-    for kernel, args in ((cross, (a, b)), (norm, (a,)), (cmul, (c, a)), (cmul, (2.5, a)),
-                         (project_sphere, (a, norm(a)))):
+    a, b = rng.standard_normal((2, 3, 7, 5))
+    for kernel, args in ((cross, (a, b)), (norm, (a,)), (project_sphere, (a, norm(a)))):
         want = kernel(*args)
         out = np.full(want.shape, np.nan)
         assert kernel(*args, out=out) is out
         assert np.array_equal(out, want), kernel.__name__
-    n, want = norm(a), a / norm(a)[..., None]
+    n, want = norm(a), a / norm(a)
     assert project_sphere(a, n, out=a) is a and np.array_equal(a, want)
 
 
 def test_norm_is_numpys(rng):
-    a = rng.standard_normal((6, 4, 3)) * 10.0 ** rng.integers(-5, 5, (6, 4, 1))
-    assert np.array_equal(norm(a), np.linalg.norm(a, axis=-1))
+    a = rng.standard_normal((3, 6, 4)) * 10.0 ** rng.integers(-5, 5, (1, 6, 4))
+    assert np.array_equal(norm(a), np.linalg.norm(a, axis=0))
     assert np.array_equal(norm(a), np.sqrt(dot(a, a)))
 
 
@@ -232,7 +231,47 @@ def test_scratch_keeps_one_array_per_name_and_shape():
 
 
 def test_dot_into_out_is_the_allocated_result(rng):
-    a, b = rng.standard_normal((2, 7, 5, 3))
-    out, tmp = np.full((7, 5), np.nan), np.full((7, 5, 3), np.nan)
+    a, b = rng.standard_normal((2, 3, 7, 5))
+    out, tmp = np.full((7, 5), np.nan), np.full((3, 7, 5), np.nan)
     assert dot(a, b, out=out, tmp=tmp) is out
-    assert np.array_equal(out, dot(a, b)) and np.array_equal(out, np.sum(a * b, -1))
+    assert np.array_equal(out, dot(a, b)) and np.array_equal(out, np.sum(a * b, 0))
+
+
+# ---------------------------------------------------------------------------
+# the components-first layout: vectors are (3, ny, nx), each component a
+# scalar field, and the vector kernels are numpy's on the moved-axis array
+
+def vector_arrays(ny, nx):
+    return hnp.arrays(np.float64, (3, ny, nx),
+                      elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def vector_cases(draw):
+    ny, nx = draw(st.integers(1, 9)), draw(st.integers(2, 9))
+    return draw(vector_arrays(ny, nx)), draw(vector_arrays(ny, nx))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_cases(), st.sampled_from([PERIODIC, CLAMPED]),
+       st.sampled_from(["dx", "dy", "dxx", "dyy", "dxy", "dxxxx"]))
+def test_diff_of_a_vector_array_is_diff_of_each_component(case, boundary, which):
+    a, _ = case
+    g = Grid(a.shape[2], a.shape[1], 0.3, 0.2, boundary)
+    try:
+        want = np.stack([diff(a[k], g, which) for k in range(3)])
+    except GridTooSmall:
+        with pytest.raises(GridTooSmall):
+            diff(a, g, which)
+        return
+    assert np.array_equal(diff(a, g, which), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_cases())
+def test_vector_kernels_are_numpys_on_the_moved_axis(case):
+    a, b = case
+    al, bl = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
+    assert np.array_equal(cross(a, b), np.moveaxis(np.cross(al, bl), -1, 0))
+    assert np.array_equal(dot(a, b), np.sum(al * bl, -1))
+    assert np.array_equal(norm(a), np.linalg.norm(al, axis=-1))

@@ -87,13 +87,13 @@ class TestExportMesh:
     def _mesh(self, nx, ny):
         g = Grid(nx, ny, 1.0, 1.0, CLAMPED)
         x, y = g.meshgrid()
-        pos = np.stack([x, y, 0.1 * x * y], axis=-1)
+        pos = np.stack([x, y, 0.1 * x * y])
         return SurfaceMesh(VecField(g, pos))
 
     def test_two_by_two_connectivity(self, tmp_path):
         g = Grid(2, 2, 1.0, 1.0, CLAMPED)
-        pos = np.zeros((2, 2, 3))
-        pos[..., 0], pos[..., 1] = g.meshgrid()
+        pos = np.zeros((3, 2, 2))
+        pos[0], pos[1] = g.meshgrid()
         mesh = SurfaceMesh(VecField(g, pos))
         path = tmp_path / "m.obj"
         fileio.export_mesh(path, mesh)
@@ -184,7 +184,8 @@ class TestCurveRoundTrip:
 # block writers and the bulk reader against the per-line code they replaced
 
 def _reference_write_table(path, magic, keys, header, vals):
-    """The f-string CSV writer; write_field and write_curve must match its bytes."""
+    """The f-string CSV writer; write_field and write_curve must match its
+    bytes. vals holds the file's rows, (ny, nx, ncols)."""
     items = (f"{k}={fileio._g17(v) if keys[k] is float else v}" for k, v in header.items())
     lines = [magic, "# " + " ".join(items)]
     for j in range(vals.shape[0]):
@@ -198,7 +199,7 @@ def _reference_export_mesh(path, mesh, normals=None):
     lines = []
     for tag, data in (("v", mesh.positions), ("vn", normals)):
         if data is not None:
-            for x, y, z in data.values.reshape(-1, 3).tolist():
+            for x, y, z in np.moveaxis(data.values, 0, -1).reshape(-1, 3).tolist():
                 lines.append(f"{tag} {x:.9g} {y:.9g} {z:.9g}")
     for quad in mesh.quad_indices():
         a, b, c, d = (int(q) + 1 for q in quad)
@@ -208,7 +209,8 @@ def _reference_export_mesh(path, mesh, normals=None):
 
 
 def _reference_read_table(path, magic, keys, layout):
-    """The per-line reader; _read_table must agree with it on every file."""
+    """The per-line reader; _read_table must agree with it on every file,
+    values components first."""
     with open(path, errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != magic:
@@ -243,7 +245,7 @@ def _reference_read_table(path, magic, keys, layout):
             raise FormatError(n + 3, str(exc)) from None
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue(f"{path} contains non-finite values")
-    return grid, vals.reshape(grid.ny, nx, ncols)
+    return grid, np.moveaxis(vals.reshape(grid.ny, nx, ncols), -1, 0)
 
 
 TABLE_FORMATS = {
@@ -267,7 +269,8 @@ def _write_kind(path, kind, vals):
         fileio.write_curve(path, vals[..., 0], vals[..., 1], 0.1, 0.05)
         return
     g = Grid(nx, ny, 0.25, 0.5, CLAMPED)
-    fileio.write_field(path, ScalarField(g, vals[..., 0]) if ncols == 1 else VecField(g, vals))
+    fileio.write_field(path, ScalarField(g, vals[..., 0]) if ncols == 1
+                       else VecField(g, np.moveaxis(vals, -1, 0)))
 
 
 def _assert_readers_agree(kind, vals, edit_rows, newline="\n"):
@@ -330,7 +333,7 @@ def _garble_rows(rows, edits):
 
 @st.composite
 def _tables(draw):
-    """(kind, values) of a field file (1-D or 2-D, 1 or 3 comps) or a curve file."""
+    """(kind, rows) of a field file (1-D or 2-D, 1 or 3 comps) or a curve file."""
     kind = draw(st.sampled_from(["field", "curve"]))
     ncols = 2 if kind == "curve" else draw(st.sampled_from([1, 3]))
     shape = (draw(st.integers(1, 7)), draw(st.integers(2, 9)), ncols)
@@ -396,7 +399,8 @@ class TestBlockWriters:
     def test_write_field_bytes(self, tmp_path):
         g = self.G
         for vals in (_special((g.ny, g.nx, 3)), _special((g.ny, g.nx, 1))):
-            f = VecField(g, vals) if vals.shape[-1] == 3 else ScalarField(g, vals[..., 0])
+            f = (VecField(g, np.moveaxis(vals, -1, 0)) if vals.shape[-1] == 3
+                 else ScalarField(g, vals[..., 0]))
             fileio.write_field(tmp_path / "a.csv", f)
             header = {"nx": g.nx, "ny": g.ny, "dx": g.dx, "dy": g.dy,
                       "boundary": g.boundary, "comps": vals.shape[-1]}
@@ -414,8 +418,9 @@ class TestBlockWriters:
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_export_mesh_bytes(self, tmp_path, with_normals):
         g = self.G
-        mesh = SurfaceMesh(VecField(g, _special((g.ny, g.nx, 3))))
-        normals = VecField(g, _special((g.ny, g.nx, 3))[::-1].copy()) if with_normals else None
+        rows = _special((g.ny, g.nx, 3))
+        mesh = SurfaceMesh(VecField(g, np.moveaxis(rows, -1, 0)))
+        normals = VecField(g, np.moveaxis(rows[::-1], -1, 0)) if with_normals else None
         fileio.export_mesh(tmp_path / "a.obj", mesh, normals)
         _reference_export_mesh(tmp_path / "b.obj", mesh, normals)
         assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
@@ -435,7 +440,7 @@ def test_export_mesh_peak_memory_below_file_size(tmp_path):
     # line as a string first peaked at about 50 MB
     g = Grid(256, 401, 0.1, 0.01, CLAMPED)
     x, y = g.meshgrid()
-    mesh = SurfaceMesh(VecField(g, np.stack([x, y, np.sin(x) * y], axis=-1)))
+    mesh = SurfaceMesh(VecField(g, np.stack([x, y, np.sin(x) * y])))
     normals = unit_normal(mesh)
     path = tmp_path / "m.obj"
     peak = _traced_peak(lambda: fileio.export_mesh(path, mesh, normals))

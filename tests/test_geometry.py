@@ -42,12 +42,16 @@ class TestClassicalCoeffs:
         assert c.value("b1") == 0.0
 
 
+def vec(x, y, z):
+    """A constant (3, 1, 1) vector, broadcasting over a (3, ny, nx) array."""
+    return np.reshape([x, y, z], (3, 1, 1))
+
+
 class TestMfTangents:
     def test_constant_pole_hf(self, grid2d):
-        S = SpinField(grid2d, np.broadcast_to([0.0, 0.0, 1.0],
-                                              (32, 32, 3)).copy())
+        S = SpinField(grid2d, np.broadcast_to(vec(0.0, 0.0, 1.0), (3, 32, 32)).copy())
         rx, ry = mf_tangents(S, classical_coeffs("hf"))
-        assert np.all(rx.values == [0.0, 0.0, 1.0])
+        assert np.all(rx.values == vec(0.0, 0.0, 1.0))
         assert np.all(ry.values == 0.0)
 
     def test_all_zero_coefficients(self, grid2d):
@@ -76,7 +80,7 @@ class TestMfTangents:
     def test_1d_grid_x_only(self, grid1d):
         S = synth.smooth_spin(grid1d, seed=4)
         rx, ry = mf_tangents(S, classical_coeffs("hf"))
-        assert rx.values.shape == (1, 64, 3)
+        assert rx.values.shape == (3, 1, 64)
 
 
 class TestNSystemResidual:
@@ -87,8 +91,8 @@ class TestNSystemResidual:
 
     def test_zero_norm_node_is_near_zero_norm(self, grid2d):
         n = synth.smooth_vec(grid2d, seed=7).values.copy()
-        n[5, 3] = 0.0
-        n[9, 2] = 0.0
+        n[:, 5, 3] = 0.0
+        n[:, 9, 2] = 0.0
         with pytest.raises(NearZeroNorm) as exc:
             n_system_residual(VecField(grid2d, n), CoefficientSet(a1=1.0))
         # the first zero node in row-major order, as node (i, j)
@@ -100,7 +104,7 @@ class TestNSystemResidual:
         norm 5e-8 passes both, one of norm 5e-9 neither."""
         g = Grid(16, 16, 0.2, 0.2, PERIODIC)
         n = synth.smooth_spin(g, seed=7).values.copy()
-        n[4, 9] *= size
+        n[:, 4, 9] *= size
         checks = (lambda: project_sphere(n, norm(n)),
                   lambda: n_system_residual(VecField(g, n), CoefficientSet(a1=1.0)))
         for check in checks:
@@ -141,12 +145,12 @@ class TestNSystemResidual:
 class TestReconstructSurface:
     def test_constant_pole_hf_line(self):
         g = Grid(16, 16, 0.25, 0.25, CLAMPED)
-        S = SpinField(g, np.broadcast_to([0.0, 0.0, 1.0], (16, 16, 3)).copy())
+        S = SpinField(g, np.broadcast_to(vec(0.0, 0.0, 1.0), (3, 16, 16)).copy())
         mesh, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
         x, _ = g.meshgrid()
         assert mismatch == 0.0
-        assert np.abs(mesh.positions.values[..., 2] - x).max() < 1e-13
-        assert np.abs(mesh.positions.values[..., :2]).max() == 0.0
+        assert np.abs(mesh.positions.values[2] - x).max() < 1e-13
+        assert np.abs(mesh.positions.values[:2]).max() == 0.0
 
     def test_zero_coefficients_stay_at_base(self):
         g = Grid(8, 8, 0.5, 0.5, CLAMPED)
@@ -154,11 +158,11 @@ class TestReconstructSurface:
         mesh, mismatch = reconstruct_surface(S, CoefficientSet(),
                                              base=(1.0, 2.0, 3.0))
         assert mismatch == 0.0
-        assert np.all(mesh.positions.values == [1.0, 2.0, 3.0])
+        assert np.all(mesh.positions.values == vec(1.0, 2.0, 3.0))
 
     def test_quad_indices(self):
         g = Grid(3, 3, 1.0, 1.0, CLAMPED)
-        S = SpinField(g, np.broadcast_to([0.0, 0.0, 1.0], (3, 3, 3)).copy())
+        S = SpinField(g, np.broadcast_to(vec(0.0, 0.0, 1.0), (3, 3, 3)).copy())
         mesh, _ = reconstruct_surface(S, classical_coeffs("hf"))
         quads = mesh.quad_indices()
         assert quads.shape == (4, 4)
@@ -169,14 +173,14 @@ class TestUnitNormal:
     def test_planar_mesh(self):
         g = Grid(12, 10, 0.4, 0.3, CLAMPED)
         x, y = g.meshgrid()
-        pos = np.stack([x, y, np.zeros_like(x)], axis=-1)
+        pos = np.stack([x, y, np.zeros_like(x)])
         n = unit_normal(SurfaceMesh(VecField(g, pos)))
-        assert np.allclose(n.values, [0.0, 0.0, 1.0], rtol=0, atol=1e-13)
+        assert np.allclose(n.values, vec(0.0, 0.0, 1.0), rtol=0, atol=1e-13)
 
     def test_parallel_tangents_rejected(self):
         g = Grid(4, 4, 1.0, 1.0, CLAMPED)
         x, y = g.meshgrid()
-        pos = np.stack([x + y, np.zeros_like(x), np.zeros_like(x)], axis=-1)
+        pos = np.stack([x + y, np.zeros_like(x), np.zeros_like(x)])
         with pytest.raises(DegenerateTangent):
             unit_normal(SurfaceMesh(VecField(g, pos)))
 
@@ -189,10 +193,10 @@ class TestUnitNormal:
             R = 2.0
             pos = R * np.stack([np.sin(theta) * np.cos(phi),
                                 np.sin(theta) * np.sin(phi),
-                                np.cos(theta)], axis=-1)
+                                np.cos(theta)])
             nrm = unit_normal(SurfaceMesh(VecField(g, pos))).values
             radial = pos / R
-            sign = np.sign(np.sum(nrm * radial, axis=-1, keepdims=True))
+            sign = np.sign(np.sum(nrm * radial, axis=0, keepdims=True))
             errs.append(np.abs(nrm - sign * radial).max())
         assert errs[0] < 5e-3
         assert errs[1] < errs[0] / 3.0    # at least second-order accurate

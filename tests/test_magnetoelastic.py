@@ -18,8 +18,8 @@ FAMILY_EXAMPLES = {"A": "M-LVII", "B": "M-LVI", "C": "M-LV",
 
 
 def pole(grid):
-    return SpinField(grid, np.broadcast_to([0.0, 0.0, 1.0],
-                                           (grid.ny, grid.nx, 3)).copy())
+    return SpinField(grid, np.broadcast_to(np.reshape([0.0, 0.0, 1.0], (3, 1, 1)),
+                                           (3, grid.ny, grid.nx)).copy())
 
 
 def random_state(grid, seed):
@@ -82,9 +82,8 @@ class TestSpinRhs:
         state = (S.values, constant_field(g, c).values, g)
         out = me_spin_rhs(catalog_lookup("M-LIII"), *state)
         theta = k * g.x()
-        expect = c * k * np.stack([-np.sin(theta), np.cos(theta),
-                                   np.zeros(n)], axis=-1)
-        assert np.abs(out[0] - expect).max() < 2e-3
+        expect = c * k * np.stack([-np.sin(theta), np.cos(theta), np.zeros(n)])
+        assert np.abs(out[:, 0] - expect).max() < 2e-3
 
     @pytest.mark.parametrize("family,name", sorted(FAMILY_EXAMPLES.items()))
     def test_matches_pauli_oracle(self, grid1d, family, name):
@@ -142,7 +141,7 @@ class TestPauliOracle:
         assert np.abs(lhs - 2j * _to_matrix(e3)).max() == 0.0
 
     def test_vector_round_trip(self, rng):
-        v = rng.standard_normal((4, 7, 3))
+        v = rng.standard_normal((3, 4, 7))
         assert np.abs(_to_vector(_to_matrix(v)) - v).max() < 1e-14
 
     def test_constant_state_zero(self, grid1d):
@@ -199,7 +198,7 @@ def test_families_list_exactly_the_constants_read(name):
 # ---------------------------------------------------------------------------
 # the buffered right-hand sides against the formulas written out
 
-E3 = np.array([0.0, 0.0, 1.0])
+E3 = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
 
 
 def written_out_rhs(spec, s, u, w, g):
@@ -208,18 +207,18 @@ def written_out_rhs(spec, s, u, w, g):
     p = spec.param
     sx = diff(s, g, "dx")
     if spec.spin in ("A", "B"):
-        drive = u if spec.spin == "A" else u * s[..., 2]
-        ds = cross(s, diff(s, g, "dxx")) + drive[..., None] * cross(s, E3)
+        drive = u if spec.spin == "A" else u * s[2]
+        ds = cross(s, diff(s, g, "dxx")) + drive * cross(s, E3)
     elif spec.spin in ("C", "D"):
         coeff = p("mu") * dot(sx, sx) - u + p("m")
-        ds = diff(coeff[..., None] * cross(s, sx), g, "dx")
+        ds = diff(coeff * cross(s, sx), g, "dx")
         if spec.spin == "D":
             ds = p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
     else:
-        ds = cross(s, diff(s, g, "dxx")) + u[..., None] * sx
+        ds = cross(s, diff(s, g, "dxx")) + u * sx
     if spec.phonon == "none":
         return [ds]
-    q = {"s3": s[..., 2], "s3sq": s[..., 2] ** 2, "sxsq": dot(sx, sx),
+    q = {"s3": s[2], "s3sq": s[2] ** 2, "sxsq": dot(sx, sx),
          "trform": 0.5 * dot(sx, sx)}[spec.source]
     if spec.phonon in ("wave", "boussinesq"):
         acc = p("nu0") ** 2 * diff(u, g, "dxx") + p("lam") * diff(q, g, "dxx")

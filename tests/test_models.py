@@ -3,7 +3,7 @@ import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, Grid, ScalarField,
                       SpinField, constant_field, cross, diff, dot, hf_rhs,
-                      lle_rhs, mxiii_rhs, mxiiia_system, mxiiib_system,
+                      lle_rhs, mxiii_constraint, mxiii_rhs, mxiiia_system, mxiiib_system,
                       stationary_residual, synth, triple)
 from spinsurf.errors import GridTooSmall
 
@@ -11,8 +11,8 @@ STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
 
 
 def pole(grid):
-    return SpinField(grid, np.broadcast_to([0.0, 0.0, 1.0],
-                                           (grid.ny, grid.nx, 3)).copy())
+    return SpinField(grid, np.broadcast_to(np.reshape([0.0, 0.0, 1.0], (3, 1, 1)),
+                                           (3, grid.ny, grid.nx)).copy())
 
 
 class TestHfRhs:
@@ -52,16 +52,20 @@ class TestLleRhs:
         assert np.array_equal(lle_rhs(s, grid2d), expect)
 
 
+def rhs_and_constraint(s, g, c):
+    return mxiii_rhs(s, g, c), mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), c)
+
+
 class TestMxiiiRhs:
     def test_constant_everything_zero(self, grid2d):
-        rhs, constraint = mxiii_rhs(pole(grid2d).values, grid2d,
-                                    CoefficientSet(a1=1.0, b2=0.5, a2=1.0))
+        rhs, constraint = rhs_and_constraint(pole(grid2d).values, grid2d,
+                                             CoefficientSet(a1=1.0, b2=0.5, a2=1.0))
         assert np.all(rhs == 0.0)
         assert np.all(constraint == 0.0)
 
     def test_a2_selects_syy(self, grid2d):
         S = synth.smooth_spin(grid2d, seed=13)
-        rhs, _ = mxiii_rhs(S.values, grid2d, CoefficientSet(a2=1.0))
+        rhs = mxiii_rhs(S.values, grid2d, CoefficientSet(a2=1.0))
         expect = cross(S.values, diff(S.values, grid2d, "dyy"))
         assert np.array_equal(rhs, expect)
 
@@ -75,17 +79,18 @@ class TestMxiiiRhs:
         a1, a2, b1, b2 = 0.7, 1.2, -0.4, 0.3
         c = CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3, a5=a5, b5=b5)
         s = synth.smooth_spin(g, seed=24).values
-        rhs, constraint = mxiii_rhs(s, g, c)
+        rhs, constraint = rhs_and_constraint(s, g, c)
 
         def d(f, which):
             return diff(f, g, which)
 
         sx, sy = d(s, "dx"), d(s, "dy")
-        wedge = np.cross(s, a2 * d(s, "dyy") + (a1 - b2) * d(s, "dxy") - b1 * d(s, "dxx"))
-        want = (wedge + (d(a3.values, "dy") - b5.values)[..., None] * sx
-                + (a5.values - d(a3.values, "dx"))[..., None] * sy)
+        wedge = np.cross(s, a2 * d(s, "dyy") + (a1 - b2) * d(s, "dxy") - b1 * d(s, "dxx"),
+                         axis=0)
+        want = (wedge + (d(a3.values, "dy") - b5.values) * sx
+                + (a5.values - d(a3.values, "dx")) * sy)
         want_c = (d(a5.values, "dy") - d(b5.values, "dx")
-                  - (a1 + b2) * np.einsum("...k,...k", s, np.cross(sx, sy)))
+                  - (a1 + b2) * np.einsum("k...,k...", s, np.cross(sx, sy, axis=0)))
         assert np.abs(want).max() > 0.1 and np.abs(want_c).max() > 0.1
         assert np.abs(rhs - want).max() < 1e-12 * np.abs(want).max()
         assert np.abs(constraint - want_c).max() < 1e-12 * np.abs(want_c).max()
@@ -178,8 +183,8 @@ class TestStationaryResidual:
         sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
         vec = (cross(S.values, diff(s, g, "dxx")
                      + alpha ** 2 * diff(s, g, "dyy"))
-               + diff(p, g, "dx")[..., None] * sy
-               + diff(p, g, "dy")[..., None] * sx)
+               + diff(p, g, "dx") * sy
+               + diff(p, g, "dy") * sx)
         scal = (alpha ** 2 * diff(p, g, "dyy") - diff(p, g, "dxx")
                 - alpha ** 2 * triple(S.values, sx, sy))
         assert np.abs(rep.vector_residual.values - vec).max() < 1e-13

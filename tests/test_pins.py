@@ -1,0 +1,90 @@
+"""Output bytes pinned across commits: sha256 digests of whole output trees.
+
+Acceptance test 9 compares two runs of the same code; these pins compare a
+run with the digests recorded before the last change to the numerical
+core, so a refactor that moves a single output bit fails here. The inputs
+are built with +, -, *, / and sqrt only (inverse stereographic projection
+of rational profiles), which IEEE 754 rounds the same on every machine, so
+no libm sin/cos can move a digest. FFT paths (M-XIIIB) are left out:
+pocketfft's output may differ between numpy versions.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spinsurf.cli import main
+
+
+def _stereo_spin(nx, ny, dx, dy):
+    """(ny*nx, 3) unit vectors, row-major: the inverse stereographic image of
+    the rational profile p + i q = (0.8 + 0.6 i X / (1 + r^2)) / (1 + r^2)."""
+    x = (np.arange(nx) - (nx - 1) / 2.0) * dx
+    y = (np.arange(ny) - (ny - 1) / 2.0) * dy
+    X, Y = np.meshgrid(x, y)
+    bump = 1.0 / (1.0 + X * X + Y * Y)
+    p, q = 0.8 * bump, 0.6 * X * bump * bump
+    d = 1.0 + p * p + q * q
+    s = np.stack([2.0 * p / d, 2.0 * q / d, (1.0 - p * p - q * q) / d], axis=-1)
+    s = s / np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1]
+                    + s[..., 2] * s[..., 2])[..., None]
+    return s.reshape(-1, 3)
+
+
+def _write_spin(path, nx, ny, dx, dy, boundary):
+    """The `spinsurf-field v1` text of _stereo_spin, written without spinsurf."""
+    rows = [f"{n % nx},{n // nx},{a:.17g},{b:.17g},{c:.17g}"
+            for n, (a, b, c) in enumerate(_stereo_spin(nx, ny, dx, dy).tolist())]
+    path.write_text("# spinsurf-field v1\n"
+                    f"# nx={nx} ny={ny} dx={dx:.17g} dy={dy:.17g} "
+                    f"boundary={boundary} comps=3\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def _tree_digest(root):
+    """sha256 over the sorted `<sha256 of file>  <relative path>` lines."""
+    lines = sorted(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
+                   f"{p.relative_to(root).as_posix()}"
+                   for p in root.rglob("*") if p.is_file())
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _simulate(model, nx, ny, dx, boundary, steps, every):
+    def run(tmp):
+        spin = _write_spin(tmp / "S0.csv", nx, ny, dx, dx, boundary)
+        return ["simulate", "--model", model, "--initial", spin,
+                "--dt", repr(0.2 * dx ** 2), "--steps", str(steps),
+                "--snapshot-every", str(every), "--output", str(tmp / "out")]
+    return run
+
+
+def _reconstruct(tmp):
+    spin = _write_spin(tmp / "S.csv", 12, 10, 0.25, 0.25, "clamped")
+    (tmp / "out").mkdir()
+    return ["reconstruct", "--input", spin, "--coeffs", "hf", "--normals", "true",
+            "--output", str(tmp / "out" / "surface.obj"),
+            "--report", str(tmp / "out" / "report.json")]
+
+
+# run -> (its argv, made in a run directory; the number of output files; the
+# digest of the output tree)
+PINS = {
+    "hf-periodic-chain": (_simulate("hf", 64, 1, 0.1, "periodic", 40, 20), 4,
+                          "6172b7247baba66ce98418be604db82d34516e329efa053cb9a24912e42452b2"),
+    "m-xxxiv-periodic-chain": (_simulate("m-xxxiv", 64, 1, 0.1, "periodic", 40, 20), 7,
+                               "6a668c285560362e3d1a809335dd97b54f0c842cfb47c7c8a200e2cb1462bfd3"),
+    "m-xliv-clamped-chain": (_simulate("m-xliv", 32, 1, 0.2, "clamped", 20, 10), 10,
+                             "0b4327117502bfac87aed8a90706f1ecce0fe8d81d97da5fcd14171c80b22d39"),
+    "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
+                  "fcc40cda034de834b8b1f0669fce5921f61303a7561b1d640d3628414780050d"),
+    "reconstruct-hf": (_reconstruct, 2,
+                       "b2469b155f4e19f57dc5477b2275251dc3cad82a7ce2b742d2baedd156e21d99"),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_output_tree_matches_its_pinned_digest(name, tmp_path):
+    argv, files, digest = PINS[name]
+    assert main(argv(tmp_path)) == 0
+    assert _tree_digest(tmp_path / "out") == (files, digest)

@@ -188,7 +188,7 @@ class TestVectorZcResidual:
         resid, _ = vector_zc_residual(constant_field(grid2d, r1),
                                       constant_field(grid2d, r2))
         assert np.array_equal(resid.values,
-                              np.broadcast_to(2.0 * cross(r1, r2),
+                              np.broadcast_to(2.0 * cross(r1, r2).reshape(3, 1, 1),
                                               resid.values.shape))
 
     def test_needs_2d(self, grid1d):
