@@ -11,13 +11,17 @@ taken. After every full step the spin part is renormalized (the
 pre-projection norm drift is recorded as the integrator's error monitor)
 unless renormalization is switched off.
 
-The time loop reuses its arrays: `evolve` builds one workspace per run
-(RK4's stage, product and sum arrays, and the spin norms) and steps the
-state in place, and `evolution_model` gives each right-hand side one
-`fields.Scratch`, its result a `State` whose views are the Scratch's output
-buffers. A magnetoelastic model computes S_x once per stage for its spin and
-phonon equations. A model's rhs therefore returns arrays that its next call
-overwrites; snapshots copy.
+A model's `rhs(state, k)` writes the derivative into k, a State laid out
+like the state, which RK4's workspace holds. `evolve` builds that workspace
+once per run (RK4's stage, derivative, product and sum arrays, and the spin
+norms) and steps the state in place. The section flows write into k with
+`out=` and keep their temporaries in one `fields.Scratch` per model, so an
+HF, LLE or M-XIII step after the first allocates no grid-sized array
+(M-XIIIA/B still allocate their potential's solve). The
+catalog formulas, which run on 1-D chains only, allocate their results,
+which the rhs copies into k; a coupled model computes S_x once per stage
+for its spin and phonon equations. A model's `monitor`, when it has one,
+adds fields and diagnostics to each snapshot.
 """
 
 from dataclasses import dataclass, field
@@ -66,15 +70,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EvolutionModel:
-    """A named flow: state layout, right-hand side, and stability order."""
+    """A named flow: state layout, right-hand side, stability order, and
+    snapshot monitor."""
 
     name: str
-    rhs: object                    # State -> State that its next call overwrites
+    rhs: object                    # (State, k) -> None, the derivative written into k
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
-    constraint: object = None      # dict of arrays -> float, monitored only
-    phi_solver: object = None      # dict of arrays -> ScalarField, diagnostic
+    monitor: object = None         # State -> (snapshot fields, diagnostics), per snapshot
 
 
 class State(dict):
@@ -91,27 +95,26 @@ class State(dict):
 
 
 def rk4_workspace(state):
-    """rk4_step's work for a State: the stage state, a product and a sum."""
-    return State(state), np.empty_like(state.data), np.empty_like(state.data)
+    """rk4_step's work for a State: the stage state, the derivative k (both
+    States), a product and a sum."""
+    return State(state), State(state), np.empty_like(state.data), np.empty_like(state.data)
 
 
 def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
     """One classical Runge-Kutta step on a `State`.
 
-    rhs_fn maps a state to a State laid out like it. The new state is
-    written into out, a State (which may be state itself), and work is
-    `rk4_workspace(state)`: the stage state, a product and the running sum
-    k1 + 2 k2 + 2 k3 + k4. Either is allocated when not given. Each k is
-    used up before anything it may alias is overwritten, so rhs_fn may
-    return its input, or one buffer at every stage.
+    rhs_fn(st, k) writes the derivative at st into the State k. The new
+    state is written into out, a State (which may be state itself), and
+    work is `rk4_workspace(state)`: the stage state, k, a product and the
+    running sum k1 + 2 k2 + 2 k3 + k4. Either is allocated when not given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y, (stage, p, acc) = state.data, work or rk4_workspace(state)
+    y, (stage, dk, p, acc) = state.data, work or rk4_workspace(state)
     out = State(state) if out is None else out
-    st = state
+    st, k = state, dk.data
     for i, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
-        k = rhs_fn(st).data
+        rhs_fn(st, dk)
         if not np.isfinite(k).all():
             raise Blowup(step)
         if i == 0:
@@ -142,11 +145,8 @@ def energy_proxy(S):
     return (e + float(np.sum(dot(sy, sy)))) * g.dx * g.dy
 
 
-def diagnostics(S, drift=0.0, constraint=None):
-    rec = {"max_norm_drift": float(drift), "energy_proxy": energy_proxy(S)}
-    if constraint is not None:
-        rec["constraint_residual"] = float(constraint)
-    return rec
+def diagnostics(S, drift=0.0):
+    return {"max_norm_drift": float(drift), "energy_proxy": energy_proxy(S)}
 
 
 # ---------------------------------------------------------------------------
@@ -171,68 +171,58 @@ def evolution_model(name, grid, params=None, external_u=None):
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
     c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
-
-    def buffered(fields, fill):
-        # the rhs: fill(st, work) writes the derivative into the output buffers
-        # of its Scratch ("rhs" for S, "du", "dw"), the views of one State
-        dk = State({k: np.zeros(shape) for k, shape in _shapes(grid, fields).items()})
-        outputs = zip(("rhs", "du", "dw"), dk.values())
-        work = Scratch({(buf, v.shape): v for buf, v in outputs})
-
-        def rhs(st):
-            fill(st, work)
-            return dk
-        return rhs
+    work = Scratch()        # the rhs's temporaries, kept from call to call
 
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
     if flow is not None:
-        return EvolutionModel(key, buffered(("S",), lambda st, w: flow(st["S"], grid, w)), grid)
+        return EvolutionModel(key, lambda st, k: flow(st["S"], grid, work, k["S"]), grid)
 
     def first_diffs(s):         # the leading arguments of the potential and constraint
         return s, grid, diff(s, grid, "dx"), diff(s, grid, "dy")
 
     if key == "mxiii":
-        def constraint(st):     # once per snapshot, not per stage
-            return float(np.abs(mxiii_constraint(*first_diffs(st["S"]), c)).max())
+        def monitor(st):        # once per snapshot, not per stage
+            residual = np.abs(mxiii_constraint(*first_diffs(st["S"]), c)).max()
+            return {}, {"constraint_residual": float(residual)}
 
-        rhs = buffered(("S",), lambda st, w: mxiii_rhs(st["S"], grid, c, w))
-        return EvolutionModel("mxiii", rhs, grid, constraint=constraint)
+        return EvolutionModel("mxiii", lambda st, k: mxiii_rhs(st["S"], grid, c, work, k["S"]),
+                              grid, monitor=monitor)
 
     system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
     if system is not None:
-        rhs = buffered(("S",), lambda st, w: system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, w))
+        def rhs(st, k):
+            system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, work, k["S"])
 
-        def phi_solver(st):
-            return ScalarField(grid, mxiii_potential(key, *first_diffs(st["S"]), c.a1, c.b2))
+        def monitor(st):
+            phi = mxiii_potential(key, *first_diffs(st["S"]), c.a1, c.b2)
+            return {"phi": ScalarField(grid, phi)}, {}
 
-        return EvolutionModel(key, rhs, grid, phi_solver=phi_solver)
+        return EvolutionModel(key, rhs, grid, monitor=monitor)
 
     # magnetoelastic catalog
     spec = catalog_lookup(name).with_params(**params)
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
     order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
-
     if spec.phonon == "none":
         if external_u is None:
             raise ValueError(f"{spec.name} needs an external displacement field u")
         if external_u.grid != grid:
             raise GridMismatch(f"{external_u.grid} != {grid}")
-        u = external_u.values
-        rhs = buffered(("S",), lambda st, w: me_spin_rhs(spec, st["S"], u, grid, w))
-        return EvolutionModel(spec.name, rhs, grid, spatial_order=order)
+        names = ("S",)
+    else:
+        names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
 
-    names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
-
-    def fill(st, work):
-        s, u = st["S"], st["u"]
+    def rhs(st, k):
+        s, u = st["S"], (st["u"] if "u" in st else external_u.values)
         # S_x once per stage, for both equations of the families that read it
-        sx = diff(s, grid, "dx", out=work["sx", s.shape]) if spec.spin in ("C", "D", "E") else None
-        me_spin_rhs(spec, s, u, grid, work, sx)
-        me_phonon_rhs(spec, s, u, st.get("w"), grid, work, sx)
+        sx = diff(s, grid, "dx") if spec.spin in ("C", "D", "E") else None
+        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx))
+        if spec.phonon != "none":
+            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx)):
+                np.copyto(k[fname], d)
 
-    return EvolutionModel(spec.name, buffered(names, fill), grid, fields=names,
-                          spatial_order=order)
+    return EvolutionModel(spec.name, rhs, grid, fields=names, spatial_order=order)
 
 
 def _shapes(grid, fields):
@@ -254,16 +244,15 @@ def pack_state(model, initial):
 
 
 def _snapshot(model, state):
-    # field objects copy the writeable arrays they are given, so the next
-    # step, which overwrites state, leaves the snapshot alone
+    """A snapshot's fields and the monitor's diagnostics. Field objects copy
+    the writeable arrays they are given, so the next step, which overwrites
+    state, leaves the snapshot alone."""
     g = model.grid
     snap = {"S": (SpinField if is_unit(state["S"]) else VecField)(g, state["S"])}
-    for name in model.fields:
-        if name != "S":
-            snap[name] = ScalarField(g, state[name])
-    if model.phi_solver is not None:
-        snap["phi"] = model.phi_solver(state)
-    return snap
+    for name in model.fields[1:]:
+        snap[name] = ScalarField(g, state[name])
+    extra, diag = model.monitor(state) if model.monitor else ({}, {})
+    return {**snap, **extra}, diag
 
 
 def check_stability(model, opts):
@@ -293,11 +282,10 @@ def evolve(model, initial, opts):
     traj = Trajectory()
 
     def record(t, drift):
-        snap = _snapshot(model, state)
-        constraint = model.constraint(state) if model.constraint else None
+        snap, diag = _snapshot(model, state)
         traj.times.append(t)
         traj.snapshots.append(snap)
-        traj.diagnostics.append(diagnostics(snap["S"], drift, constraint))
+        traj.diagnostics.append({**diagnostics(snap["S"], drift), **diag})
 
     record(0.0, 0.0)
     drift_window = 0.0

@@ -156,13 +156,11 @@ def cross(a, b, out=None):
     return out
 
 
-def dot(a, b, out=None, tmp=None):
+def dot(a, b):
     """Dot product on (3, ...) arrays, summed left to right like numpy's
-    length-3 reduction: bit for bit np.sum(a * b, 0), without its overhead.
-    Written into out (shaped like a[0]) when given; tmp, shaped like the
-    product, holds the products."""
-    p = np.multiply(a, b, out=tmp)
-    out = np.add(p[0], p[1], out=out)
+    length-3 reduction: bit for bit np.sum(a * b, 0), without its overhead."""
+    p = a * b
+    out = p[0] + p[1]
     out += p[2]
     return out
 

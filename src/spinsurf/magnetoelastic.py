@@ -22,6 +22,10 @@ The published source systems are written with 2x2 traceless matrices
 S = S.sigma and commutators; the vector forms above divide out the 2i
 from [A.sigma, B.sigma] = 2i (AxB).sigma. `pauli_oracle_rhs` redoes the
 computation literally in matrix form and guards the translation.
+
+`me_spin_rhs` and `me_phonon_rhs` write each formula as one expression that
+allocates its result; catalog models evolve on 1-D chains only, where a
+step costs numpy calls rather than memory traffic.
 """
 
 from dataclasses import dataclass, field, replace
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PhononAbsent, UnimplementedModel, UnknownModel
-from .fields import Scratch, cross, diff, dot
+from .fields import cross, diff, dot
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -134,108 +138,51 @@ def _check(spec):
         raise UnimplementedModel(f"{spec.name}: {spec.reason}")
 
 
-def _sx(s, g, ws, sx):
-    return diff(s, g, "dx", out=ws["sx", s.shape]) if sx is None else sx
-
-
-def _coupling(spec, s, g, ws, sx):
-    q = ws["q", s.shape[1:]]
-    if spec.source == "s3":
-        q[...] = s[2]
-    elif spec.source == "s3sq":
-        np.square(s[2], out=q)
-    else:
-        sx = _sx(s, g, ws, sx)
-        dot(sx, sx, out=q, tmp=ws["t", s.shape])
-        if spec.source == "trform":
-            q *= 0.5
-    return q
-
-
-def me_spin_rhs(spec, s, u, g, work=None, sx=None):
+def me_spin_rhs(spec, s, u, g, sx=None):
     """Vector-form spin right-hand side of a catalog model, on a spin array s
-    and a displacement array u.
-
-    work, a `fields.Scratch`, holds the buffers (the result, "rhs", among
-    them) from call to call; without it every buffer is allocated. sx, when
-    given, must be S_x = diff(s, g, "dx"), so that a caller stepping both
-    equations computes it once for this and `me_phonon_rhs`.
-    """
+    and a displacement array u. sx, when given, must be S_x = diff(s, g, "dx"),
+    so that a caller stepping both equations computes it once for this and
+    `me_phonon_rhs`."""
     _check(spec)
-    ws = Scratch() if work is None else work
-    v = s.shape
-    out, t = ws["rhs", v], ws["t", v]
+    p = spec.param
     if spec.spin in ("A", "B"):
-        cross(s, diff(s, g, "dxx", out=ws["sxx", v], tmp=t), out=out)
-        drive = u if spec.spin == "A" else np.multiply(u, s[2], out=ws["drive", u.shape])
-        out += np.multiply(drive, cross(s, E3, out=t), out=t)
-    elif spec.spin in ("C", "D"):
-        sx = _sx(s, g, ws, sx)
-        coeff = dot(sx, sx, out=ws["coeff", u.shape], tmp=t)
-        coeff *= spec.param("mu")
-        coeff -= u
-        coeff += spec.param("m")
-        flux = cross(s, sx, out=t)
-        flux *= coeff
-        diff(flux, g, "dx", out=out)
-        if spec.spin == "D":
-            bend = cross(s, diff(s, g, "dxxxx", out=ws["sxx", v], tmp=t), out=t)
-            bend *= spec.param("n")
-            out *= 2.0
-            out += bend
-    elif spec.spin == "E":
-        sx = _sx(s, g, ws, sx)
-        cross(s, diff(s, g, "dxx", out=ws["sxx", v], tmp=t), out=out)
-        out += np.multiply(u, sx, out=t)
-    else:
+        drive = u if spec.spin == "A" else u * s[2]
+        return cross(s, diff(s, g, "dxx")) + drive * cross(s, E3)
+    if spec.spin not in ("C", "D", "E"):
         raise UnimplementedModel(f"{spec.name} has no spin family")
-    return out
+    sx = diff(s, g, "dx") if sx is None else sx
+    if spec.spin == "E":
+        return cross(s, diff(s, g, "dxx")) + u * sx
+    flux = diff((p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx")
+    if spec.spin == "C":
+        return flux
+    return p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * flux
 
 
-def me_phonon_rhs(spec, s, u, w, g, work=None, sx=None):
+def me_phonon_rhs(spec, s, u, w, g, sx=None):
     """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
-    dw_dt is None for first-order phonon equations, and du_dt is a copy of
-    the velocity w for wave-type ones. work and sx as for `me_spin_rhs`;
-    the results are its buffers "du" and "dw"."""
+    dw_dt is None for first-order phonon equations, and du_dt is the
+    velocity w itself for wave-type ones. sx as for `me_spin_rhs`."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
-    ws = Scratch() if work is None else work
-    q = _coupling(spec, s, g, ws, sx)
-    sh, t, lam = u.shape, ws["ts", u.shape], spec.param("lam")
+    p = spec.param
+    if spec.source in ("s3", "s3sq"):
+        q = s[2] if spec.source == "s3" else s[2] ** 2
+    else:
+        sx = diff(s, g, "dx") if sx is None else sx
+        q = dot(sx, sx) if spec.source == "sxsq" else 0.5 * dot(sx, sx)
 
     if spec.phonon in ("wave", "boussinesq"):
         if w is None:
             raise ValueError(f"{spec.name} needs the velocity field w = u_t")
-        acc = diff(u, g, "dxx", out=ws["dw", sh], tmp=t)
-        acc *= spec.param("nu0") ** 2
-        source = diff(q, g, "dxx", out=ws["qd", sh], tmp=t)
-        source *= lam
-        acc += source
+        acc = p("nu0") ** 2 * diff(u, g, "dxx") + p("lam") * diff(q, g, "dxx")
         if spec.phonon == "boussinesq":
-            source = diff(np.square(u, out=ws["usq", sh]), g, "dxx", out=source, tmp=t)
-            source *= spec.param("alpha")
-            disp = diff(u, g, "dxxxx", out=ws["ud", sh], tmp=t)
-            disp *= spec.param("beta")
-            source += disp
-            acc += source
-        acc /= spec.param("rho")
-        du = ws["du", sh]
-        du[...] = w
-        return du, acc
-
-    du = diff(u, g, "dx", out=ws["du", sh])
-    np.negative(du, out=du)
-    source = diff(q, g, "dx", out=ws["qd", sh])
-    source *= lam
-    du -= source
+            acc += p("alpha") * diff(u ** 2, g, "dxx") + p("beta") * diff(u, g, "dxxxx")
+        return w, acc / p("rho")
+    du = -diff(u, g, "dx") - p("lam") * diff(q, g, "dx")
     if spec.phonon == "kdv":
-        uxxx = diff(diff(u, g, "dxx", out=ws["ud", sh], tmp=t), g, "dx", out=t)
-        uxxx *= spec.param("beta")
-        source = diff(np.square(u, out=ws["usq", sh]), g, "dx", out=source)
-        source *= spec.param("alpha")
-        source += uxxx
-        du -= source
+        du -= p("alpha") * diff(u ** 2, g, "dx") + p("beta") * diff(diff(u, g, "dxx"), g, "dx")
     return du, None
 
 

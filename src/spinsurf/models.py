@@ -9,7 +9,9 @@ to the sphere up to the discrete S.S_x = O(h^2) identity.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `evolve` calls these functions directly, and the
-stationary residuals reuse them.
+stationary residuals reuse them. Each right-hand side takes an optional
+`work` (a `fields.Scratch` for its temporaries) and `out` (for its result);
+without them it allocates, on the same code path.
 """
 
 import numpy as np
@@ -44,28 +46,29 @@ def section_args(kind, params):
     return {"coeffs": CoefficientSet(b4=p.get("a3", 0.0), **p)}
 
 
-def hf_rhs(s, g, work=None):
-    """S ^ S_xx: the HF flow of a 1-D-in-x spin array. work, a `Scratch`,
-    holds the buffers (the result, "rhs", among them) from call to call."""
+def hf_rhs(s, g, work=None, out=None):
+    """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when given.
+    work, a `Scratch`, holds the temporaries from call to call."""
     w = Scratch() if work is None else work
     sxx = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
-    return cross(s, sxx, out=w["rhs", s.shape])
+    return cross(s, sxx, out=out)
 
 
-def lle_rhs(s, g, work=None):
-    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; work as for hf_rhs."""
+def lle_rhs(s, g, work=None, out=None):
+    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; work and out as for
+    hf_rhs."""
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
     w = Scratch() if work is None else work
     lap = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
     lap += diff(s, g, "dyy", out=w["syy", s.shape], tmp=w["t", s.shape])
-    return cross(s, lap, out=w["rhs", s.shape])
+    return cross(s, lap, out=out)
 
 
-def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None):
+def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None, out=None):
     """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + c1 v1 + c2 v2, the M-XIII
     family's wedge core plus its drift ((c1, v1), (c2, v2)). S_xy is the
-    y-difference of sx, which must be S_x; work as for hf_rhs."""
+    y-difference of sx, which must be S_x; work and out as for hf_rhs."""
     w = Scratch() if work is None else work
     t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
     np.multiply(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
@@ -73,7 +76,7 @@ def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None):
     inner += np.multiply(a1, sxy, out=t)
     inner -= np.multiply(b2, sxy, out=t)
     inner -= np.multiply(b1, diff(s, g, "dxx", out=sxy, tmp=t), out=sxy)
-    out = cross(s, inner, out=w["rhs", s.shape])
+    out = cross(s, inner, out=out)
     for c, v in drift:
         out += np.multiply(c, v, out=t)
     return out
@@ -87,8 +90,8 @@ def mxiii_constraint(s, g, sx, sy, c):
     return constraint * np.ones((g.ny, g.nx))
 
 
-def mxiii_rhs(s, g, c, work=None):
-    """M-XIII flow; work as for hf_rhs.
+def mxiii_rhs(s, g, c, work=None, out=None):
+    """M-XIII flow; work and out as for hf_rhs.
 
     The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. The flow is
     supposed to keep `mxiii_constraint` small; it is monitored, never
@@ -106,7 +109,8 @@ def mxiii_rhs(s, g, c, work=None):
     sy = diff(s, g, "dy", out=w["sy", s.shape])
     drift = ((c.deriv("a3", "dy") - c.value("b5"), sx),
              (c.value("a5") - c.deriv("a3", "dx"), sy))
-    return _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"), w)
+    return _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"),
+                 w, out)
 
 
 def mxiii_potential(kind, s, g, sx, sy, a1, b2):
@@ -120,17 +124,17 @@ def mxiii_potential(kind, s, g, sx, sy, a1, b2):
     return poisson_solve(raw - raw.mean(), g)
 
 
-def _system(kind, s, g, a1, a2, b1, b2, work):
+def _system(kind, s, g, a1, a2, b1, b2, work, out):
     w = Scratch() if work is None else work
     sx = diff(s, g, "dx", out=w["sx", s.shape])
     sy = diff(s, g, "dy", out=w["sy", s.shape])
     phi = mxiii_potential(kind, s, g, sx, sy, a1, b2)
     cx, cy = phi_drift(kind, phi, g)
-    return _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2, w), phi
+    return _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2, w, out), phi
 
 
-def mxiiia_system(s, g, a1, a2, b1, b2, work=None):
-    """M-XIIIA right-hand side with its potential; work as for hf_rhs.
+def mxiiia_system(s, g, a1, a2, b1, b2, work=None, out=None):
+    """M-XIIIA right-hand side with its potential; work and out as for hf_rhs.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
     quadrature on a clamped grid, gauged to zero on the seed row and
@@ -138,11 +142,11 @@ def mxiiia_system(s, g, a1, a2, b1, b2, work=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    return _system("mxiiia", s, g, a1, a2, b1, b2, work)
+    return _system("mxiiia", s, g, a1, a2, b1, b2, work, out)
 
 
-def mxiiib_system(s, g, a1, a2, b1, b2, work=None):
-    """M-XIIIB right-hand side with its potential; work as for hf_rhs.
+def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
+    """M-XIIIB right-hand side with its potential; work and out as for hf_rhs.
 
     phi solves phi_xx + phi_yy = (a1+b2) S.(S_x ^ S_y) on a periodic grid
     in the zero-mean gauge. The discrete source mean (a quadrature leftover
@@ -152,7 +156,7 @@ def mxiiib_system(s, g, a1, a2, b1, b2, work=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    return _system("mxiiib", s, g, a1, a2, b1, b2, work)
+    return _system("mxiiib", s, g, a1, a2, b1, b2, work, out)
 
 
 def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):

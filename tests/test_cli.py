@@ -179,6 +179,13 @@ def _replace_field(lines, row, col, token):
     return lines
 
 
+def _config(tmp_path, text):
+    """simulate argv reading the config file text."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return ["simulate", "--config", str(path)]
+
+
 # (id, expected exit code, tmp_path -> argv)
 FAILURES = [
     ("dt-above-stability-bound", 2, lambda d: _simulate(
@@ -276,6 +283,14 @@ FAILURES = [
     ("steps-not-a-multiple-of-snapshot-every", 2, lambda d: _simulate(
         d, "--model", "hf", "--nx", "16", "--dx", "0.1", "--dt", "1e-4",
         "--steps", "7", "--snapshot-every", "5")),
+    ("missing-dt", 2, lambda d: _simulate(d, "--model", "hf", "--nx", "16", "--dx", "0.1")),
+    ("renormalize-maybe", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.1", "--dt", "1e-4",
+        "--renormalize", "maybe")),
+    ("config-line-without-equals", 2, lambda d: _config(d, "model = hf\nnx 16\n")),
+    ("catalog-model-on-2d-grid", 2, lambda d: _simulate(
+        d, "--model", "m-lii", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
+        "--dt", "1e-4")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -292,6 +307,10 @@ FAILURE_MESSAGES = {
     "check-unknown-model": "unknown stationary kind 'heat'",
     "catalog-bad-action": "'describe'",
     "reconstruct-1d-field": "surface reconstruction needs ny >= 2",
+    "missing-dt": "missing required key 'dt'",
+    "renormalize-maybe": "key 'renormalize' expects bool, got 'maybe'",
+    "config-line-without-equals": "run.cfg:2: expected 'key = value'",
+    "catalog-model-on-2d-grid": "magnetoelastic models need a 1-D grid",
 }
 
 
@@ -331,12 +350,15 @@ def test_check_and_simulate_share_defaults(tmp_path, capsys, kind):
     model = evolution_model(kind, g)
     argv = ["check", "--model", kind, "--input", str(spin),
             "--output", str(tmp_path / "r.json")]
-    if model.phi_solver:
-        fileio.write_field(tmp_path / "phi.csv", model.phi_solver({"S": s}))
+    extra, _ = model.monitor({"S": s})
+    if "phi" in extra:
+        fileio.write_field(tmp_path / "phi.csv", extra["phi"])
         argv += ["--phi", str(tmp_path / "phi.csv")]
     assert main(argv) == 0
     got = json.loads((tmp_path / "r.json").read_text())["vector_residual"]
-    want = ResidualReport(VecField(g, model.rhs({"S": s})["S"]),
+    k = {"S": np.empty_like(s)}
+    model.rhs({"S": s}, k)
+    want = ResidualReport(VecField(g, k["S"]),
                           ScalarField(g, np.zeros((g.ny, g.nx))))
     assert want.vector_max > 0.0
     assert (got["max"], got["l2"]) == (want.vector_max, want.vector_l2)

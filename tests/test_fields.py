@@ -230,13 +230,6 @@ def test_scratch_keeps_one_array_per_name_and_shape():
     assert a.dtype == float and len(w) == 3
 
 
-def test_dot_into_out_is_the_allocated_result(rng):
-    a, b = rng.standard_normal((2, 3, 7, 5))
-    out, tmp = np.full((7, 5), np.nan), np.full((3, 7, 5), np.nan)
-    assert dot(a, b, out=out, tmp=tmp) is out
-    assert np.array_equal(out, dot(a, b)) and np.array_equal(out, np.sum(a * b, 0))
-
-
 # ---------------------------------------------------------------------------
 # the components-first layout: vectors are (3, ny, nx), each component a
 # scalar field, and the vector kernels are numpy's on the moved-axis array

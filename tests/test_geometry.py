@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
-                      Grid, NearZeroNorm, ScalarField, SpinField, SurfaceMesh, VecField,
-                      classical_coeffs, constant_field, diff, mf_tangents,
+                      Grid, GridMismatch, NearZeroNorm, ScalarField, SpinField, SurfaceMesh,
+                      VecField, classical_coeffs, constant_field, diff, mf_tangents,
                       n_system_residual, norm, project_sphere, reconstruct_surface,
                       synth, unit_normal)
 
@@ -207,3 +207,23 @@ class TestResidualReport:
         rep = n_system_residual(constant_field(grid2d, (1.0, 0.0, 0.0)),
                                 CoefficientSet())
         assert rep.vector_l2 == 0.0 and rep.scalar_l2 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# refused coefficient sets
+
+def test_non_finite_constant_coefficient_is_refused():
+    with pytest.raises(ValueError, match="coefficient a1 is not finite"):
+        CoefficientSet(a1=np.nan)
+
+
+def test_coefficient_field_on_another_grid_is_grid_mismatch():
+    g = Grid(8, 6, 0.25, 0.25, CLAMPED)
+    c = CoefficientSet(a1=constant_field(Grid(8, 6, 0.5, 0.25, CLAMPED), 1.0))
+    with pytest.raises(GridMismatch, match="coefficient a1 lives on"):
+        c.check_grid(g)
+
+
+def test_mxiiia_coefficients_need_phi_as_a_field():
+    with pytest.raises(ValueError, match="mxiiia coefficients need phi as a ScalarField"):
+        classical_coeffs("mxiiia", a1=1.0, a2=1.0, b1=1.0, b2=1.0, a3=0.0, phi=1.0)

@@ -9,7 +9,6 @@ from spinsurf import (Grid, PhononAbsent, ScalarField, SpinField,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES)
-from spinsurf import fields
 from spinsurf.magnetoelastic import FAMILIES
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
@@ -115,6 +114,11 @@ class TestPhononRhs:
             me_phonon_rhs(catalog_lookup("M-LVII"), pole(grid1d).values,
                           constant_field(grid1d, 0.0).values, None, grid1d)
 
+    def test_wave_type_needs_the_velocity(self, grid1d):
+        with pytest.raises(ValueError, match="needs the velocity field w"):
+            me_phonon_rhs(catalog_lookup("M-LII"), pole(grid1d).values,
+                          constant_field(grid1d, 0.0).values, None, grid1d)
+
     def test_kdv_travelling_wave_residual(self):
         # u_t + u_x + alpha (u^2)_x + beta u_xxx = 0 (lam = 0) admits
         # u = (6 beta kk^2 / alpha) sech^2(kk (x - c t)), c = 1 + 4 beta kk^2
@@ -196,7 +200,7 @@ def test_families_list_exactly_the_constants_read(name):
 
 
 # ---------------------------------------------------------------------------
-# the buffered right-hand sides against the formulas written out
+# the right-hand sides against the formulas written out
 
 E3 = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
 
@@ -235,22 +239,21 @@ def written_out_rhs(spec, s, u, w, g):
 @pytest.mark.parametrize("boundary", ["periodic", "clamped"])
 @pytest.mark.parametrize("name", IMPLEMENTED)
 def test_buffered_rhs_bitwise_equal_written_out_formula(name, boundary):
-    """Allocating, and buffered with one Scratch and a shared S_x over two
+    """Computing S_x themselves, and handed one S_x for both, over two
     states in turn, both right-hand sides equal the written-out formula."""
     g = Grid(24, 1, 0.2, 1.0, boundary)
     spec = catalog_lookup(name)
     rng = np.random.default_rng(len(name))
     spec = spec.with_params(**{c: rng.uniform(0.5, 2.0) for c in
                                FAMILIES[spec.spin][0] + FAMILIES[spec.phonon][0]})
-    work = fields.Scratch()
     for seed in (3, 4):
         s, u, _ = random_state(g, seed)
         w = synth.smooth_scalar(g, seed=seed + 2000).values
         want = written_out_rhs(spec, s, u, w, g)
         assert all(np.array_equal(a, b) for a, b in zip(all_rhs(spec, s, u, w, g), want))
         sx = diff(s, g, "dx")
-        got = [me_spin_rhs(spec, s, u, g, work, sx)]
+        got = [me_spin_rhs(spec, s, u, g, sx)]
         if spec.phonon != "none":
-            got += [a for a in me_phonon_rhs(spec, s, u, w, g, work, sx) if a is not None]
+            got += [a for a in me_phonon_rhs(spec, s, u, w, g, sx) if a is not None]
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -50,11 +50,25 @@ def _tree_digest(root):
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _simulate(model, nx, ny, dx, boundary, steps, every):
+def _write_u(path, nx, dx, boundary):
+    """A `spinsurf-field v1` scalar on an nx-site chain: the rational profile
+    u = 0.5 X / (1 + X^2), written without spinsurf."""
+    x = ((np.arange(nx) - (nx - 1) / 2.0) * dx).tolist()
+    rows = [f"{i},0,{0.5 * X / (1.0 + X * X):.17g}" for i, X in enumerate(x)]
+    path.write_text("# spinsurf-field v1\n"
+                    f"# nx={nx} ny=1 dx={dx:.17g} dy={dx:.17g} "
+                    f"boundary={boundary} comps=1\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def _simulate(model, nx, ny, dx, boundary, steps, every, factor=0.2, order=2,
+              external_u=False):
+    """A simulate run at dt = factor * dx^order; external_u adds `_write_u`'s field."""
     def run(tmp):
         spin = _write_spin(tmp / "S0.csv", nx, ny, dx, dx, boundary)
-        return ["simulate", "--model", model, "--initial", spin,
-                "--dt", repr(0.2 * dx ** 2), "--steps", str(steps),
+        extra = ["--external-u", _write_u(tmp / "u.csv", nx, dx, boundary)] if external_u else []
+        return ["simulate", "--model", model, "--initial", spin, *extra,
+                "--dt", repr(factor * dx ** order), "--steps", str(steps),
                 "--snapshot-every", str(every), "--output", str(tmp / "out")]
     return run
 
@@ -78,6 +92,26 @@ PINS = {
                              "0b4327117502bfac87aed8a90706f1ecce0fe8d81d97da5fcd14171c80b22d39"),
     "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
                   "fcc40cda034de834b8b1f0669fce5921f61303a7561b1d640d3628414780050d"),
+    "m-lii-periodic-chain": (_simulate("m-lii", 64, 1, 0.1, "periodic", 40, 20), 10,
+                             "fc965174bb99327175f29f88182a3b1ee271abb665a7dbe2b521d78e51228f84"),
+    "m-xlv-periodic-chain": (_simulate("m-xlv", 64, 1, 0.1, "periodic", 40, 20, order=3), 7,
+                             "c3b4a687215f3dffd54f4e168bdeaa189b9b0c793153f313960ebfc49860fe70"),
+    "m-xxxviii-periodic-chain": (_simulate("m-xxxviii", 64, 1, 0.1, "periodic", 40, 20,
+                                           factor=0.1, order=4), 7,
+                                 "7b49b5a8b79175eb09045912ad97fb02a1a61846ca8a9ee20f905c34ea80230e"),
+    "m-xxxv-periodic-chain": (_simulate("m-xxxv", 64, 1, 0.1, "periodic", 40, 20,
+                                        factor=0.1, order=4), 10,
+                              "50d8baf62f4d2400243c82c1c8ccb620397da01565e128da3f4cc4de0634e21b"),
+    "m-xlvii-clamped-chain": (_simulate("m-xlvii", 32, 1, 0.2, "clamped", 20, 10,
+                                        factor=0.1, order=4), 10,
+                              "4d28262458138576a6c5bb9a093e0dcb82a631b8555bacdb66ceda3f59d17a71"),
+    "m-lvii-external-u": (_simulate("m-lvii", 64, 1, 0.1, "periodic", 40, 20,
+                                    external_u=True), 4,
+                          "70a2e8e21c84b797ba0fd3df40ea600aed9a8414b5e5b6578f0bb52ca5e378fd"),
+    "mxiii-16x16": (_simulate("mxiii", 16, 16, 0.25, "periodic", 20, 10), 4,
+                    "e37610056edb4ad616348f9263fae43ffd35f02ea16c417b58e0dbfd20005d29"),
+    "mxiiia-clamped-16x16": (_simulate("mxiiia", 16, 16, 0.25, "clamped", 20, 10), 7,
+                             "eb373ac5e93fdfccaf47d83dbabc21a854c18f79481a87285f1b4ea7421aab9c"),
     "reconstruct-hf": (_reconstruct, 2,
                        "b2469b155f4e19f57dc5477b2275251dc3cad82a7ce2b742d2baedd156e21d99"),
 }

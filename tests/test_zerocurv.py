@@ -195,3 +195,30 @@ class TestVectorZcResidual:
         R = constant_field(grid1d, (1.0, 0.0, 0.0))
         with pytest.raises(GridTooSmall):
             vector_zc_residual(R, R)
+
+
+# ---------------------------------------------------------------------------
+# refused shapes
+
+def test_build_C_refuses_unequal_shapes():
+    with pytest.raises(ValueError, match="k and tau must share a shape"):
+        build_C(np.zeros((2, 8)), np.zeros((2, 7)))
+
+
+def test_zc_residual_refuses_unmatched_stacks():
+    C = build_C(np.zeros((3, 8)), np.zeros((3, 8)))
+    with pytest.raises(ValueError, match="matching"):
+        zc_residual(C, C[:, :7], 0.1, 0.1)
+    with pytest.raises(ValueError, match="matching"):
+        zc_residual(C[0], C[0], 0.1, 0.1)
+
+
+def test_nlse_residual_needs_three_time_slices():
+    with pytest.raises(GridTooSmall, match="nt >= 3"):
+        nlse_residual(np.ones((2, 8), dtype=complex), 0.1, 0.1)
+
+
+def test_solve_D_refuses_a_one_slice_stack():
+    C = build_C(np.ones((1, 8)), np.zeros((1, 8)))
+    with pytest.raises(GridTooSmall, match="at least 2 samples"):
+        solve_D(C, np.zeros((1, 3, 3)), 0.1, 0.1)
