@@ -316,6 +316,10 @@ def main(argv=None):
         code, message = 2, exc
     except OSError as exc:
         code, message = 4, exc
+    except OverflowError as exc:    # a float power out of range
+        code, message = 3, exc
+    except MemoryError as exc:      # the configuration asks for more than the process gets
+        code, message = 2, exc
     print(f"{_PREFIX[code]}: {message}", file=sys.stderr)
     return code
 

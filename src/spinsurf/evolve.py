@@ -33,8 +33,8 @@ from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_un
                      norm, project_sphere)
 from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
 from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs,
-                     mxiii_constraint, mxiii_potential, mxiii_rhs, mxiiia_system,
-                     mxiiib_system, section_args)
+                     mxiii_constraint, mxiii_potential, mxiii_rhs, mxiii_terms,
+                     mxiiia_system, mxiiib_system, section_args)
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ def evolution_model(name, grid, params=None, external_u=None):
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
     c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
+    terms = mxiii_terms(c, grid) if c else None     # the M-XIII family's, once per run
     work = Scratch()        # the rhs's temporaries, kept from call to call
 
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
@@ -182,19 +183,21 @@ def evolution_model(name, grid, params=None, external_u=None):
 
     if key == "mxiii":
         def monitor(st):        # once per snapshot, not per stage
-            residual = np.abs(mxiii_constraint(*first_diffs(st["S"]), c)).max()
+            residual = np.abs(mxiii_constraint(*first_diffs(st["S"]), terms)).max()
             return {}, {"constraint_residual": float(residual)}
 
-        return EvolutionModel("mxiii", lambda st, k: mxiii_rhs(st["S"], grid, c, work, k["S"]),
+        return EvolutionModel("mxiii", lambda st, k: mxiii_rhs(st["S"], grid, terms, work, k["S"]),
                               grid, monitor=monitor)
 
     system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
     if system is not None:
+        a1, a2, b1, b2 = terms[0]
+
         def rhs(st, k):
-            system(st["S"], grid, c.a1, c.a2, c.b1, c.b2, work, k["S"])
+            system(st["S"], grid, a1, a2, b1, b2, work, k["S"])
 
         def monitor(st):
-            phi = mxiii_potential(key, *first_diffs(st["S"]), c.a1, c.b2)
+            phi = mxiii_potential(key, *first_diffs(st["S"]), a1, b2)
             return {"phi": ScalarField(grid, phi)}, {}
 
         return EvolutionModel(key, rhs, grid, monitor=monitor)

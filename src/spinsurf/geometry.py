@@ -158,12 +158,11 @@ def classical_coeffs(kind, /, **params):
         a1, a2, b1, b2, a3, phi = need("a1", "a2", "b1", "b2", "a3", "phi")
         if not isinstance(phi, ScalarField):
             raise ValueError(f"{kind} coefficients need phi as a ScalarField")
-        a3x = diff(a3.values, a3.grid, "dx") if isinstance(a3, ScalarField) else 0.0
-        a3y = diff(a3.values, a3.grid, "dy") if isinstance(a3, ScalarField) else 0.0
+        c = CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3)
         g = phi.grid
         cx, cy = phi_drift(kind, phi.values, g)
-        return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3,
-                              a5=ScalarField(g, a3x + cy), b5=ScalarField(g, a3y - cx))
+        return replace(c, a5=ScalarField(g, c.deriv("a3", "dx") + cy),
+                       b5=ScalarField(g, c.deriv("a3", "dy") - cx))
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 

@@ -11,7 +11,8 @@ Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `evolve` calls these functions directly, and the
 stationary residuals reuse them. Each right-hand side takes an optional
 `work` (a `fields.Scratch` for its temporaries) and `out` (for its result);
-without them it allocates, on the same code path.
+without them it allocates, on the same code path. `mxiii_terms` checks an
+M-XIII coefficient set once, for `mxiii_rhs`, `mxiii_constraint` and M-XIIIA/B.
 """
 
 import numpy as np
@@ -82,35 +83,38 @@ def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None, out=None):
     return out
 
 
-def mxiii_constraint(s, g, sx, sy, c):
-    """(a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y) on the grid, from S and its
-    first differences: the M-XIII coefficient constraint."""
-    constraint = (c.deriv("a5", "dy") - c.deriv("b5", "dx")
-                  - (c.value("a1") + c.value("b2")) * triple(s, sx, sy))
-    return constraint * np.ones((g.ny, g.nx))
-
-
-def mxiii_rhs(s, g, c, work=None, out=None):
-    """M-XIII flow; work and out as for hf_rhs.
-
-    The coefficient set must satisfy b3 = a4 = 0 and b4 = a3. The flow is
-    supposed to keep `mxiii_constraint` small; it is monitored, never
-    enforced.
-    """
+def mxiii_terms(c, g):
+    """An M-XIII coefficient set, checked once (its fields on grid g, b3 =
+    a4 = 0, b4 = a3), as ((a1, a2, b1, b2), (a3_y - b5, a5 - a3_x), a5_y -
+    b5_x): the flow's coefficients, its drift coefficients of S_x and S_y,
+    and the constraint's coefficient part, each a float or an (ny, nx) array."""
     c.check_grid(g)
     for name, want in (("b3", 0.0), ("a4", 0.0)):
         if not (c.is_constant(name) and c.value(name) == want):
             raise ValueError(f"M-XIII needs {name} = {want}")
     if not np.all(c.value("b4") == c.value("a3")):
         raise ValueError("M-XIII needs b4 = a3")
+    return (tuple(c.value(n) for n in ("a1", "a2", "b1", "b2")),
+            (c.deriv("a3", "dy") - c.value("b5"), c.value("a5") - c.deriv("a3", "dx")),
+            c.deriv("a5", "dy") - c.deriv("b5", "dx"))
 
+
+def mxiii_constraint(s, g, sx, sy, terms):
+    """(a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y) on the grid, from S, its first
+    differences and `mxiii_terms`: the M-XIII coefficient constraint."""
+    (a1, _, _, b2), _, curl = terms
+    return (curl - (a1 + b2) * triple(s, sx, sy)) * np.ones((g.ny, g.nx))
+
+
+def mxiii_rhs(s, g, terms, work=None, out=None):
+    """M-XIII flow from `mxiii_terms`; work and out as for hf_rhs. The flow
+    is supposed to keep `mxiii_constraint` small; it is monitored, never
+    enforced."""
     w = Scratch() if work is None else work
     sx = diff(s, g, "dx", out=w["sx", s.shape])
     sy = diff(s, g, "dy", out=w["sy", s.shape])
-    drift = ((c.deriv("a3", "dy") - c.value("b5"), sx),
-             (c.value("a5") - c.deriv("a3", "dx"), sy))
-    return _flow(s, g, sx, drift, c.value("a1"), c.value("a2"), c.value("b1"), c.value("b2"),
-                 w, out)
+    cx, cy = terms[1]
+    return _flow(s, g, sx, ((cx, sx), (cy, sy)), *terms[0], w, out)
 
 
 def mxiii_potential(kind, s, g, sx, sy, a1, b2):
@@ -179,40 +183,33 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
     if flow is not None:        # no scalar part
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
         return ResidualReport(VecField(g, flow(s, g)), zeros)
-    if kind == "mxiii":
-        if coeffs is None:
-            raise ValueError("mxiii stationary residual needs a coefficient set")
-        rhs = VecField(g, mxiii_rhs(s, g, coeffs))      # validates coeffs first
-        sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
-        return ResidualReport(rhs, ScalarField(g, mxiii_constraint(s, g, sx, sy, coeffs)))
-
-    sx = diff(s, g, "dx")
-    sy = diff(s, g, "dy")
-    trip = triple(s, sx, sy)
-
     if kind == "ishimori":
         if phi is None or alpha is None:
             raise ValueError("ishimori stationary residual needs phi and alpha")
         if alpha == 0:
             raise ValueError("ishimori anisotropy alpha must be nonzero")
         alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
-        p = phi.values
-        # M-XIIIA's flow at (0, alpha^2, -1, 0), its drift summed as phi_x S_y + phi_y S_x
-        drift = ((diff(p, g, "dx"), sy), (diff(p, g, "dy"), sx))
-        vec = _flow(s, g, sx, drift, 0.0, alpha2, -1.0, 0.0)
-        scal = (alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx")
-                - alpha2 * trip)
-        return ResidualReport(VecField(g, vec), ScalarField(g, scal))
-
-    if coeffs is None or phi is None:
-        raise ValueError(f"{kind} stationary residual needs coeffs and phi")
-    a1, a2 = coeffs.value("a1"), coeffs.value("a2")
-    b1, b2 = coeffs.value("b1"), coeffs.value("b2")
-    cx, cy = phi_drift(kind, phi.values, g)
-    vec = _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2)
-    if kind == "mxiiia":
-        scal = diff(phi.values, g, "dxy") - 0.5 * (a1 + b2) * trip
+        a1, a2, b1, b2 = 0.0, alpha2, -1.0, 0.0     # M-XIIIA's flow
+    elif coeffs is None or (phi is None and kind != "mxiii"):
+        raise ValueError(f"{kind} stationary residual needs coeffs"
+                         + ("" if kind == "mxiii" else " and phi"))
     else:
-        scal = (diff(phi.values, g, "dxx") + diff(phi.values, g, "dyy")
-                - (a1 + b2) * trip)
+        terms = mxiii_terms(coeffs, g)
+        a1, a2, b1, b2 = terms[0]
+
+    sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
+    if kind == "mxiii":
+        (cx, cy), scal = terms[1], mxiii_constraint(s, g, sx, sy, terms)
+    else:
+        p, trip = phi.values, triple(s, sx, sy)
+        cx, cy = phi_drift("mxiiia" if kind == "ishimori" else kind, p, g)
+        if kind == "ishimori":
+            scal = alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx") - alpha2 * trip
+        elif kind == "mxiiia":
+            scal = diff(p, g, "dxy") - 0.5 * (a1 + b2) * trip
+        else:
+            scal = diff(p, g, "dxx") + diff(p, g, "dyy") - (a1 + b2) * trip
+    drift = ((cx, sx), (cy, sy))
+    # Ishimori sums its drift as phi_x S_y + phi_y S_x
+    vec = _flow(s, g, sx, drift[::-1] if kind == "ishimori" else drift, a1, a2, b1, b2)
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

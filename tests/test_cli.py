@@ -291,6 +291,13 @@ FAILURES = [
     ("catalog-model-on-2d-grid", 2, lambda d: _simulate(
         d, "--model", "m-lii", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
         "--dt", "1e-4")),
+    # h ** spatial_order in the step bound and nu0 ** 2 in the phonon flow raise
+    # OverflowError, not a float inf
+    ("step-bound-overflow", 3, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "64", "--dx", "1e200", "--dt", "0.002", "--steps", "2")),
+    ("phonon-speed-overflow", 3, lambda d: _simulate(
+        d, "--model", "m-lii", "--nx", "64", "--dx", "0.1", "--dt", "0.002", "--steps", "2",
+        "--param", "nu0=1e200")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -417,6 +424,31 @@ def test_cli_imports_no_third_party_package_but_numpy():
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert set(out.split()) <= {"numpy", "spinsurf"}, out
+
+
+# runs the CLI on its arguments under a 4 GiB address-space limit
+_UNDER_4_GIB = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from spinsurf.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_is_a_config_error(tmp_path):
+    """10**15 nodes make an 8 PB first array, beyond any address space, so
+    the run allocates nothing under any overcommit setting and exits 2."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = _simulate(tmp_path, "--model", "hf", "--nx", str(10 ** 15), "--dx", "0.1",
+                     "--dt", "1e-4")
+    out = subprocess.run([sys.executable, "-c", _UNDER_4_GIB, *argv],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: Unable to allocate")
+    assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
 
 
 class TestCatalogCommand:

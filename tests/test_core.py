@@ -284,6 +284,25 @@ def test_evolve_bitwise_equal_field_api_loop(name):
         assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
 
 
+@pytest.mark.parametrize("name, grid", [("mxiiib", G2), ("mxiiia", G2C)])
+def test_evolve_with_a_varying_a1_matches_the_system_loop(name, grid):
+    """A ScalarField a1 in params reaches the flow and its potential as the
+    same (ny, nx) array that the allocating loop passes to the system."""
+    a1 = 1.0 + 0.3 * synth.smooth_scalar(grid, seed=8).values
+    system = mxiiia_system if name == "mxiiia" else mxiiib_system
+    model = evolution_model(name, grid, params={"a1": ScalarField(grid, a1)})
+    dt = 0.2 * grid.dx ** model.spatial_order
+    initial = {"S": synth.smooth_spin(grid, seed=5).values}
+    traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8))
+    want = reference_run(grid, lambda st: {"S": system(st["S"], grid, a1, 1.0, 1.0, 1.0)[0]},
+                         initial, dt, 24, 8)
+    assert len(traj.snapshots) == len(want) == 4
+    for snap, ref in zip(traj.snapshots, want):
+        assert np.array_equal(snap["S"].values, ref["S"])
+    phi = system(traj.snapshots[-1]["S"].values, grid, a1, 1.0, 1.0, 1.0)[1]
+    assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
+
+
 ZERO_TYPE = [spec.name for spec in _REGISTRY.values()
              if spec.implemented and spec.phonon == "none"]
 

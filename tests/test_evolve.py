@@ -7,13 +7,14 @@ import pytest
 from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       ScalarField, SpinField, SpinsurfError, check_stability,
                       constant_field, energy_proxy, evolve, evolution_model,
-                      diff, mxiii_constraint, rk4_step, synth)
+                      diff, mxiii_constraint, mxiii_terms, rk4_step, synth)
 from spinsurf import VecField
 from spinsurf.evolve import State
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
 models_module = importlib.import_module("spinsurf.models")
+geometry_module = importlib.import_module("spinsurf.geometry")
 
 
 def pole(grid):
@@ -217,7 +218,7 @@ def test_mxiii_constraint_diagnostic(params):
     traj = evolve(evolution_model("mxiii", g, params=params),
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
-    c = CoefficientSet(a2=1.0, **params)
+    c = mxiii_terms(CoefficientSet(a2=1.0, **params), g)
     got = [d["constraint_residual"] for d in traj.diagnostics]
     want = [float(np.abs(mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), c)).max())
             for s in (snap["S"].values for snap in traj.snapshots)]
@@ -317,6 +318,21 @@ def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
     assert len(traj.diagnostics) == 4 and len(calls) == 24
+
+
+def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):
+    """The coefficient set is fixed for the run: evolution_model checks it
+    once and differentiates the varying a3 once per axis, and no RK4 stage
+    or snapshot does either again."""
+    checks = count_calls(monkeypatch, CoefficientSet, "check_grid")
+    diffs = count_calls(monkeypatch, geometry_module, "diff")
+    g = Grid(16, 14, 0.25, 0.3, "periodic")
+    a3 = ScalarField(g, 0.2 * synth.smooth_scalar(g, seed=4).values)
+    traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7, "a3": a3}),
+                  {"S": synth.smooth_spin(g, seed=3).values},
+                  EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
+    assert len(traj.snapshots) == 4
+    assert (len(checks), len(diffs)) == (1, 2)
 
 
 def test_mxiii_constraint_once_per_snapshot(monkeypatch):

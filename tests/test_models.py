@@ -3,9 +3,9 @@ import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, Grid, ScalarField,
                       SpinField, constant_field, cross, diff, dot, hf_rhs,
-                      lle_rhs, mxiii_constraint, mxiii_rhs, mxiiia_system, mxiiib_system,
-                      stationary_residual, synth, triple)
-from spinsurf.errors import GridTooSmall
+                      lle_rhs, mxiii_constraint, mxiii_rhs, mxiii_terms, mxiiia_system,
+                      mxiiib_system, stationary_residual, synth, triple)
+from spinsurf.errors import GridMismatch, GridTooSmall
 
 STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
 
@@ -53,7 +53,8 @@ class TestLleRhs:
 
 
 def rhs_and_constraint(s, g, c):
-    return mxiii_rhs(s, g, c), mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), c)
+    t = mxiii_terms(c, g)
+    return mxiii_rhs(s, g, t), mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), t)
 
 
 class TestMxiiiRhs:
@@ -65,7 +66,7 @@ class TestMxiiiRhs:
 
     def test_a2_selects_syy(self, grid2d):
         S = synth.smooth_spin(grid2d, seed=13)
-        rhs = mxiii_rhs(S.values, grid2d, CoefficientSet(a2=1.0))
+        rhs = mxiii_rhs(S.values, grid2d, mxiii_terms(CoefficientSet(a2=1.0), grid2d))
         expect = cross(S.values, diff(S.values, grid2d, "dyy"))
         assert np.array_equal(rhs, expect)
 
@@ -98,8 +99,7 @@ class TestMxiiiRhs:
     @pytest.mark.parametrize("bad", [{"b3": 1.0}, {"a4": 1.0}, {"b4": 2.0}])
     def test_coefficient_constraints_enforced(self, grid2d, bad):
         with pytest.raises(ValueError):
-            mxiii_rhs(synth.smooth_spin(grid2d, seed=1).values, grid2d,
-                      CoefficientSet(a2=1.0, **bad))
+            mxiii_terms(CoefficientSet(a2=1.0, **bad), grid2d)
 
 
 class TestMxiiiaSystem:
@@ -189,6 +189,17 @@ class TestStationaryResidual:
                 - alpha ** 2 * triple(S.values, sx, sy))
         assert np.abs(rep.vector_residual.values - vec).max() < 1e-13
         assert np.abs(rep.scalar_residual.values - scal).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", ["mxiiia", "mxiiib"])
+    def test_coefficient_field_on_another_grid(self, kind):
+        """A coefficient field of the right shape but another spacing is
+        refused, as the potential is."""
+        g = Grid(12, 10, 0.25, 0.3, CLAMPED if kind == "mxiiia" else PERIODIC)
+        other = Grid(12, 10, 0.5, 0.3, g.boundary)
+        coeffs = CoefficientSet(a1=synth.smooth_scalar(other, seed=1), a2=1.0)
+        with pytest.raises(GridMismatch, match="coefficient a1"):
+            stationary_residual(kind, synth.smooth_spin(g, seed=2),
+                                phi=constant_field(g, 0.0), coeffs=coeffs)
 
     def test_ishimori_needs_nonzero_alpha(self, grid2d):
         with pytest.raises(ValueError):

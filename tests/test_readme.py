@@ -4,6 +4,8 @@ import math
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -32,3 +34,35 @@ def test_console_blocks_print_what_the_cli_prints():
         with contextlib.redirect_stdout(out):
             assert main(command.split()[1:]) == 0, command
         assert out.getvalue().splitlines() == want, command
+
+
+def _exit_code_rows():
+    """README's exit-code table: exit code -> the names in backticks on its row."""
+    rows = re.findall(r"^\| (\d) \| (.*) \|$", README.read_text(), re.M)
+    return {int(code): set(re.findall(r"`(\w+)`", names)) for code, names in rows}
+
+
+def test_exit_code_table_lists_every_error_class():
+    from spinsurf import errors
+
+    rows = _exit_code_rows()
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) > 10
+    for cls in classes:
+        assert cls.__name__ in rows[cls.exit_code], cls.__name__
+
+
+@pytest.mark.parametrize("builtin", [ValueError, OSError, OverflowError, MemoryError])
+def test_exit_code_table_lists_every_builtin_the_cli_maps(monkeypatch, capsys, builtin):
+    """Each builtin exception that `cli.main` maps is on the row of the exit
+    code that main returns for it."""
+    from spinsurf import cli
+
+    def fail(cfg):
+        raise builtin("raised inside a command")
+
+    monkeypatch.setitem(cli._DISPATCH, "catalog", fail)
+    code = cli.main(["catalog", "list"])
+    assert capsys.readouterr().err.endswith(": raised inside a command\n")
+    assert builtin.__name__ in _exit_code_rows()[code]
