@@ -35,5 +35,5 @@ print("with phi = 0 the scalar part reports the unmet potential equation:")
 grid = Grid(48, 48, 0.2, 0.2, "periodic")
 S = synth.smooth_spin(grid, seed=6)
 rep = stationary_residual("ishimori", S, phi=constant_field(grid, 0.0),
-                          alpha=1.0)
+                          params={"alpha": 1.0})
 print(f"  vector max {rep.vector_max:.3e}, scalar max {rep.scalar_max:.3e}")

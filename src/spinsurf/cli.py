@@ -20,7 +20,7 @@ from .fields import CLAMPED, Grid, ScalarField, SpinField
 from .geometry import classical_coeffs, reconstruct_surface, unit_normal
 from .magnetoelastic import _REGISTRY, catalog_lookup
 from .models import (PHI_KINDS, SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY,
-                     section_args, stationary_residual)
+                     stationary_residual)
 from .evolve import EvolveOptions, evolution_model, evolve
 from .zerocurv import build_C, hasimoto, nlse_residual, solve_D, zc_residual
 
@@ -231,8 +231,6 @@ def cmd_check(cfg):
     kind = cfg.require("model").lower()
     if kind not in STATIONARY_KINDS:
         raise UnknownModel(f"unknown stationary kind {kind!r}")
-    if cfg.get("phi") and kind not in PHI_KINDS:
-        raise ConfigError(f"{kind} reads no potential; drop --phi")
     S = _read(cfg.require("input"), SpinField)
     phi = _read(cfg.get("phi"), ScalarField) if cfg.get("phi") else None
     notes = []
@@ -240,7 +238,7 @@ def cmd_check(cfg):
         notes.append("triple-orientation:S.(Sx^Sy)")
     if kind == "ishimori":
         notes.append("drift-pairing:phi_x*S_y+phi_y*S_x")
-    rr = stationary_residual(kind, S, phi=phi, **section_args(kind, cfg.params))
+    rr = stationary_residual(kind, S, phi=phi, params=cfg.params)
     out = cfg.get("output", "report.json")
     fileio.report(out, kind, S.grid, rr, notes=notes)
     print(f"vector residual max {rr.vector_max:.6e}  "

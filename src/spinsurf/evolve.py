@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Blowup, ConfigError, GridMismatch
+from .errors import Blowup, ConfigError, GridMismatch, NonFiniteResult
 from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit,
                      norm, project_sphere)
 from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
 from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs,
                      mxiii_constraint, mxiii_potential, mxiii_rhs, mxiii_terms,
-                     mxiiia_system, mxiiib_system, section_args)
+                     mxiiia_system, mxiiib_system, section_params)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def evolution_model(name, grid, params=None, external_u=None):
     if external_u is not None and (key in STATIONARY_KINDS
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
-    c = section_args(key, params).get("coeffs") if key in STATIONARY_KINDS else None
-    terms = mxiii_terms(c, grid) if c else None     # the M-XIII family's, once per run
+    p = section_params(key, params) if key in STATIONARY_KINDS else {}
+    terms = mxiii_terms(p, grid) if key.startswith("mxiii") else None   # once per run
     work = Scratch()        # the rhs's temporaries, kept from call to call
 
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
@@ -260,12 +260,16 @@ def _snapshot(model, state):
 
 def check_stability(model, opts):
     g = model.grid
-    h = g.dx if g.is_1d else min(g.dx, g.dy)
-    bound = opts.dt_safety * h ** model.spatial_order
+    h, p = (g.dx if g.is_1d else min(g.dx, g.dy)), model.spatial_order
+    try:
+        bound = opts.dt_safety * h ** p
+    except OverflowError:
+        raise NonFiniteResult(f"the stability bound dt_safety * h^p overflows at "
+                              f"h = {h:g}, p = {p}, dt_safety = {opts.dt_safety:g}") from None
     if opts.dt > bound and not opts.allow_unstable_dt:
         raise ConfigError(
             f"dt = {opts.dt:g} exceeds the stability bound "
-            f"{opts.dt_safety:g} * h^{model.spatial_order} = {bound:g}; "
+            f"{opts.dt_safety:g} * h^{p} = {bound:g}; "
             f"pass allow_unstable_dt to override")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PhononAbsent, UnimplementedModel, UnknownModel
+from .errors import NonFiniteResult, PhononAbsent, UnimplementedModel, UnknownModel
 from .fields import cross, diff, dot
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
@@ -70,6 +70,11 @@ class ModelSpec:
             raise ValueError(f"{self.name} reads only {list(reads)}, not {sorted(unread)}")
         if "rho" in params and not 0.0 < float(params["rho"]) < np.inf:
             raise ValueError(f"{self.name}: density rho must be finite and > 0")
+        try:
+            float(params.get("nu0", 1.0)) ** 2      # the wave speed squared, as the flow reads it
+        except OverflowError:
+            raise NonFiniteResult(f"{self.name}: nu0 = {float(params['nu0']):g} "
+                                  "squared is out of range") from None
         return replace(self, params={**self.params, **params})
 
 

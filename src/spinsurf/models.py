@@ -11,8 +11,8 @@ Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `evolve` calls these functions directly, and the
 stationary residuals reuse them. Each right-hand side takes an optional
 `work` (a `fields.Scratch` for its temporaries) and `out` (for its result);
-without them it allocates, on the same code path. `mxiii_terms` checks an
-M-XIII coefficient set once, for `mxiii_rhs`, `mxiii_constraint` and M-XIIIA/B.
+without them it allocates, on the same code path. Section models read
+named parameters (`section_params`); `mxiii_terms` maps M-XIII's once per run.
 """
 
 import numpy as np
@@ -34,17 +34,14 @@ PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
 STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulate not
 
 
-def section_args(kind, params):
-    """`stationary_residual`'s coeffs/alpha from a section model's named
-    parameters and their defaults; a name it does not read raises ValueError."""
-    table = SECTION_PARAMS[kind]
+def section_params(kind, params=None):
+    """A section model's named parameters with their `SECTION_PARAMS`
+    defaults; a name the model does not read raises ValueError."""
+    table, params = SECTION_PARAMS[kind], params or {}
     unread = set(params) - set(table)
     if unread:
         raise ValueError(f"{kind} reads only {list(table)}, not {sorted(unread)}")
-    p = {**table, **params}
-    if not p or kind == "ishimori":
-        return p
-    return {"coeffs": CoefficientSet(b4=p.get("a3", 0.0), **p)}
+    return {**table, **params}
 
 
 def hf_rhs(s, g, work=None, out=None):
@@ -83,17 +80,14 @@ def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None, out=None):
     return out
 
 
-def mxiii_terms(c, g):
-    """An M-XIII coefficient set, checked once (its fields on grid g, b3 =
-    a4 = 0, b4 = a3), as ((a1, a2, b1, b2), (a3_y - b5, a5 - a3_x), a5_y -
-    b5_x): the flow's coefficients, its drift coefficients of S_x and S_y,
-    and the constraint's coefficient part, each a float or an (ny, nx) array."""
+def mxiii_terms(params, g):
+    """M-XIII's named parameters as its tangent coefficients (b4 = a3, b3 =
+    a4 = 0), checked on grid g, reduced to ((a1, a2, b1, b2), (a3_y - b5,
+    a5 - a3_x), a5_y - b5_x): the flow's coefficients, its drift coefficients
+    of S_x and S_y, and the constraint's part, each a float or (ny, nx) array."""
+    p = section_params("mxiii", params)
+    c = CoefficientSet(b4=p["a3"], **p)
     c.check_grid(g)
-    for name, want in (("b3", 0.0), ("a4", 0.0)):
-        if not (c.is_constant(name) and c.value(name) == want):
-            raise ValueError(f"M-XIII needs {name} = {want}")
-    if not np.all(c.value("b4") == c.value("a3")):
-        raise ValueError("M-XIII needs b4 = a3")
     return (tuple(c.value(n) for n in ("a1", "a2", "b1", "b2")),
             (c.deriv("a3", "dy") - c.value("b5"), c.value("a5") - c.deriv("a3", "dx")),
             c.deriv("a5", "dy") - c.deriv("b5", "dx"))
@@ -163,20 +157,24 @@ def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
     return _system("mxiiib", s, g, a1, a2, b1, b2, work, out)
 
 
-def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
+def stationary_residual(kind, S, phi=None, params=None):
     """Residual of the stationary form of a named spin system.
 
-    kind: "hf", "lle", "mxiii" (needs coeffs), "mxiiia"/"mxiiib" (need
-    coeffs for a1, a2, b1, b2 and the potential phi), or "ishimori"
-    (needs phi and alpha != 0); `section_args` builds coeffs and alpha
-    from named parameters, and phi must live on S's grid. The vector part
-    is the stationary equation's left-hand side; the scalar part is the
-    potential/coefficient constraint written as LHS - RHS.
+    kind: one of `STATIONARY_KINDS`; params as `evolve.evolution_model`
+    takes them (ishimori needs alpha != 0); the `PHI_KINDS` need the
+    potential phi, on S's grid. A parameter or phi the kind does not read
+    raises ValueError. The vector part is the stationary equation's
+    left-hand side; the scalar part is the potential/coefficient constraint
+    written as LHS - RHS.
     """
     kind = kind.lower()
     if kind not in STATIONARY_KINDS:
         raise ValueError(f"unknown stationary kind {kind!r}")
+    p = section_params(kind, params)
     g, s = S.grid, S.values
+    if (phi is None) == (kind in PHI_KINDS):
+        raise ValueError(f"{kind} stationary residual needs a potential phi"
+                         if phi is None else f"{kind} reads no potential phi")
     if phi is not None and phi.grid != g:
         raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
     flow = {"hf": hf_rhs, "lle": lle_rhs}.get(kind)
@@ -184,17 +182,13 @@ def stationary_residual(kind, S, phi=None, coeffs=None, alpha=None):
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
         return ResidualReport(VecField(g, flow(s, g)), zeros)
     if kind == "ishimori":
-        if phi is None or alpha is None:
-            raise ValueError("ishimori stationary residual needs phi and alpha")
-        if alpha == 0:
-            raise ValueError("ishimori anisotropy alpha must be nonzero")
+        alpha = p["alpha"]
+        if not alpha:       # None, its default, or 0
+            raise ValueError("ishimori stationary residual needs an alpha != 0")
         alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
         a1, a2, b1, b2 = 0.0, alpha2, -1.0, 0.0     # M-XIIIA's flow
-    elif coeffs is None or (phi is None and kind != "mxiii"):
-        raise ValueError(f"{kind} stationary residual needs coeffs"
-                         + ("" if kind == "mxiii" else " and phi"))
     else:
-        terms = mxiii_terms(coeffs, g)
+        terms = mxiii_terms(p, g)
         a1, a2, b1, b2 = terms[0]
 
     sx, sy = diff(s, g, "dx"), diff(s, g, "dy")

@@ -19,6 +19,7 @@ from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, EvolveOptions, Grid,
                       zc_residual, catalog_lookup)
 from spinsurf.cli import main
 from spinsurf.magnetoelastic import _REGISTRY
+from spinsurf.models import PHI_KINDS
 
 CURL_MATCH_TOL = 1e-10            # criterion 1
 RATIO_WINDOW = (3.3, 4.7)         # second-order halving window
@@ -107,9 +108,11 @@ def test_4_stationary_checks():
     g = Grid(24, 24, 0.3, 0.3, PERIODIC)
     S = SpinField(g, np.broadcast_to(np.reshape([0.0, 0.0, 1.0], (3, 1, 1)), (3, 24, 24)).copy())
     phi = constant_field(g, 0.0)
-    coeffs = CoefficientSet(a1=1.0, a2=1.0, b2=0.5)
+    ab = {"a1": 1.0, "a2": 1.0, "b2": 0.5}
+    params = {"mxiii": ab, "mxiiia": ab, "mxiiib": ab, "ishimori": {"alpha": 1.0}}
     for kind in ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori"):
-        rep = stationary_residual(kind, S, phi=phi, coeffs=coeffs, alpha=1.0)
+        rep = stationary_residual(kind, S, phi=phi if kind in PHI_KINDS else None,
+                                  params=params.get(kind))
         assert rep.vector_max == 0.0 and rep.scalar_max == 0.0, kind
 
 

@@ -291,8 +291,8 @@ FAILURES = [
     ("catalog-model-on-2d-grid", 2, lambda d: _simulate(
         d, "--model", "m-lii", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
         "--dt", "1e-4")),
-    # h ** spatial_order in the step bound and nu0 ** 2 in the phonon flow raise
-    # OverflowError, not a float inf
+    # h ** spatial_order in the step bound and nu0 ** 2 in the phonon flow would
+    # overflow as Python floats; both are refused where they are formed
     ("step-bound-overflow", 3, lambda d: _simulate(
         d, "--model", "hf", "--nx", "64", "--dx", "1e200", "--dt", "0.002", "--steps", "2")),
     ("phonon-speed-overflow", 3, lambda d: _simulate(
@@ -336,6 +336,18 @@ def test_failure_message_names_the_cause(tmp_path, capsys, name):
     argv_of = next(f[2] for f in FAILURES if f[0] == name)
     assert main(argv_of(tmp_path)) == 2
     assert FAILURE_MESSAGES[name] in capsys.readouterr().err
+
+
+# what the exit-3 message of an overflow in FAILURES names: the setting and its value
+OVERFLOW_MESSAGES = {"step-bound-overflow": "h = 1e+200, p = 2, dt_safety = 0.2",
+                     "phonon-speed-overflow": "nu0 = 1e+200"}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_MESSAGES))
+def test_overflow_message_names_the_setting(tmp_path, capsys, name):
+    argv_of = next(f[2] for f in FAILURES if f[0] == name)
+    assert main(argv_of(tmp_path)) == 3
+    assert OVERFLOW_MESSAGES[name] in capsys.readouterr().err
 
 
 def test_kdv_bound_is_named_h3(tmp_path, capsys):

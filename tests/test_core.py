@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
-                      SpinField, VecField, catalog_lookup, classical_coeffs,
+                      SpinField, VecField, catalog_lookup,
                       diff, evolve, evolution_model, hf_rhs, lle_rhs,
                       me_phonon_rhs, me_spin_rhs, mxiiia_system, mxiiib_system,
                       norm, project_sphere, rk4_step, stationary_residual,
@@ -350,9 +350,8 @@ def test_stationary_residual_reuses_flow_formula(kind):
     system = mxiiia_system if kind == "mxiiia" else mxiiib_system
     rhs, phi = system(S.values, grid, *ab)
     phi = ScalarField(grid, phi)
-    coeffs = classical_coeffs(kind, **dict(zip(("a1", "a2", "b1", "b2"), ab)),
-                              a3=0.0, phi=phi)
-    rep = stationary_residual(kind, S, phi=phi, coeffs=coeffs)
+    params = dict(zip(("a1", "a2", "b1", "b2"), ab))
+    rep = stationary_residual(kind, S, phi=phi, params=params)
     assert np.array_equal(rep.vector_residual.values, rhs)
 
 

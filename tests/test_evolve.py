@@ -173,6 +173,59 @@ class TestEnergyProxy:
 
 
 # ---------------------------------------------------------------------------
+# the periodic HF chain against what its semi-discrete equations fix exactly
+
+SPIN_WAVE_GRID = Grid(64, 1, 0.2, 1.0, "periodic")
+RK4_RATIO_WINDOW = (14.0, 18.0)     # fourth-order halving window; 15.99 and 15.95 measured
+SPIN_WAVE_ERROR = 2.0e-10           # at dt = 0.2 h^2 to t = 0.4; 1.06e-10 measured
+ENERGY_DRIFT = 1.5e-9               # over 2,000 steps at dt = 0.2 h^2; 1.3e-10 measured
+TOTAL_SPIN_DRIFT = 1.0e-10          # the same run; 9.4e-12 measured
+
+
+def spin_wave(g, t, theta=0.7, mode=3):
+    """S = (sin th cos ph, sin th sin ph, cos th), ph = kx - w t, with
+    w = cos th (4/h^2) sin^2(kh/2): an exact solution of the periodic
+    semi-discrete HF chain S_t = S ^ (S_{i+1} - 2 S_i + S_{i-1})/h^2,
+    whose norm stays 1."""
+    h = g.dx
+    k = 2 * np.pi * mode / (g.nx * h)
+    phase = k * g.x() - np.cos(theta) * (4 / h ** 2) * np.sin(k * h / 2) ** 2 * t
+    return np.stack([np.sin(theta) * np.cos(phase), np.sin(theta) * np.sin(phase),
+                     np.full(g.nx, np.cos(theta))])[:, None, :]
+
+
+def test_hf_spin_wave_fourth_order_in_time():
+    """RK4's error against the closed-form spin wave falls 16-fold per
+    halving of dt: space is exact, so only the time error is left."""
+    g, t_end = SPIN_WAVE_GRID, 0.4
+    errs = []
+    for div in (1, 2, 4):
+        dt = 0.2 * g.dx ** 2 / div
+        steps = round(t_end / dt)
+        traj = evolve(evolution_model("hf", g), {"S": spin_wave(g, 0.0)},
+                      EvolveOptions(dt=dt, steps=steps, snapshot_every=steps))
+        errs.append(np.abs(traj.spins()[-1].values - spin_wave(g, steps * dt)).max())
+    assert errs[0] <= SPIN_WAVE_ERROR
+    for coarse, fine in zip(errs, errs[1:]):
+        assert RK4_RATIO_WINDOW[0] <= coarse / fine <= RK4_RATIO_WINDOW[1]
+
+
+def test_hf_chain_conserves_energy_and_total_spin():
+    """The periodic HF chain conserves E = (2/h) sum(1 - S_i.S_{i+1}) and
+    sum S_i h (its triple products telescope); RK4 with projection keeps
+    both to within pinned drifts."""
+    g = SPIN_WAVE_GRID
+    traj = evolve(evolution_model("hf", g), {"S": synth.smooth_spin(g, seed=1).values},
+                  EvolveOptions(dt=0.2 * g.dx ** 2, steps=2000, snapshot_every=100))
+    s = np.stack([S.values for S in traj.spins()])
+    energy = 2 / g.dx * np.sum(1 - np.sum(s * np.roll(s, -1, axis=-1), axis=1), axis=(1, 2))
+    total = s.sum(axis=(2, 3)) * g.dx
+    assert len(s) == 21 and energy[0] > 0.2
+    assert np.abs(energy - energy[0]).max() <= ENERGY_DRIFT
+    assert np.abs(total - total[0]).max() <= TOTAL_SPIN_DRIFT
+
+
+# ---------------------------------------------------------------------------
 # step bounds from each model's highest x-derivative
 
 CATALOG = [name for name, spec in _REGISTRY.items() if spec.implemented]
@@ -218,7 +271,7 @@ def test_mxiii_constraint_diagnostic(params):
     traj = evolve(evolution_model("mxiii", g, params=params),
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
-    c = mxiii_terms(CoefficientSet(a2=1.0, **params), g)
+    c = mxiii_terms(params, g)
     got = [d["constraint_residual"] for d in traj.diagnostics]
     want = [float(np.abs(mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), c)).max())
             for s in (snap["S"].values for snap in traj.snapshots)]

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, Grid, ScalarField,
-                      SpinField, constant_field, cross, diff, dot, hf_rhs,
-                      lle_rhs, mxiii_constraint, mxiii_rhs, mxiii_terms, mxiiia_system,
-                      mxiiib_system, stationary_residual, synth, triple)
+from spinsurf import (CLAMPED, PERIODIC, Grid, SpinField, constant_field, cross, diff,
+                      dot, hf_rhs, lle_rhs, mxiii_constraint, mxiii_rhs, mxiii_terms,
+                      mxiiia_system, mxiiib_system, stationary_residual, synth, triple)
 from spinsurf.errors import GridMismatch, GridTooSmall
+from spinsurf.evolve import evolution_model
+from spinsurf.models import SECTION_PARAMS, STATIONARY_ONLY
 
 STATIONARY_KINDS = ("hf", "lle", "mxiii", "mxiiia", "mxiiib", "ishimori")
+PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
+_A1A2B2 = {"a1": 1.0, "a2": 1.0, "b2": 0.5}
+CONSTANT_SPIN_PARAMS = {"mxiii": _A1A2B2, "mxiiia": _A1A2B2, "mxiiib": _A1A2B2,
+                        "ishimori": {"alpha": 1.0}}
 
 
 def pole(grid):
@@ -52,33 +57,33 @@ class TestLleRhs:
         assert np.array_equal(lle_rhs(s, grid2d), expect)
 
 
-def rhs_and_constraint(s, g, c):
-    t = mxiii_terms(c, g)
+def rhs_and_constraint(s, g, params):
+    t = mxiii_terms(params, g)
     return mxiii_rhs(s, g, t), mxiii_constraint(s, g, diff(s, g, "dx"), diff(s, g, "dy"), t)
 
 
 class TestMxiiiRhs:
     def test_constant_everything_zero(self, grid2d):
         rhs, constraint = rhs_and_constraint(pole(grid2d).values, grid2d,
-                                             CoefficientSet(a1=1.0, b2=0.5, a2=1.0))
+                                             {"a1": 1.0, "b2": 0.5, "a2": 1.0})
         assert np.all(rhs == 0.0)
         assert np.all(constraint == 0.0)
 
     def test_a2_selects_syy(self, grid2d):
         S = synth.smooth_spin(grid2d, seed=13)
-        rhs = mxiii_rhs(S.values, grid2d, mxiii_terms(CoefficientSet(a2=1.0), grid2d))
+        rhs = mxiii_rhs(S.values, grid2d, mxiii_terms({"a2": 1.0}, grid2d))
         expect = cross(S.values, diff(S.values, grid2d, "dyy"))
         assert np.array_equal(rhs, expect)
 
     def test_varying_coefficients_match_formula(self):
-        """Varying a3 (= b4), a5 and b5 enter through their own derivatives:
+        """Varying a3 (b4 = a3), a5 and b5 enter through their own derivatives:
         rhs = S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx]
               + (a3_y - b5) S_x + (a5 - a3_x) S_y,
         constraint = (a5_y - b5_x) - (a1 + b2) S.(S_x ^ S_y)."""
         g = Grid(20, 16, 0.25, 0.3, PERIODIC)
         a3, a5, b5 = (synth.smooth_scalar(g, seed=k) for k in (21, 22, 23))
         a1, a2, b1, b2 = 0.7, 1.2, -0.4, 0.3
-        c = CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, a3=a3, b4=a3, a5=a5, b5=b5)
+        c = {"a1": a1, "a2": a2, "b1": b1, "b2": b2, "a3": a3, "a5": a5, "b5": b5}
         s = synth.smooth_spin(g, seed=24).values
         rhs, constraint = rhs_and_constraint(s, g, c)
 
@@ -96,10 +101,12 @@ class TestMxiiiRhs:
         assert np.abs(rhs - want).max() < 1e-12 * np.abs(want).max()
         assert np.abs(constraint - want_c).max() < 1e-12 * np.abs(want_c).max()
 
-    @pytest.mark.parametrize("bad", [{"b3": 1.0}, {"a4": 1.0}, {"b4": 2.0}])
+    @pytest.mark.parametrize("bad", [{"b3": 1.0}, {"a4": 1.0}, {"b4": 2.0}, {"alpha": 1.0}])
     def test_coefficient_constraints_enforced(self, grid2d, bad):
-        with pytest.raises(ValueError):
-            mxiii_terms(CoefficientSet(a2=1.0, **bad), grid2d)
+        """b3 = a4 = 0 and b4 = a3 hold by construction: the names are refused
+        as unread."""
+        with pytest.raises(ValueError, match="mxiii reads only"):
+            mxiii_terms({"a2": 1.0, **bad}, grid2d)
 
 
 class TestMxiiiaSystem:
@@ -156,9 +163,8 @@ class TestStationaryResidual:
     @pytest.mark.parametrize("kind", STATIONARY_KINDS)
     def test_constant_spin_all_kinds_zero(self, grid2d, kind):
         S = pole(grid2d)
-        phi = constant_field(grid2d, 0.0)
-        coeffs = CoefficientSet(a1=1.0, a2=1.0, b2=0.5)
-        rep = stationary_residual(kind, S, phi=phi, coeffs=coeffs, alpha=1.0)
+        phi = constant_field(grid2d, 0.0) if kind in PHI_KINDS else None
+        rep = stationary_residual(kind, S, phi=phi, params=CONSTANT_SPIN_PARAMS.get(kind))
         assert rep.vector_max == 0.0 and rep.scalar_max == 0.0
 
     def test_lle_equator_converges(self):
@@ -178,7 +184,7 @@ class TestStationaryResidual:
         S = synth.smooth_spin(grid2d, seed=17)
         phi = synth.smooth_scalar(grid2d, seed=18)
         alpha = 1.5
-        rep = stationary_residual("ishimori", S, phi=phi, alpha=alpha)
+        rep = stationary_residual("ishimori", S, phi=phi, params={"alpha": alpha})
         s, p, g = S.values, phi.values, grid2d
         sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
         vec = (cross(S.values, diff(s, g, "dxx")
@@ -196,16 +202,63 @@ class TestStationaryResidual:
         refused, as the potential is."""
         g = Grid(12, 10, 0.25, 0.3, CLAMPED if kind == "mxiiia" else PERIODIC)
         other = Grid(12, 10, 0.5, 0.3, g.boundary)
-        coeffs = CoefficientSet(a1=synth.smooth_scalar(other, seed=1), a2=1.0)
+        params = {"a1": synth.smooth_scalar(other, seed=1), "a2": 1.0}
         with pytest.raises(GridMismatch, match="coefficient a1"):
             stationary_residual(kind, synth.smooth_spin(g, seed=2),
-                                phi=constant_field(g, 0.0), coeffs=coeffs)
+                                phi=constant_field(g, 0.0), params=params)
 
     def test_ishimori_needs_nonzero_alpha(self, grid2d):
         with pytest.raises(ValueError):
             stationary_residual("ishimori", pole(grid2d),
-                                phi=constant_field(grid2d, 0.0), alpha=0.0)
+                                phi=constant_field(grid2d, 0.0), params={"alpha": 0.0})
 
     def test_unknown_kind(self, grid2d):
         with pytest.raises(ValueError):
             stationary_residual("heat", pole(grid2d))
+
+
+def section_grid(kind):
+    """A 2-D grid the kind runs on: M-XIIIA's quadrature needs clamped edges."""
+    return Grid(12, 10, 0.25, 0.3, CLAMPED if kind == "mxiiia" else PERIODIC)
+
+
+class TestNamedParameters:
+    """Section models read named parameters, with the same defaults and
+    refusals in evolve and in the stationary residuals."""
+
+    @pytest.mark.parametrize("kind", STATIONARY_KINDS)
+    @pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2", "a3", "a4", "a5",
+                                      "b3", "b4", "b5", "alpha", "bogus"])
+    def test_evolution_and_residual_read_the_same_names(self, kind, name):
+        """ishimori has no flow, so only its residual is asked."""
+        g = section_grid(kind)
+        S = synth.smooth_spin(g, seed=2)
+        phi = constant_field(g, 0.0) if kind in PHI_KINDS else None
+        builds = [lambda p: stationary_residual(kind, S, phi=phi, params=p)]
+        if kind not in STATIONARY_ONLY:
+            builds.append(lambda p: evolution_model(kind, g, params=p))
+        verdicts = []
+        for build in builds:
+            try:
+                build({name: 0.5})
+                verdicts.append("read")
+            except ValueError as exc:
+                assert "reads only" in str(exc)
+                verdicts.append("refused")
+        want = "read" if name in SECTION_PARAMS[kind] else "refused"
+        assert verdicts == [want] * len(builds)
+
+    @pytest.mark.parametrize("kind", ["hf", "lle", "mxiii"])
+    def test_potential_refused_where_unread(self, kind):
+        g = section_grid(kind)
+        with pytest.raises(ValueError, match="reads no potential"):
+            stationary_residual(kind, synth.smooth_spin(g, seed=2), phi=constant_field(g, 0.0))
+
+    def test_mxiii_residual_defaults_are_simulates(self, grid2d):
+        S = synth.smooth_spin(grid2d, seed=3)
+        implicit = stationary_residual("mxiii", S)
+        explicit = stationary_residual("mxiii", S, params=dict(SECTION_PARAMS["mxiii"]))
+        assert implicit.vector_max > 0.0
+        for part in ("vector_residual", "scalar_residual"):
+            assert (getattr(implicit, part).values.tobytes()
+                    == getattr(explicit, part).values.tobytes())
