@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio, synth
 from .errors import ConfigError, SpinsurfError, UnknownModel
-from .fields import CLAMPED, Grid, ScalarField, SpinField
+from .fields import CLAMPED, Grid, ScalarField, SpinField, named_params
 from .geometry import classical_coeffs, reconstruct_surface, unit_normal
 from .magnetoelastic import _REGISTRY, catalog_lookup
 from .models import (PHI_KINDS, SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY,
@@ -119,8 +119,16 @@ def _read_config_file(path, keys):
     return out, params
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ConfigError, which `main` prints as
+    one line, in place of argparse's usage text and exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinsurf",
         description="Spin-field evolution, surface reconstruction, and "
                     "compatibility residual checks.")
@@ -161,11 +169,6 @@ def parse_config(argv):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _reject_unused(params):
-    if params:
-        raise ConfigError(f"unused parameters {sorted(params)}")
-
-
 def _read(path, cls):
     """The field in the file at path, refused unless it is a cls."""
     field = fileio.read_field(path)
@@ -189,7 +192,11 @@ def cmd_simulate(cfg):
     else:
         grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
                     cfg.get("dy", 1.0), cfg.require("boundary"))
-        S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
+        try:
+            S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
+        except MemoryError as exc:
+            raise ConfigError(f"a grid of nx = {grid.nx} by ny = {grid.ny} nodes does not "
+                              f"fit in memory: {exc}") from None
     external_u = _read(cfg.get("external_u"), ScalarField) if cfg.get("external_u") else None
     model = evolution_model(name, grid, params=cfg.params, external_u=external_u)
 
@@ -246,8 +253,14 @@ def cmd_check(cfg):
     return 0
 
 
+def _listed(table):
+    """A parameter table as `catalog show` prints it."""
+    return ", ".join(f"{k}={v:g}" if v is not None else f"{k} (required)"
+                     for k, v in table.items()) or "none"
+
+
 def cmd_catalog(cfg):
-    _reject_unused(cfg.params)
+    named_params("catalog", {}, cfg.params)
     action = cfg.get("action", "list")
     if action not in ("list", "show"):
         raise ConfigError(f"catalog action must be list or show, got {action!r}")
@@ -263,16 +276,16 @@ def cmd_catalog(cfg):
     name = cfg.require("name")
     kind = name.lower()
     if kind in SECTION_PARAMS:
-        params = [f"{k}={v:g}" if v is not None else f"{k} (required)"
-                  for k, v in SECTION_PARAMS[kind].items()]
-        rows = {"name": kind, "parameters": ", ".join(params) or "none",
+        rows = {"name": kind, "parameters": _listed(SECTION_PARAMS[kind]),
                 "check needs --phi": kind in PHI_KINDS,
                 "simulate steps it": kind not in STATIONARY_ONLY}
     else:
         spec = catalog_lookup(name)
         rows = {"name": spec.name, "spin family": spec.spin, "phonon family": spec.phonon,
                 "coupling source": spec.source, "implemented": spec.implemented}
-        if spec.reason:
+        if spec.implemented:
+            rows["parameters"] = _listed(spec.params)
+        else:
             rows["reason"] = spec.reason
     for label, value in rows.items():
         print(f"{label}: {value}")
@@ -280,7 +293,7 @@ def cmd_catalog(cfg):
 
 
 def cmd_zc(cfg):
-    _reject_unused(cfg.params)
+    named_params("zc", {}, cfg.params)
     k, tau, dx, dt = fileio.read_curve(cfg.require("input"))
     nt, nx = k.shape
     C = build_C(k, tau)

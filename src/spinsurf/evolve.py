@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import Blowup, ConfigError, GridMismatch, NonFiniteResult
 from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit,
-                     norm, project_sphere)
+                     named_params, norm, project_sphere)
 from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
-from .models import (STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs, lle_rhs,
-                     mxiii_constraint, mxiii_potential, mxiii_rhs, mxiii_terms,
-                     mxiiia_system, mxiiib_system, section_params)
+from .models import (SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs,
+                     lle_rhs, mxiii_constraint, mxiii_potential, mxiii_rhs,
+                     mxiii_terms, mxiiia_system, mxiiib_system)
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,18 @@ def evolution_model(name, grid, params=None, external_u=None):
     name: "hf", "lle", "mxiii", "mxiiia", "mxiiib", or any implemented
     magnetoelastic catalog name; `models.STATIONARY_ONLY` names are refused.
     params are the constants its formulas read, with defaults from
-    `models.SECTION_PARAMS` or `magnetoelastic.FAMILIES`; any other name
+    `models.SECTION_PARAMS` or the catalog entry's `params`; any other name
     raises ValueError. 0-type catalog models need external_u (a ScalarField,
     held fixed over the run), and no other model takes one.
     spatial_order, which sets the step bound, is the highest derivative order.
     """
     key = name.lower()
-    params = params or {}
     if key in STATIONARY_ONLY:
         raise ValueError(f"{key} is stationary, with no flow; use check --model {key}")
     if external_u is not None and (key in STATIONARY_KINDS
                                    or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
-    p = section_params(key, params) if key in STATIONARY_KINDS else {}
+    p = named_params(key, SECTION_PARAMS[key], params) if key in STATIONARY_KINDS else {}
     terms = mxiii_terms(p, grid) if key.startswith("mxiii") else None   # once per run
     work = Scratch()        # the rhs's temporaries, kept from call to call
 
@@ -203,7 +202,7 @@ def evolution_model(name, grid, params=None, external_u=None):
         return EvolutionModel(key, rhs, grid, monitor=monitor)
 
     # magnetoelastic catalog
-    spec = catalog_lookup(name).with_params(**params)
+    spec = catalog_lookup(name).with_params(**(params or {}))
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
     order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])

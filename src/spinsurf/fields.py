@@ -126,6 +126,17 @@ def same_grid(*fields):
     return g
 
 
+def named_params(owner, table, given=None):
+    """table (each name owner reads -> its default, None if required) updated
+    with given; a name table lacks, or a required one left out, raises ValueError."""
+    params, unread = {**table, **(given or {})}, sorted(set(given or {}) - set(table))
+    missing = [k for k, v in params.items() if v is None]
+    if unread or missing:
+        raise ValueError(f"{owner} reads only {list(table)}, not {unread}" if unread
+                         else f"{owner} needs {missing}")
+    return params
+
+
 class Scratch(dict):
     """Float arrays kept from call to call: `scratch[name, shape]` allocates
     one on the first request for that name and shape and returns the same

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch, NearZeroNorm
 from .fields import (NORM_FLOOR, ScalarField, SpinField, VecField, cross, cumtrapz,
-                     diff, dot, norm, triple)
+                     diff, dot, named_params, norm, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -128,16 +128,14 @@ def classical_coeffs(kind, /, **params):
     kind: "rodrigues" (rho1, rho2), "lelieuvre" (rho), "schief" (rho, mu),
     "hf", "lle_stationary", "mxiiia" (a1, a2, b1, b2, a3, phi), or
     "mxiiib" (same parameters). Scalar-function parameters may be floats
-    or ScalarFields on the working grid (phi only a ScalarField). Missing
-    or unused parameters raise ValueError.
+    or ScalarFields on the working grid (phi only a ScalarField); all are
+    required, and `fields.named_params` refuses a missing or unread name.
     """
     kind = kind.lower()
 
     def need(*names):
-        if sorted(params) != sorted(names):
-            raise ValueError(f"{kind} coefficients take parameters {list(names)}, "
-                             f"got {sorted(params)}")
-        return [params[n] for n in names]
+        p = named_params(f"the {kind} tangent formula", dict.fromkeys(names), params)
+        return [p[n] for n in names]
 
     if kind == "rodrigues":
         rho1, rho2 = need("rho1", "rho2")

@@ -24,8 +24,10 @@ from [A.sigma, B.sigma] = 2i (AxB).sigma. `pauli_oracle_rhs` redoes the
 computation literally in matrix form and guards the translation.
 
 `me_spin_rhs` and `me_phonon_rhs` write each formula as one expression that
-allocates its result; catalog models evolve on 1-D chains only, where a
-step costs numpy calls rather than memory traffic.
+allocates its result, with the constants of the entry's `params`: its two
+families' constants, at 1 unless `with_params` (`fields.named_params`) sets
+them. Catalog models evolve on 1-D chains only, where a step costs numpy
+calls rather than memory traffic.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,12 +35,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteResult, PhononAbsent, UnimplementedModel, UnknownModel
-from .fields import cross, diff, dot
+from .fields import cross, diff, dot, named_params
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
 # family -> (the coupling constants its formula reads, its highest x-derivative);
-# every constant defaults to 1 so runs are reproducible without further input
+# each entry's params hold them at 1 so runs are reproducible without further input
 FAMILIES = {"A": ((), 2), "B": ((), 2), "C": (("mu", "m"), 2),
             "D": (("mu", "m", "n"), 4), "E": ((), 2), "none": ((), 0),
             "wave": (("nu0", "rho", "lam"), 2), "advection": (("lam",), 1),
@@ -59,23 +61,20 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def param(self, key):
-        return float(self.params.get(key, 1.0))
+        return self.params[key]
 
     def with_params(self, /, **params):
         """This entry with coupling constants set; refuses any name it does not read."""
         _check(self)
-        reads = FAMILIES[self.spin][0] + FAMILIES[self.phonon][0]
-        unread = set(params) - set(reads)
-        if unread:
-            raise ValueError(f"{self.name} reads only {list(reads)}, not {sorted(unread)}")
-        if "rho" in params and not 0.0 < float(params["rho"]) < np.inf:
+        p = {k: float(v) for k, v in named_params(self.name, self.params, params).items()}
+        if not 0.0 < p.get("rho", 1.0) < np.inf:
             raise ValueError(f"{self.name}: density rho must be finite and > 0")
         try:
-            float(params.get("nu0", 1.0)) ** 2      # the wave speed squared, as the flow reads it
+            p.get("nu0", 1.0) ** 2      # the wave speed squared, as the flow reads it
         except OverflowError:
-            raise NonFiniteResult(f"{self.name}: nu0 = {float(params['nu0']):g} "
+            raise NonFiniteResult(f"{self.name}: nu0 = {p['nu0']:g} "
                                   "squared is out of range") from None
-        return replace(self, params={**self.params, **params})
+        return replace(self, params=p)
 
 
 _REGISTRY = {}
@@ -120,7 +119,8 @@ for spec in [
               reason="spin takes values in the osp(2|1) superalgebra with "
                      "S^3 = S; not representable as a unit 3-vector"),
 ]:
-    _REGISTRY[spec.name.upper()] = spec
+    reads = FAMILIES[spec.spin][0] + FAMILIES[spec.phonon][0] if spec.implemented else ()
+    _REGISTRY[spec.name.upper()] = replace(spec, params=dict.fromkeys(reads, 1.0))
 
 
 def catalog_names():

@@ -12,13 +12,13 @@ grid passed explicitly; `evolve` calls these functions directly, and the
 stationary residuals reuse them. Each right-hand side takes an optional
 `work` (a `fields.Scratch` for its temporaries) and `out` (for its result);
 without them it allocates, on the same code path. Section models read
-named parameters (`section_params`); `mxiii_terms` maps M-XIII's once per run.
+named parameters (`named_params`); `mxiii_terms` maps M-XIII's once per run.
 """
 
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, Scratch, VecField, cross, diff, triple
+from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -32,16 +32,6 @@ SECTION_PARAMS = {"hf": {}, "lle": {},
 STATIONARY_KINDS = tuple(SECTION_PARAMS)
 PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
 STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulate not
-
-
-def section_params(kind, params=None):
-    """A section model's named parameters with their `SECTION_PARAMS`
-    defaults; a name the model does not read raises ValueError."""
-    table, params = SECTION_PARAMS[kind], params or {}
-    unread = set(params) - set(table)
-    if unread:
-        raise ValueError(f"{kind} reads only {list(table)}, not {sorted(unread)}")
-    return {**table, **params}
 
 
 def hf_rhs(s, g, work=None, out=None):
@@ -85,7 +75,7 @@ def mxiii_terms(params, g):
     a4 = 0), checked on grid g, reduced to ((a1, a2, b1, b2), (a3_y - b5,
     a5 - a3_x), a5_y - b5_x): the flow's coefficients, its drift coefficients
     of S_x and S_y, and the constraint's part, each a float or (ny, nx) array."""
-    p = section_params("mxiii", params)
+    p = named_params("mxiii", SECTION_PARAMS["mxiii"], params)
     c = CoefficientSet(b4=p["a3"], **p)
     c.check_grid(g)
     return (tuple(c.value(n) for n in ("a1", "a2", "b1", "b2")),
@@ -170,7 +160,7 @@ def stationary_residual(kind, S, phi=None, params=None):
     kind = kind.lower()
     if kind not in STATIONARY_KINDS:
         raise ValueError(f"unknown stationary kind {kind!r}")
-    p = section_params(kind, params)
+    p = named_params(kind, SECTION_PARAMS[kind], params)
     g, s = S.grid, S.values
     if (phi is None) == (kind in PHI_KINDS):
         raise ValueError(f"{kind} stationary residual needs a potential phi"
@@ -182,10 +172,9 @@ def stationary_residual(kind, S, phi=None, params=None):
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
         return ResidualReport(VecField(g, flow(s, g)), zeros)
     if kind == "ishimori":
-        alpha = p["alpha"]
-        if not alpha:       # None, its default, or 0
+        if not p["alpha"]:
             raise ValueError("ishimori stationary residual needs an alpha != 0")
-        alpha2 = alpha * alpha      # inf on overflow, where alpha ** 2 raises
+        alpha2 = p["alpha"] * p["alpha"]      # inf on overflow, where ** 2 raises
         a1, a2, b1, b2 = 0.0, alpha2, -1.0, 0.0     # M-XIIIA's flow
     else:
         terms = mxiii_terms(p, g)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from spinsurf import ConfigError, Grid, constant_field, fileio, synth
 from spinsurf.cli import main, parse_config
 from spinsurf import (ResidualReport, ScalarField, VecField, catalog_lookup,
-                      evolution_model)
+                      classical_coeffs, evolution_model)
+from spinsurf.magnetoelastic import _REGISTRY, FAMILIES
 
 
 def write_spin(path, grid, seed=0):
@@ -298,6 +300,11 @@ FAILURES = [
     ("phonon-speed-overflow", 3, lambda d: _simulate(
         d, "--model", "m-lii", "--nx", "64", "--dx", "0.1", "--dt", "0.002", "--steps", "2",
         "--param", "nu0=1e200")),
+    # argparse's own refusals, which print usage text unless the parser raises
+    ("argparse-unknown-flag", 2, lambda d: ["simulate", "--bogus", "1"]),
+    ("argparse-no-command", 2, lambda d: []),
+    ("argparse-param-without-value", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4", "--param")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -318,6 +325,9 @@ FAILURE_MESSAGES = {
     "renormalize-maybe": "key 'renormalize' expects bool, got 'maybe'",
     "config-line-without-equals": "run.cfg:2: expected 'key = value'",
     "catalog-model-on-2d-grid": "magnetoelastic models need a 1-D grid",
+    "argparse-unknown-flag": "unrecognized arguments: --bogus 1",
+    "argparse-no-command": "the following arguments are required: command",
+    "argparse-param-without-value": "argument --param: expected one argument",
 }
 
 
@@ -348,6 +358,13 @@ def test_overflow_message_names_the_setting(tmp_path, capsys, name):
     argv_of = next(f[2] for f in FAILURES if f[0] == name)
     assert main(argv_of(tmp_path)) == 3
     assert OVERFLOW_MESSAGES[name] in capsys.readouterr().err
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spinsurf simulate")
 
 
 def test_kdv_bound_is_named_h3(tmp_path, capsys):
@@ -394,27 +411,61 @@ def test_overflow_is_one_line_without_warnings(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "reconstruct", "check", "zc",
-                                     "catalog"])
+# each command and model refuses a --param name it does not read with the one
+# line of fields.named_params: id -> (argv that runs as given, owner, names read)
+UNREAD_PARAM = {
+    "simulate": (lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4"), "hf", []),
+    "simulate-section-model": (lambda d: _simulate(
+        d, "--model", "mxiii", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
+        "--dt", "1e-4"), "mxiii", ["a1", "a2", "b1", "b2", "a3", "a5", "b5"]),
+    "simulate-catalog-model": (lambda d: _simulate(
+        d, "--model", "m-lii", "--nx", "16", "--dx", "0.2", "--dt", "1e-4"),
+        "M-LII", ["nu0", "rho", "lam"]),
+    "reconstruct": (lambda d: ["reconstruct", "--input", _spin(d), "--output",
+                               str(d / "m.obj")], "the hf tangent formula", []),
+    "reconstruct-rodrigues": (lambda d: [
+        "reconstruct", "--input", _spin(d), "--coeffs", "rodrigues", "--param", "rho1=1",
+        "--param", "rho2=2", "--output", str(d / "m.obj")],
+        "the rodrigues tangent formula", ["rho1", "rho2"]),
+    "check": (_check, "hf", []),
+    "zc": (lambda d: _curve(d, lambda ls: ls), "zc", []),
+    "catalog": (lambda d: ["catalog", "list"], "catalog", []),
+}
+
+
+@pytest.mark.parametrize("command", UNREAD_PARAM)
 def test_unused_param_is_config_error(tmp_path, capsys, command):
-    if command == "simulate":
-        argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2",
-                         "--dt", "1e-4")
-    elif command == "reconstruct":
-        spin = tmp_path / "S.csv"
-        write_spin(spin, Grid(8, 6, 0.25, 0.25, "clamped"), seed=3)
-        argv = ["reconstruct", "--input", str(spin), "--output",
-                str(tmp_path / "m.obj")]
-    elif command == "check":
-        argv = _check(tmp_path)
-    elif command == "zc":
-        argv = _curve(tmp_path, lambda ls: ls)
-    else:
-        argv = ["catalog", "list"]
+    argv_of, owner, reads = UNREAD_PARAM[command]
+    argv = argv_of(tmp_path)
     assert main(argv) == 0
     capsys.readouterr()
     assert main(argv + ["--param", "bogus=3"]) == 2
-    assert "bogus" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {owner} reads only {reads}, not ['bogus']\n"
+
+
+def test_required_param_left_out_refused_by_one_contract(tmp_path, capsys):
+    assert main(_check_phi(tmp_path, "ishimori", PHI_GRID)) == 2
+    assert capsys.readouterr().err == "error: ishimori needs ['alpha']\n"
+    with pytest.raises(ValueError, match=re.escape("the rodrigues tangent formula needs ['rho2']")):
+        classical_coeffs("rodrigues", rho1=1.0)
+
+
+@pytest.mark.parametrize("name", _REGISTRY)
+def test_catalog_show_lists_the_families_constants(capsys, name):
+    spec = catalog_lookup(name)
+    assert main(["catalog", "show", name]) == 0
+    rows = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+    if not spec.implemented:        # M-LXIX and M-V read nothing
+        assert spec.params == {}
+        assert "parameters" not in rows
+        return
+    reads = FAMILIES[spec.spin][0] + FAMILIES[spec.phonon][0]
+    assert list(spec.params) == list(reads)
+    assert rows["parameters"] == (", ".join(f"{c}=1" for c in reads) or "none")
+    for c in {c for consts, _ in FAMILIES.values() for c in consts} - set(reads):
+        with pytest.raises(KeyError):       # no default past the entry's own table
+            spec.param(c)
 
 
 # prints the top-level packages from site-packages that `import spinsurf.cli` loads
@@ -459,7 +510,8 @@ def test_out_of_memory_is_a_config_error(tmp_path):
     out = subprocess.run([sys.executable, "-c", _UNDER_4_GIB, *argv],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith("error: Unable to allocate")
+    assert out.stderr.startswith("error: a grid of nx = 1000000000000000 by ny = 1 nodes")
+    assert "Unable to allocate" in out.stderr        # numpy's own text, kept
     assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
 
 
@@ -671,11 +723,7 @@ def test_fuzzed_inputs_end_in_documented_exit_codes(kind, edits, token):
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         argv = _fuzz_argv(kind, d, edits, token)
-        try:
-            rc = main(argv)
-        except SystemExit as exc:       # argparse rejected the command line
-            assert exc.code == 2
-            return
+        rc = main(argv)
     assert rc in (0, 2, 3, 4)
     if rc:
         assert len(err.getvalue().splitlines()) == 1
