@@ -320,17 +320,20 @@ def main(argv=None):
         cfg = parse_config(argv)
         # non-finite results are caught by explicit checks; keep stderr to one line
         with np.errstate(all="ignore"):
-            return _DISPATCH[cfg.command](cfg)
+            code = _DISPATCH[cfg.command](cfg)
+        sys.stdout.flush()      # a closed stdout shows here, not in the interpreter's exit
+        return code
     except SpinsurfError as exc:
         code, message = exc.exit_code, exc
-    except ValueError as exc:       # argument errors raised by the library
-        code, message = 2, exc
+    except (ValueError, MemoryError) as exc:    # a library argument check, or more
+        code, message = 2, exc                  # memory than the configuration can get
+    except BrokenPipeError:         # the reader closed stdout: no failure of the run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())    # quiet final flush
+        return 141                  # 128 + SIGPIPE, as a tool the signal ended
     except OSError as exc:
         code, message = 4, exc
     except OverflowError as exc:    # a float power out of range
         code, message = 3, exc
-    except MemoryError as exc:      # the configuration asks for more than the process gets
-        code, message = 2, exc
     print(f"{_PREFIX[code]}: {message}", file=sys.stderr)
     return code
 

@@ -14,27 +14,22 @@ unless renormalization is switched off.
 A model's `rhs(state, k)` writes the derivative into k, a State laid out
 like the state, which RK4's workspace holds. `evolve` builds that workspace
 once per run (RK4's stage, derivative, product and sum arrays, and the spin
-norms) and steps the state in place. The section flows write into k with
-`out=` and keep their temporaries in one `fields.Scratch` per model, so an
-HF, LLE or M-XIII step after the first allocates no grid-sized array
-(M-XIIIA/B still allocate their potential's solve). The
-catalog formulas, which run on 1-D chains only, allocate their results,
-which the rhs copies into k; a coupled model computes S_x once per stage
-for its spin and phonon equations. A model's `monitor`, when it has one,
-adds fields and diagnostics to each snapshot.
+norms) and steps the state in place. `evolve` knows no model: each family's
+module wires its formulas into a flow (`models.section_flow`,
+`magnetoelastic.catalog_flow`), and `evolution_model` only refuses and
+dispatches. A model's `monitor`, when it has one, adds fields and
+diagnostics to each snapshot.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Blowup, ConfigError, GridMismatch, NonFiniteResult
-from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit,
-                     named_params, norm, project_sphere)
-from .magnetoelastic import FAMILIES, catalog_lookup, me_phonon_rhs, me_spin_rhs
-from .models import (SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY, hf_rhs,
-                     lle_rhs, mxiii_constraint, mxiii_potential, mxiii_rhs,
-                     mxiii_terms, mxiiia_system, mxiiib_system)
+from .errors import Blowup, ConfigError, NonFiniteResult
+from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
+                     project_sphere)
+from .magnetoelastic import catalog_flow, catalog_lookup
+from .models import STATIONARY_KINDS, section_flow
 
 
 @dataclass(frozen=True)
@@ -47,8 +42,9 @@ class EvolveOptions:
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.steps > 0 and self.snapshot_every > 0):
-            raise ValueError("dt, steps, snapshot_every must be positive")
+        for name in ("dt", "steps", "snapshot_every"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.steps % self.snapshot_every:
             # the last steps would go unreported, or a trailing snapshot
             # would break the uniform time spacing of the stack
@@ -155,80 +151,22 @@ def diagnostics(S, drift=0.0):
 def evolution_model(name, grid, params=None, external_u=None):
     """Build an EvolutionModel for a named flow on a given grid.
 
-    name: "hf", "lle", "mxiii", "mxiiia", "mxiiib", or any implemented
-    magnetoelastic catalog name; `models.STATIONARY_ONLY` names are refused.
+    name: "hf", "lle", "mxiii", "mxiiia", "mxiiib" (`models.section_flow`),
+    or any implemented catalog name (`magnetoelastic.catalog_flow`).
     params are the constants its formulas read, with defaults from
     `models.SECTION_PARAMS` or the catalog entry's `params`; any other name
     raises ValueError. 0-type catalog models need external_u (a ScalarField,
     held fixed over the run), and no other model takes one.
-    spatial_order, which sets the step bound, is the highest derivative order.
     """
     key = name.lower()
-    if key in STATIONARY_ONLY:
-        raise ValueError(f"{key} is stationary, with no flow; use check --model {key}")
-    if external_u is not None and (key in STATIONARY_KINDS
-                                   or catalog_lookup(name).phonon != "none"):
+    flow = section_flow(key, grid, params) if key in STATIONARY_KINDS else None
+    if external_u is not None and (flow or catalog_lookup(name).phonon != "none"):
         raise ValueError(f"{name} takes no external displacement field u")
-    p = named_params(key, SECTION_PARAMS[key], params) if key in STATIONARY_KINDS else {}
-    terms = mxiii_terms(p, grid) if key.startswith("mxiii") else None   # once per run
-    work = Scratch()        # the rhs's temporaries, kept from call to call
-
-    flow = {"hf": hf_rhs, "lle": lle_rhs}.get(key)
-    if flow is not None:
-        return EvolutionModel(key, lambda st, k: flow(st["S"], grid, work, k["S"]), grid)
-
-    def first_diffs(s):         # the leading arguments of the potential and constraint
-        return s, grid, diff(s, grid, "dx"), diff(s, grid, "dy")
-
-    if key == "mxiii":
-        def monitor(st):        # once per snapshot, not per stage
-            residual = np.abs(mxiii_constraint(*first_diffs(st["S"]), terms)).max()
-            return {}, {"constraint_residual": float(residual)}
-
-        return EvolutionModel("mxiii", lambda st, k: mxiii_rhs(st["S"], grid, terms, work, k["S"]),
-                              grid, monitor=monitor)
-
-    system = {"mxiiia": mxiiia_system, "mxiiib": mxiiib_system}.get(key)
-    if system is not None:
-        a1, a2, b1, b2 = terms[0]
-
-        def rhs(st, k):
-            system(st["S"], grid, a1, a2, b1, b2, work, k["S"])
-
-        def monitor(st):
-            phi = mxiii_potential(key, *first_diffs(st["S"]), a1, b2)
-            return {"phi": ScalarField(grid, phi)}, {}
-
-        return EvolutionModel(key, rhs, grid, monitor=monitor)
-
-    # magnetoelastic catalog
+    if flow:
+        return EvolutionModel(key, flow[0], grid, monitor=flow[1])
     spec = catalog_lookup(name).with_params(**(params or {}))
-    if not grid.is_1d:
-        raise ValueError("magnetoelastic models need a 1-D grid")
-    order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
-    if spec.phonon == "none":
-        if external_u is None:
-            raise ValueError(f"{spec.name} needs an external displacement field u")
-        if external_u.grid != grid:
-            raise GridMismatch(f"{external_u.grid} != {grid}")
-        names = ("S",)
-    else:
-        names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
-
-    def rhs(st, k):
-        s, u = st["S"], (st["u"] if "u" in st else external_u.values)
-        # S_x once per stage, for both equations of the families that read it
-        sx = diff(s, grid, "dx") if spec.spin in ("C", "D", "E") else None
-        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx))
-        if spec.phonon != "none":
-            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx)):
-                np.copyto(k[fname], d)
-
+    names, order, rhs = catalog_flow(spec, grid, external_u)
     return EvolutionModel(spec.name, rhs, grid, fields=names, spatial_order=order)
-
-
-def _shapes(grid, fields):
-    return {k: (3, grid.ny, grid.nx) if k == "S" else (grid.ny, grid.nx) for k in fields}
 
 
 def pack_state(model, initial):
@@ -237,8 +175,9 @@ def pack_state(model, initial):
     missing = set(model.fields) - set(initial)
     if missing:
         raise ValueError(f"initial state is missing fields {sorted(missing)}")
-    arrays = {}
-    for k, want in _shapes(model.grid, model.fields).items():
+    arrays, g = {}, model.grid
+    for k in model.fields:
+        want = (3, g.ny, g.nx) if k == "S" else (g.ny, g.nx)
         arrays[k] = np.asarray(initial[k], dtype=float)
         if arrays[k].shape != want:
             raise ValueError(f"initial {k} has shape {arrays[k].shape}, expected {want}")

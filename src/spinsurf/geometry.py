@@ -60,9 +60,6 @@ class CoefficientSet:
             return diff(c.values, c.grid, which)
         return 0.0
 
-    def is_constant(self, name):
-        return not isinstance(getattr(self, name), ScalarField)
-
     def check_grid(self, grid):
         for name in COEFF_NAMES:
             c = getattr(self, name)
@@ -179,11 +176,6 @@ def _neg(c):
 # ---------------------------------------------------------------------------
 # tangents and compatibility
 
-def _needs_y(c):
-    return any(not (c.is_constant(n) and c.value(n) == 0.0)
-               for n in ("a2", "a4", "b2", "b4"))
-
-
 def mf_tangents(S, c):
     """Tangent fields (r_x, r_y) from a spin/normal field and coefficients.
 
@@ -194,17 +186,21 @@ def mf_tangents(S, c):
     g = S.grid
     c.check_grid(g)
     s = S.values
+
+    def zero(name):         # the constant 0, whose terms are left out
+        v = c.value(name)
+        return np.isscalar(v) and v == 0.0
+
     sx = diff(s, g, "dx")
-    sy = diff(s, g, "dy") if _needs_y(c) else np.zeros_like(s)
+    sy = np.zeros_like(s) if all(map(zero, ("a2", "a4", "b2", "b4"))) else diff(s, g, "dy")
     s_sx = cross(s, sx)
     s_sy = cross(s, sy)
 
     def side(c1, c2, c3, c4, c5):
         out = np.zeros_like(s)
         for coeff, term in ((c1, s_sx), (c2, s_sy), (c3, sx), (c4, sy), (c5, s)):
-            v = c.value(coeff)
-            if not (np.isscalar(v) and v == 0.0):
-                out += v * term
+            if not zero(coeff):
+                out += c.value(coeff) * term
         return out
 
     r_x = VecField(g, side("a1", "a2", "a3", "a4", "a5"))

@@ -27,14 +27,16 @@ computation literally in matrix form and guards the translation.
 allocates its result, with the constants of the entry's `params`: its two
 families' constants, at 1 unless `with_params` (`fields.named_params`) sets
 them. Catalog models evolve on 1-D chains only, where a step costs numpy
-calls rather than memory traffic.
+calls rather than memory traffic; `catalog_flow` wires an entry into the
+flow that `evolve` steps, with S_x computed once per stage for both.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteResult, PhononAbsent, UnimplementedModel, UnknownModel
+from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
+                     UnknownModel)
 from .fields import cross, diff, dot, named_params
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
@@ -189,6 +191,33 @@ def me_phonon_rhs(spec, s, u, w, g, sx=None):
     if spec.phonon == "kdv":
         du -= p("alpha") * diff(u ** 2, g, "dx") + p("beta") * diff(diff(u, g, "dxx"), g, "dx")
     return du, None
+
+
+def catalog_flow(spec, grid, external_u=None):
+    """An entry's state fields, highest x-derivative and rhs(st, k) on a 1-D
+    grid; a 0-type entry needs external_u, a ScalarField held fixed."""
+    if not grid.is_1d:
+        raise ValueError("magnetoelastic models need a 1-D grid")
+    order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
+    if spec.phonon == "none":
+        if external_u is None:
+            raise ValueError(f"{spec.name} needs an external displacement field u")
+        if external_u.grid != grid:
+            raise GridMismatch(f"{external_u.grid} != {grid}")
+        names = ("S",)
+    else:
+        names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
+
+    def rhs(st, k):
+        s, u = st["S"], (st["u"] if "u" in st else external_u.values)
+        # S_x once per stage, for both equations of the families that read it
+        sx = diff(s, grid, "dx") if spec.spin in ("C", "D", "E") else None
+        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx))
+        if spec.phonon != "none":
+            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx)):
+                np.copyto(k[fname], d)
+
+    return names, order, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ stationary Ishimori equation, whose vector part is M-XIIIA's flow at
 to the sphere up to the discrete S.S_x = O(h^2) identity.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
-grid passed explicitly; `evolve` calls these functions directly, and the
-stationary residuals reuse them. Each right-hand side takes an optional
-`work` (a `fields.Scratch` for its temporaries) and `out` (for its result);
-without them it allocates, on the same code path. Section models read
+grid passed explicitly; `section_flow` wires them into the flows that
+`evolve` steps, and the stationary residuals reuse them. Each right-hand
+side takes an optional `work` (a `fields.Scratch` for its temporaries) and
+`out` (for its result); without them it allocates, on the same code path,
+and with them a flow's step after the first allocates no grid-sized array
+(M-XIIIA/B still allocate their potential's solve). Section models read
 named parameters (`named_params`); `mxiii_terms` maps M-XIII's once per run.
 """
 
@@ -94,11 +96,7 @@ def mxiii_rhs(s, g, terms, work=None, out=None):
     """M-XIII flow from `mxiii_terms`; work and out as for hf_rhs. The flow
     is supposed to keep `mxiii_constraint` small; it is monitored, never
     enforced."""
-    w = Scratch() if work is None else work
-    sx = diff(s, g, "dx", out=w["sx", s.shape])
-    sy = diff(s, g, "dy", out=w["sy", s.shape])
-    cx, cy = terms[1]
-    return _flow(s, g, sx, ((cx, sx), (cy, sy)), *terms[0], w, out)
+    return _system("mxiii", s, g, terms[0], terms[1], work, out)[0]
 
 
 def mxiii_potential(kind, s, g, sx, sy, a1, b2):
@@ -112,12 +110,15 @@ def mxiii_potential(kind, s, g, sx, sy, a1, b2):
     return poisson_solve(raw - raw.mean(), g)
 
 
-def _system(kind, s, g, a1, a2, b1, b2, work, out):
+def _system(kind, s, g, coeffs, drift, work, out):
+    """The M-XIII family's flow and its potential phi, None for M-XIII, whose
+    drift coefficients of S_x and S_y are drift (for A/B, phi's `phi_drift`)."""
     w = Scratch() if work is None else work
     sx = diff(s, g, "dx", out=w["sx", s.shape])
     sy = diff(s, g, "dy", out=w["sy", s.shape])
-    phi = mxiii_potential(kind, s, g, sx, sy, a1, b2)
-    cx, cy = phi_drift(kind, phi, g)
+    a1, a2, b1, b2 = coeffs
+    phi = None if kind == "mxiii" else mxiii_potential(kind, s, g, sx, sy, a1, b2)
+    cx, cy = drift if phi is None else phi_drift(kind, phi, g)
     return _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2, w, out), phi
 
 
@@ -130,7 +131,7 @@ def mxiiia_system(s, g, a1, a2, b1, b2, work=None, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    return _system("mxiiia", s, g, a1, a2, b1, b2, work, out)
+    return _system("mxiiia", s, g, (a1, a2, b1, b2), None, work, out)
 
 
 def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
@@ -144,14 +145,45 @@ def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    return _system("mxiiib", s, g, a1, a2, b1, b2, work, out)
+    return _system("mxiiib", s, g, (a1, a2, b1, b2), None, work, out)
+
+
+def _wedge_flow(kind):
+    """hf_rhs or lle_rhs by kind, else None; built per call, so rebound names are seen."""
+    return {"hf": hf_rhs, "lle": lle_rhs}.get(kind)
+
+
+def section_flow(kind, grid, params=None):
+    """A section model's rhs(st, k), writing the derivative of the State st's
+    spins into k's, and its once-per-snapshot monitor, st -> (fields,
+    diagnostics): None for hf and lle, the constraint residual for mxiii,
+    phi for mxiiia/b. params: `SECTION_PARAMS[kind]`'s names, at its defaults."""
+    if kind in STATIONARY_ONLY:
+        raise ValueError(f"{kind} is stationary, with no flow; use check --model {kind}")
+    p = named_params(kind, SECTION_PARAMS[kind], params)
+    work, flow, args, monitor = Scratch(), _wedge_flow(kind), (), None
+    if flow is None:
+        terms = mxiii_terms(p, grid)        # once per run
+        flow = {"mxiii": mxiii_rhs, "mxiiia": mxiiia_system, "mxiiib": mxiiib_system}[kind]
+        args = (terms,) if kind == "mxiii" else terms[0]
+
+        def monitor(st):
+            s = st["S"]
+            sx, sy = diff(s, grid, "dx"), diff(s, grid, "dy")
+            if kind == "mxiii":
+                residual = np.abs(mxiii_constraint(s, grid, sx, sy, terms)).max()
+                return {}, {"constraint_residual": float(residual)}
+            a1, _, _, b2 = terms[0]
+            return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, a1, b2))}, {}
+
+    return (lambda st, k: flow(st["S"], grid, *args, work, k["S"])), monitor
 
 
 def stationary_residual(kind, S, phi=None, params=None):
     """Residual of the stationary form of a named spin system.
 
-    kind: one of `STATIONARY_KINDS`; params as `evolve.evolution_model`
-    takes them (ishimori needs alpha != 0); the `PHI_KINDS` need the
+    kind: one of `STATIONARY_KINDS`; params as `section_flow` takes them
+    (ishimori needs alpha != 0); the `PHI_KINDS` need the
     potential phi, on S's grid. A parameter or phi the kind does not read
     raises ValueError. The vector part is the stationary equation's
     left-hand side; the scalar part is the potential/coefficient constraint
@@ -167,7 +199,7 @@ def stationary_residual(kind, S, phi=None, params=None):
                          if phi is None else f"{kind} reads no potential phi")
     if phi is not None and phi.grid != g:
         raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
-    flow = {"hf": hf_rhs, "lle": lle_rhs}.get(kind)
+    flow = _wedge_flow(kind)
     if flow is not None:        # no scalar part
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
         return ResidualReport(VecField(g, flow(s, g)), zeros)

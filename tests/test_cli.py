@@ -305,6 +305,13 @@ FAILURES = [
     ("argparse-no-command", 2, lambda d: []),
     ("argparse-param-without-value", 2, lambda d: _simulate(
         d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4", "--param")),
+    ("dt-zero", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "0")),
+    ("steps-zero", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4", "--steps", "0")),
+    ("snapshot-every-negative", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
+        "--snapshot-every", "-1")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -328,6 +335,9 @@ FAILURE_MESSAGES = {
     "argparse-unknown-flag": "unrecognized arguments: --bogus 1",
     "argparse-no-command": "the following arguments are required: command",
     "argparse-param-without-value": "argument --param: expected one argument",
+    "dt-zero": "error: dt must be positive, got 0.0",
+    "steps-zero": "error: steps must be positive, got 0",
+    "snapshot-every-negative": "error: snapshot_every must be positive, got -1",
 }
 
 
@@ -498,6 +508,28 @@ resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 from spinsurf.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_and_prints_nothing(unbuffered):
+    """A reader that closed stdout, as `spinsurf catalog list | head -0` does,
+    is no failure of the run: the CLI exits 141, the status of a tool that
+    SIGPIPE ended, with nothing on stderr, whether a print or the final flush
+    meets the closed pipe. The read end is closed before the child starts,
+    so the first write to stdout fails whatever the timing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "spinsurf.cli", "catalog", "list"],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 def test_out_of_memory_is_a_config_error(tmp_path):

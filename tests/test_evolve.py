@@ -34,6 +34,11 @@ class TestRk4Step:
         out = rk4_step(state, lambda st, k: np.copyto(k["y"], st["y"]), dt)
         assert abs(out["y"][0, 0] - np.exp(dt)) <= dt ** 5
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_non_positive_dt_is_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            rk4_step(State({"y": np.array([[1.0]])}), lambda st, k: None, dt)
+
     def test_blowup_on_nan(self):
         state = State({"y": np.array([[1.0]])})
         with pytest.raises(Blowup):
@@ -124,6 +129,12 @@ class TestEvolve:
         initial[name] = np.concatenate([initial[name]] * 2)
         with pytest.raises(ValueError, match=f"initial {name} has shape"):
             evolve(evolution_model("m-xxxiv", g), initial,
+                   EvolveOptions(dt=1e-4, steps=1))
+
+    def test_initial_state_missing_a_field_is_refused(self):
+        g = Grid(16, 1, 0.2, 1.0, "periodic")
+        with pytest.raises(ValueError, match=r"initial state is missing fields \['u', 'w'\]"):
+            evolve(evolution_model("m-lii", g), {"S": synth.smooth_spin(g, seed=1).values},
                    EvolveOptions(dt=1e-4, steps=1))
 
     @pytest.mark.parametrize("name", ["hf", "mxiiib", "m-xxxiv", "m-lii"])
@@ -365,7 +376,7 @@ def test_snapshot_potential_does_not_rerun_the_flow(monkeypatch):
 
 
 def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
-    calls = count_calls(monkeypatch, evolve_module, "mxiii_rhs")
+    calls = count_calls(monkeypatch, models_module, "mxiii_rhs")
     g = Grid(16, 14, 0.25, 0.3, "periodic")
     traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7}),
                   {"S": synth.smooth_spin(g, seed=3).values},
@@ -389,10 +400,8 @@ def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):
 
 
 def test_mxiii_constraint_once_per_snapshot(monkeypatch):
-    """The constraint is a snapshot diagnostic: no RK4 stage evaluates it,
-    through either module's name for it."""
-    calls = [count_calls(monkeypatch, module, "mxiii_constraint")
-             for module in (evolve_module, models_module)]
+    """The constraint is a snapshot diagnostic: no RK4 stage evaluates it."""
+    calls = [count_calls(monkeypatch, models_module, "mxiii_constraint")]
     g = Grid(16, 14, 0.25, 0.3, "periodic")
     traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7}),
                   {"S": synth.smooth_spin(g, seed=3).values},

@@ -6,6 +6,7 @@ from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
                       VecField, classical_coeffs, constant_field, diff, mf_tangents,
                       n_system_residual, norm, project_sphere, reconstruct_surface,
                       synth, unit_normal)
+from spinsurf.geometry import phi_drift
 
 
 class TestClassicalCoeffs:
@@ -35,6 +36,24 @@ class TestClassicalCoeffs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             classical_coeffs("nope")
+
+    @pytest.mark.parametrize("kind", ["mxiiia", "mxiiib"])
+    def test_mxiii_potential_kinds(self, kind):
+        """b4 = a3, a5 = a3_x + c_y and b5 = a3_y - c_x, where c is the drift
+        (c_x, c_y) of the potential: (phi_y, phi_x) for M-XIIIA and
+        (phi_x, phi_y) for M-XIIIB, as `phi_drift` pairs them."""
+        g = Grid(12, 10, 0.3, 0.25, CLAMPED)
+        a3, phi = synth.smooth_scalar(g, seed=3), synth.smooth_scalar(g, seed=4)
+        c = classical_coeffs(kind, a1=0.7, a2=1.3, b1=-0.4, b2=0.5, a3=a3, phi=phi)
+        px, py = diff(phi.values, g, "dx"), diff(phi.values, g, "dy")
+        cx, cy = (py, px) if kind == "mxiiia" else (px, py)
+        assert np.array_equal(phi_drift(kind, phi.values, g), (cx, cy))
+        assert [c.value(n) for n in ("a1", "a2", "b1", "b2", "a4", "b3")] == [
+            0.7, 1.3, -0.4, 0.5, 0.0, 0.0]
+        assert c.a3 is a3 and c.b4 is a3
+        assert np.array_equal(c.value("a5"), diff(a3.values, g, "dx") + cy)
+        assert np.array_equal(c.value("b5"), diff(a3.values, g, "dy") - cx)
+        assert c.a5.grid == c.b5.grid == g
 
     def test_addition_is_componentwise(self):
         c = classical_coeffs("hf") + classical_coeffs("lle_stationary")

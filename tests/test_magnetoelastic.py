@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinsurf import (Grid, PhononAbsent, ScalarField, SpinField,
+from spinsurf import (Grid, ModelSpec, PhononAbsent, ScalarField, SpinField,
                       UnimplementedModel, UnknownModel, catalog_lookup,
                       catalog_names, constant_field, cross, diff, dot,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
@@ -51,6 +51,12 @@ class TestCatalog:
         assert len(spec.reason) > 10
         with pytest.raises(UnimplementedModel):
             me_spin_rhs(spec, *random_state(grid1d, 0))
+
+    @pytest.mark.parametrize("rhs", [me_spin_rhs, pauli_oracle_rhs])
+    def test_spin_family_outside_a_to_e_is_refused(self, grid1d, rhs):
+        spec = ModelSpec("M-TEST", "F", "none", "s3")
+        with pytest.raises(UnimplementedModel, match="M-TEST has no spin family"):
+            rhs(spec, *random_state(grid1d, 0))
 
     def test_names_sorted_by_registry(self):
         assert list(catalog_names()) == list(_REGISTRY)

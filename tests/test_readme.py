@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def test_console_blocks_print_what_the_cli_prints():
 
 def _exit_code_rows():
     """README's exit-code table: exit code -> the names in backticks on its row."""
-    rows = re.findall(r"^\| (\d) \| (.*) \|$", README.read_text(), re.M)
+    rows = re.findall(r"^\| (\d+) \| (.*) \|$", README.read_text(), re.M)
     return {int(code): set(re.findall(r"`(\w+)`", names)) for code, names in rows}
 
 
@@ -53,16 +54,26 @@ def test_exit_code_table_lists_every_error_class():
         assert cls.__name__ in rows[cls.exit_code], cls.__name__
 
 
-@pytest.mark.parametrize("builtin", [ValueError, OSError, OverflowError, MemoryError])
-def test_exit_code_table_lists_every_builtin_the_cli_maps(monkeypatch, capsys, builtin):
+@pytest.mark.parametrize("builtin", [ValueError, OSError, OverflowError, MemoryError,
+                                     BrokenPipeError])
+def test_exit_code_table_lists_every_builtin_the_cli_maps(monkeypatch, capsys, tmp_path,
+                                                          builtin):
     """Each builtin exception that `cli.main` maps is on the row of the exit
-    code that main returns for it."""
+    code that main returns for it. A closed stdout (BrokenPipeError) prints
+    nothing, and main points the stdout descriptor at devnull: here that of
+    a file standing in for stdout."""
     from spinsurf import cli
 
     def fail(cfg):
         raise builtin("raised inside a command")
 
     monkeypatch.setitem(cli._DISPATCH, "catalog", fail)
-    code = cli.main(["catalog", "list"])
-    assert capsys.readouterr().err.endswith(": raised inside a command\n")
+    with open(tmp_path / "stdout", "w") as stdout, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        code = cli.main(["catalog", "list"])
+    err = capsys.readouterr().err
+    if builtin is BrokenPipeError:
+        assert err == ""
+    else:
+        assert err.endswith(": raised inside a command\n")
     assert builtin.__name__ in _exit_code_rows()[code]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinsurf import (CLAMPED, PERIODIC, Grid, NonZeroMeanSource, ScalarField,
-                      constant_field, diff, mixed_integrate, poisson_solve)
+from spinsurf import (CLAMPED, PERIODIC, Grid, NonConvergence, NonZeroMeanSource,
+                      ScalarField, constant_field, diff, mixed_integrate, poisson_solve)
 from spinsurf import solvers
 from spinsurf.errors import GridTooSmall
 
@@ -39,6 +39,16 @@ class TestPoisson:
     def test_clamped_rejected(self, grid2d_clamped):
         with pytest.raises(ValueError):
             poisson_solve(constant_field(grid2d_clamped, 0.0).values, grid2d_clamped)
+
+    def test_solve_that_misses_its_source_is_non_convergence(self, grid2d, rng,
+                                                             monkeypatch):
+        """The back-substitution check refuses a phi whose Laplacian is not
+        the source: with the symbol doubled, phi is half the solution."""
+        symbol = solvers._symbol
+        monkeypatch.setattr(solvers, "_symbol", lambda g: 2.0 * symbol(g))
+        src = rng.standard_normal((32, 32))
+        with pytest.raises(NonConvergence):
+            poisson_solve(src - src.mean(), grid2d)
 
     def test_symbol_built_once_per_grid(self, grid2d, rng):
         """Equal grids share one read-only symbol, and a solve leaves it as
