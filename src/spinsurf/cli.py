@@ -205,10 +205,10 @@ def cmd_simulate(cfg):
     opts = EvolveOptions(**{k: v for k, v in cfg.items() if k in _EVOLVE_KEYS})
 
     initial = {f: S0.values if f == "S" else np.zeros((grid.ny, grid.nx)) for f in model.fields}
+    outdir = cfg.get("output", ".")
+    os.makedirs(outdir, exist_ok=True)      # before stepping, so a bad path costs no run
     traj = evolve(model, initial, opts)
 
-    outdir = cfg.get("output", ".")
-    os.makedirs(outdir, exist_ok=True)
     for idx, snap in enumerate(traj.snapshots):
         for fname, fobj in snap.items():
             fileio.write_field(os.path.join(outdir, f"snap_{idx:06d}_{fname}.csv"),

@@ -92,8 +92,9 @@ class State(dict):
 
 def rk4_workspace(state):
     """rk4_step's work for a State: the stage state, the derivative k (both
-    States), a product and a sum."""
-    return State(state), State(state), np.empty_like(state.data), np.empty_like(state.data)
+    States), a product, a sum and a boolean mask for the finite checks."""
+    y = state.data
+    return State(state), State(state), np.empty_like(y), np.empty_like(y), np.empty(y.shape, bool)
 
 
 def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
@@ -101,17 +102,18 @@ def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
 
     rhs_fn(st, k) writes the derivative at st into the State k. The new
     state is written into out, a State (which may be state itself), and
-    work is `rk4_workspace(state)`: the stage state, k, a product and the
-    running sum k1 + 2 k2 + 2 k3 + k4. Either is allocated when not given.
+    work is `rk4_workspace(state)`: the stage state, k, a product, the
+    running sum k1 + 2 k2 + 2 k3 + k4 and a mask for the finite check of
+    every stage's k and of the new state. Either is allocated when not given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y, (stage, dk, p, acc) = state.data, work or rk4_workspace(state)
+    y, (stage, dk, p, acc, mask) = state.data, work or rk4_workspace(state)
     out = State(state) if out is None else out
     st, k = state, dk.data
     for i, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
         rhs_fn(st, dk)
-        if not np.isfinite(k).all():
+        if not np.logical_and.reduce(np.isfinite(k, out=mask)):
             raise Blowup(step)
         if i == 0:
             np.copyto(acc, k)
@@ -124,7 +126,7 @@ def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
         st = stage
     acc *= dt / 6.0
     np.add(y, acc, out=out.data)
-    if not np.isfinite(out.data).all():
+    if not np.logical_and.reduce(np.isfinite(out.data, out=mask)):
         raise Blowup(step)
     return out
 

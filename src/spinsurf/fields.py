@@ -10,7 +10,8 @@ writeable and the field does not change with it.
 
 The stencils difference the C-order flat array at a fixed offset, so every
 axis is one contiguous pass; their `out` and `tmp` arrays must be
-C-contiguous.
+C-contiguous. `wedge_dxx`, the S ^ S_xx of HF and of catalog families A, B
+and E, sums the two x-neighbours instead: S ^ S drops the stencil's -2 S.
 """
 
 import functools
@@ -270,6 +271,29 @@ def _d2(a, h, axis, periodic, out=None, tmp=None):
         out[at[0]] = -2.0 * tmp[at[0]] + 3.0 * tmp[at[1]] - tmp[at[2]]
         out[at[-1]] = -2.0 * tmp[at[-2]] + 3.0 * tmp[at[-3]] - tmp[at[-4]]
     out /= h * h
+    return out
+
+
+def wedge_dxx(s, grid, out=None, tmp=None):
+    """S ^ S_xx of a (3, ..., nx) array s along x, into out (not s) when given;
+    tmp (C-contiguous, like s) holds the neighbour sums. Node i takes S_i ^
+    (S_{i+1} + S_{i-1}), crossed before the division by dx^2 so that constant
+    fields give exactly 0; clamped ends keep `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
+    n, need = s.shape[-1], 3 if grid.periodic else 4
+    if n < need:
+        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
+    tmp = np.empty(s.shape) if tmp is None else tmp
+    sf, tf = s.ravel(), tmp.ravel()
+    np.add(sf[2:], sf[:-2], out=tf[1:-1])       # lanes across rows: the ends below
+    at = _slabs(n, 0)
+    if grid.periodic:
+        np.add(s[at[1, 0]], s[at[-1, -2]], out=tmp[at[0, -1]])
+    else:
+        d, e = np.diff(s[..., :4]), np.diff(s[..., -4:])
+        tmp[..., 0] = -2.0 * d[..., 0] + 3.0 * d[..., 1] - d[..., 2]
+        tmp[..., -1] = -2.0 * e[..., 2] + 3.0 * e[..., 1] - e[..., 0]
+    out = cross(s, tmp, out)
+    out /= grid.dx * grid.dx
     return out
 
 

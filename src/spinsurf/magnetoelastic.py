@@ -28,7 +28,8 @@ allocates its result, with the constants of the entry's `params`: its two
 families' constants, at 1 unless `with_params` (`fields.named_params`) sets
 them. Catalog models evolve on 1-D chains only, where a step costs numpy
 calls rather than memory traffic; `catalog_flow` wires an entry into the
-flow that `evolve` steps, with S_x computed once per stage for both.
+flow that `evolve` steps, with one x-pass per stage for S_x and, with a
+first-order phonon, u_x. A, B and E take S^S_xx from `fields.wedge_dxx`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import cross, diff, dot, named_params
+from .fields import cross, diff, dot, named_params, wedge_dxx
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -154,22 +155,22 @@ def me_spin_rhs(spec, s, u, g, sx=None):
     p = spec.param
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        return cross(s, diff(s, g, "dxx")) + drive * cross(s, E3)
+        return wedge_dxx(s, g) + drive * cross(s, E3)
     if spec.spin not in ("C", "D", "E"):
         raise UnimplementedModel(f"{spec.name} has no spin family")
     sx = diff(s, g, "dx") if sx is None else sx
     if spec.spin == "E":
-        return cross(s, diff(s, g, "dxx")) + u * sx
+        return wedge_dxx(s, g) + u * sx
     flux = diff((p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx")
     if spec.spin == "C":
         return flux
     return p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * flux
 
 
-def me_phonon_rhs(spec, s, u, w, g, sx=None):
+def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None):
     """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
     dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself for wave-type ones. sx as for `me_spin_rhs`."""
+    velocity w itself for wave-type ones. sx, and ux = u_x, as for `me_spin_rhs`."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
@@ -187,7 +188,7 @@ def me_phonon_rhs(spec, s, u, w, g, sx=None):
         if spec.phonon == "boussinesq":
             acc += p("alpha") * diff(u ** 2, g, "dxx") + p("beta") * diff(u, g, "dxxxx")
         return w, acc / p("rho")
-    du = -diff(u, g, "dx") - p("lam") * diff(q, g, "dx")
+    du = -(diff(u, g, "dx") if ux is None else ux) - p("lam") * diff(q, g, "dx")
     if spec.phonon == "kdv":
         du -= p("alpha") * diff(u ** 2, g, "dx") + p("beta") * diff(diff(u, g, "dxx"), g, "dx")
     return du, None
@@ -207,14 +208,18 @@ def catalog_flow(spec, grid, external_u=None):
         names = ("S",)
     else:
         names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
+    reads_sx = spec.spin in ("C", "D", "E")
+    shared = reads_sx and names == ("S", "u")
 
     def rhs(st, k):
         s, u = st["S"], (st["u"] if "u" in st else external_u.values)
-        # S_x once per stage, for both equations of the families that read it
-        sx = diff(s, grid, "dx") if spec.spin in ("C", "D", "E") else None
+        # S_x once per stage, for both equations of the families that read it; a
+        # first-order phonon's state is S's rows then u's, so that pass gives u_x too
+        d = diff(st.data.reshape(4, 1, grid.nx) if shared else s, grid, "dx") if reads_sx else None
+        sx, ux = (d[:3], d[3]) if shared else (d, None)
         np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx))
         if spec.phonon != "none":
-            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx)):
+            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux)):
                 np.copyto(k[fname], d)
 
     return names, order, rhs

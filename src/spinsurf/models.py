@@ -5,7 +5,8 @@ Landau-Lifshitz equation (LLE), the M-XIII family (plain, A, and B
 variants, the latter two carrying an auxiliary potential phi), and the
 stationary Ishimori equation, whose vector part is M-XIIIA's flow at
 (a1, a2, b1, b2) = (0, alpha^2, -1, 0). All right-hand sides are tangent
-to the sphere up to the discrete S.S_x = O(h^2) identity.
+to the sphere up to the discrete S.S_x = O(h^2) identity. HF's S ^ S_xx is
+`fields.wedge_dxx`; the 2-D flows cross S with `diff`'s second differences.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `section_flow` wires them into the flows that
@@ -20,7 +21,7 @@ named parameters (`named_params`); `mxiii_terms` maps M-XIII's once per run.
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple
+from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple, wedge_dxx
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -39,9 +40,7 @@ STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulat
 def hf_rhs(s, g, work=None, out=None):
     """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when given.
     work, a `Scratch`, holds the temporaries from call to call."""
-    w = Scratch() if work is None else work
-    sxx = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
-    return cross(s, sxx, out=out)
+    return wedge_dxx(s, g, out, None if work is None else work["t", s.shape])
 
 
 def lle_rhs(s, g, work=None, out=None):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsurf import ConfigError, Grid, constant_field, fileio, synth
+from spinsurf import cli
 from spinsurf.cli import main, parse_config
 from spinsurf import (ResidualReport, ScalarField, VecField, catalog_lookup,
                       classical_coeffs, evolution_model)
@@ -181,6 +182,12 @@ def _replace_field(lines, row, col, token):
     return lines
 
 
+def _output_is_a_file(tmp_path):
+    """simulate argv whose --output names an existing file."""
+    (tmp_path / "run").write_text("")
+    return _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
+
+
 def _config(tmp_path, text):
     """simulate argv reading the config file text."""
     path = tmp_path / "run.cfg"
@@ -312,6 +319,7 @@ FAILURES = [
     ("snapshot-every-negative", 2, lambda d: _simulate(
         d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
         "--snapshot-every", "-1")),
+    ("output-is-a-file", 4, _output_is_a_file),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -368,6 +376,14 @@ def test_overflow_message_names_the_setting(tmp_path, capsys, name):
     argv_of = next(f[2] for f in FAILURES if f[0] == name)
     assert main(argv_of(tmp_path)) == 3
     assert OVERFLOW_MESSAGES[name] in capsys.readouterr().err
+
+
+def test_output_is_made_before_the_run_steps(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args))
+    assert main(_output_is_a_file(tmp_path)) == 4
+    assert "File exists" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -236,6 +236,29 @@ def test_hf_chain_conserves_energy_and_total_spin():
     assert np.abs(total - total[0]).max() <= TOTAL_SPIN_DRIFT
 
 
+# The periodic phonon equations are in conservation form: M-XXXIV's
+# u_t = -(u + lam q)_x and M-LII's w_t = (nu0^2 u + lam q)_xx / rho sum to
+# zero over the chain, so sum(u) h and sum(w) h stay fixed. 64 sites,
+# h = 0.1, 2,000 steps at dt = 0.2 h^2, from a u (M-XXXIV) or w (M-LII) of
+# mean 0.5: 2.7e-15 and 1.3e-15 measured.
+PHONON_TOTAL_DRIFT = 3e-14
+
+
+@pytest.mark.parametrize("name, field", [("m-xxxiv", "u"), ("m-lii", "w")])
+def test_periodic_phonons_conserve_their_total(name, field):
+    g = Grid(64, 1, 0.1, 1.0, "periodic")
+    model = evolution_model(name, g)
+    initial = {"S": synth.smooth_spin(g, seed=1).values,
+               **{f: synth.smooth_scalar(g, seed=2 + i).values for i, f in
+                  enumerate(model.fields[1:])}}
+    initial[field] = initial[field] + 0.5
+    traj = evolve(model, initial, EvolveOptions(dt=0.2 * g.dx ** 2, steps=2000,
+                                                snapshot_every=100))
+    total = np.array([snap[field].values.sum() * g.dx for snap in traj.snapshots])
+    assert len(total) == 21 and abs(total[0] - 3.2) < 1e-12
+    assert np.abs(total - total[0]).max() <= PHONON_TOTAL_DRIFT
+
+
 # ---------------------------------------------------------------------------
 # step bounds from each model's highest x-derivative
 

@@ -8,7 +8,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       diff, dot, norm, project_sphere, same_grid,
                       triple)
 from spinsurf.errors import GridTooSmall
-from spinsurf.fields import Scratch
+from spinsurf.fields import Scratch, wedge_dxx
 
 E1, E2, E3 = np.eye(3)
 
@@ -168,6 +168,47 @@ class TestDiff4x:
             exact = (2 * np.pi) ** 4 * np.sin(2 * np.pi * x)
             errs.append(np.abs(diff(f.values, g, "dxxxx")[0] - exact).max())
         assert 3.3 < errs[0] / errs[1] < 4.7
+
+
+# S ^ S_xx: 1-D chains as (3, 1, nx) and as bare (3, nx) arrays, and 2-D
+# (3, ny, nx) arrays, against the cross product of the second difference
+WEDGE_SHAPES = [(3, 1, 17), (3, 17), (3, 6, 17)]
+
+
+class TestWedgeDxx:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("shape", WEDGE_SHAPES)
+    def test_constant_field_is_exactly_zero(self, boundary, shape, rng):
+        for dx in (1e-3, 0.3, 10.0):
+            g = Grid(shape[-1], 1, dx, 1.0, boundary)
+            v = rng.standard_normal(3)
+            s = np.broadcast_to((v / np.linalg.norm(v)).reshape(3, *[1] * (len(shape) - 1)),
+                                shape).copy()
+            assert np.all(wedge_dxx(s, g) == 0.0)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("shape", WEDGE_SHAPES)
+    def test_within_16_eps_of_the_cross_of_the_second_difference(self, boundary, shape, rng):
+        for dx in (1e-3, 0.1, 1.0, 10.0):
+            g = Grid(shape[-1], 1, dx, 1.0, boundary)
+            s = rng.standard_normal(shape)
+            s /= np.linalg.norm(s, axis=0)
+            want = cross(s, diff(s, g, "dxx"))
+            err = np.abs(wedge_dxx(s, g) - want).max()
+            assert err <= 16 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_into_out_is_the_allocated_result(self, boundary, rng):
+        g = Grid(9, 7, 0.3, 0.2, boundary)
+        s = rng.standard_normal((3, 7, 9))
+        out, tmp = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
+        assert wedge_dxx(s, g, out=out, tmp=tmp) is out
+        assert np.array_equal(out, wedge_dxx(s, g))
+
+    @pytest.mark.parametrize("boundary, nx", [(PERIODIC, 2), (CLAMPED, 3)])
+    def test_too_few_nodes(self, boundary, nx):
+        with pytest.raises(GridTooSmall):
+            wedge_dxx(np.ones((3, 1, nx)), Grid(nx, 1, 0.1, 1.0, boundary))
 
 
 class TestProjectSphere:

@@ -85,29 +85,31 @@ def _reconstruct(tmp):
 # digest of the output tree)
 PINS = {
     "hf-periodic-chain": (_simulate("hf", 64, 1, 0.1, "periodic", 40, 20), 4,
-                          "6172b7247baba66ce98418be604db82d34516e329efa053cb9a24912e42452b2"),
+                          "50eb75795c5458b2e7dd93a7660a4a0a54cbf9a0af9a1cd91119b077d5729ef6"),
+    "hf-clamped-chain": (_simulate("hf", 32, 1, 0.2, "clamped", 20, 10), 4,
+                         "0f178efe4329138d84cb0d08e5e511eec0f39f10ea8a13e15937c27013faec77"),
     "m-xxxiv-periodic-chain": (_simulate("m-xxxiv", 64, 1, 0.1, "periodic", 40, 20), 7,
-                               "6a668c285560362e3d1a809335dd97b54f0c842cfb47c7c8a200e2cb1462bfd3"),
+                               "f2e6f8ec07c7c21311fb2b74f4ab8a8729d05516ecc39f108236bd38250578a9"),
     "m-xliv-clamped-chain": (_simulate("m-xliv", 32, 1, 0.2, "clamped", 20, 10), 10,
                              "0b4327117502bfac87aed8a90706f1ecce0fe8d81d97da5fcd14171c80b22d39"),
     "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
                   "fcc40cda034de834b8b1f0669fce5921f61303a7561b1d640d3628414780050d"),
     "m-lii-periodic-chain": (_simulate("m-lii", 64, 1, 0.1, "periodic", 40, 20), 10,
-                             "fc965174bb99327175f29f88182a3b1ee271abb665a7dbe2b521d78e51228f84"),
+                             "5057895491f798523e00eab9bcb67460586a6ac4476868c8e1d31703e0b24370"),
     "m-xlv-periodic-chain": (_simulate("m-xlv", 64, 1, 0.1, "periodic", 40, 20, order=3), 7,
-                             "c3b4a687215f3dffd54f4e168bdeaa189b9b0c793153f313960ebfc49860fe70"),
+                             "9fcb1d22f6f0007741c6b70d4d53b41a83f701facca439cf732ea4000c00b302"),
     "m-xxxviii-periodic-chain": (_simulate("m-xxxviii", 64, 1, 0.1, "periodic", 40, 20,
                                            factor=0.1, order=4), 7,
                                  "7b49b5a8b79175eb09045912ad97fb02a1a61846ca8a9ee20f905c34ea80230e"),
     "m-xxxv-periodic-chain": (_simulate("m-xxxv", 64, 1, 0.1, "periodic", 40, 20,
                                         factor=0.1, order=4), 10,
-                              "50d8baf62f4d2400243c82c1c8ccb620397da01565e128da3f4cc4de0634e21b"),
+                              "4dd22404c6c1f40c6106f698b2d9d3008f8357e4c2c9d102fd3aa62638b09a38"),
     "m-xlvii-clamped-chain": (_simulate("m-xlvii", 32, 1, 0.2, "clamped", 20, 10,
                                         factor=0.1, order=4), 10,
-                              "4d28262458138576a6c5bb9a093e0dcb82a631b8555bacdb66ceda3f59d17a71"),
+                              "cf4d8e8eef015506af8dda2c96b259ce60c99f02adae76f0ab52e53c2f4bdc74"),
     "m-lvii-external-u": (_simulate("m-lvii", 64, 1, 0.1, "periodic", 40, 20,
                                     external_u=True), 4,
-                          "70a2e8e21c84b797ba0fd3df40ea600aed9a8414b5e5b6578f0bb52ca5e378fd"),
+                          "1a24d43ddc3d8a208791b3140cef17a01e2f63ad3feb5d7c8c3fbeee08436f12"),
     "mxiii-16x16": (_simulate("mxiii", 16, 16, 0.25, "periodic", 20, 10), 4,
                     "e37610056edb4ad616348f9263fae43ffd35f02ea16c417b58e0dbfd20005d29"),
     "mxiiia-clamped-16x16": (_simulate("mxiiia", 16, 16, 0.25, "clamped", 20, 10), 7,
