@@ -10,8 +10,8 @@ writeable and the field does not change with it.
 
 The stencils difference the C-order flat array at a fixed offset, so every
 axis is one contiguous pass; their `out` and `tmp` arrays must be
-C-contiguous. `wedge_dxx`, the S ^ S_xx of HF and of catalog families A, B
-and E, sums the two x-neighbours instead: S ^ S drops the stencil's -2 S.
+C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
+(S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
 """
 
 import functools
@@ -213,9 +213,12 @@ def norm(a, out=None):
 @functools.lru_cache
 def _slabs(n, after):
     """Boundary slabs along an axis of n nodes and `after` axes after it: at[i]
-    indexes node i (a[..., i, :] when after = 1), at[i, j] nodes i and j."""
+    indexes node i (a[..., i, :] when after = 1), at[i, j] nodes i and j, and
+    at["i:j"] the slice i:j of nodes."""
     rest = (slice(None),) * after
     at = {i: (..., i, *rest) for i in (0, 1, 2, -1, -2, -3, -4)}
+    at["1:4"], at[":3"] = (..., slice(1, 4), *rest), (..., slice(3), *rest)
+    at["-3:"], at["-4:-1"] = (..., slice(-3, None), *rest), (..., slice(-4, -1), *rest)
     at[0, -1] = (..., slice(None, None, n - 1), *rest)
     at[1, 0] = (..., slice(1, None, -1), *rest)
     at[-1, -2] = (..., slice(-1, -3, -1), *rest)
@@ -274,26 +277,45 @@ def _d2(a, h, axis, periodic, out=None, tmp=None):
     return out
 
 
-def wedge_dxx(s, grid, out=None, tmp=None):
-    """S ^ S_xx of a (3, ..., nx) array s along x, into out (not s) when given;
-    tmp (C-contiguous, like s) holds the neighbour sums. Node i takes S_i ^
-    (S_{i+1} + S_{i-1}), crossed before the division by dx^2 so that constant
-    fields give exactly 0; clamped ends keep `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
-    n, need = s.shape[-1], 3 if grid.periodic else 4
-    if n < need:
-        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
-    tmp = np.empty(s.shape) if tmp is None else tmp
-    sf, tf = s.ravel(), tmp.ravel()
-    np.add(sf[2:], sf[:-2], out=tf[1:-1])       # lanes across rows: the ends below
-    at = _slabs(n, 0)
-    if grid.periodic:
-        np.add(s[at[1, 0]], s[at[-1, -2]], out=tmp[at[0, -1]])
+def _neighbour_sum(s, axis, periodic, out):
+    """S_{i+1} + S_{i-1} along axis -1 (x) or -2 (y) of a (3, ..., nx) array s,
+    into out (C-contiguous, not s), returned; the ends, written over the flat
+    pass's lanes across rows, wrap or hold `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
+    k, sf = 1 if axis == -1 else s.shape[-1], s.ravel()
+    np.add(sf[2 * k:], sf[:-2 * k], out=out.ravel()[k:-k])
+    at = _slabs(s.shape[axis], -1 - axis)
+    if periodic:
+        np.add(s[at[1, 0]], s[at[-1, -2]], out=out[at[0, -1]])
     else:
-        d, e = np.diff(s[..., :4]), np.diff(s[..., -4:])
-        tmp[..., 0] = -2.0 * d[..., 0] + 3.0 * d[..., 1] - d[..., 2]
-        tmp[..., -1] = -2.0 * e[..., 2] + 3.0 * e[..., 1] - e[..., 0]
+        d, e = s[at["1:4"]] - s[at[":3"]], s[at["-3:"]] - s[at["-4:-1"]]
+        out[at[0]] = -2.0 * d[at[0]] + 3.0 * d[at[1]] - d[at[2]]
+        out[at[-1]] = -2.0 * e[at[2]] + 3.0 * e[at[1]] - e[at[0]]
+    return out
+
+
+def wedge_lap(s, grid, out=None, tmp=None, y=False):
+    """S ^ S_xx of a (3, ..., nx) array s, or S ^ (S_xx + S_yy) when y, into
+    out (not s) when given; tmp (C-contiguous, like s) holds neighbour sums.
+    As S ^ S = 0, an axis takes S_i ^ (S_{i+1} + S_{i-1}); axes sharing a
+    spacing h add their sums, cross once and divide once by h^2. Crossing
+    before dividing keeps constant fields exactly 0, so dx != dy takes two."""
+    periodic = grid.periodic
+    need = 3 if periodic else 4
+    if y and s.shape[-2] < 3:
+        raise GridTooSmall("y-derivatives need ny >= 3")
+    if s.shape[-1] < need or (y and s.shape[-2] < need):
+        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
+    tmp = _neighbour_sum(s, -1, periodic, np.empty(s.shape) if tmp is None else tmp)
+    square = y and grid.dx == grid.dy
+    if square:
+        out = np.empty(s.shape) if out is None else out
+        tmp += _neighbour_sum(s, -2, periodic, out)
     out = cross(s, tmp, out)
     out /= grid.dx * grid.dx
+    if y and not square:        # `cross` with y's sums, added in with no grid-sized temporary
+        _neighbour_sum(s, -2, periodic, tmp)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            out[i] += (s[j] * tmp[k] - s[k] * tmp[j]) / (grid.dy * grid.dy)
     return out
 
 

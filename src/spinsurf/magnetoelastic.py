@@ -29,7 +29,7 @@ families' constants, at 1 unless `with_params` (`fields.named_params`) sets
 them. Catalog models evolve on 1-D chains only, where a step costs numpy
 calls rather than memory traffic; `catalog_flow` wires an entry into the
 flow that `evolve` steps, with one x-pass per stage for S_x and, with a
-first-order phonon, u_x. A, B and E take S^S_xx from `fields.wedge_dxx`.
+first-order phonon, u_x. A, B and E take S^S_xx from `fields.wedge_lap`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import cross, diff, dot, named_params, wedge_dxx
+from .fields import cross, diff, dot, named_params, wedge_lap
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -155,12 +155,12 @@ def me_spin_rhs(spec, s, u, g, sx=None):
     p = spec.param
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        return wedge_dxx(s, g) + drive * cross(s, E3)
+        return wedge_lap(s, g) + drive * cross(s, E3)
     if spec.spin not in ("C", "D", "E"):
         raise UnimplementedModel(f"{spec.name} has no spin family")
     sx = diff(s, g, "dx") if sx is None else sx
     if spec.spin == "E":
-        return wedge_dxx(s, g) + u * sx
+        return wedge_lap(s, g) + u * sx
     flux = diff((p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx")
     if spec.spin == "C":
         return flux

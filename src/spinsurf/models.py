@@ -5,8 +5,8 @@ Landau-Lifshitz equation (LLE), the M-XIII family (plain, A, and B
 variants, the latter two carrying an auxiliary potential phi), and the
 stationary Ishimori equation, whose vector part is M-XIIIA's flow at
 (a1, a2, b1, b2) = (0, alpha^2, -1, 0). All right-hand sides are tangent
-to the sphere up to the discrete S.S_x = O(h^2) identity. HF's S ^ S_xx is
-`fields.wedge_dxx`; the 2-D flows cross S with `diff`'s second differences.
+to the sphere up to the discrete S.S_x = O(h^2) identity. HF and LLE are
+`fields.wedge_lap`; M-XIII's flows cross S with `diff`'s second differences.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `section_flow` wires them into the flows that
@@ -21,7 +21,7 @@ named parameters (`named_params`); `mxiii_terms` maps M-XIII's once per run.
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple, wedge_dxx
+from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple, wedge_lap
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -40,7 +40,7 @@ STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulat
 def hf_rhs(s, g, work=None, out=None):
     """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when given.
     work, a `Scratch`, holds the temporaries from call to call."""
-    return wedge_dxx(s, g, out, None if work is None else work["t", s.shape])
+    return wedge_lap(s, g, out, None if work is None else work["t", s.shape])
 
 
 def lle_rhs(s, g, work=None, out=None):
@@ -48,10 +48,7 @@ def lle_rhs(s, g, work=None, out=None):
     hf_rhs."""
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    w = Scratch() if work is None else work
-    lap = diff(s, g, "dxx", out=w["sxx", s.shape], tmp=w["t", s.shape])
-    lap += diff(s, g, "dyy", out=w["syy", s.shape], tmp=w["t", s.shape])
-    return cross(s, lap, out=out)
+    return wedge_lap(s, g, out, None if work is None else work["t", s.shape], y=True)
 
 
 def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None, out=None):

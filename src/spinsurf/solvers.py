@@ -1,4 +1,4 @@
-"""Auxiliary linear solvers: periodic Poisson and mixed-derivative quadrature."""
+"""Auxiliary linear solvers: half-spectrum periodic Poisson and mixed-derivative quadrature."""
 
 import functools
 
@@ -14,8 +14,9 @@ MEAN_RTOL = 1e-8
 @functools.lru_cache(maxsize=8)
 def _symbol(g):
     """The 5-point Laplacian's Fourier symbol on a periodic grid, read-only,
-    with 1 in the zero mode that the solve gauges away (avoiding 0/0)."""
-    kx = np.arange(g.nx)
+    on the nx // 2 + 1 columns of `np.fft.rfft2`'s half spectrum, with 1 in
+    the zero mode that the solve gauges away (avoiding 0/0)."""
+    kx = np.arange(g.nx // 2 + 1)
     ky = np.arange(g.ny)
     lam = ((2.0 * np.cos(2 * np.pi * kx[None, :] / g.nx) - 2.0) / g.dx ** 2
            + (2.0 * np.cos(2 * np.pi * ky[:, None] / g.ny) - 2.0) / g.dy ** 2)
@@ -28,10 +29,10 @@ def poisson_solve(f, g):
     """Solve the discrete 5-point Laplacian L(phi) = f on a periodic grid.
 
     f is the (ny, nx) source array; returns phi's array. The inversion is
-    spectral, diagonalizing the exact stencil symbol, so back-substitution
-    through `diff` reproduces f to machine precision. The gauge is
-    mean(phi) = 0; a source whose mean exceeds the solvability tolerance
-    is rejected.
+    spectral, on the real FFT's half spectrum, diagonalizing the exact
+    stencil symbol, so back-substitution through `diff` reproduces f to
+    machine precision. The gauge is mean(phi) = 0; a source whose mean
+    exceeds the solvability tolerance is rejected.
     """
     if g.boundary != PERIODIC or g.is_1d:
         raise ValueError("Poisson solve needs a periodic 2-D grid")
@@ -40,11 +41,11 @@ def poisson_solve(f, g):
         raise NonZeroMeanSource(f"source mean {f.mean():.3e} exceeds "
                                 f"{MEAN_RTOL:g} * max|rhs|")
 
-    fhat = np.fft.fft2(f)
+    fhat = np.fft.rfft2(f)
     fhat[0, 0] = 0.0
-    phi = np.real(np.fft.ifft2(fhat / _symbol(g)))
+    fhat /= _symbol(g)
+    phi = np.fft.irfft2(fhat, s=f.shape)
     phi -= phi.mean()
-    phi = np.ascontiguousarray(phi)
 
     resid = np.abs(diff(phi, g, "dxx") + diff(phi, g, "dyy") - f).max()
     if fmax > 0 and resid > POISSON_RTOL * fmax:

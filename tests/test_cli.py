@@ -203,6 +203,12 @@ FAILURES = [
         d, "--model", "hf", "--nx", "2", "--dx", "0.1", "--dt", "1e-4")),
     ("lle-on-1d-grid", 2, lambda d: _simulate(
         d, "--model", "lle", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")),
+    ("lle-clamped-ny-3", 2, lambda d: _simulate(
+        d, "--model", "lle", "--nx", "16", "--ny", "3", "--dx", "0.2", "--dy", "0.2",
+        "--boundary", "clamped", "--dt", "1e-4")),
+    ("lle-periodic-ny-2", 2, lambda d: _simulate(
+        d, "--model", "lle", "--nx", "16", "--ny", "2", "--dx", "0.2", "--dy", "0.2",
+        "--dt", "1e-4")),
     ("mxiii-with-ny-1", 2, lambda d: _simulate(
         d, "--model", "mxiii", "--nx", "16", "--ny", "1", "--dx", "0.2",
         "--dt", "1e-4")),
@@ -346,6 +352,8 @@ FAILURE_MESSAGES = {
     "dt-zero": "error: dt must be positive, got 0.0",
     "steps-zero": "error: steps must be positive, got 0",
     "snapshot-every-negative": "error: snapshot_every must be positive, got -1",
+    "lle-clamped-ny-3": "clamped second derivative needs at least 4 nodes",
+    "lle-periodic-ny-2": "y-derivatives need ny >= 3",
 }
 
 

@@ -8,7 +8,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       diff, dot, norm, project_sphere, same_grid,
                       triple)
 from spinsurf.errors import GridTooSmall
-from spinsurf.fields import Scratch, wedge_dxx
+from spinsurf.fields import Scratch, wedge_lap
 
 E1, E2, E3 = np.eye(3)
 
@@ -184,7 +184,7 @@ class TestWedgeDxx:
             v = rng.standard_normal(3)
             s = np.broadcast_to((v / np.linalg.norm(v)).reshape(3, *[1] * (len(shape) - 1)),
                                 shape).copy()
-            assert np.all(wedge_dxx(s, g) == 0.0)
+            assert np.all(wedge_lap(s, g) == 0.0)
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("shape", WEDGE_SHAPES)
@@ -194,7 +194,7 @@ class TestWedgeDxx:
             s = rng.standard_normal(shape)
             s /= np.linalg.norm(s, axis=0)
             want = cross(s, diff(s, g, "dxx"))
-            err = np.abs(wedge_dxx(s, g) - want).max()
+            err = np.abs(wedge_lap(s, g) - want).max()
             assert err <= 16 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
@@ -202,13 +202,58 @@ class TestWedgeDxx:
         g = Grid(9, 7, 0.3, 0.2, boundary)
         s = rng.standard_normal((3, 7, 9))
         out, tmp = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
-        assert wedge_dxx(s, g, out=out, tmp=tmp) is out
-        assert np.array_equal(out, wedge_dxx(s, g))
+        assert wedge_lap(s, g, out=out, tmp=tmp) is out
+        assert np.array_equal(out, wedge_lap(s, g))
 
     @pytest.mark.parametrize("boundary, nx", [(PERIODIC, 2), (CLAMPED, 3)])
     def test_too_few_nodes(self, boundary, nx):
         with pytest.raises(GridTooSmall):
-            wedge_dxx(np.ones((3, 1, nx)), Grid(nx, 1, 0.1, 1.0, boundary))
+            wedge_lap(np.ones((3, 1, nx)), Grid(nx, 1, 0.1, 1.0, boundary))
+
+
+# S ^ (S_xx + S_yy) on square and dx != dy cells. A constant spin with no zero
+# component: any vector parallel to the pole crosses it to 0, whatever the
+# rounding, so the pole cannot tell one cross product per spacing from a
+# (dx/dy)^2 folded into one (about 5e-15 at dx = 0.2, dy = 0.3).
+CONSTANT_SPIN = np.array([0.48, 0.6, 0.64])
+LAP_GRIDS = [(1, 0.2, 1.0, False), (13, 0.2, 0.2, True), (13, 0.2, 0.3, True)]
+
+
+class TestWedgeLap:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("ny, dx, dy, y", LAP_GRIDS, ids=["1d", "square", "dx!=dy"])
+    def test_constant_field_is_exactly_zero(self, boundary, ny, dx, dy, y):
+        for scale in (1e-3, 1.0, 10.0):
+            g = Grid(17, ny, scale * dx, scale * dy, boundary)
+            s = np.broadcast_to(CONSTANT_SPIN.reshape(3, 1, 1), (3, ny, 17)).copy()
+            assert np.all(wedge_lap(s, g, y=y) == 0.0)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("ratio", [1.0, 1.5])
+    def test_within_16_eps_of_the_cross_of_the_laplacian(self, boundary, ratio, rng):
+        for dx in (1e-3, 0.1, 1.0, 10.0):
+            g = Grid(17, 13, dx, ratio * dx, boundary)
+            s = rng.standard_normal((3, 13, 17))
+            s /= np.linalg.norm(s, axis=0)
+            want = cross(s, diff(s, g, "dxx") + diff(s, g, "dyy"))
+            err = np.abs(wedge_lap(s, g, y=True) - want).max()
+            assert err <= 16 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("dy", [0.3, 0.2])
+    def test_into_out_is_the_allocated_result(self, boundary, dy, rng):
+        g = Grid(9, 7, 0.3, dy, boundary)
+        s = rng.standard_normal((3, 7, 9))
+        out, tmp = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
+        assert wedge_lap(s, g, out=out, tmp=tmp, y=True) is out
+        assert np.array_equal(out, wedge_lap(s, g, y=True))
+
+    @pytest.mark.parametrize("boundary, ny, message", [
+        (PERIODIC, 2, "y-derivatives need ny >= 3"),
+        (CLAMPED, 3, "clamped second derivative needs at least 4 nodes")])
+    def test_too_few_y_nodes(self, boundary, ny, message):
+        with pytest.raises(GridTooSmall, match=message):
+            wedge_lap(np.ones((3, ny, 8)), Grid(8, ny, 0.1, 0.1, boundary), y=True)
 
 
 class TestProjectSphere:

@@ -10,7 +10,7 @@ from spinsurf import (Grid, ModelSpec, PhononAbsent, ScalarField, SpinField,
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES)
 from spinsurf.magnetoelastic import FAMILIES
-from spinsurf.fields import wedge_dxx
+from spinsurf.fields import wedge_lap
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
 FAMILY_EXAMPLES = {"A": "M-LVII", "B": "M-LVI", "C": "M-LV",
@@ -219,14 +219,14 @@ def written_out_rhs(spec, s, u, w, g):
     sx = diff(s, g, "dx")
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        ds = wedge_dxx(s, g) + drive * cross(s, E3)
+        ds = wedge_lap(s, g) + drive * cross(s, E3)
     elif spec.spin in ("C", "D"):
         coeff = p("mu") * dot(sx, sx) - u + p("m")
         ds = diff(coeff * cross(s, sx), g, "dx")
         if spec.spin == "D":
             ds = p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
     else:
-        ds = wedge_dxx(s, g) + u * sx
+        ds = wedge_lap(s, g) + u * sx
     if spec.phonon == "none":
         return [ds]
     q = {"s3": s[2], "s3sq": s[2] ** 2, "sxsq": dot(sx, sx),

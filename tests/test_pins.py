@@ -93,7 +93,7 @@ PINS = {
     "m-xliv-clamped-chain": (_simulate("m-xliv", 32, 1, 0.2, "clamped", 20, 10), 10,
                              "0b4327117502bfac87aed8a90706f1ecce0fe8d81d97da5fcd14171c80b22d39"),
     "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
-                  "fcc40cda034de834b8b1f0669fce5921f61303a7561b1d640d3628414780050d"),
+                  "d47bcde2b6f42e413bda7ccee670e7be8d4d27ebc91349ff87eb945186d2bcdb"),
     "m-lii-periodic-chain": (_simulate("m-lii", 64, 1, 0.1, "periodic", 40, 20), 10,
                              "5057895491f798523e00eab9bcb67460586a6ac4476868c8e1d31703e0b24370"),
     "m-xlv-periodic-chain": (_simulate("m-xlv", 64, 1, 0.1, "periodic", 40, 20, order=3), 7,

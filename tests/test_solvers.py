@@ -32,6 +32,18 @@ class TestPoisson:
         phi = poisson_solve(src, grid2d)
         assert abs(phi.mean()) < 1e-13
 
+    @pytest.mark.parametrize("nx, ny", [(33, 32), (48, 31), (5, 4)])
+    def test_half_spectrum_on_odd_sizes(self, nx, ny, rng):
+        """The real FFT keeps nx // 2 + 1 columns: odd nx has no Nyquist
+        column and even nx one, where half-spectrum code goes wrong."""
+        g = Grid(nx, ny, 0.3, 0.2, PERIODIC)
+        src = rng.standard_normal((ny, nx))
+        src -= src.mean()
+        phi = poisson_solve(src, g)
+        assert phi.shape == (ny, nx) and phi.flags.c_contiguous
+        assert np.abs(_laplacian(phi, g) - src).max() <= 1e-10 * np.abs(src).max()
+        assert abs(phi.mean()) < 1e-13
+
     def test_nonzero_mean_rejected(self, grid2d):
         with pytest.raises(NonZeroMeanSource):
             poisson_solve(constant_field(grid2d, 1.0).values, grid2d)
