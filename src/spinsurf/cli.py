@@ -4,12 +4,13 @@ Subcommands: simulate (time evolution with snapshots), reconstruct
 (spin field file -> surface mesh + path mismatch), check (stationary
 residual report), catalog (model registry), zc (zero-curvature residuals
 from curve data). Options can also be supplied in a config file of
-`key = value` lines (# comments allowed); command-line flags override
-file values, and unknown keys are rejected.
+`key = value` lines (# at a line's start or after whitespace begins a
+comment); flags override file values, and unknown keys are rejected.
 """
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -104,7 +105,7 @@ def _read_config_file(path, keys):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for ln, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()     # run#1 is a value
         if not line:
             continue
         if "=" not in line:

@@ -298,7 +298,8 @@ def wedge_lap(s, grid, out=None, tmp=None, y=False):
     out (not s) when given; tmp (C-contiguous, like s) holds neighbour sums.
     As S ^ S = 0, an axis takes S_i ^ (S_{i+1} + S_{i-1}); axes sharing a
     spacing h add their sums, cross once and divide once by h^2. Crossing
-    before dividing keeps constant fields exactly 0, so dx != dy takes two."""
+    before dividing keeps constant fields exactly 0, so dx != dy takes two
+    `cross` calls, y's into a temporary like s."""
     periodic = grid.periodic
     need = 3 if periodic else 4
     if y and s.shape[-2] < 3:
@@ -312,10 +313,8 @@ def wedge_lap(s, grid, out=None, tmp=None, y=False):
         tmp += _neighbour_sum(s, -2, periodic, out)
     out = cross(s, tmp, out)
     out /= grid.dx * grid.dx
-    if y and not square:        # `cross` with y's sums, added in with no grid-sized temporary
-        _neighbour_sum(s, -2, periodic, tmp)
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            out[i] += (s[j] * tmp[k] - s[k] * tmp[j]) / (grid.dy * grid.dy)
+    if y and not square:
+        out += cross(s, _neighbour_sum(s, -2, periodic, tmp)) / (grid.dy * grid.dy)
     return out
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateTangent, GridMismatch, NearZeroNorm
-from .fields import (NORM_FLOOR, ScalarField, SpinField, VecField, cross, cumtrapz,
-                     diff, dot, named_params, norm, triple)
+from .errors import DegenerateTangent, GridMismatch
+from .fields import (ScalarField, SpinField, VecField, cross, cumtrapz, diff, dot,
+                     named_params, norm, project_sphere, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -221,8 +221,8 @@ def n_system_residual(N, c):
                          + a4 S_yy - b3 S_xx)]
 
     and for a general N the same bracket with the additional N.N_x, N.N_y
-    terms, divided by N.N; a node with |N| < NORM_FLOOR raises NearZeroNorm,
-    as `project_sphere` refuses it.
+    terms, divided by N.N; `project_sphere`'s refusal of |N| < NORM_FLOOR
+    raises NearZeroNorm at the smallest |N| (the first, on ties).
     """
     g = N.grid
     c.check_grid(g)
@@ -237,10 +237,7 @@ def n_system_residual(N, c):
                      + c.value("a4") * nyy - c.value("b3") * nxx))
     if not isinstance(N, SpinField):
         nn = dot(n, n)
-        small = np.sqrt(nn) < NORM_FLOOR     # |N|, bit for bit norm(n)
-        if small.any():
-            j, i = np.unravel_index(np.argmax(small), nn.shape)
-            raise NearZeroNorm(int(i), int(j), float(np.sqrt(nn[j, i])))
+        project_sphere(n, np.sqrt(nn))      # for its refusal; sqrt(nn) is bit for bit norm(n)
         extra = ((c.deriv("a3", "dy") - c.value("b5") - c.deriv("b3", "dx")) * dot(n, nx)
                  + (c.value("a5") + c.deriv("a4", "dy") - c.deriv("b4", "dx")) * dot(n, ny))
         bracket = (bracket + extra) / nn

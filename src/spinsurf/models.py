@@ -10,7 +10,8 @@ to the sphere up to the discrete S.S_x = O(h^2) identity. HF and LLE are
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `section_flow` wires them into the flows that
-`evolve` steps, and the stationary residuals reuse them. Each right-hand
+`evolve` steps, and `stationary_residual` runs the same functions (the
+M-XIII family's `_system` with phi given), bit for bit. Each right-hand
 side takes an optional `work` (a `fields.Scratch` for its temporaries) and
 `out` (for its result); without them it allocates, on the same code path,
 and with them a flow's step after the first allocates no grid-sized array
@@ -51,11 +52,10 @@ def lle_rhs(s, g, work=None, out=None):
     return wedge_lap(s, g, out, None if work is None else work["t", s.shape], y=True)
 
 
-def _flow(s, g, sx, drift, a1, a2, b1, b2, work=None, out=None):
+def _flow(s, g, sx, drift, a1, a2, b1, b2, w, out):
     """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + c1 v1 + c2 v2, the M-XIII
     family's wedge core plus its drift ((c1, v1), (c2, v2)). S_xy is the
-    y-difference of sx, which must be S_x; work and out as for hf_rhs."""
-    w = Scratch() if work is None else work
+    y-difference of sx, which must be S_x; w is a `Scratch`, out as for hf_rhs."""
     t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
     np.multiply(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
     diff(sx, g, "dy", out=sxy)
@@ -95,27 +95,35 @@ def mxiii_rhs(s, g, terms, work=None, out=None):
     return _system("mxiii", s, g, terms[0], terms[1], work, out)[0]
 
 
-def mxiii_potential(kind, s, g, sx, sy, a1, b2):
+def _source(kind, s, sx, sy, coeffs):
+    """f (a1 + b2) S.(S_x ^ S_y), the right side of phi's equation for
+    M-XIIIA (f = 1/2) or M-XIIIB (f = 1), from S, its first differences and
+    the flow's coefficients (a1, a2, b1, b2)."""
+    a1, _, _, b2 = coeffs
+    return (0.5 * (a1 + b2) if kind == "mxiiia" else a1 + b2) * triple(s, sx, sy)
+
+
+def mxiii_potential(kind, s, g, sx, sy, coeffs):
     """The potential phi of M-XIIIA (kind "mxiiia") or M-XIIIB (kind
-    "mxiiib"), from S and its first differences; see `mxiiia_system` and
-    `mxiiib_system` for the equations it solves."""
-    trip = triple(s, sx, sy)
+    "mxiiib"), from S, its first differences and the flow's coefficients;
+    see `mxiiia_system` and `mxiiib_system` for the equations it solves."""
+    src = _source(kind, s, sx, sy, coeffs)
     if kind == "mxiiia":
-        return mixed_integrate(0.5 * (a1 + b2) * trip, g)
-    raw = (a1 + b2) * trip
-    return poisson_solve(raw - raw.mean(), g)
+        return mixed_integrate(src, g)
+    return poisson_solve(src - src.mean(), g)
 
 
-def _system(kind, s, g, coeffs, drift, work, out):
+def _system(kind, s, g, coeffs, drift, work, out, phi=None):
     """The M-XIII family's flow and its potential phi, None for M-XIII, whose
-    drift coefficients of S_x and S_y are drift (for A/B, phi's `phi_drift`)."""
+    drift coefficients of S_x and S_y are drift; for A/B, phi's `phi_drift`,
+    phi solved from S unless given. S_x and S_y stay in work's "sx", "sy"."""
     w = Scratch() if work is None else work
     sx = diff(s, g, "dx", out=w["sx", s.shape])
     sy = diff(s, g, "dy", out=w["sy", s.shape])
-    a1, a2, b1, b2 = coeffs
-    phi = None if kind == "mxiii" else mxiii_potential(kind, s, g, sx, sy, a1, b2)
+    if kind != "mxiii" and phi is None:
+        phi = mxiii_potential(kind, s, g, sx, sy, coeffs)
     cx, cy = drift if phi is None else phi_drift(kind, phi, g)
-    return _flow(s, g, sx, ((cx, sx), (cy, sy)), a1, a2, b1, b2, w, out), phi
+    return _flow(s, g, sx, ((cx, sx), (cy, sy)), *coeffs, w, out), phi
 
 
 def mxiiia_system(s, g, a1, a2, b1, b2, work=None, out=None):
@@ -144,9 +152,11 @@ def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
     return _system("mxiiib", s, g, (a1, a2, b1, b2), None, work, out)
 
 
-def _wedge_flow(kind):
-    """hf_rhs or lle_rhs by kind, else None; built per call, so rebound names are seen."""
-    return {"hf": hf_rhs, "lle": lle_rhs}.get(kind)
+def _rhs(kind):
+    """The right-hand side a section model steps; the table is built per call,
+    so names rebound on this module (as a tracer rebinds them) are the ones used."""
+    return {"hf": hf_rhs, "lle": lle_rhs, "mxiii": mxiii_rhs,
+            "mxiiia": mxiiia_system, "mxiiib": mxiiib_system}[kind]
 
 
 def section_flow(kind, grid, params=None):
@@ -157,10 +167,9 @@ def section_flow(kind, grid, params=None):
     if kind in STATIONARY_ONLY:
         raise ValueError(f"{kind} is stationary, with no flow; use check --model {kind}")
     p = named_params(kind, SECTION_PARAMS[kind], params)
-    work, flow, args, monitor = Scratch(), _wedge_flow(kind), (), None
-    if flow is None:
+    work, flow, args, monitor = Scratch(), _rhs(kind), (), None
+    if kind not in ("hf", "lle"):
         terms = mxiii_terms(p, grid)        # once per run
-        flow = {"mxiii": mxiii_rhs, "mxiiia": mxiiia_system, "mxiiib": mxiiib_system}[kind]
         args = (terms,) if kind == "mxiii" else terms[0]
 
         def monitor(st):
@@ -169,8 +178,7 @@ def section_flow(kind, grid, params=None):
             if kind == "mxiii":
                 residual = np.abs(mxiii_constraint(s, grid, sx, sy, terms)).max()
                 return {}, {"constraint_residual": float(residual)}
-            a1, _, _, b2 = terms[0]
-            return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, a1, b2))}, {}
+            return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, terms[0]))}, {}
 
     return (lambda st, k: flow(st["S"], grid, *args, work, k["S"])), monitor
 
@@ -195,32 +203,26 @@ def stationary_residual(kind, S, phi=None, params=None):
                          if phi is None else f"{kind} reads no potential phi")
     if phi is not None and phi.grid != g:
         raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
-    flow = _wedge_flow(kind)
-    if flow is not None:        # no scalar part
+    if kind in ("hf", "lle"):       # no scalar part
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
-        return ResidualReport(VecField(g, flow(s, g)), zeros)
+        return ResidualReport(VecField(g, _rhs(kind)(s, g)), zeros)
     if kind == "ishimori":
         if not p["alpha"]:
             raise ValueError("ishimori stationary residual needs an alpha != 0")
         alpha2 = p["alpha"] * p["alpha"]      # inf on overflow, where ** 2 raises
-        a1, a2, b1, b2 = 0.0, alpha2, -1.0, 0.0     # M-XIIIA's flow
+        coeffs, drift = (0.0, alpha2, -1.0, 0.0), None      # M-XIIIA's row
     else:
         terms = mxiii_terms(p, g)
-        a1, a2, b1, b2 = terms[0]
-
-    sx, sy = diff(s, g, "dx"), diff(s, g, "dy")
+        coeffs, drift = terms[:2]
+    w, phi = Scratch(), None if phi is None else phi.values
+    vec, _ = _system("mxiiia" if kind == "ishimori" else kind, s, g, coeffs, drift, w, None, phi)
+    sx, sy = w["sx", s.shape], w["sy", s.shape]
     if kind == "mxiii":
-        (cx, cy), scal = terms[1], mxiii_constraint(s, g, sx, sy, terms)
+        scal = mxiii_constraint(s, g, sx, sy, terms)
+    elif kind == "ishimori":
+        scal = alpha2 * diff(phi, g, "dyy") - diff(phi, g, "dxx") - alpha2 * triple(s, sx, sy)
+    elif kind == "mxiiia":
+        scal = diff(phi, g, "dxy") - _source(kind, s, sx, sy, coeffs)
     else:
-        p, trip = phi.values, triple(s, sx, sy)
-        cx, cy = phi_drift("mxiiia" if kind == "ishimori" else kind, p, g)
-        if kind == "ishimori":
-            scal = alpha2 * diff(p, g, "dyy") - diff(p, g, "dxx") - alpha2 * trip
-        elif kind == "mxiiia":
-            scal = diff(p, g, "dxy") - 0.5 * (a1 + b2) * trip
-        else:
-            scal = diff(p, g, "dxx") + diff(p, g, "dyy") - (a1 + b2) * trip
-    drift = ((cx, sx), (cy, sy))
-    # Ishimori sums its drift as phi_x S_y + phi_y S_x
-    vec = _flow(s, g, sx, drift[::-1] if kind == "ishimori" else drift, a1, a2, b1, b2)
+        scal = diff(phi, g, "dxx") + diff(phi, g, "dyy") - _source(kind, s, sx, sy, coeffs)
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

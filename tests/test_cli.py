@@ -55,6 +55,13 @@ class TestParseConfig:
                             "--dt", "0.25"])
         assert cfg.get("dt") == 0.25 and cfg.get("steps") == 3
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """A # starts a comment only at a line's start or after whitespace."""
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("# run settings\noutput = run#1\t# tab comment\nsteps = 3 # x\n")
+        cfg = parse_config(["simulate", "--config", str(cfg_file)])
+        assert cfg.get("output") == "run#1" and cfg.get("steps") == 3
+
     def test_params_collected(self):
         cfg = parse_config(["check", "--param", "a1=1.5", "--param", "b2=-1"])
         assert cfg.params == {"a1": 1.5, "b2": -1.0}
@@ -303,6 +310,7 @@ FAILURES = [
         d, "--model", "hf", "--nx", "16", "--dx", "0.1", "--dt", "1e-4",
         "--renormalize", "maybe")),
     ("config-line-without-equals", 2, lambda d: _config(d, "model = hf\nnx 16\n")),
+    ("config-hash-inside-a-param", 2, lambda d: _config(d, "param.a1 = 1#2\n")),
     ("catalog-model-on-2d-grid", 2, lambda d: _simulate(
         d, "--model", "m-lii", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
         "--dt", "1e-4")),
@@ -345,6 +353,7 @@ FAILURE_MESSAGES = {
     "missing-dt": "missing required key 'dt'",
     "renormalize-maybe": "key 'renormalize' expects bool, got 'maybe'",
     "config-line-without-equals": "run.cfg:2: expected 'key = value'",
+    "config-hash-inside-a-param": "key 'param.a1' expects float, got '1#2'",
     "catalog-model-on-2d-grid": "magnetoelastic models need a 1-D grid",
     "argparse-unknown-flag": "unrecognized arguments: --bogus 1",
     "argparse-no-command": "the following arguments are required: command",

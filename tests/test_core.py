@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from spinsurf import (Blowup, EvolveOptions, Grid, NearZeroNorm, ScalarField,
                       SpinField, VecField, catalog_lookup,
                       diff, evolve, evolution_model, hf_rhs, lle_rhs,
-                      me_phonon_rhs, me_spin_rhs, mxiiia_system, mxiiib_system,
+                      me_phonon_rhs, me_spin_rhs, mxiii_rhs, mxiii_terms, mxiiia_system,
+                      mxiiib_system,
                       norm, project_sphere, rk4_step, stationary_residual,
                       synth)
 from spinsurf import fields
@@ -353,6 +354,33 @@ def test_stationary_residual_reuses_flow_formula(kind):
     params = dict(zip(("a1", "a2", "b1", "b2"), ab))
     rep = stationary_residual(kind, S, phi=phi, params=params)
     assert np.array_equal(rep.vector_residual.values, rhs)
+
+
+def test_stationary_residual_reuses_mxiii_flow():
+    """M-XIII's stationary vector residual is its flow right-hand side from
+    `mxiii_terms`, bit for bit, with a varying a3."""
+    grid = Grid(20, 18, 0.2, 0.25, "periodic")
+    S = synth.smooth_spin(grid, seed=9)
+    a3 = ScalarField(grid, 0.2 * synth.smooth_scalar(grid, seed=4).values)
+    params = {"a1": 0.7, "a2": 1.1, "b1": -0.4, "b2": 0.3, "a3": a3, "a5": 0.1, "b5": -0.3}
+    rep = stationary_residual("mxiii", S, params=params)
+    rhs = mxiii_rhs(S.values, grid, mxiii_terms(params, grid))
+    assert np.array_equal(rep.vector_residual.values, rhs)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+def test_ishimori_residual_is_mxiiias_row(boundary):
+    """Ishimori's stationary vector residual is M-XIIIA's at (a1, a2, b1, b2)
+    = (0, alpha^2, -1, 0), bit for bit, with a generic phi: M-XIIIA's own phi
+    is 0 at a1 + b2 = 0, where the order of the drift terms shows nowhere."""
+    grid = Grid(20, 18, 0.2, 0.25, boundary)
+    S = synth.smooth_spin(grid, seed=9)
+    phi = synth.smooth_scalar(grid, seed=5)
+    alpha = 0.8
+    ishimori = stationary_residual("ishimori", S, phi=phi, params={"alpha": alpha})
+    row = {"a1": 0.0, "a2": alpha * alpha, "b1": -1.0, "b2": 0.0}
+    mxiiia = stationary_residual("mxiiia", S, phi=phi, params=row)
+    assert np.array_equal(ishimori.vector_residual.values, mxiiia.vector_residual.values)
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,26 @@ def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
     assert len(traj.diagnostics) == 4 and len(calls) == 24
 
 
+@pytest.mark.parametrize("kind, name, grid", [
+    ("hf", "hf_rhs", Grid(32, 1, 0.25, 0.25, "periodic")),
+    ("lle", "lle_rhs", Grid(16, 14, 0.25, 0.3, "periodic")),
+    ("mxiiia", "mxiiia_system", Grid(16, 14, 0.25, 0.3, "clamped")),
+    ("mxiiib", "mxiiib_system", Grid(16, 14, 0.25, 0.3, "periodic")),
+])
+def test_flow_calls_the_name_bound_on_models(monkeypatch, kind, name, grid):
+    """A right-hand side rebound on `spinsurf.models` before `evolution_model`
+    (as the benchmark tracer rebinds it) is the one the flow steps, 4 calls
+    a step, and for hf and lle the one `stationary_residual` evaluates."""
+    calls = count_calls(monkeypatch, models_module, name)
+    S = synth.smooth_spin(grid, seed=3)
+    evolve(evolution_model(kind, grid), {"S": S.values},
+           EvolveOptions(dt=0.002, steps=6, snapshot_every=3))
+    assert len(calls) == 24
+    if kind in ("hf", "lle"):
+        models_module.stationary_residual(kind, S)
+        assert len(calls) == 25
+
+
 def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):
     """The coefficient set is fixed for the run: evolution_model checks it
     once and differentiates the varying a3 once per axis, and no RK4 stage

@@ -5,8 +5,9 @@ run with the digests recorded before the last change to the numerical
 core, so a refactor that moves a single output bit fails here. The inputs
 are built with +, -, *, / and sqrt only (inverse stereographic projection
 of rational profiles), which IEEE 754 rounds the same on every machine, so
-no libm sin/cos can move a digest. FFT paths (M-XIIIB) are left out:
-pocketfft's output may differ between numpy versions.
+no libm sin/cos can move a digest. FFT paths (M-XIIIB's simulate) are left
+out: pocketfft's output may differ between numpy versions. `check` reads
+phi from a file, so its M-XIIIB report has no FFT and is pinned.
 """
 
 import hashlib
@@ -61,11 +62,26 @@ def _write_u(path, nx, dx, boundary):
     return str(path)
 
 
+def _write_phi(path, nx, ny, dx, dy, boundary):
+    """A `spinsurf-field v1` scalar: the rational potential
+    phi = (0.3 X - 0.2 X Y + 0.1 Y^2) / (1 + X^2 + 2 Y^2), written without spinsurf."""
+    x = (np.arange(nx) - (nx - 1) / 2.0) * dx
+    y = (np.arange(ny) - (ny - 1) / 2.0) * dy
+    X, Y = np.meshgrid(x, y)
+    phi = (0.3 * X - 0.2 * X * Y + 0.1 * Y * Y) / (1.0 + X * X + 2.0 * Y * Y)
+    rows = [f"{n % nx},{n // nx},{v:.17g}" for n, v in enumerate(phi.ravel().tolist())]
+    path.write_text("# spinsurf-field v1\n"
+                    f"# nx={nx} ny={ny} dx={dx:.17g} dy={dy:.17g} "
+                    f"boundary={boundary} comps=1\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 def _simulate(model, nx, ny, dx, boundary, steps, every, factor=0.2, order=2,
-              external_u=False):
-    """A simulate run at dt = factor * dx^order; external_u adds `_write_u`'s field."""
+              external_u=False, dy=None):
+    """A simulate run at dt = factor * dx^order, on cells dx by dy (default
+    dx); external_u adds `_write_u`'s field."""
     def run(tmp):
-        spin = _write_spin(tmp / "S0.csv", nx, ny, dx, dx, boundary)
+        spin = _write_spin(tmp / "S0.csv", nx, ny, dx, dx if dy is None else dy, boundary)
         extra = ["--external-u", _write_u(tmp / "u.csv", nx, dx, boundary)] if external_u else []
         return ["simulate", "--model", model, "--initial", spin, *extra,
                 "--dt", repr(factor * dx ** order), "--steps", str(steps),
@@ -80,6 +96,22 @@ def _reconstruct(tmp):
             "--output", str(tmp / "out" / "surface.obj"),
             "--report", str(tmp / "out" / "report.json")]
 
+
+def _check(kind, boundary, params):
+    """A check run of kind on `_stereo_spin` over 14 x 12 cells of 0.25 x 0.3,
+    with `_write_phi`'s potential for the kinds that read one."""
+    def run(tmp):
+        spin = _write_spin(tmp / "S.csv", 14, 12, 0.25, 0.3, boundary)
+        phi = (["--phi", _write_phi(tmp / "phi.csv", 14, 12, 0.25, 0.3, boundary)]
+               if kind in ("mxiiia", "mxiiib", "ishimori") else [])
+        (tmp / "out").mkdir()
+        return ["check", "--model", kind, "--input", spin, *phi,
+                *(a for k, v in params.items() for a in ("--param", f"{k}={v}")),
+                "--output", str(tmp / "out" / "report.json")]
+    return run
+
+
+_AB = {"a1": 0.7, "a2": 1.1, "b1": -0.4, "b2": 0.3}
 
 # run -> (its argv, made in a run directory; the number of output files; the
 # digest of the output tree)
@@ -116,6 +148,20 @@ PINS = {
                              "eb373ac5e93fdfccaf47d83dbabc21a854c18f79481a87285f1b4ea7421aab9c"),
     "reconstruct-hf": (_reconstruct, 2,
                        "b2469b155f4e19f57dc5477b2275251dc3cad82a7ce2b742d2baedd156e21d99"),
+    "lle-clamped-16x14-dy": (_simulate("lle", 16, 14, 0.25, "clamped", 20, 10, dy=0.3), 4,
+                             "da1020de480346031c449c6240ac0114a2a221689c4de0e29792322c2f5497cb"),
+    "check-hf": (_check("hf", "periodic", {}), 1,
+                 "e40646e6060c82e98bebc346ce1063a3fbfc4ca546fe3354603c74e47fb55fb7"),
+    "check-lle": (_check("lle", "clamped", {}), 1,
+                  "5c318de385c00791e284df6bc2a30c07473cc5ec8d377797d087385c5244cdb2"),
+    "check-mxiii": (_check("mxiii", "periodic", {**_AB, "a3": 0.2, "a5": 0.1, "b5": -0.3}), 1,
+                    "defa97678605b7fa589a98b27e1501b289d730ead4e9b2ff95a503a4c2436e6e"),
+    "check-mxiiia": (_check("mxiiia", "clamped", _AB), 1,
+                     "a3d228a148b9496f4f4beaf8214c2993eb39f4e2f2a15c25956568561fa8934c"),
+    "check-mxiiib": (_check("mxiiib", "periodic", _AB), 1,
+                     "928e549b052228994e2e232dc0e74fb4e95a484b17a6e4352f141e605e664902"),
+    "check-ishimori": (_check("ishimori", "clamped", {"alpha": 0.8}), 1,
+                       "f2cff5c603ad9a18fc1d8a91af847ca469eea5a500cd69ec0f9ef98b879e0761"),
 }
 
 
