@@ -12,6 +12,10 @@ The stencils difference the C-order flat array at a fixed offset, so every
 axis is one contiguous pass; their `out` and `tmp` arrays must be
 C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
 (S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
+Each kernel has a binder, `_bind_<kernel>`, that makes its views (flat
+slices, end slabs, component rows) once and returns a `_runner` replaying its
+ufunc calls: `diff`, `wedge_lap` and `cross` bind and run once, and a flow
+keeps its runners in its `Scratch` (`plan`), so no RK4 stage rebuilds a view.
 """
 
 import functools
@@ -139,33 +143,55 @@ def named_params(owner, table, given=None):
 
 
 class Scratch(dict):
-    """Float arrays kept from call to call: `scratch[name, shape]` allocates
-    one on the first request for that name and shape and returns the same
-    array after, so a function handed a fresh Scratch allocates everything."""
+    """Float arrays and kernel runners (`plan`) kept from call to call:
+    `scratch[name, shape]` makes an array on the first request for that name
+    and shape and returns it after, so a fresh Scratch allocates everything."""
 
     def __missing__(self, key):
         buf = self[key] = np.empty(key[1])
         return buf
 
+    def plan(self, bind, *args):
+        """The runner bind(*args), made on the first request for these args (by
+        identity) and kept with them, so that no id is reused while it lives."""
+        key = (bind, *map(id, args))
+        got = self.get(key)         # dict.get: no __missing__
+        if got is None:
+            got = bind(*args), args
+            if all(a.flags.c_contiguous for a in args if isinstance(a, np.ndarray)):
+                self[key] = got     # other arrays' flat views are copies: bound per call
+        return got[0]
+
+
+def _runner(calls, result=None):
+    """A kernel bound to its arrays: it makes the (function, args) calls in
+    order and returns result."""
+    def run():
+        for f, args in calls:
+            f(*args)
+        return result
+    return run
+
 
 # ---------------------------------------------------------------------------
 # vector algebra (on components-first (3, ...) arrays)
 
-def cross(a, b, out=None):
-    """Right-handed cross product on (3, ...) arrays, written into out (which
-    must not overlap a or b) when given."""
+def _bind_cross(a, b, out=None):
     a, b = np.asarray(a), np.asarray(b)
     if out is None:
         out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2, b0, b1, b2 = a[0], a[1], a[2], b[0], b[1], b[2]
-    o0, o1, o2 = out[0, ...], out[1, ...], out[2, ...]      # arrays even for 3-vectors
-    np.multiply(a1, b2, out=o0)
-    o0 -= a2 * b1
-    np.multiply(a2, b0, out=o1)
-    o1 -= a0 * b2
-    np.multiply(a0, b1, out=o2)
-    o2 -= a1 * b0
-    return out
+    (a0, a1, a2), (b0, b1, b2), calls = a, b, []
+    p = np.empty(out[0, ...].shape)                     # one product row
+    for i, x, y, u, v in ((0, a1, b2, a2, b1), (1, a2, b0, a0, b2), (2, a0, b1, a1, b0)):
+        o = out[i, ...]                                 # an array even for 3-vectors
+        calls += [(np.multiply, (x, y, o)), (np.multiply, (u, v, p)), (np.subtract, (o, p, o))]
+    return _runner(calls, out)
+
+
+def cross(a, b, out=None):
+    """Right-handed cross product on (3, ...) arrays, written into out (which
+    must not overlap a or b) when given."""
+    return _bind_cross(a, b, out)()
 
 
 def dot(a, b):
@@ -196,19 +222,16 @@ def norm(a, out=None):
 #
 # The stencils act on plain arrays of any shape and dtype. Along `axis`,
 # neighbours sit k = out.strides[axis] / out.itemsize apart in the C-order
-# flat array, so one pass over the flat arrays at offset k differences every
-# axis with contiguous reads and writes, and no shifted copy of the input is
-# made. The pass also computes lanes that straddle the ends of the axis
-# (garbage from unrelated nodes) until the boundary slabs, a[..., i] for the
-# last axis and a[..., i, :] for the one before, are written over them; for
-# finite input they stay finite below magnitudes of about 8.9e307, where any
-# difference can overflow. The stencils are written in difference-of-
-# neighbours form so that constant fields differentiate to exactly zero in
-# floating point. An `out` array receives the result and a `tmp` array shaped
-# like the input holds the second difference's forward differences; each is
-# allocated when not given, must be C-contiguous (the flat view of any other
-# array is a copy, and the result would be lost), and may not overlap the
-# input, except that `_d2` may write out over its own input.
+# flat array: one pass at offset k differences any axis with contiguous reads
+# and writes. It also fills lanes that straddle the ends of the axis (garbage
+# from unrelated nodes, finite below magnitudes of about 8.9e307) until the
+# boundary slabs, a[..., i] for the last axis and a[..., i, :] for the one
+# before, overwrite them. Difference-of-neighbours form makes constant fields
+# differentiate to exactly zero. `out` receives the result and `tmp`, shaped
+# like the input, the second difference's forward differences; each is
+# allocated at binding when not given, must be C-contiguous (a flat view of
+# any other array is a copy, and the result would be lost), and may not
+# overlap the input, except that `_d2` may write out over its own input.
 
 @functools.lru_cache
 def _slabs(n, after):
@@ -225,27 +248,36 @@ def _slabs(n, after):
     return at
 
 
-def _d1(a, h, axis, periodic, out=None):
+def _end_d1(o, f1, f0, f2, g0):    # one-sided -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0), g0 = f0
+    o[...] = 4.0 * (f1 - f0) - (f2 - g0)
+
+
+def _end_d2(o, d0, d1, d2):         # one-sided 2f0 - 5f1 + 4f2 - f3 in forward differences
+    o[...] = -2.0 * d0 + 3.0 * d1 - d2
+
+
+def _bind_d1(a, out, h, axis, periodic):
     if a.shape[axis] < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
     out = np.empty(a.shape, a.dtype) if out is None else out
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
-    xf, of = a.ravel(), out.ravel()
-    k, n = out.strides[axis] // out.itemsize, xf.size
-    np.subtract(xf[2 * k:], xf[:n - 2 * k], out=of[k:n - k])
+    xf, of, k = a.ravel(), out.ravel(), out.strides[axis] // out.itemsize
     at = _slabs(a.shape[axis], (-1 - axis) % a.ndim)
+    calls = [(np.subtract, (xf[2 * k:], xf[:-2 * k], of[k:-k]))]
     if periodic:        # out[0] = x[1] - x[n-1], out[n-1] = x[0] - x[n-2]
-        np.subtract(a[at[1, 0]], a[at[-1, -2]], out=out[at[0, -1]])
+        calls.append((np.subtract, (a[at[1, 0]], a[at[-1, -2]], out[at[0, -1]])))
     else:
-        # second-order one-sided: -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0)
-        out[at[0]] = 4.0 * (a[at[1]] - a[at[0]]) - (a[at[2]] - a[at[0]])
-        out[at[-1]] = 4.0 * (a[at[-1]] - a[at[-2]]) - (a[at[-1]] - a[at[-3]])
-    out /= 2.0 * h
-    return out
+        calls += [(_end_d1, (out[at[0]], a[at[1]], a[at[0]], a[at[2]], a[at[0]])),
+                  (_end_d1, (out[at[-1]], a[at[-1]], a[at[-2]], a[at[-1]], a[at[-3]]))]
+    return _runner(calls + [(np.divide, (out, 2.0 * h, out))], out)
 
 
-def _d2(a, h, axis, periodic, out=None, tmp=None):
+def _d1(a, h, axis, periodic, out=None):
+    return _bind_d1(a, out, h, axis, periodic)()
+
+
+def _bind_d2(a, out, tmp, h, axis, periodic):
     n = a.shape[axis]
     if n < 3:
         raise GridTooSmall("second derivative needs at least 3 nodes")
@@ -255,42 +287,59 @@ def _d2(a, h, axis, periodic, out=None, tmp=None):
     out = np.empty(a.shape, a.dtype) if out is None else out
     if not (out.flags.c_contiguous and tmp.flags.c_contiguous):
         raise ValueError("out and tmp must be C-contiguous arrays")
-    xf, df, of = a.ravel(), tmp.ravel(), out.ravel()
-    k, size = out.strides[axis] // out.itemsize, xf.size
+    xf, df, of, k = a.ravel(), tmp.ravel(), out.ravel(), out.strides[axis] // out.itemsize
     at = _slabs(n, (-1 - axis) % a.ndim)
     # forward differences d[i] = x[i+1] - x[i] in tmp, wrapping to d[n-1] =
     # x[0] - x[n-1] when periodic (clamped, the last slab of tmp is never
     # set); every read of the input comes before the first write to out
-    np.subtract(xf[k:], xf[:size - k], out=df[:size - k])
+    calls = [(np.subtract, (xf[k:], xf[:-k], df[:-k]))]
     if periodic:
-        np.subtract(a[at[0]], a[at[-1]], out=tmp[at[-1]])
+        calls.append((np.subtract, (a[at[0]], a[at[-1]], tmp[at[-1]])))
     # the stencil d[i] - d[i-1]
-    np.subtract(df[k:size - k], df[:size - 2 * k], out=of[k:size - k])
+    calls.append((np.subtract, (df[k:-k], df[:-2 * k], of[k:-k])))
     if periodic:        # out[0] = d[0] - d[n-1], out[n-1] = d[n-1] - d[n-2]
-        np.subtract(tmp[at[0, -1]], tmp[at[-1, -2]], out=out[at[0, -1]])
-    else:
-        # second-order one-sided: 2f0 - 5f1 + 4f2 - f3, in difference form,
-        # from d[0], d[1], d[2] and d[n-2], d[n-3], d[n-4]
-        out[at[0]] = -2.0 * tmp[at[0]] + 3.0 * tmp[at[1]] - tmp[at[2]]
-        out[at[-1]] = -2.0 * tmp[at[-2]] + 3.0 * tmp[at[-3]] - tmp[at[-4]]
-    out /= h * h
-    return out
+        calls.append((np.subtract, (tmp[at[0, -1]], tmp[at[-1, -2]], out[at[0, -1]])))
+    else:               # from d[0], d[1], d[2] and d[n-2], d[n-3], d[n-4]
+        calls += [(_end_d2, (out[at[0]], tmp[at[0]], tmp[at[1]], tmp[at[2]])),
+                  (_end_d2, (out[at[-1]], tmp[at[-2]], tmp[at[-3]], tmp[at[-4]]))]
+    return _runner(calls + [(np.divide, (out, h * h, out))], out)
 
 
-def _neighbour_sum(s, axis, periodic, out):
+def _d2(a, h, axis, periodic, out=None, tmp=None):
+    return _bind_d2(a, out, tmp, h, axis, periodic)()
+
+
+def _bind_sum(s, axis, periodic, out):
     """S_{i+1} + S_{i-1} along axis -1 (x) or -2 (y) of a (3, ..., nx) array s,
-    into out (C-contiguous, not s), returned; the ends, written over the flat
-    pass's lanes across rows, wrap or hold `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
-    k, sf = 1 if axis == -1 else s.shape[-1], s.ravel()
-    np.add(sf[2 * k:], sf[:-2 * k], out=out.ravel()[k:-k])
-    at = _slabs(s.shape[axis], -1 - axis)
+    into out (C-contiguous, not s); the ends, written over the flat pass's
+    lanes across rows, wrap or hold `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
+    k, sf, at = 1 if axis == -1 else s.shape[-1], s.ravel(), _slabs(s.shape[axis], -1 - axis)
+    calls = [(np.add, (sf[2 * k:], sf[:-2 * k], out.ravel()[k:-k]))]
     if periodic:
-        np.add(s[at[1, 0]], s[at[-1, -2]], out=out[at[0, -1]])
-    else:
-        d, e = s[at["1:4"]] - s[at[":3"]], s[at["-3:"]] - s[at["-4:-1"]]
-        out[at[0]] = -2.0 * d[at[0]] + 3.0 * d[at[1]] - d[at[2]]
-        out[at[-1]] = -2.0 * e[at[2]] + 3.0 * e[at[1]] - e[at[0]]
-    return out
+        return _runner(calls + [(np.add, (s[at[1, 0]], s[at[-1, -2]], out[at[0, -1]]))])
+    d, e = np.empty(s[at[":3"]].shape), np.empty(s[at[":3"]].shape)
+    return _runner(calls + [(np.subtract, (s[at["1:4"]], s[at[":3"]], d)),
+                            (np.subtract, (s[at["-3:"]], s[at["-4:-1"]], e)),
+                            (_end_d2, (out[at[0]], d[at[0]], d[at[1]], d[at[2]])),
+                            (_end_d2, (out[at[-1]], e[at[2]], e[at[1]], e[at[0]]))])
+
+
+def _bind_wedge(s, out, tmp, grid, y):
+    periodic, need = grid.periodic, 3 if grid.periodic else 4
+    if y and s.shape[-2] < 3:
+        raise GridTooSmall("y-derivatives need ny >= 3")
+    if s.shape[-1] < need or (y and s.shape[-2] < need):
+        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
+    tmp, out = (np.empty(s.shape) if b is None else b for b in (tmp, out))
+    calls = [(_bind_sum(s, -1, periodic, tmp), ())]
+    if y and grid.dx == grid.dy:
+        calls += [(_bind_sum(s, -2, periodic, out), ()), (np.add, (tmp, out, tmp))]
+    calls += [(_bind_cross(s, tmp, out), ()), (np.divide, (out, grid.dx * grid.dx, out))]
+    if y and grid.dx != grid.dy:            # y's cross product into a temporary c
+        c = np.empty(s.shape)
+        calls += [(_bind_sum(s, -2, periodic, tmp), ()), (_bind_cross(s, tmp, c), ()),
+                  (np.divide, (c, grid.dy * grid.dy, c)), (np.add, (out, c, out))]
+    return _runner(calls, out)
 
 
 def wedge_lap(s, grid, out=None, tmp=None, y=False):
@@ -299,23 +348,32 @@ def wedge_lap(s, grid, out=None, tmp=None, y=False):
     As S ^ S = 0, an axis takes S_i ^ (S_{i+1} + S_{i-1}); axes sharing a
     spacing h add their sums, cross once and divide once by h^2. Crossing
     before dividing keeps constant fields exactly 0, so dx != dy takes two
-    `cross` calls, y's into a temporary like s."""
-    periodic = grid.periodic
-    need = 3 if periodic else 4
-    if y and s.shape[-2] < 3:
+    cross products, y's into a temporary like s."""
+    return _bind_wedge(s, out, tmp, grid, y)()
+
+
+def _bind_diff(a, out, tmp, grid, which):
+    if which == "dx":
+        return _bind_d1(a, out, grid.dx, -1, grid.periodic)
+    if which == "dxx":
+        return _bind_d2(a, out, tmp, grid.dx, -1, grid.periodic)
+    if which in ("dxy", "dxxxx"):       # dy(dx(a)) through a temporary, dxx(dxx(a)) in out
+        if which == "dxxxx" and grid.nx < 5:
+            raise GridTooSmall("fourth derivative needs nx >= 5")
+        out = np.empty(a.shape, a.dtype) if out is None else out
+        mid = np.empty(a.shape, a.dtype) if which == "dxy" else out
+        return _runner([(_bind_diff(a, mid, tmp, grid, "dx" if which == "dxy" else "dxx"), ()),
+                        (_bind_diff(mid, out, tmp, grid, "dy" if which == "dxy" else "dxx"), ())],
+                       out)
+    if which not in ("dy", "dyy"):
+        raise ValueError(f"unknown derivative {which!r}")
+    if grid.is_1d:
+        raise GridTooSmall("y-derivative requested on a 1-D grid")
+    if grid.ny < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
-    if s.shape[-1] < need or (y and s.shape[-2] < need):
-        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
-    tmp = _neighbour_sum(s, -1, periodic, np.empty(s.shape) if tmp is None else tmp)
-    square = y and grid.dx == grid.dy
-    if square:
-        out = np.empty(s.shape) if out is None else out
-        tmp += _neighbour_sum(s, -2, periodic, out)
-    out = cross(s, tmp, out)
-    out /= grid.dx * grid.dx
-    if y and not square:
-        out += cross(s, _neighbour_sum(s, -2, periodic, tmp)) / (grid.dy * grid.dy)
-    return out
+    if which == "dy":
+        return _bind_d1(a, out, grid.dy, -2, grid.periodic)
+    return _bind_d2(a, out, tmp, grid.dy, -2, grid.periodic)
 
 
 def diff(a, grid, which, out=None, tmp=None):
@@ -329,28 +387,9 @@ def diff(a, grid, which, out=None, tmp=None):
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     out and tmp must be C-contiguous. Values above about 8.9e307 in
     magnitude may overflow, with numpy's warning, in lanes that the
-    boundary stencils then overwrite (see the comment above `_d1`).
+    boundary stencils then overwrite (see the comment above `_slabs`).
     """
-    if which == "dx":
-        return _d1(a, grid.dx, -1, grid.periodic, out)
-    if which == "dxx":
-        return _d2(a, grid.dx, -1, grid.periodic, out, tmp)
-    if which == "dxy":
-        return diff(diff(a, grid, "dx"), grid, "dy", out)
-    if which == "dxxxx":
-        if grid.nx < 5:
-            raise GridTooSmall("fourth derivative needs nx >= 5")
-        out = diff(a, grid, "dxx", out, tmp)
-        return diff(out, grid, "dxx", out, tmp)
-    if which not in ("dy", "dyy"):
-        raise ValueError(f"unknown derivative {which!r}")
-    if grid.is_1d:
-        raise GridTooSmall("y-derivative requested on a 1-D grid")
-    if grid.ny < 3:
-        raise GridTooSmall("y-derivatives need ny >= 3")
-    if which == "dy":
-        return _d1(a, grid.dy, -2, grid.periodic, out)
-    return _d2(a, grid.dy, -2, grid.periodic, out, tmp)
+    return _bind_diff(a, out, tmp, grid, which)()
 
 
 def cumtrapz(y, d, axis):

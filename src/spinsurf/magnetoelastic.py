@@ -27,9 +27,9 @@ computation literally in matrix form and guards the translation.
 allocates its result, with the constants of the entry's `params`: its two
 families' constants, at 1 unless `with_params` (`fields.named_params`) sets
 them. Catalog models evolve on 1-D chains only, where a step costs numpy
-calls rather than memory traffic; `catalog_flow` wires an entry into the
-flow that `evolve` steps, with one x-pass per stage for S_x and, with a
-first-order phonon, u_x. A, B and E take S^S_xx from `fields.wedge_lap`.
+calls rather than memory traffic: `catalog_flow` hands both a `work` Scratch
+that keeps their stencil plans (A, B and E take S^S_xx from `wedge_lap`'s)
+and runs one x-pass per stage for S_x and, with a first-order phonon, u_x.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import cross, diff, dot, named_params, wedge_lap
+from .fields import Scratch, _bind_diff, _bind_wedge, cross, diff, dot, named_params
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -146,51 +146,65 @@ def _check(spec):
         raise UnimplementedModel(f"{spec.name}: {spec.reason}")
 
 
-def me_spin_rhs(spec, s, u, g, sx=None):
+def _x(work, a, g, which, keep=None):
+    """diff(a, g, which) from the plan work keeps for a; a fresh a is first
+    copied into work's buffer keep, as a plan binds arrays that last."""
+    if keep:
+        work[keep, a.shape][...] = a
+        a = work[keep, a.shape]
+    return work.plan(_bind_diff, a, None, None, g, which)()
+
+
+def me_spin_rhs(spec, s, u, g, sx=None, work=None):
     """Vector-form spin right-hand side of a catalog model, on a spin array s
     and a displacement array u. sx, when given, must be S_x = diff(s, g, "dx"),
     so that a caller stepping both equations computes it once for this and
-    `me_phonon_rhs`."""
+    `me_phonon_rhs`. work, a `fields.Scratch`, keeps the stencil plans and
+    their arrays (a result may be one) from call to call."""
     _check(spec)
-    p = spec.param
+    p, work = spec.param, Scratch() if work is None else work
+    if spec.spin in ("A", "B", "E"):
+        lap = work.plan(_bind_wedge, s, None, None, g, False)()
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        return wedge_lap(s, g) + drive * cross(s, E3)
+        return lap + drive * cross(s, E3)
     if spec.spin not in ("C", "D", "E"):
         raise UnimplementedModel(f"{spec.name} has no spin family")
-    sx = diff(s, g, "dx") if sx is None else sx
+    sx = _x(work, s, g, "dx") if sx is None else sx
     if spec.spin == "E":
-        return wedge_lap(s, g) + u * sx
-    flux = diff((p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx")
+        return lap + u * sx
+    flux = _x(work, (p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx", "f")
     if spec.spin == "C":
         return flux
-    return p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * flux
+    return p("n") * cross(s, _x(work, s, g, "dxxxx")) + 2.0 * flux
 
 
-def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None):
+def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None):
     """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
     dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself for wave-type ones. sx, and ux = u_x, as for `me_spin_rhs`."""
+    velocity w itself for wave-type ones. sx, ux = u_x and work as for `me_spin_rhs`."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
-    p = spec.param
+    p, work = spec.param, Scratch() if work is None else work
     if spec.source in ("s3", "s3sq"):
         q = s[2] if spec.source == "s3" else s[2] ** 2
     else:
-        sx = diff(s, g, "dx") if sx is None else sx
+        sx = _x(work, s, g, "dx") if sx is None else sx
         q = dot(sx, sx) if spec.source == "sxsq" else 0.5 * dot(sx, sx)
 
     if spec.phonon in ("wave", "boussinesq"):
         if w is None:
             raise ValueError(f"{spec.name} needs the velocity field w = u_t")
-        acc = p("nu0") ** 2 * diff(u, g, "dxx") + p("lam") * diff(q, g, "dxx")
+        acc = p("nu0") ** 2 * _x(work, u, g, "dxx") + p("lam") * _x(work, q, g, "dxx", "q")
         if spec.phonon == "boussinesq":
-            acc += p("alpha") * diff(u ** 2, g, "dxx") + p("beta") * diff(u, g, "dxxxx")
+            acc += (p("alpha") * _x(work, u ** 2, g, "dxx", "u2")
+                    + p("beta") * _x(work, u, g, "dxxxx"))
         return w, acc / p("rho")
-    du = -(diff(u, g, "dx") if ux is None else ux) - p("lam") * diff(q, g, "dx")
+    du = -(_x(work, u, g, "dx") if ux is None else ux) - p("lam") * _x(work, q, g, "dx", "q")
     if spec.phonon == "kdv":
-        du -= p("alpha") * diff(u ** 2, g, "dx") + p("beta") * diff(diff(u, g, "dxx"), g, "dx")
+        du -= (p("alpha") * _x(work, u ** 2, g, "dx", "u2")
+               + p("beta") * _x(work, _x(work, u, g, "dxx"), g, "dx"))
     return du, None
 
 
@@ -209,18 +223,21 @@ def catalog_flow(spec, grid, external_u=None):
     else:
         names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
     reads_sx = spec.spin in ("C", "D", "E")
-    shared = reads_sx and names == ("S", "u")
+    shared, work = reads_sx and names == ("S", "u"), Scratch()
+
+    def x_pass(data, rows):     # bound once for each State's data
+        return _bind_diff(data.reshape(-1, 1, grid.nx)[:rows], None, None, grid, "dx")
 
     def rhs(st, k):
         s, u = st["S"], (st["u"] if "u" in st else external_u.values)
         # S_x once per stage, for both equations of the families that read it; a
         # first-order phonon's state is S's rows then u's, so that pass gives u_x too
-        d = diff(st.data.reshape(4, 1, grid.nx) if shared else s, grid, "dx") if reads_sx else None
+        d = work.plan(x_pass, st.data, 4 if shared else 3)() if reads_sx else None
         sx, ux = (d[:3], d[3]) if shared else (d, None)
-        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx))
+        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx, work))
         if spec.phonon != "none":
-            for fname, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux)):
-                np.copyto(k[fname], d)
+            for f, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux, work)):
+                np.copyto(k[f], d)
 
     return names, order, rhs
 

@@ -12,17 +12,18 @@ Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly; `section_flow` wires them into the flows that
 `evolve` steps, and `stationary_residual` runs the same functions (the
 M-XIII family's `_system` with phi given), bit for bit. Each right-hand
-side takes an optional `work` (a `fields.Scratch` for its temporaries) and
-`out` (for its result); without them it allocates, on the same code path,
-and with them a flow's step after the first allocates no grid-sized array
-(M-XIIIA/B still allocate their potential's solve). Section models read
-named parameters (`named_params`); `mxiii_terms` maps M-XIII's once per run.
+side takes an optional `work` (a `fields.Scratch` for its temporaries and
+HF's and LLE's `wedge_lap` plan) and `out`; without them it allocates, on
+the same code path, and with them a flow's step after the first binds no
+plan and allocates no grid-sized array (but M-XIIIA/B's potential). Section
+models read named parameters; `mxiii_terms` maps M-XIII's once per run.
 """
 
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import ScalarField, Scratch, VecField, cross, diff, named_params, triple, wedge_lap
+from .fields import (ScalarField, Scratch, VecField, _bind_cross, _bind_diff, _bind_wedge, diff,
+                     named_params, triple)
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -39,9 +40,11 @@ STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulat
 
 
 def hf_rhs(s, g, work=None, out=None):
-    """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when given.
-    work, a `Scratch`, holds the temporaries from call to call."""
-    return wedge_lap(s, g, out, None if work is None else work["t", s.shape])
+    """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when
+    given. work, a `Scratch`, keeps the `wedge_lap` plan for s and out (and,
+    without out, its result array) from call to call."""
+    w = Scratch() if work is None else work
+    return w.plan(_bind_wedge, s, out, w["t", s.shape], g, False)()
 
 
 def lle_rhs(s, g, work=None, out=None):
@@ -49,7 +52,8 @@ def lle_rhs(s, g, work=None, out=None):
     hf_rhs."""
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    return wedge_lap(s, g, out, None if work is None else work["t", s.shape], y=True)
+    w = Scratch() if work is None else work
+    return w.plan(_bind_wedge, s, out, w["t", s.shape], g, True)()
 
 
 def _flow(s, g, sx, drift, a1, a2, b1, b2, w, out):
@@ -57,12 +61,12 @@ def _flow(s, g, sx, drift, a1, a2, b1, b2, w, out):
     family's wedge core plus its drift ((c1, v1), (c2, v2)). S_xy is the
     y-difference of sx, which must be S_x; w is a `Scratch`, out as for hf_rhs."""
     t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
-    np.multiply(a2, diff(s, g, "dyy", out=inner, tmp=t), out=inner)
-    diff(sx, g, "dy", out=sxy)
+    np.multiply(a2, w.plan(_bind_diff, s, inner, t, g, "dyy")(), out=inner)
+    w.plan(_bind_diff, sx, sxy, None, g, "dy")()
     inner += np.multiply(a1, sxy, out=t)
     inner -= np.multiply(b2, sxy, out=t)
-    inner -= np.multiply(b1, diff(s, g, "dxx", out=sxy, tmp=t), out=sxy)
-    out = cross(s, inner, out=out)
+    inner -= np.multiply(b1, w.plan(_bind_diff, s, sxy, t, g, "dxx")(), out=sxy)
+    out = w.plan(_bind_cross, s, inner, out)()
     for c, v in drift:
         out += np.multiply(c, v, out=t)
     return out
@@ -118,8 +122,8 @@ def _system(kind, s, g, coeffs, drift, work, out, phi=None):
     drift coefficients of S_x and S_y are drift; for A/B, phi's `phi_drift`,
     phi solved from S unless given. S_x and S_y stay in work's "sx", "sy"."""
     w = Scratch() if work is None else work
-    sx = diff(s, g, "dx", out=w["sx", s.shape])
-    sy = diff(s, g, "dy", out=w["sy", s.shape])
+    sx = w.plan(_bind_diff, s, w["sx", s.shape], None, g, "dx")()
+    sy = w.plan(_bind_diff, s, w["sy", s.shape], None, g, "dy")()
     if kind != "mxiii" and phi is None:
         phi = mxiii_potential(kind, s, g, sx, sy, coeffs)
     cx, cy = drift if phi is None else phi_drift(kind, phi, g)

@@ -14,6 +14,8 @@ from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
 models_module = importlib.import_module("spinsurf.models")
+magnetoelastic_module = importlib.import_module("spinsurf.magnetoelastic")
+fields_module = importlib.import_module("spinsurf.fields")
 geometry_module = importlib.import_module("spinsurf.geometry")
 
 
@@ -437,19 +439,61 @@ def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
     ("lle", "lle_rhs", Grid(16, 14, 0.25, 0.3, "periodic")),
     ("mxiiia", "mxiiia_system", Grid(16, 14, 0.25, 0.3, "clamped")),
     ("mxiiib", "mxiiib_system", Grid(16, 14, 0.25, 0.3, "periodic")),
+    ("m-xxxiv", "me_spin_rhs", Grid(32, 1, 0.25, 0.25, "periodic")),
+    ("m-xxxiv", "me_phonon_rhs", Grid(32, 1, 0.25, 0.25, "periodic")),
 ])
 def test_flow_calls_the_name_bound_on_models(monkeypatch, kind, name, grid):
-    """A right-hand side rebound on `spinsurf.models` before `evolution_model`
-    (as the benchmark tracer rebinds it) is the one the flow steps, 4 calls
-    a step, and for hf and lle the one `stationary_residual` evaluates."""
-    calls = count_calls(monkeypatch, models_module, name)
+    """A right-hand side rebound on `spinsurf.models` (or, for the catalog's,
+    `spinsurf.magnetoelastic`) before `evolution_model`, as the benchmark
+    tracer rebinds it, is the one the flow steps, 4 calls a step, and for hf
+    and lle the one `stationary_residual` evaluates. A flow that ran its
+    stencil plans around these names would zero their traced metrics."""
+    module = magnetoelastic_module if name.startswith("me_") else models_module
+    calls = count_calls(monkeypatch, module, name)
     S = synth.smooth_spin(grid, seed=3)
-    evolve(evolution_model(kind, grid), {"S": S.values},
-           EvolveOptions(dt=0.002, steps=6, snapshot_every=3))
+    initial = {"S": S.values, "u": 0.1 * synth.smooth_scalar(grid, seed=4).values}
+    evolve(evolution_model(kind, grid), initial, EvolveOptions(dt=0.002, steps=6, snapshot_every=3))
     assert len(calls) == 24
     if kind in ("hf", "lle"):
         models_module.stationary_residual(kind, S)
         assert len(calls) == 25
+
+
+def count_binds(monkeypatch):
+    """Calls of the stencil binders: first and second differences, and
+    `wedge_lap`'s neighbour sums (cross products bind with their callers)."""
+    calls = []
+    for name in ("_bind_d1", "_bind_d2", "_bind_sum"):
+        original = getattr(fields_module, name)
+        monkeypatch.setattr(fields_module, name,
+                            lambda *a, name=name, f=original: calls.append(name) or f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name, boundary, fields", [
+    ("hf", "periodic", ("S",)), ("m-xxxiv", "periodic", ("S", "u")),
+    ("m-xliv", "clamped", ("S", "u", "w")), ("m-lvii", "clamped", ("S",))])
+def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, fields):
+    """A flow binds each stencil once for the state and once for RK4's stage
+    array, lazily on the first step: 12 steps bind what 6 do. The two
+    snapshots of each run (snapshot_every = steps) difference S once each."""
+    g = Grid(32, 1, 0.25, 0.25, boundary)
+    initial = {"S": synth.smooth_spin(g, seed=5).values, "u": np.zeros((1, 32)),
+               "w": np.zeros((1, 32))}
+    external = ScalarField(g, 0.1 * synth.smooth_scalar(g, seed=6).values)
+    counts = []
+    for steps in (6, 12):
+        calls = count_binds(monkeypatch)
+        model = evolution_model(name, g, external_u=external if fields == ("S",) and name != "hf"
+                                else None)
+        evolve(model, {k: initial[k] for k in fields},
+               EvolveOptions(dt=0.2 * 0.25 ** model.spatial_order, steps=steps,
+                             snapshot_every=steps))
+        counts.append(sorted(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+    if name == "hf":        # neighbour sums for state and stage; a diff per snapshot
+        assert counts[0] == ["_bind_d1", "_bind_d1", "_bind_sum", "_bind_sum"]
 
 
 def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):

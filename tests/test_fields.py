@@ -8,6 +8,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       diff, dot, norm, project_sphere, same_grid,
                       triple)
 from spinsurf.errors import GridTooSmall
+from spinsurf import fields
 from spinsurf.fields import Scratch, wedge_lap
 
 E1, E2, E3 = np.eye(3)
@@ -254,6 +255,58 @@ class TestWedgeLap:
     def test_too_few_y_nodes(self, boundary, ny, message):
         with pytest.raises(GridTooSmall, match=message):
             wedge_lap(np.ones((3, ny, 8)), Grid(8, ny, 0.1, 0.1, boundary), y=True)
+
+
+# ---------------------------------------------------------------------------
+# plans: a kernel bound once to its arrays (`Scratch.plan`), run at every stage
+
+def planned_kernels(ny):
+    """(name, binder, the parameters after its arrays, the fresh allocating
+    call it replaces) for every bound kernel a (3, ny, nx) array admits."""
+    kernels = [(w, fields._bind_diff, (w,), lambda a, g, w=w: diff(a, g, w))
+               for w in ("dx", "dxx", "dxxxx") + (("dy", "dyy", "dxy") if ny > 1 else ())]
+    return kernels + [(f"wedge_lap-{y}", fields._bind_wedge, (y,),
+                       lambda a, g, y=y: wedge_lap(a, g, y=y)) for y in {False, ny > 1}]
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+@pytest.mark.parametrize("ny, dx, dy", [(1, 0.2, 1.0), (7, 0.2, 0.2), (7, 0.2, 0.3)],
+                         ids=["chain", "square", "dx!=dy"])
+def test_a_plan_equals_the_kernel_it_replaces(boundary, ny, dx, dy, rng):
+    """Each plan, run three times on an input overwritten in place between
+    runs, writes what a fresh allocating call returns, bit for bit, into the
+    out it was bound to."""
+    g = Grid(9, ny, dx, dy, boundary)
+    for name, bind, params, fresh in planned_kernels(ny):
+        a, out, tmp, w = np.empty((3, ny, 9)), np.empty((3, ny, 9)), np.empty((3, ny, 9)), Scratch()
+        run = w.plan(bind, a, out, tmp, g, *params)
+        for _ in range(3):
+            a[...] = rng.standard_normal(a.shape)
+            assert w.plan(bind, a, out, tmp, g, *params) is run, name
+            assert run() is out and np.array_equal(out, fresh(a, g)), name
+
+
+def test_a_plan_is_bound_to_its_arrays_not_to_their_shape(rng):
+    """A Scratch asked for a plan on another array of the same shape binds a
+    new one, which differences that array."""
+    g, w = Grid(9, 1, 0.2, 1.0, PERIODIC), Scratch()
+    a, b, out = rng.standard_normal((3, 3, 1, 9))
+    run_a = w.plan(fields._bind_diff, a, out, None, g, "dx")
+    run_b = w.plan(fields._bind_diff, b, out, None, g, "dx")
+    assert run_b is not run_a and w.plan(fields._bind_diff, a, out, None, g, "dx") is run_a
+    assert np.array_equal(run_b(), diff(b, g, "dx"))
+    assert np.array_equal(run_a(), diff(a, g, "dx"))
+
+
+def test_a_plan_is_never_kept_for_an_array_that_is_not_c_contiguous(rng):
+    """The flat view of such an array is a copy, so a kept plan would read
+    stale values: it is bound for the call and not kept."""
+    g, w = Grid(9, 1, 0.2, 1.0, PERIODIC), Scratch()
+    a = np.empty((3, 1, 18))[..., ::2]
+    for _ in range(2):
+        a[...] = rng.standard_normal(a.shape)
+        assert np.array_equal(w.plan(fields._bind_diff, a, None, None, g, "dx")(), diff(a, g, "dx"))
+    assert len(w) == 0
 
 
 class TestProjectSphere:
