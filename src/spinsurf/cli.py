@@ -9,6 +9,7 @@ comment); flags override file values, and unknown keys are rejected.
 """
 
 import argparse
+import glob
 import os
 import re
 import sys
@@ -207,6 +208,8 @@ def cmd_simulate(cfg):
 
     initial = {f: S0.values if f == "S" else np.zeros((grid.ny, grid.nx)) for f in model.fields}
     outdir = cfg.get("output", ".")
+    if glob.glob(os.path.join(glob.escape(outdir), "snap_*.csv")):     # two runs would mix
+        raise ConfigError(f"{outdir} holds another run's snapshots; name a new --output")
     os.makedirs(outdir, exist_ok=True)      # before stepping, so a bad path costs no run
     traj = evolve(model, initial, opts)
 

@@ -11,10 +11,10 @@ taken. After every full step the spin part is renormalized (the
 pre-projection norm drift is recorded as the integrator's error monitor)
 unless renormalization is switched off.
 
-A model's `rhs(state, k)` writes the derivative into k, a State laid out
-like the state, which RK4's workspace holds. `evolve` builds that workspace
-once per run (RK4's stage, derivative, product and sum arrays, and the spin
-norms) and steps the state in place. `evolve` knows no model: each family's
+A model's `rhs(state, k, work)` writes the derivative into k, a State laid
+out like the state, with the plans of work, a `fields.Scratch`. Each run
+makes its workspace (RK4's arrays, the spin norms, the Scratch), steps the
+state in place and drops it. `evolve` knows no model: each family's
 module wires its formulas into a flow (`models.section_flow`,
 `magnetoelastic.catalog_flow`), and `evolution_model` only refuses and
 dispatches. A model's `monitor`, when it has one, adds fields and
@@ -22,11 +22,12 @@ diagnostics to each snapshot.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import Blowup, ConfigError, NonFiniteResult
-from .fields import (ScalarField, SpinField, VecField, diff, dot, is_unit, norm,
+from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit, norm,
                      project_sphere)
 from .magnetoelastic import catalog_flow, catalog_lookup
 from .models import STATIONARY_KINDS, section_flow
@@ -70,7 +71,7 @@ class EvolutionModel:
     snapshot monitor."""
 
     name: str
-    rhs: object                    # (State, k) -> None, the derivative written into k
+    rhs: object                    # (State, k, work) -> None, the derivative written into k
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
@@ -222,8 +223,8 @@ def evolve(model, initial, opts):
     """
     check_stability(model, opts)
     state = pack_state(model, initial)
-    # the run's workspace (see the module docstring); each step overwrites state
-    work = rk4_workspace(state)
+    # the run's workspace and plans (see the module docstring); each step overwrites state
+    work, rhs = rk4_workspace(state), partial(model.rhs, work=Scratch())
     n = np.empty(state["S"].shape[1:])
 
     traj = Trajectory()
@@ -237,7 +238,7 @@ def evolve(model, initial, opts):
     record(0.0, 0.0)
     drift_window = 0.0
     for step in range(1, opts.steps + 1):
-        rk4_step(state, model.rhs, opts.dt, step, out=state, work=work)
+        rk4_step(state, rhs, opts.dt, step, out=state, work=work)
         norm(state["S"], out=n)
         if opts.renormalize:
             project_sphere(state["S"], n, out=state["S"])

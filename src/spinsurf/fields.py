@@ -14,7 +14,7 @@ C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
 (S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
 Each kernel has a binder, `_bind_<kernel>`, that makes its views (flat
 slices, end slabs, component rows) once and returns a `_runner` replaying its
-ufunc calls: `diff`, `wedge_lap` and `cross` bind and run once, and a flow
+ufunc calls: `diff`, `wedge_lap` and `cross` bind and run once, and a run
 keeps its runners in its `Scratch` (`plan`), so no RK4 stage rebuilds a view.
 """
 

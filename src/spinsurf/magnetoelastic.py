@@ -27,9 +27,9 @@ computation literally in matrix form and guards the translation.
 allocates its result, with the constants of the entry's `params`: its two
 families' constants, at 1 unless `with_params` (`fields.named_params`) sets
 them. Catalog models evolve on 1-D chains only, where a step costs numpy
-calls rather than memory traffic: `catalog_flow` hands both a `work` Scratch
-that keeps their stencil plans (A, B and E take S^S_xx from `wedge_lap`'s)
-and runs one x-pass per stage for S_x and, with a first-order phonon, u_x.
+calls rather than memory traffic: `catalog_flow` hands both the run's `work`
+Scratch, whose plans run every stencil and cross product (A, B and E take
+S^S_xx from `wedge_lap`'s), and one x-pass per stage for S_x and u_x.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import Scratch, _bind_diff, _bind_wedge, cross, diff, dot, named_params
+from .fields import Scratch, _bind_cross, _bind_diff, _bind_wedge, _runner, diff, dot, named_params
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -159,24 +159,25 @@ def me_spin_rhs(spec, s, u, g, sx=None, work=None):
     """Vector-form spin right-hand side of a catalog model, on a spin array s
     and a displacement array u. sx, when given, must be S_x = diff(s, g, "dx"),
     so that a caller stepping both equations computes it once for this and
-    `me_phonon_rhs`. work, a `fields.Scratch`, keeps the stencil plans and
-    their arrays (a result may be one) from call to call."""
+    `me_phonon_rhs`. work, a `fields.Scratch`, keeps the stencil and cross
+    plans (keyed on s and sx) and their arrays (a result may be one)."""
     _check(spec)
     p, work = spec.param, Scratch() if work is None else work
     if spec.spin in ("A", "B", "E"):
         lap = work.plan(_bind_wedge, s, None, None, g, False)()
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        return lap + drive * cross(s, E3)
+        return lap + drive * work.plan(_bind_cross, s, E3)()
     if spec.spin not in ("C", "D", "E"):
         raise UnimplementedModel(f"{spec.name} has no spin family")
     sx = _x(work, s, g, "dx") if sx is None else sx
     if spec.spin == "E":
         return lap + u * sx
-    flux = _x(work, (p("mu") * dot(sx, sx) - u + p("m")) * cross(s, sx), g, "dx", "f")
+    flux = _x(work, (p("mu") * dot(sx, sx) - u + p("m")) * work.plan(_bind_cross, s, sx)(), g,
+              "dx", "f")
     if spec.spin == "C":
         return flux
-    return p("n") * cross(s, _x(work, s, g, "dxxxx")) + 2.0 * flux
+    return p("n") * work.plan(_bind_cross, s, _x(work, s, g, "dxxxx"))() + 2.0 * flux
 
 
 def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None):
@@ -209,8 +210,8 @@ def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None):
 
 
 def catalog_flow(spec, grid, external_u=None):
-    """An entry's state fields, highest x-derivative and rhs(st, k) on a 1-D
-    grid; a 0-type entry needs external_u, a ScalarField held fixed."""
+    """An entry's state fields, highest x-derivative and rhs(st, k, work=None)
+    on a 1-D grid; a 0-type entry needs external_u, a ScalarField held fixed."""
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
     order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
@@ -223,17 +224,19 @@ def catalog_flow(spec, grid, external_u=None):
     else:
         names = ("S", "u", "w") if spec.phonon in ("wave", "boussinesq") else ("S", "u")
     reads_sx = spec.spin in ("C", "D", "E")
-    shared, work = reads_sx and names == ("S", "u"), Scratch()
+    shared = reads_sx and names == ("S", "u")
 
-    def x_pass(data, rows):     # bound once for each State's data
-        return _bind_diff(data.reshape(-1, 1, grid.nx)[:rows], None, None, grid, "dx")
+    def x_pass(data):       # bound once for each State's data, with its views S_x and u_x
+        d = np.empty((4 if shared else 3, 1, grid.nx))
+        return _runner([(_bind_diff(data.reshape(-1, 1, grid.nx)[:len(d)], d, None, grid, "dx"),
+                         ())], (d[:3], d[3] if shared else None))
 
-    def rhs(st, k):
+    def rhs(st, k, work=None):
         s, u = st["S"], (st["u"] if "u" in st else external_u.values)
+        work = Scratch() if work is None else work
         # S_x once per stage, for both equations of the families that read it; a
         # first-order phonon's state is S's rows then u's, so that pass gives u_x too
-        d = work.plan(x_pass, st.data, 4 if shared else 3)() if reads_sx else None
-        sx, ux = (d[:3], d[3]) if shared else (d, None)
+        sx, ux = work.plan(x_pass, st.data)() if reads_sx else (None, None)
         np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx, work))
         if spec.phonon != "none":
             for f, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux, work)):

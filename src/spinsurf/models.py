@@ -13,17 +13,17 @@ grid passed explicitly; `section_flow` wires them into the flows that
 `evolve` steps, and `stationary_residual` runs the same functions (the
 M-XIII family's `_system` with phi given), bit for bit. Each right-hand
 side takes an optional `work` (a `fields.Scratch` for its temporaries and
-HF's and LLE's `wedge_lap` plan) and `out`; without them it allocates, on
-the same code path, and with them a flow's step after the first binds no
-plan and allocates no grid-sized array (but M-XIIIA/B's potential). Section
+kernel plans) and `out`; without them it allocates, on the same code path.
+A flow is handed the run's Scratch, so a step after the first binds no plan
+and allocates no grid-sized array (but M-XIIIA/B's potential). Section
 models read named parameters; `mxiii_terms` maps M-XIII's once per run.
 """
 
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import (ScalarField, Scratch, VecField, _bind_cross, _bind_diff, _bind_wedge, diff,
-                     named_params, triple)
+from .fields import (CLAMPED, PERIODIC, ScalarField, Scratch, VecField, _bind_cross, _bind_diff,
+                     _bind_wedge, diff, named_params, triple)
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -164,14 +164,17 @@ def _rhs(kind):
 
 
 def section_flow(kind, grid, params=None):
-    """A section model's rhs(st, k), writing the derivative of the State st's
-    spins into k's, and its once-per-snapshot monitor, st -> (fields,
-    diagnostics): None for hf and lle, the constraint residual for mxiii,
-    phi for mxiiia/b. params: `SECTION_PARAMS[kind]`'s names, at its defaults."""
+    """A section model's rhs(st, k, work=None), the State st's spin derivative
+    into k's with work's plans (a fresh Scratch when None), and its monitor,
+    st -> (fields, diagnostics) per snapshot: None for hf/lle, mxiii's
+    constraint residual, mxiiia/b's phi. params: `SECTION_PARAMS[kind]`'s names."""
     if kind in STATIONARY_ONLY:
         raise ValueError(f"{kind} is stationary, with no flow; use check --model {kind}")
+    need = {"mxiiia": CLAMPED, "mxiiib": PERIODIC}.get(kind, grid.boundary)
+    if grid.boundary != need:
+        raise ValueError(f"{kind} solves for its potential on a {need} grid, not {grid.boundary}")
     p = named_params(kind, SECTION_PARAMS[kind], params)
-    work, flow, args, monitor = Scratch(), _rhs(kind), (), None
+    flow, args, monitor = _rhs(kind), (), None
     if kind not in ("hf", "lle"):
         terms = mxiii_terms(p, grid)        # once per run
         args = (terms,) if kind == "mxiii" else terms[0]
@@ -184,7 +187,7 @@ def section_flow(kind, grid, params=None):
                 return {}, {"constraint_residual": float(residual)}
             return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, terms[0]))}, {}
 
-    return (lambda st, k: flow(st["S"], grid, *args, work, k["S"])), monitor
+    return (lambda st, k, work=None: flow(st["S"], grid, *args, work, k["S"])), monitor
 
 
 def stationary_residual(kind, S, phi=None, params=None):

@@ -195,6 +195,13 @@ def _output_is_a_file(tmp_path):
     return _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
 
 
+def _second_run(tmp_path):
+    """simulate argv into the output directory of an earlier run, made here."""
+    argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
+    assert main(argv) == 0
+    return argv
+
+
 def _config(tmp_path, text):
     """simulate argv reading the config file text."""
     path = tmp_path / "run.cfg"
@@ -334,6 +341,14 @@ FAILURES = [
         d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
         "--snapshot-every", "-1")),
     ("output-is-a-file", 4, _output_is_a_file),
+    ("output-holds-snapshots", 2, _second_run),
+    # each potential is solved on one boundary only
+    ("mxiiia-periodic", 2, lambda d: _simulate(
+        d, "--model", "mxiiia", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
+        "--dt", "1e-4")),
+    ("mxiiib-clamped", 2, lambda d: _simulate(
+        d, "--model", "mxiiib", "--nx", "16", "--ny", "16", "--dx", "0.2", "--dy", "0.2",
+        "--boundary", "clamped", "--dt", "1e-4")),
 ]
 
 # what the message of a failure in FAILURES names: its setting, or the way out
@@ -363,6 +378,9 @@ FAILURE_MESSAGES = {
     "snapshot-every-negative": "error: snapshot_every must be positive, got -1",
     "lle-clamped-ny-3": "clamped second derivative needs at least 4 nodes",
     "lle-periodic-ny-2": "y-derivatives need ny >= 3",
+    "output-holds-snapshots": "holds another run's snapshots; name a new --output",
+    "mxiiia-periodic": "mxiiia solves for its potential on a clamped grid",
+    "mxiiib-clamped": "mxiiib solves for its potential on a periodic grid",
 }
 
 
@@ -401,6 +419,37 @@ def test_output_is_made_before_the_run_steps(tmp_path, capsys, monkeypatch):
     assert main(_output_is_a_file(tmp_path)) == 4
     assert "File exists" in capsys.readouterr().err
     assert calls == []
+
+
+def test_a_second_run_leaves_the_first_runs_output_alone(tmp_path, capsys):
+    """Two runs into one directory would mix their snapshots under one
+    report.json; the second is refused before it steps and deletes nothing."""
+    first = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
+                      "--steps", "4", "--snapshot-every", "1")
+    assert main(first) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    capsys.readouterr()
+    assert main(first + ["--steps", "2"]) == 2
+    assert str(tmp_path / "run") in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+    assert len(before) == 6
+
+
+@pytest.mark.parametrize("other", [None, "S0.csv", "report.json"])
+def test_output_may_hold_files_of_no_run(tmp_path, other):
+    """An existing empty directory, or one holding an input or a check report,
+    is taken as --output."""
+    (tmp_path / "run").mkdir()
+    if other:
+        write_spin(tmp_path / "run" / other, Grid(16, 1, 0.2, 1.0, "periodic"), seed=2)
+    argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
+    assert main(argv) == 0 and (tmp_path / "run" / "snap_000001_S.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["mxiiia-periodic", "mxiiib-clamped"])
+def test_a_model_refused_on_its_boundary_makes_no_output(tmp_path, name):
+    assert main(next(f[2] for f in FAILURES if f[0] == name)(tmp_path)) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

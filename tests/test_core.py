@@ -389,7 +389,7 @@ def test_ishimori_residual_is_mxiiias_row(boundary):
 def counting_rhs(bad_call):
     calls = []
 
-    def rhs(st, k):
+    def rhs(st, k, work=None):
         calls.append(1)
         k["S"][...] = 0.0
         if len(calls) == bad_call:
@@ -425,7 +425,7 @@ def test_collapsing_vector_is_near_zero_norm(grid1d):
     dt = 1e-3
     k = np.zeros_like(S0)
     k[:, 0, 5] = -S0[:, 0, 5] / dt      # one step carries node 5 to the origin
-    model = EvolutionModel("collapse", lambda st, dk: np.copyto(dk["S"], k), grid1d)
+    model = EvolutionModel("collapse", lambda st, dk, work=None: np.copyto(dk["S"], k), grid1d)
     with pytest.raises(NearZeroNorm) as exc:
         evolve(model, {"S": S0}, EvolveOptions(dt=dt, steps=3))
     assert (exc.value.i, exc.value.j) == (5, 0)
@@ -436,7 +436,7 @@ def test_overflowing_norm_fails_post_projection_check(grid1d):
     S0 = synth.smooth_spin(grid1d, seed=4).values
     k = np.zeros_like(S0)
     k[:, 0, 2] = 1e200                  # finite state, |S|^2 overflows
-    model = EvolutionModel("overflow", lambda st, dk: np.copyto(dk["S"], k), grid1d)
+    model = EvolutionModel("overflow", lambda st, dk, work=None: np.copyto(dk["S"], k), grid1d)
     with pytest.raises(Blowup) as exc, np.errstate(over="ignore"):
         evolve(model, {"S": S0}, EvolveOptions(dt=1e-3, steps=1))
     assert exc.value.step == 1

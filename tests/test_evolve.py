@@ -1,5 +1,7 @@
+import gc
 import importlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       diff, mxiii_constraint, mxiii_terms, rk4_step, synth)
 from spinsurf import VecField
 from spinsurf.evolve import State
+from spinsurf.fields import Scratch
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
@@ -301,8 +304,9 @@ def catalog_model(name, g):
 
 def test_spatial_order_is_the_highest_derivative():
     g1, g2 = Grid(16, 1, 0.2, 1.0, "periodic"), Grid(16, 16, 0.2, 0.2, "periodic")
+    g2c = Grid(16, 16, 0.2, 0.2, "clamped")         # the one M-XIIIA's potential takes
     for name in ("hf", "lle", "mxiii", "mxiiia", "mxiiib"):
-        assert evolution_model(name, g2).spatial_order == 2
+        assert evolution_model(name, g2c if name == "mxiiia" else g2).spatial_order == 2
     for name in CATALOG:
         spec = _REGISTRY[name]
         # the bound before the KdV models got h^3: 4 for family D and the
@@ -460,23 +464,28 @@ def test_flow_calls_the_name_bound_on_models(monkeypatch, kind, name, grid):
 
 
 def count_binds(monkeypatch):
-    """Calls of the stencil binders: first and second differences, and
-    `wedge_lap`'s neighbour sums (cross products bind with their callers)."""
+    """Calls of the kernel binders: first and second differences, `wedge_lap`
+    with its neighbour sums, and cross products, patched on every module that
+    imports them by name (a from-import escapes a patch on `fields` alone)."""
     calls = []
-    for name in ("_bind_d1", "_bind_d2", "_bind_sum"):
+    for name in ("_bind_d1", "_bind_d2", "_bind_sum", "_bind_wedge", "_bind_cross"):
         original = getattr(fields_module, name)
-        monkeypatch.setattr(fields_module, name,
-                            lambda *a, name=name, f=original: calls.append(name) or f(*a))
+        for module in (fields_module, models_module, magnetoelastic_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name, f=original: calls.append(name) or f(*a))
     return calls
 
 
 @pytest.mark.parametrize("name, boundary, fields", [
     ("hf", "periodic", ("S",)), ("m-xxxiv", "periodic", ("S", "u")),
-    ("m-xliv", "clamped", ("S", "u", "w")), ("m-lvii", "clamped", ("S",))])
+    ("m-xliv", "clamped", ("S", "u", "w")), ("m-lvii", "clamped", ("S",)),
+    ("m-lii", "periodic", ("S", "u", "w")), ("m-xl", "periodic", ("S", "u", "w"))])
 def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, fields):
-    """A flow binds each stencil once for the state and once for RK4's stage
-    array, lazily on the first step: 12 steps bind what 6 do. The two
-    snapshots of each run (snapshot_every = steps) difference S once each."""
+    """A flow binds each kernel, cross products included, once for the state
+    and once for RK4's stage array, lazily on the first step: 12 steps bind
+    what 6 do. The two snapshots of each run (snapshot_every = steps)
+    difference S once each."""
     g = Grid(32, 1, 0.25, 0.25, boundary)
     initial = {"S": synth.smooth_spin(g, seed=5).values, "u": np.zeros((1, 32)),
                "w": np.zeros((1, 32))}
@@ -492,8 +501,32 @@ def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, f
         counts.append(sorted(calls))
         monkeypatch.undo()
     assert counts[0] == counts[1]
-    if name == "hf":        # neighbour sums for state and stage; a diff per snapshot
-        assert counts[0] == ["_bind_d1", "_bind_d1", "_bind_sum", "_bind_sum"]
+    if name == "hf":    # wedge_lap (sums, cross) for state and stage; a diff per snapshot
+        assert counts[0] == ["_bind_cross", "_bind_cross", "_bind_d1", "_bind_d1",
+                             "_bind_sum", "_bind_sum", "_bind_wedge", "_bind_wedge"]
+    if name in ("m-lii", "m-xl"):   # A: wedge_lap's and S ^ e3; D: S ^ S_x and S ^ S_xxxx
+        assert counts[0].count("_bind_cross") == 4
+
+
+def test_a_model_keeps_no_plans_between_runs(monkeypatch):
+    """Each run's kernel plans live in its own Scratch, which ends with the
+    run: after three runs of one model, no Scratch that bound a plan is alive
+    while the model is."""
+    scratches, plan = [], Scratch.plan
+    monkeypatch.setattr(Scratch, "plan",
+                        lambda self, *a: scratches.append(weakref.ref(self)) or plan(self, *a))
+    kept = []
+    for name, g in (("lle", Grid(16, 16, 0.25, 0.25, "periodic")),
+                    ("m-xl", Grid(32, 1, 0.25, 0.25, "periodic"))):
+        model = evolution_model(name, g)
+        initial = {"S": synth.smooth_spin(g, seed=1).values, "u": np.zeros((1, 32)),
+                   "w": np.zeros((1, 32))}
+        for _ in range(3):
+            evolve(model, {k: initial[k] for k in model.fields},
+                   EvolveOptions(dt=0.2 * 0.25 ** model.spatial_order, steps=4, snapshot_every=4))
+        kept.append(model)
+    gc.collect()
+    assert len(kept) == 2 and scratches and all(ref() is None for ref in scratches)
 
 
 def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):
