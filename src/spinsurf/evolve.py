@@ -13,8 +13,11 @@ unless renormalization is switched off.
 
 A model's `rhs(state, k, work)` writes the derivative into k, a State laid
 out like the state, with the plans of work, a `fields.Scratch`. Each run
-makes its workspace (RK4's arrays, the spin norms, the Scratch), steps the
-state in place and drops it. `evolve` knows no model: each family's
+binds its step once: `rk4_workspace` makes RK4's arrays and binds the
+right-hand side, with the run's Scratch, to its two (state, derivative)
+pairs, and the run keeps buffers for the spin norms and their squares. The
+step runs in place on the state, with no allocation, and the run drops it
+all at the end. `evolve` knows no model: each family's
 module wires its formulas into a flow (`models.section_flow`,
 `magnetoelastic.catalog_flow`), and `evolution_model` only refuses and
 dispatches. A model's `monitor`, when it has one, adds fields and
@@ -91,45 +94,57 @@ class State(dict):
             start += np.size(v)
 
 
-def rk4_workspace(state):
-    """rk4_step's work for a State: the stage state, the derivative k (both
-    States), a product, a sum and a boolean mask for the finite checks."""
-    y = state.data
-    return State(state), State(state), np.empty_like(y), np.empty_like(y), np.empty(y.shape, bool)
+def rk4_workspace(state, rhs_fn, dt, out=None):
+    """One classical Runge-Kutta step bound to a `State`: the function
+    step(n) of `rk4_step` for these arguments. It holds the stage state, k1,
+    which then takes the running sum k1 + 2 k2 + 2 k3 + k4, the derivative k
+    of the later stages (all States), a product and a boolean mask for the
+    finite check of every stage's k and of the new state, and rhs_fn bound
+    to its two (state, derivative) pairs."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    out = State(state) if out is None else out
+    stage, k, k1 = State(state), State(state), State(state)
+    y, sd, kd, acc, od = state.data, stage.data, k.data, k1.data, out.data
+    p, mask = np.empty_like(y), np.empty(y.shape, bool)
+    first, later = partial(rhs_fn, state, k1), partial(rhs_fn, stage, k)
+    h, size = dt / 2.0, y.size
+    add, mul, finite, count = np.add, np.multiply, np.isfinite, np.count_nonzero
+
+    def step(n):
+        first()                         # k1, straight into the running sum
+        if count(finite(acc, mask)) < size:
+            raise Blowup(n)
+        add(y, mul(acc, h, p), sd)
+        for c in (h, dt):               # stages 2 and 3, each setting the next stage's state
+            later()
+            if count(finite(kd, mask)) < size:
+                raise Blowup(n)
+            add(acc, mul(kd, 2.0, p), acc)
+            add(y, mul(kd, c, p), sd)
+        later()
+        if count(finite(kd, mask)) < size:
+            raise Blowup(n)
+        add(acc, kd, acc)
+        mul(acc, dt / 6.0, acc)
+        add(y, acc, od)
+        if count(finite(od, mask)) < size:
+            raise Blowup(n)
+        return out
+
+    return step
 
 
 def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
     """One classical Runge-Kutta step on a `State`.
 
     rhs_fn(st, k) writes the derivative at st into the State k. The new
-    state is written into out, a State (which may be state itself), and
-    work is `rk4_workspace(state)`: the stage state, k, a product, the
-    running sum k1 + 2 k2 + 2 k3 + k4 and a mask for the finite check of
-    every stage's k and of the new state. Either is allocated when not given.
+    state is written into out, a State (which may be state itself; allocated
+    when not given). A non-finite k at any stage, or a non-finite new state,
+    raises Blowup(step). work, when given, is `rk4_workspace(state, rhs_fn,
+    dt, out)`, the step bound to these same arguments, which a run makes once.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y, (stage, dk, p, acc, mask) = state.data, work or rk4_workspace(state)
-    out = State(state) if out is None else out
-    st, k = state, dk.data
-    for i, h in enumerate((dt / 2.0, dt / 2.0, dt, None)):
-        rhs_fn(st, dk)
-        if not np.logical_and.reduce(np.isfinite(k, out=mask)):
-            raise Blowup(step)
-        if i == 0:
-            np.copyto(acc, k)
-        elif i == 3:
-            acc += k
-        else:
-            acc += np.multiply(k, 2.0, out=p)
-        if h is not None:
-            np.add(y, np.multiply(k, h, out=p), out=stage.data)
-        st = stage
-    acc *= dt / 6.0
-    np.add(y, acc, out=out.data)
-    if not np.logical_and.reduce(np.isfinite(out.data, out=mask)):
-        raise Blowup(step)
-    return out
+    return (rk4_workspace(state, rhs_fn, dt, out) if work is None else work)(step)
 
 
 def energy_proxy(S):
@@ -223,9 +238,10 @@ def evolve(model, initial, opts):
     """
     check_stability(model, opts)
     state = pack_state(model, initial)
-    # the run's workspace and plans (see the module docstring); each step overwrites state
-    work, rhs = rk4_workspace(state), partial(model.rhs, work=Scratch())
-    n = np.empty(state["S"].shape[1:])
+    # the run's bound step and plans (see the module docstring); each step overwrites state
+    rhs = partial(model.rhs, work=Scratch())
+    work, s = rk4_workspace(state, rhs, opts.dt, state), state["S"]
+    n, sq = np.empty(s.shape[1:]), np.empty(s.shape)
 
     traj = Trajectory()
 
@@ -239,9 +255,9 @@ def evolve(model, initial, opts):
     drift_window = 0.0
     for step in range(1, opts.steps + 1):
         rk4_step(state, rhs, opts.dt, step, out=state, work=work)
-        norm(state["S"], out=n)
+        norm(s, out=n, sq=sq)
         if opts.renormalize:
-            project_sphere(state["S"], n, out=state["S"])
+            project_sphere(s, n, out=s)
         n -= 1.0
         drift_window = max(drift_window, float(np.abs(n, out=n).max()))
         if opts.renormalize and drift_window == np.inf:

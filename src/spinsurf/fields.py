@@ -14,11 +14,13 @@ C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
 (S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
 Each kernel has a binder, `_bind_<kernel>`, that makes its views (flat
 slices, end slabs, component rows) once and returns a `_runner` replaying its
-ufunc calls: `diff`, `wedge_lap` and `cross` bind and run once, and a run
-keeps its runners in its `Scratch` (`plan`), so no RK4 stage rebuilds a view.
+ufunc calls: `diff`, `wedge_lap`, `cross` and `dot` bind and run once, and a
+run keeps its runners in its `Scratch` (`plan`), so no RK4 stage rebuilds a
+view.
 """
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,11 +156,18 @@ class Scratch(dict):
     def plan(self, bind, *args):
         """The runner bind(*args), made on the first request for these args (by
         identity) and kept with them, so that no id is reused while it lives."""
+        got = self.get((bind, *map(id, args)))     # dict.get: no __missing__
+        return self.plan_inputs(bind, args, ()) if got is None else got[0]
+
+    def plan_inputs(self, bind, args, inputs):
+        """plan(bind, *args, *inputs), but the inputs are not part of the key:
+        a request with other inputs binds again in the same entry, so a caller
+        handing in fresh arrays at every call keeps one plan, not one a call."""
         key = (bind, *map(id, args))
-        got = self.get(key)         # dict.get: no __missing__
-        if got is None:
-            got = bind(*args), args
-            if all(a.flags.c_contiguous for a in args if isinstance(a, np.ndarray)):
+        got = self.get(key)
+        if got is None or not all(map(operator.is_, inputs, got[2])):
+            got = bind(*args, *inputs), args, inputs
+            if all(a.flags.c_contiguous for a in (*args, *inputs) if isinstance(a, np.ndarray)):
                 self[key] = got     # other arrays' flat views are copies: bound per call
         return got[0]
 
@@ -194,13 +203,19 @@ def cross(a, b, out=None):
     return _bind_cross(a, b, out)()
 
 
+def _bind_dot(a, b, out=None):
+    p = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    out = np.empty(p.shape[1:]) if out is None else out
+    p0, p1, p2 = (p[i, ...] for i in range(3))         # arrays even for 3-vectors
+    return _runner([(np.multiply, (a, b, p)), (np.add, (p0, p1, out)), (np.add, (out, p2, out))],
+                   out)
+
+
 def dot(a, b):
     """Dot product on (3, ...) arrays, summed left to right like numpy's
-    length-3 reduction: bit for bit np.sum(a * b, 0), without its overhead."""
-    p = a * b
-    out = p[0] + p[1]
-    out += p[2]
-    return out
+    length-3 reduction: bit for bit np.sum(a * b, 0), without its overhead
+    (a NumPy scalar for two 3-vectors)."""
+    return _bind_dot(a, b)()[()]
 
 
 def triple(a, b, c):
@@ -208,13 +223,12 @@ def triple(a, b, c):
     return dot(a, cross(b, c))
 
 
-def norm(a, out=None):
-    """Length of (3, ...) vectors, into out (shaped like a[0]) when given;
-    bit for bit np.linalg.norm(a, axis=0): squares summed left to right."""
-    sq = np.multiply(a[0], a[0], out=out)
-    sq += a[1] * a[1]
-    sq += a[2] * a[2]
-    return np.sqrt(sq, out=out)
+def norm(a, out=None, sq=None):
+    """Length of (3, ...) vectors, into out (shaped like a[0]) when given, with
+    the squares in sq (shaped like a) when given; bit for bit
+    np.linalg.norm(a, axis=0): squares summed left to right."""
+    sq = np.multiply(a, a, out=sq)
+    return np.sqrt(np.add.reduce(sq, axis=0, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,18 @@ S = S.sigma and commutators; the vector forms above divide out the 2i
 from [A.sigma, B.sigma] = 2i (AxB).sigma. `pauli_oracle_rhs` redoes the
 computation literally in matrix form and guards the translation.
 
-`me_spin_rhs` and `me_phonon_rhs` write each formula as one expression that
-allocates its result, with the constants of the entry's `params`: its two
-families' constants, at 1 unless `with_params` (`fields.named_params`) sets
-them. Catalog models evolve on 1-D chains only, where a step costs numpy
-calls rather than memory traffic: `catalog_flow` hands both the run's `work`
-Scratch, whose plans run every stencil and cross product (A, B and E take
-S^S_xx from `wedge_lap`'s), and one x-pass per stage for S_x and u_x.
+Each family's formula is written once, as a binder in `fields`' `_bind_*`
+idiom: it lists its ufunc and kernel calls into arrays made at binding, in
+the order the formula reads (so the bits are those of the written-out
+expression), with the entry's constants and family branches resolved there,
+and the last call writes into the result. The constants are the entry's
+`params`: its two families' constants, at 1 unless `with_params`
+(`fields.named_params`) sets them. `me_spin_rhs` and `me_phonon_rhs` run the
+plan that `work`, a `fields.Scratch`, keeps for their arrays (a fresh one
+binds and runs once). Catalog models evolve on 1-D chains only, where a step
+costs numpy calls rather than memory traffic: `catalog_flow` hands both the
+run's Scratch, the derivative State's fields as their results, and one
+x-pass per stage for S_x and u_x.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +43,8 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import Scratch, _bind_cross, _bind_diff, _bind_wedge, _runner, diff, dot, named_params
+from .fields import (Scratch, _bind_cross, _bind_diff, _bind_dot, _bind_wedge, _runner, diff,
+                     named_params)
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -146,67 +152,158 @@ def _check(spec):
         raise UnimplementedModel(f"{spec.name}: {spec.reason}")
 
 
-def _x(work, a, g, which, keep=None):
-    """diff(a, g, which) from the plan work keeps for a; a fresh a is first
-    copied into work's buffer keep, as a plan binds arrays that last."""
-    if keep:
-        work[keep, a.shape][...] = a
-        a = work[keep, a.shape]
-    return work.plan(_bind_diff, a, None, None, g, which)()
+def _x(calls, a, g, which):
+    """diff(a, g, which)'s plan appended to calls; its result, an array made here."""
+    out = np.empty(a.shape)
+    calls.append((_bind_diff(a, out, None, g, which), ()))
+    return out
 
 
-def me_spin_rhs(spec, s, u, g, sx=None, work=None):
-    """Vector-form spin right-hand side of a catalog model, on a spin array s
-    and a displacement array u. sx, when given, must be S_x = diff(s, g, "dx"),
-    so that a caller stepping both equations computes it once for this and
-    `me_phonon_rhs`. work, a `fields.Scratch`, keeps the stencil and cross
-    plans (keyed on s and sx) and their arrays (a result may be one)."""
-    _check(spec)
-    p, work = spec.param, Scratch() if work is None else work
-    if spec.spin in ("A", "B", "E"):
-        lap = work.plan(_bind_wedge, s, None, None, g, False)()
-    if spec.spin in ("A", "B"):
-        drive = u if spec.spin == "A" else u * s[2]
-        return lap + drive * work.plan(_bind_cross, s, E3)()
-    if spec.spin not in ("C", "D", "E"):
+# family binders: (calls, constants, s, u, grid, S_x, out) append the calls
+# that write the spin family's formula into out, in the order it reads
+
+def _spin_a(calls, p, s, u, g, sx, out):        # S^S_xx + u (S^e3)
+    c = np.empty(s.shape)
+    calls += [(_bind_wedge(s, out, None, g, False), ()), (_bind_cross(s, E3, c), ()),
+              (np.multiply, (u, c, c)), (np.add, (out, c, out))]
+
+
+def _spin_b(calls, p, s, u, g, sx, out):        # S^S_xx + u S3 (S^e3): A's, driven by u S3
+    d = np.empty(np.broadcast_shapes(u.shape, s[2].shape))
+    calls.append((np.multiply, (u, s[2], d)))
+    _spin_a(calls, p, s, d, g, sx, out)
+
+
+def _spin_c(calls, p, s, u, g, sx, out):        # d/dx[(mu |S_x|^2 - u + m) (S^S_x)]
+    q, c = np.empty(sx.shape[1:]), np.empty(s.shape)
+    calls += [(_bind_dot(sx, sx, q), ()), (np.multiply, (p("mu"), q, q)),
+              (np.subtract, (q, u, q)), (np.add, (q, p("m"), q)), (_bind_cross(s, sx, c), ()),
+              (np.multiply, (q, c, c)), (_bind_diff(c, out, None, g, "dx"), ())]
+
+
+def _spin_d(calls, p, s, u, g, sx, out):        # n (S^S_xxxx) + 2 C's flux
+    _spin_c(calls, p, s, u, g, sx, out)
+    c = np.empty(s.shape)
+    calls += [(np.multiply, (out, 2.0, out)), (_bind_cross(s, _x(calls, s, g, "dxxxx"), c), ()),
+              (np.multiply, (p("n"), c, c)), (np.add, (c, out, out))]
+
+
+def _spin_e(calls, p, s, u, g, sx, out):        # S^S_xx + u S_x
+    t = np.empty(s.shape)
+    calls += [(_bind_wedge(s, out, None, g, False), ()), (np.multiply, (u, sx, t)),
+              (np.add, (out, t, out))]
+
+
+_SPIN = {"A": _spin_a, "B": _spin_b, "C": _spin_c, "D": _spin_d, "E": _spin_e}
+
+
+def _bind_spin(spec, s, u, g, out, sx):
+    if spec.spin not in _SPIN:
         raise UnimplementedModel(f"{spec.name} has no spin family")
-    sx = _x(work, s, g, "dx") if sx is None else sx
-    if spec.spin == "E":
-        return lap + u * sx
-    flux = _x(work, (p("mu") * dot(sx, sx) - u + p("m")) * work.plan(_bind_cross, s, sx)(), g,
-              "dx", "f")
-    if spec.spin == "C":
-        return flux
-    return p("n") * work.plan(_bind_cross, s, _x(work, s, g, "dxxxx"))() + 2.0 * flux
+    out, calls = np.empty(s.shape) if out is None else out, []
+    if spec.spin in ("C", "D", "E") and sx is None:
+        sx = _x(calls, s, g, "dx")
+    _SPIN[spec.spin](calls, spec.param, s, u, g, sx, out)
+    return _runner(calls, out)
 
 
-def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None):
-    """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
-    dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself for wave-type ones. sx, ux = u_x and work as for `me_spin_rhs`."""
+def me_spin_rhs(spec, s, u, g, sx=None, work=None, out=None):
+    """Vector-form spin right-hand side of a catalog model, on a spin array s
+    and a displacement array u, written into out (not s, u or sx) when
+    given. sx, when given, must be S_x = diff(s, g, "dx"), so that a caller
+    stepping both equations computes it once for this and `me_phonon_rhs`.
+    work, a `fields.Scratch`, keeps the formula's plan for s, u and out with
+    its arrays (without out, the result is one), bound again when a call
+    hands in another sx."""
+    _check(spec)
+    work = Scratch() if work is None else work
+    return work.plan_inputs(_bind_spin, (spec, s, u, g, out), (sx,))()
+
+
+def _source(calls, spec, s, sx):
+    """The coupling source q: S3 itself, or S3^2, |S_x|^2 or |S_x|^2 / 2 in an
+    array made here."""
+    if spec.source == "s3":
+        return s[2]
+    q = np.empty(s.shape[1:])
+    if spec.source == "s3sq":
+        calls.append((np.square, (s[2], q)))
+    else:
+        calls.append((_bind_dot(sx, sx, q), ()))
+    if spec.source == "trform":
+        calls.append((np.multiply, (0.5, q, q)))
+    return q
+
+
+# (calls, constants, u, q, grid, u_x, out) append the calls that write the
+# phonon family's formula into out: rho w_t for wave-type ones, else u_t
+
+def _phonon_wave(calls, p, u, q, g, ux, out):           # nu0^2 u_xx + lam q_xx
+    a, b = _x(calls, u, g, "dxx"), _x(calls, q, g, "dxx")
+    calls += [(np.multiply, (p("nu0") ** 2, a, a)), (np.multiply, (p("lam"), b, b)),
+              (np.add, (a, b, out))]
+
+
+def _phonon_boussinesq(calls, p, u, q, g, ux, out):     # wave's + alpha (u^2)_xx + beta u_xxxx
+    _phonon_wave(calls, p, u, q, g, ux, out)
+    u2 = np.empty(u.shape)
+    calls.append((np.square, (u, u2)))
+    a, b = _x(calls, u2, g, "dxx"), _x(calls, u, g, "dxxxx")
+    calls += [(np.multiply, (p("alpha"), a, a)), (np.multiply, (p("beta"), b, b)),
+              (np.add, (a, b, a)), (np.add, (out, a, out))]
+
+
+def _phonon_advection(calls, p, u, q, g, ux, out):      # -u_x - lam q_x
+    ux = _x(calls, u, g, "dx") if ux is None else ux
+    b = _x(calls, q, g, "dx")
+    calls += [(np.negative, (ux, out)), (np.multiply, (p("lam"), b, b)),
+              (np.subtract, (out, b, out))]
+
+
+def _phonon_kdv(calls, p, u, q, g, ux, out):            # advection's - alpha (u^2)_x - beta u_xxx
+    _phonon_advection(calls, p, u, q, g, ux, out)
+    u2 = np.empty(u.shape)
+    calls.append((np.square, (u, u2)))
+    a, b = _x(calls, u2, g, "dx"), _x(calls, _x(calls, u, g, "dxx"), g, "dx")
+    calls += [(np.multiply, (p("alpha"), a, a)), (np.multiply, (p("beta"), b, b)),
+              (np.add, (a, b, a)), (np.subtract, (out, a, out))]
+
+
+_PHONON = {"wave": _phonon_wave, "boussinesq": _phonon_boussinesq,
+           "advection": _phonon_advection, "kdv": _phonon_kdv}
+
+
+def _bind_phonon(spec, s, u, w, g, du, dw, sx, ux):
+    wave, calls, p = spec.phonon in ("wave", "boussinesq"), [], spec.param
+    if wave and w is None:
+        raise ValueError(f"{spec.name} needs the velocity field w = u_t")
+    if spec.source in ("sxsq", "trform") and sx is None:
+        sx = _x(calls, s, g, "dx")
+    q = _source(calls, spec, s, sx)
+    if not wave:
+        du = np.empty(u.shape) if du is None else du
+        _PHONON[spec.phonon](calls, p, u, q, g, ux, du)
+        return _runner(calls, (du, None))
+    dw = np.empty(u.shape) if dw is None else dw
+    _PHONON[spec.phonon](calls, p, u, q, g, ux, dw)
+    calls.append((np.divide, (dw, p("rho"), dw)))
+    if du is not None:
+        calls.append((np.copyto, (du, w)))
+    return _runner(calls, (w if du is None else du, dw))
+
+
+def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None, out=None):
+    """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays,
+    written into out = (du_dt, dw_dt) (neither s, u, w, sx nor ux) when
+    given; dw_dt is None for first-order phonon equations, and du_dt is the
+    velocity w itself (or its copy in out) for wave-type ones. sx, ux = u_x
+    and work as for `me_spin_rhs`."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
-    p, work = spec.param, Scratch() if work is None else work
-    if spec.source in ("s3", "s3sq"):
-        q = s[2] if spec.source == "s3" else s[2] ** 2
-    else:
-        sx = _x(work, s, g, "dx") if sx is None else sx
-        q = dot(sx, sx) if spec.source == "sxsq" else 0.5 * dot(sx, sx)
-
-    if spec.phonon in ("wave", "boussinesq"):
-        if w is None:
-            raise ValueError(f"{spec.name} needs the velocity field w = u_t")
-        acc = p("nu0") ** 2 * _x(work, u, g, "dxx") + p("lam") * _x(work, q, g, "dxx", "q")
-        if spec.phonon == "boussinesq":
-            acc += (p("alpha") * _x(work, u ** 2, g, "dxx", "u2")
-                    + p("beta") * _x(work, u, g, "dxxxx"))
-        return w, acc / p("rho")
-    du = -(_x(work, u, g, "dx") if ux is None else ux) - p("lam") * _x(work, q, g, "dx", "q")
-    if spec.phonon == "kdv":
-        du -= (p("alpha") * _x(work, u ** 2, g, "dx", "u2")
-               + p("beta") * _x(work, _x(work, u, g, "dxx"), g, "dx"))
-    return du, None
+    work = Scratch() if work is None else work
+    return work.plan_inputs(_bind_phonon, (spec, s, u, w, g, *(out or (None, None))),
+                             (sx, ux))()
 
 
 def catalog_flow(spec, grid, external_u=None):
@@ -237,10 +334,9 @@ def catalog_flow(spec, grid, external_u=None):
         # S_x once per stage, for both equations of the families that read it; a
         # first-order phonon's state is S's rows then u's, so that pass gives u_x too
         sx, ux = work.plan(x_pass, st.data)() if reads_sx else (None, None)
-        np.copyto(k["S"], me_spin_rhs(spec, s, u, grid, sx, work))
+        me_spin_rhs(spec, s, u, grid, sx, work, k["S"])
         if spec.phonon != "none":
-            for f, d in zip(names[1:], me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux, work)):
-                np.copyto(k[f], d)
+            me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux, work, (k["u"], k.get("w")))
 
     return names, order, rhs
 

@@ -216,13 +216,17 @@ def test_cumtrapz_of_linear_integrand_is_exact():
 # ---------------------------------------------------------------------------
 # evolve against a reference RK4 loop on the public right-hand sides
 
-def reference_run(grid, rhs, state, dt, steps, every):
-    """The classical RK4 step with per-step sphere projection, each projected
-    state admitted as a SpinField; returns the states at the snapshot steps."""
+def reference_run(grid, rhs, state, dt, steps, every, drifts=None, renormalize=True):
+    """The classical RK4 step with per-step sphere projection (unless not
+    renormalize), each projected state admitted as a SpinField; returns the
+    states at the snapshot steps, and appends to drifts, when given, each
+    snapshot's largest pre-projection | |S| - 1 | since the one before."""
     def shifted(k, h):
         return {n: state[n] + h * k[n] for n in state}
 
-    out = [dict(state)]
+    out, window = [dict(state)], 0.0
+    drifts = [] if drifts is None else drifts
+    drifts.append(0.0)
     for step in range(1, steps + 1):
         k1 = rhs(state)
         k2 = rhs(shifted(k1, dt / 2.0))
@@ -230,9 +234,13 @@ def reference_run(grid, rhs, state, dt, steps, every):
         k4 = rhs(shifted(k3, dt))
         state = {n: state[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
                  for n in state}
-        state["S"] = SpinField(grid, project_sphere(state["S"], norm(state["S"]))).values
+        window = max(window, np.abs(np.linalg.norm(state["S"], axis=0) - 1.0).max())
+        if renormalize:
+            state["S"] = SpinField(grid, project_sphere(state["S"], norm(state["S"]))).values
         if step % every == 0:
             out.append(dict(state))
+            drifts.append(window)
+            window = 0.0
     return out
 
 
@@ -273,16 +281,42 @@ def test_evolve_bitwise_equal_field_api_loop(name):
                "w": 0.1 * synth.smooth_scalar(grid, seed=7).values}
     initial = {k: initial[k] for k in model.fields}
     traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8))
-    want = reference_run(grid, rhs, initial, dt, 24, 8)
+    drifts = []
+    want = reference_run(grid, rhs, initial, dt, 24, 8, drifts)
     assert len(traj.snapshots) == len(want) == 4
     for snap, ref in zip(traj.snapshots, want):
         assert isinstance(snap["S"], SpinField)
         for key in ref:
             assert np.array_equal(snap[key].values, ref[key])
+    assert [d["max_norm_drift"] for d in traj.diagnostics] == drifts
     if name in ("mxiiia", "mxiiib"):
         system = mxiiia_system if name == "mxiiia" else mxiiib_system
         phi = system(traj.snapshots[-1]["S"].values, grid, 1.0, 1.0, 1.0, 1.0)[1]
         assert np.array_equal(traj.snapshots[-1]["phi"].values, phi)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_evolve_without_renormalization_bitwise_equal_loop(name):
+    """With renormalization off, the states and each window's norm drift,
+    measured on a state that is never projected, match the allocating loop
+    bit for bit."""
+    grid, rhs = FLOWS[name]
+    model = evolution_model(name, grid)
+    dt = 0.2 * grid.dx ** model.spatial_order
+    initial = {"S": synth.smooth_spin(grid, seed=5).values,
+               "u": 0.3 * synth.smooth_scalar(grid, seed=6).values,
+               "w": 0.1 * synth.smooth_scalar(grid, seed=7).values}
+    initial = {k: initial[k] for k in model.fields}
+    traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8,
+                                                renormalize=False))
+    drifts = []
+    want = reference_run(grid, rhs, initial, dt, 24, 8, drifts, renormalize=False)
+    assert len(traj.snapshots) == len(want) == 4
+    for snap, ref in zip(traj.snapshots, want):
+        for key in ref:
+            assert np.array_equal(snap[key].values, ref[key])
+    assert [d["max_norm_drift"] for d in traj.diagnostics] == drifts
+    assert drifts[-1] > 0.0
 
 
 @pytest.mark.parametrize("name, grid", [("mxiiib", G2), ("mxiiia", G2C)])
@@ -386,14 +420,17 @@ def test_ishimori_residual_is_mxiiias_row(boundary):
 # ---------------------------------------------------------------------------
 # failure paths of the time loop
 
-def counting_rhs(bad_call):
+def counting_rhs(bad_call, bad=np.nan):
+    """A zero right-hand side that writes bad into one node on call bad_call;
+    rhs.calls counts its calls."""
     calls = []
 
     def rhs(st, k, work=None):
         calls.append(1)
         k["S"][...] = 0.0
         if len(calls) == bad_call:
-            k["S"][1, 0, 3] = np.nan
+            k["S"][1, 0, 3] = bad
+    rhs.calls = calls
     return rhs
 
 
@@ -407,17 +444,32 @@ def test_nan_in_one_stage_is_blowup_at_that_step(grid1d, stage):
     assert exc.value.step == 7
 
 
-def test_rk4_step_checks_each_stage():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_rk4_step_checks_each_stage(stage, bad):
     seen = []
 
     def rhs(st, k):
         seen.append(st["y"].copy())
-        k["y"][...] = np.nan if len(seen) == 2 else 1.0
+        k["y"][...] = bad if len(seen) == stage else 1.0
 
     with pytest.raises(Blowup) as exc:
         rk4_step(State({"y": np.zeros((1, 1))}), rhs, 0.1, step=3)
     assert exc.value.step == 3
-    assert len(seen) == 2    # stage 3 never ran on the non-finite stage
+    assert len(seen) == stage    # no later stage ran on the non-finite k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_evolve_stops_at_the_stage_that_blew_up(grid1d, stage, bad):
+    """The run's bound step checks each stage's k as rk4_step does: the
+    right-hand side is not called again after the call that returned bad."""
+    rhs = counting_rhs(4 * 6 + stage, bad)
+    with pytest.raises(Blowup) as exc:
+        evolve(EvolutionModel("bad", rhs, grid1d), {"S": synth.smooth_spin(grid1d, seed=1).values},
+               EvolveOptions(dt=1e-3, steps=20))
+    assert exc.value.step == 7
+    assert len(rhs.calls) == 4 * 6 + stage
 
 
 def test_collapsing_vector_is_near_zero_norm(grid1d):

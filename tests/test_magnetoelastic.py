@@ -10,7 +10,7 @@ from spinsurf import (Grid, ModelSpec, PhononAbsent, ScalarField, SpinField,
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES)
 from spinsurf.magnetoelastic import FAMILIES
-from spinsurf.fields import wedge_lap
+from spinsurf.fields import Scratch, wedge_lap
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
 FAMILY_EXAMPLES = {"A": "M-LVII", "B": "M-LVI", "C": "M-LV",
@@ -264,3 +264,30 @@ def test_buffered_rhs_bitwise_equal_written_out_formula(name, boundary):
             got += [a for a in me_phonon_rhs(spec, s, u, w, g, sx) if a is not None]
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["M-LII", "M-XLVI", "M-XLIII", "M-XXXVII", "M-XXXIV"])
+def test_a_kept_work_does_not_grow_with_fresh_derivatives(name):
+    """Spin families A-E and phonon families wave, advection, boussinesq and
+    kdv: a caller that keeps one Scratch and its s and u arrays, refills them
+    with two states in turn and hands both right-hand sides a fresh S_x and
+    u_x each call leaves as many entries after 100 calls as after 2, and its
+    results are a fresh Scratch's."""
+    spec = catalog_lookup(name)
+    g = Grid(64, 1, 0.2, 1.0, "periodic")
+    states = [random_state(g, seed)[:2] for seed in (1, 2)]
+    s, u = (np.empty_like(a) for a in states[1])
+    w = synth.smooth_scalar(g, seed=9).values
+
+    def run(calls):
+        work = Scratch()
+        for i in range(calls):
+            s[...], u[...] = states[i % 2]
+            got = [me_spin_rhs(spec, s, u, g, diff(s, g, "dx"), work),
+                   *me_phonon_rhs(spec, s, u, w, g, diff(s, g, "dx"), diff(u, g, "dx"), work)]
+        return len(work), got
+
+    (few, _), (many, got) = run(2), run(100)
+    assert many == few
+    want = [me_spin_rhs(spec, s, u, g), *me_phonon_rhs(spec, s, u, w, g)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want) if b is not None)

@@ -1,4 +1,5 @@
-"""Output bytes pinned across commits: sha256 digests of whole output trees.
+"""Output bytes pinned across commits: sha256 digests of whole output trees,
+and of both right-hand sides of every catalog entry on a fixed chain.
 
 Acceptance test 9 compares two runs of the same code; these pins compare a
 run with the digests recorded before the last change to the numerical
@@ -15,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from spinsurf import Grid, catalog_lookup, catalog_names, me_phonon_rhs, me_spin_rhs
 from spinsurf.cli import main
 
 
@@ -170,3 +172,87 @@ def test_output_tree_matches_its_pinned_digest(name, tmp_path):
     argv, files, digest = PINS[name]
     assert main(argv(tmp_path)) == 0
     assert _tree_digest(tmp_path / "out") == (files, digest)
+
+
+# ---------------------------------------------------------------------------
+# every catalog entry's right-hand sides, one digest per entry and boundary
+
+_CONSTANTS = {"mu": 0.75, "m": 1.25, "n": 0.5, "nu0": 1.5, "rho": 1.25, "lam": 0.625,
+              "alpha": 0.375, "beta": 0.875}
+
+
+def _rhs_digest(name, boundary):
+    """sha256 over the bytes of me_spin_rhs's result and, where the entry has
+    a phonon equation, me_phonon_rhs's (du_dt, then dw_dt when there is one),
+    on `_stereo_spin` and rational u, w over 32 sites of 0.2, with every
+    constant the entry reads set from _CONSTANTS."""
+    g = Grid(32, 1, 0.2, 0.2, boundary)
+    spec = catalog_lookup(name)
+    spec = spec.with_params(**{k: _CONSTANTS[k] for k in spec.params})
+    s = np.ascontiguousarray(_stereo_spin(32, 1, 0.2, 0.2).T.reshape(3, 1, 32))
+    X = ((np.arange(32) - 15.5) * 0.2).reshape(1, 32)
+    u, w = 0.5 * X / (1.0 + X * X), (0.25 - 0.5 * X * X) / (2.0 + X * X)
+    out = [me_spin_rhs(spec, s, u, g)]
+    if spec.phonon != "none":
+        out += [a for a in me_phonon_rhs(spec, s, u, w, g) if a is not None]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in out)).hexdigest()
+
+
+RHS_PINS = {
+    ("M-LVII", "periodic"): "027166dcab5f067766916d42f338ef163c4088c8cdd1495eace7e0f974f15c7e",
+    ("M-LVII", "clamped"): "67310740fe6d2f4105a91095423224b053062f25e80ff309626cd40ce987e862",
+    ("M-LVI", "periodic"): "ca0cd72951a1b30b89068c1223c7101ec665a5b26601b1fded3dd291b7464d1e",
+    ("M-LVI", "clamped"): "f3b76677eb6e4001f353c2eab99792cf1f0d87bbe6f1a437262452ddc5459694",
+    ("M-LV", "periodic"): "276a43dd4e590bdef36518b24324d250a6014eaa1d65a30e1f9584389f8a8a3c",
+    ("M-LV", "clamped"): "730e0b6130c7faed8bd137fae254d64cb0b275c3d11619356190eedb56a82e2d",
+    ("M-LIV", "periodic"): "13aa5d9ea47892c7af0599c1c482d0b77363e671bf69cf05edf8a5e63a743d98",
+    ("M-LIV", "clamped"): "c122ff9bdf60d366523dc8be7ba80b1aadf8d74a21afa785997dde3df58fe48d",
+    ("M-LIII", "periodic"): "d241f5ea5804f7ba5cc4ef6473e46d26ad8f2bbebd5574bb931b54246cce38df",
+    ("M-LIII", "clamped"): "494a7ed27a05d0db7aff89c0a92c426164405f378a4a50f60b87da3d3ab7a9f6",
+    ("M-LII", "periodic"): "a20360b0ff663c10b5d290003c76a3118eab5e317e73b00b8fb5e3fb32077d05",
+    ("M-LII", "clamped"): "c019f114a50cd59a979d7eacb15d0d4440692fdffe4182e3201f1f6fcdb564ac",
+    ("M-LI", "periodic"): "74227b7fead80c45618b38b3785608679abdfbd996008ce998e2cf8a8bd5cb93",
+    ("M-LI", "clamped"): "1f7acb78d84348e4b416ffc914752ffb512b20698b07fea8b82e403443c04ad5",
+    ("M-L", "periodic"): "0538654807bb58dfdf7537ccc45bfc016c1d699ed63613efa5a8caeae523568e",
+    ("M-L", "clamped"): "008cc7fe4233f78563254057c3c92d3588532ef6f83de1a7787f873cb0c88630",
+    ("M-XLIX", "periodic"): "65df4e1605205d5cc6b339274b29b316c9a329a05d0ecfde8fcce33138472297",
+    ("M-XLIX", "clamped"): "31be0e2e9f66823f70af3eba845a2f84194d27d301c57e0dd2cca0e390326a6e",
+    ("M-XLVIII", "periodic"): "a2f170e699f91cbfb93c37ac19bef89da14a1183bc3e56cad5d0254df47e2c1a",
+    ("M-XLVIII", "clamped"): "29004a85953c7c5f72d2e726a214ea677affc0e36f7e1e048b89ea2b543d6136",
+    ("M-XLVII", "periodic"): "651779d623eff22aae73fbc3cbf69cbdc8fe5bd6131a0c31378ca23e10e82fd5",
+    ("M-XLVII", "clamped"): "31630938bf34e91a3aebf2f7a95546c27c7a7044c8c467051d62b98ce27cc193",
+    ("M-XLVI", "periodic"): "4856725e4e58db9e26d002d9178953a345953b157e3ac1895dd8560d5d2b7f20",
+    ("M-XLVI", "clamped"): "9208920a16cef6e59ebcbd22323156e8013c48694ecf8b5bb83a625602fa23e7",
+    ("M-XLV", "periodic"): "9e9e195ea7fbceee747f2959607ccdfe8714295b693820cc7d24d94594c11917",
+    ("M-XLV", "clamped"): "c34ba259ce7a48a5c3e584ef1f1a6de243bcbaeb36471a3045448c0357128536",
+    ("M-XLIV", "periodic"): "d47e6ae876d45d01d565bfec885c632b357fddc51860ed4480d59b40c8fef7b9",
+    ("M-XLIV", "clamped"): "1dca35aa74dbdded0e68fc7b0f6eb663d441115fa9bdf84a84a41b24133731e0",
+    ("M-XLIII", "periodic"): "5d0fdf7057fe5ebebd61a4e882d57cdc46203cc0ea091273f51eb02b5305fd7f",
+    ("M-XLIII", "clamped"): "a9273320a75518b754017466f5bb5f627593290ec9e8eed7cbe185a5cb85ff6b",
+    ("M-XLII", "periodic"): "ba88c5a3bbcb9a637f6da00b8f31414d3c6207c598765652ebb4cdcd580b56d8",
+    ("M-XLII", "clamped"): "1de2356110260c6c520358cda76194a9f9ae067b56e9d5030f273022009c8322",
+    ("M-XLI", "periodic"): "4a269176c2e0b8d198b48cea28d204b01d13987eda5ff4f6679d48aa348db424",
+    ("M-XLI", "clamped"): "0ddd2a26ed3d18fa1325be48a85ea12b30224aff72eea746520cd659d95c991c",
+    ("M-XL", "periodic"): "f3a1e2e7f0ca3fc659f0f9dab9bb5b58b9505424e6c83f2fdfd1f23b063cb7c4",
+    ("M-XL", "clamped"): "9c20bba44719e57b49633aa3cb66ee6b690c776503c505eb2f992fd343a8a7d5",
+    ("M-XXXIX", "periodic"): "150041647b8e55478a9690153a9b761ce98db4e06910da0bf131e5204b52e270",
+    ("M-XXXIX", "clamped"): "1a5e47401893ce47066179c7bbfdd0c9b87e9d379dbcbf6f1ff93fba8514aa56",
+    ("M-XXXVIII", "periodic"): "4320fc169edcfcf89e79145c8160e99dd23644153510ecd74d9820453ee85786",
+    ("M-XXXVIII", "clamped"): "209e591b59a3966a72dcdff32b38e32552a23c6ea2d3a6272170acaa34fe8466",
+    ("M-XXXVII", "periodic"): "8ea93bce561bad110f10c1debaed8550a237a8efc876c81249dd5a91a646e285",
+    ("M-XXXVII", "clamped"): "6ac75f7f2b2f9d17c41c588934980917df70ce00965a806f0077931fd1c4570c",
+    ("M-XXXVI", "periodic"): "f823deeaa16aaed5202aec2710fb7e42fa630ccbdfe4da328ea8c3951e281e9a",
+    ("M-XXXVI", "clamped"): "5fc93b0a9c59a7bb9aaab20aae3aa5ba3214d14395e4110390d6d4c36de27ef7",
+    ("M-XXXV", "periodic"): "ea09445d930ba8a603122b07e24afcb7c0636e70f1c0e5cc72b6bf5c7dbcb28e",
+    ("M-XXXV", "clamped"): "a0517861278b28c842b059a6dff312cf4cfa2a96c5b95abb5105de169cb7a7e8",
+    ("M-XXXIV", "periodic"): "614b69399daecc29541310c5963389b6e5445985777af29fe4ec82efa64e8858",
+    ("M-XXXIV", "clamped"): "83c01a46806c9fb47ac57c9817ce3242bfb6032bfbde6925083398eb665bfd37",
+    ("M-XXXIII", "periodic"): "74238f4d0fe929705404ab8da07240211fcb1ef5ee063cb3ce3f7e1f8ac91831",
+    ("M-XXXIII", "clamped"): "89454fc0e1d318788b51a5911081561ca84e03753f512f0d3a6c75318510f753",
+}
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).implemented])
+def test_catalog_rhs_matches_its_pinned_digest(name, boundary):
+    assert _rhs_digest(name, boundary) == RHS_PINS[name, boundary]
