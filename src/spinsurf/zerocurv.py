@@ -10,7 +10,11 @@ zero-curvature condition C_t - D_x + [C, D] = 0 for the frame matrices
 built from curvature k, torsion tau, and angular-velocity entries w1..w3.
 D is used exactly as printed in the source system, which is *not*
 antisymmetric (the (3,2) entry is +w1); an antisymmetrize flag flips that
-entry for callers who want a proper so(3) frame. The complex field
+entry for callers who want a proper so(3) frame. `solve_D` works in so(3)
+only: it takes an antisymmetric C and initial D, and returns an exactly
+antisymmetric D, so it never returns the printed form. An antisymmetric
+matrix A acts as A b = a x b for its vector a, and [A, B] is the matrix
+of a x b, which is how `solve_D` integrates. The complex field
 psi = (k/2) exp(-i Int tau dx) turns compatible curve data into a
 solution of the focusing NLSE  i psi_t + psi_xx + 2 |psi|^2 psi = 0.
 """
@@ -75,38 +79,97 @@ def zc_residual(C, D, dx, dt):
     return resid, float(np.abs(resid).max())
 
 
+# an so(3) matrix A and its vector a, with A b = a x b
+_LOWER = (..., [2, 0, 1], [1, 2, 0])    # A[2,1], A[0,2], A[1,0]: a1, a2, a3
+_UPPER = (..., [1, 2, 0], [2, 0, 1])    # their mirrors: -a1, -a2, -a3
+_MAP_BLOCK = 256    # x-steps whose maps are built at once: bounds their memory
+
+
+def _vee(A, name):
+    """The vectors a of a stack of antisymmetric matrices A, (..., 3, 3) -> (..., 3).
+
+    Both triangles are read, a1 = (A[2,1] - A[1,2]) / 2 and so on, and a
+    non-finite diagonal entry makes its node's a NaN, so every non-finite
+    entry of A reaches a. A finite entry that breaks antisymmetry is a
+    ValueError naming the argument.
+    """
+    lo, up, diag = A[_LOWER], A[_UPPER], np.diagonal(A, axis1=-2, axis2=-1)
+    if (((lo != -up) & np.isfinite(lo) & np.isfinite(up)).any()
+            or ((diag != 0.0) & np.isfinite(diag)).any()):
+        raise ValueError(f"{name} must be antisymmetric (in so(3)) where it is finite")
+    a = 0.5 * (lo - up)
+    a[~np.isfinite(diag).all(axis=-1)] = np.nan
+    return a
+
+
+def _hat(a):
+    """The antisymmetric matrices of a stack of vectors, (..., 3) -> (..., 3, 3)."""
+    A = np.zeros(a.shape + (3,))
+    A[_LOWER] = a
+    A[_UPPER] = -a
+    return A
+
+
+def _rk4_maps(c, ct, h):
+    """Each RK4 x-step of d_x = c_t + c x d as an affine map d -> M d + v.
+
+    c, ct: components-first (3, n + 1, nt) at n + 1 x nodes; returns M
+    (n, nt, 3, 3) and v (n, nt, 3, 1). The equation is linear in d, so one
+    step taken at once from the three basis vectors with c_t dropped, and
+    from d = 0 with it, gives M's columns and v. c and c_t at the midpoint
+    are the means of their end values.
+    """
+    c0, c1, b0, b1 = c[:, :-1, None], c[:, 1:, None], ct[:, :-1], ct[:, 1:]
+    cm, bm = 0.5 * (c0 + c1), 0.5 * (b0 + b1)
+    y = np.zeros((3, b0.shape[1], 4, b0.shape[2]))   # [I | 0]: basis vectors, then d = 0
+    for i in range(3):
+        y[i, :, i] = 1.0
+
+    def f(a, b, z):
+        k = cross(a, z)
+        k[:, :, 3] += b
+        return k
+
+    k1 = f(c0, b0, y)
+    k2 = f(cm, bm, y + 0.5 * h * k1)
+    k3 = f(cm, bm, y + 0.5 * h * k2)
+    k4 = f(c1, b1, y + h * k3)
+    y += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    y = y.transpose(1, 3, 0, 2)         # (n, nt, 3, 4): one x-step's maps contiguous
+    return np.ascontiguousarray(y[..., :3]), np.ascontiguousarray(y[..., 3:])
+
+
 def solve_D(C, D_at_x0, dx, dt):
     """Integrate D_x = C_t + [C, D] in x, per time slice, by RK4.
 
     C: (nt, nx, 3, 3); D_at_x0: (nt, 3, 3) initial data on the line x = x0.
-    C and C_t are linearly interpolated to the RK midpoints, so the
-    resulting zero-curvature residual is second-order small by
-    construction.
+    Both must be antisymmetric wherever they are finite (a ValueError
+    otherwise, so `build_D`'s printed form with w1 != 0 is refused), and
+    the returned D is exactly antisymmetric. The equation is solved for
+    the vectors, d_x = c_t + c x d, each x-step one affine map built for a
+    block of steps at once. C and C_t are linearly interpolated to the RK
+    midpoints, so the resulting zero-curvature residual is second-order
+    small by construction. A non-finite entry, given or reached, is a
+    Blowup naming the first x column it reaches.
     """
     C = np.asarray(C, dtype=float)
     nt, nx = C.shape[:2]
-    Ct = _d1_any(C, dt, 0)
-    D = np.zeros_like(C)
-    D[:, 0] = np.broadcast_to(np.asarray(D_at_x0, dtype=float), (nt, 3, 3))
-
-    def f(c, ct, d):
-        return ct + c @ d - d @ c
-
-    for i in range(nx - 1):
-        c0, c1 = C[:, i], C[:, i + 1]
-        ct0, ct1 = Ct[:, i], Ct[:, i + 1]
-        cm, ctm = 0.5 * (c0 + c1), 0.5 * (ct0 + ct1)
-        d = D[:, i]
-        k1 = f(c0, ct0, d)
-        k2 = f(cm, ctm, d + 0.5 * dx * k1)
-        k3 = f(cm, ctm, d + 0.5 * dx * k2)
-        k4 = f(c1, ct1, d + dx * k3)
-        D[:, i + 1] = d + (dx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    c = np.ascontiguousarray(_vee(C, "C").transpose(2, 1, 0))     # (3, nx, nt)
+    ct = _d1_any(c, dt, 2)
+    d = np.empty((nx, nt, 3, 1))
+    d0 = np.broadcast_to(np.asarray(D_at_x0, dtype=float), (nt, 3, 3))
+    d[0, ..., 0] = _vee(d0, "D_at_x0")
+    for i0 in range(0, nx - 1, _MAP_BLOCK):
+        i1 = min(i0 + _MAP_BLOCK, nx - 1)
+        M, v = _rk4_maps(c[:, i0:i1 + 1], ct[:, i0:i1 + 1], dx)
+        for j in range(i1 - i0):
+            np.matmul(M[j], d[i0 + j], out=d[i0 + j + 1])
+            d[i0 + j + 1] += v[j]
     # a non-finite entry carries into all later columns: the first one is the step
-    bad = ~np.isfinite(D[:, 1:]).all(axis=(0, 2, 3))
+    bad = ~np.isfinite(d[1:]).all(axis=(1, 2, 3))
     if bad.any():
         raise Blowup(int(bad.argmax()) + 1)
-    return D
+    return _hat(d[..., 0].swapaxes(0, 1))
 
 
 def hasimoto(k, tau, dx):
@@ -123,12 +186,12 @@ def hasimoto(k, tau, dx):
 def nlse_residual(psi, dx, dt):
     """|i psi_t + psi_xx + 2 |psi|^2 psi| nodewise, central differences.
 
-    psi: (nt, nx) complex stack, nt >= 3; edge slices use one-sided
-    second-order stencils.
+    psi: (nt, nx) complex stack, nt >= 3 and nx >= 4; edge slices use
+    one-sided second-order stencils.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2 or psi.shape[0] < 3:
-        raise GridTooSmall("NLSE residual needs a (nt >= 3, nx) stack")
+    if psi.ndim != 2 or psi.shape[0] < 3 or psi.shape[1] < 4:
+        raise GridTooSmall(f"NLSE residual needs a (nt >= 3, nx >= 4) stack, got {psi.shape}")
     psi_t = _d1(psi, dt, 0, periodic=False)
     psi_xx = _d2(psi, dx, 1, periodic=False)
     return np.abs(1j * psi_t + psi_xx + 2.0 * np.abs(psi) ** 2 * psi)

@@ -745,6 +745,27 @@ class TestEndToEnd:
         doc = json.loads((tmp_path / "z.json").read_text())
         assert doc["diagnostics"][0]["zc_residual_max"] < 0.1
 
+    @pytest.mark.parametrize("nt, nx", [(3, 3), (2, 8), (3, 2)])
+    def test_zc_skips_the_nlse_residual_below_3_by_4_with_a_note(self, tmp_path, capsys,
+                                                                 nt, nx):
+        curve = tmp_path / "c.csv"
+        fileio.write_curve(curve, 1.0 + 0.1 * np.arange(nt * nx).reshape(nt, nx),
+                           np.full((nt, nx), 0.2), 0.5, 0.25)
+        rc = main(["zc", "--input", str(curve), "--output", str(tmp_path / "z.json")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "z.json").read_text())
+        assert list(doc["diagnostics"][0]) == ["zc_residual_max"]
+        assert doc["notes"][-1] == "nlse-residual-skipped:needs-nt>=3-and-nx>=4"
+
+    def test_zc_on_a_3_by_4_curve_reports_the_nlse_residual(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        fileio.write_curve(curve, 1.0 + 0.1 * np.arange(12.0).reshape(3, 4),
+                           np.full((3, 4), 0.2), 0.5, 0.25)
+        assert main(["zc", "--input", str(curve), "--output", str(tmp_path / "z.json")]) == 0
+        doc = json.loads((tmp_path / "z.json").read_text())
+        assert "nlse_residual_max" in doc["diagnostics"][0]
+        assert doc["notes"] == ["time-axis-identified-with-second-coordinate"]
+
 
 # ---------------------------------------------------------------------------
 # fuzzed inputs: every run ends in a documented exit code, never a traceback

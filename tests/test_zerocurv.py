@@ -5,6 +5,39 @@ from spinsurf import (Grid, build_C, build_D, constant_field, cross, hasimoto,
                       nlse_residual, nlse_soliton, solve_D, synth,
                       vector_zc_residual, zc_residual)
 from spinsurf.errors import Blowup, GridTooSmall
+from spinsurf.zerocurv import _d1_any
+
+
+def solve_D_reference(C, D_at_x0, dx, dt):
+    """The matrix scheme solve_D reproduces in so(3): per-node RK4 on
+    D_x = C_t + [C, D], C and C_t interpolated to the midpoints."""
+    C = np.asarray(C, dtype=float)
+    nt, nx = C.shape[:2]
+    Ct = _d1_any(C, dt, 0)
+    D = np.zeros_like(C)
+    D[:, 0] = np.broadcast_to(np.asarray(D_at_x0, dtype=float), (nt, 3, 3))
+
+    def f(c, ct, d):
+        return ct + c @ d - d @ c
+
+    for i in range(nx - 1):
+        c0, c1 = C[:, i], C[:, i + 1]
+        ct0, ct1 = Ct[:, i], Ct[:, i + 1]
+        cm, ctm = 0.5 * (c0 + c1), 0.5 * (ct0 + ct1)
+        d = D[:, i]
+        k1 = f(c0, ct0, d)
+        k2 = f(cm, ctm, d + 0.5 * dx * k1)
+        k3 = f(cm, ctm, d + 0.5 * dx * k2)
+        k4 = f(c1, ct1, d + dx * k3)
+        D[:, i + 1] = d + (dx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return D
+
+
+def _so3(a):
+    """Antisymmetric matrices of (..., 3) vectors, built from one triangle."""
+    A = np.zeros(a.shape + (3,))
+    A[..., 2, 1], A[..., 0, 2], A[..., 1, 0] = a[..., 0], a[..., 1], a[..., 2]
+    return A - np.swapaxes(A, -1, -2)
 
 
 class TestBuildC:
@@ -93,12 +126,22 @@ class TestSolveD:
 
     @pytest.mark.parametrize("column", [1, 5, 7])
     def test_blowup_names_first_non_finite_column(self, column):
-        # C[:, column] first enters the step that computes D[:, column]
-        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
-        C[1, column, 0, 1] = np.inf
+        # C[:, column] first enters the step that computes D[:, column]; an
+        # entry of either triangle or of the diagonal counts
+        for entry in ((0, 1), (1, 0), (2, 1), (1, 1)):
+            C = build_C(np.ones((3, 8)), np.ones((3, 8)))
+            C[(1, column) + entry] = np.inf
+            with pytest.raises(Blowup) as exc, np.errstate(invalid="ignore"):
+                solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
+            assert exc.value.step == column, entry
+
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 2), (0, 0)])
+    def test_blowup_from_non_finite_initial_data_in_any_entry(self, entry):
+        D0 = np.zeros((3, 3, 3))
+        D0[(1,) + entry] = np.inf
         with pytest.raises(Blowup) as exc, np.errstate(invalid="ignore"):
-            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-        assert exc.value.step == column
+            solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
+        assert exc.value.step == 1
 
     def test_non_finite_initial_data_is_blowup_at_step_1(self):
         D0 = np.zeros((3, 3, 3))
@@ -106,6 +149,68 @@ class TestSolveD:
         with pytest.raises(Blowup) as exc:
             solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
         assert exc.value.step == 1
+
+
+class TestSolveDAgainstMatrixScheme:
+    """solve_D integrates vectors; the per-node matrix RK4 is its reference."""
+
+    @staticmethod
+    def _agree(C, D0, dx, dt):
+        D = solve_D(C, D0, dx, dt)
+        ref = solve_D_reference(C, D0, dx, dt)
+        assert np.abs(D - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(D + np.swapaxes(D, -1, -2) == 0.0)
+        return D
+
+    def test_soliton_curve(self):
+        # k = 2a sech(a(x - 2at)), tau = -a: the boosted NLSE soliton's curve
+        a, nx, nt = 1.1, 1025, 9
+        x, t = np.linspace(-20.0, 20.0, nx), np.linspace(0.0, 1.0, nt)
+        X, T = np.meshgrid(x, t)
+        k = 2 * a / np.cosh(a * (X - 2 * a * T))
+        C = build_C(k, np.full_like(k, -a))
+        D = self._agree(C, np.zeros((nt, 3, 3)), x[1] - x[0], t[1] - t[0])
+        assert np.abs(D).max() > 1.0
+
+    def test_random_so3_data_and_initial_line(self, rng):
+        nt, nx = 7, 300       # more x-steps than one block of maps
+        C = _so3(rng.standard_normal((nt, nx, 3)))
+        D0 = _so3(rng.standard_normal((nt, 3)))
+        D = self._agree(C, D0, 0.01, 0.05)
+        assert np.array_equal(D[:, 0], D0)
+
+    def test_one_initial_matrix_broadcasts_over_time(self, rng):
+        C = _so3(rng.standard_normal((4, 6, 3)))
+        D0 = _so3(rng.standard_normal(3))
+        assert np.array_equal(solve_D(C, D0, 0.1, 0.1),
+                              solve_D(C, np.broadcast_to(D0, (4, 3, 3)), 0.1, 0.1))
+
+
+class TestSolveDRefusesNonSo3:
+    @pytest.mark.parametrize("entry, value", [((0, 1), 2.0), ((1, 0), 0.5),
+                                              ((2, 2), 1e-300), ((0, 2), 1e308)])
+    def test_finite_C_off_antisymmetry(self, entry, value):
+        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
+        C[(2, 4) + entry] = value
+        with pytest.raises(ValueError, match="^C must be antisymmetric"):
+            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
+
+    def test_printed_D_as_initial_data(self):
+        one, zero = np.ones(3), np.zeros(3)
+        D0 = build_D(one, zero, zero)            # D[2,1] = +w1, as printed
+        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
+        with pytest.raises(ValueError, match="^D_at_x0 must be antisymmetric"):
+            solve_D(C, D0, 0.1, 0.1)
+        D = solve_D(C, build_D(one, zero, zero, antisymmetrize=True), 0.1, 0.1)
+        assert np.all(D + np.swapaxes(D, -1, -2) == 0.0)
+
+    def test_non_finite_off_antisymmetry_is_blowup(self):
+        # a NaN whose mirror is finite is no refusal: it ends in Blowup
+        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
+        C[0, 3, 1, 2] = np.nan
+        with pytest.raises(Blowup) as exc:
+            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
+        assert exc.value.step == 3
 
 
 class TestHasimoto:
@@ -216,6 +321,11 @@ def test_zc_residual_refuses_unmatched_stacks():
 def test_nlse_residual_needs_three_time_slices():
     with pytest.raises(GridTooSmall, match="nt >= 3"):
         nlse_residual(np.ones((2, 8), dtype=complex), 0.1, 0.1)
+
+
+def test_nlse_residual_needs_four_x_nodes():
+    with pytest.raises(GridTooSmall, match=r"NLSE residual needs .*nx >= 4"):
+        nlse_residual(np.ones((3, 3), dtype=complex), 0.1, 0.1)
 
 
 def test_solve_D_refuses_a_one_slice_stack():
