@@ -53,13 +53,13 @@ class NonConvergence(SpinsurfError):
 
 
 class Blowup(SpinsurfError):
-    """Time integration produced a non-finite value."""
+    """Integration reached a non-finite value at `step`; `counts` names its unit."""
 
     exit_code = 3
 
-    def __init__(self, step):
+    def __init__(self, step, counts="step"):
         self.step = step
-        super().__init__(f"non-finite value at step {step}")
+        super().__init__(f"non-finite value at {counts} {step}")
 
 
 class NonFiniteResult(SpinsurfError):

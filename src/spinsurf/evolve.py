@@ -98,15 +98,15 @@ def rk4_workspace(state, rhs_fn, dt, out=None):
     """One classical Runge-Kutta step bound to a `State`: the function
     step(n) of `rk4_step` for these arguments. It holds the stage state, k1,
     which then takes the running sum k1 + 2 k2 + 2 k3 + k4, the derivative k
-    of the later stages (all States), a product and a boolean mask for the
-    finite check of every stage's k and of the new state, and rhs_fn bound
-    to its two (state, derivative) pairs."""
+    of the later stages (all States; the stage state and k also take the
+    products), a boolean mask for the finite check of every stage's k and of
+    the new state, and rhs_fn bound to its two (state, derivative) pairs."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     out = State(state) if out is None else out
     stage, k, k1 = State(state), State(state), State(state)
     y, sd, kd, acc, od = state.data, stage.data, k.data, k1.data, out.data
-    p, mask = np.empty_like(y), np.empty(y.shape, bool)
+    mask = np.empty(y.shape, bool)
     first, later = partial(rhs_fn, state, k1), partial(rhs_fn, stage, k)
     h, size = dt / 2.0, y.size
     add, mul, finite, count = np.add, np.multiply, np.isfinite, np.count_nonzero
@@ -115,13 +115,13 @@ def rk4_workspace(state, rhs_fn, dt, out=None):
         first()                         # k1, straight into the running sum
         if count(finite(acc, mask)) < size:
             raise Blowup(n)
-        add(y, mul(acc, h, p), sd)
+        add(y, mul(acc, h, sd), sd)
         for c in (h, dt):               # stages 2 and 3, each setting the next stage's state
             later()
             if count(finite(kd, mask)) < size:
                 raise Blowup(n)
-            add(acc, mul(kd, 2.0, p), acc)
-            add(y, mul(kd, c, p), sd)
+            add(y, mul(kd, c, sd), sd)
+            add(acc, mul(kd, 2.0, kd), acc)
         later()
         if count(finite(kd, mask)) < size:
             raise Blowup(n)

@@ -6,6 +6,8 @@ runs produce byte-identical files. A file row holds one node's components,
 which come first in memory, (comps, ny, nx): the transpose is made here.
 """
 
+import warnings
+
 import numpy as np
 
 from .errors import FormatError, GridTooSmall, NonFiniteResult, NonFiniteValue
@@ -48,18 +50,16 @@ def _write_table(path, magic, keys, header, vals):
 
 
 def _parse_block(rows, first, nx, ncols):
-    """Bulk parse of the data rows first, first + 1, ...: a bare ValueError unless
-    each has 1 + ncols commas, i and j as str() of its node and float() values."""
-    width = 2 + ncols
-    nodes = range(first, first + len(rows))
-    tokens = ",".join(rows).split(",")
-    if ({row.count(",") for row in rows} != {width - 1}
-            or tokens[0::width] != [str(n % nx) for n in nodes]
-            or tokens[1::width] != [str(n // nx) for n in nodes]):
+    """Bulk parse of the data rows first, first + 1, ...: raises unless each row
+    is its node's i and j as plain integers, then ncols float values."""
+    with warnings.catch_warnings():     # older numpy reads an int "3.0", with a warning
+        warnings.simplefilter("error")
+        t = np.loadtxt(rows, [("i", np.int64), ("j", np.int64), ("v", float, (ncols,))],
+                       delimiter=",", comments=None, ndmin=1)
+    n = np.arange(first, first + len(rows))
+    if len(t) != len(rows) or (t["i"] != n % nx).any() or (t["j"] != n // nx).any():
         raise ValueError
-    del tokens[0::width]            # the i column, then the j column
-    del tokens[0::width - 1]
-    return np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, ncols)
+    return t["v"]
 
 
 def _read_table(path, magic, keys, layout):
@@ -97,7 +97,7 @@ def _read_table(path, magic, keys, layout):
         rows = lines[2 + a:2 + a + _BLOCK]
         try:
             vals[a:a + len(rows)] = _parse_block(rows, a, nx, ncols)
-        except ValueError:      # per line: names the first bad row, or reads them all
+        except Exception:       # per line: names the first bad row, or reads them all
             for n, line in enumerate(rows, a):
                 parts = line.split(",")
                 try:

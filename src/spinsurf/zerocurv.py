@@ -64,6 +64,12 @@ def build_D(w1, w2, w3, antisymmetrize=False):
     return d
 
 
+def require_time_slices(nt):
+    """The residual's rule, for callers that check it before building D."""
+    if nt < 2:
+        raise GridTooSmall("zero-curvature residual needs >= 2 time slices")
+
+
 def zc_residual(C, D, dx, dt):
     """Matrix residual C_t - D_x + [C, D] and its max entry magnitude.
 
@@ -73,8 +79,7 @@ def zc_residual(C, D, dx, dt):
     C, D = np.asarray(C, dtype=float), np.asarray(D, dtype=float)
     if C.shape != D.shape or C.ndim != 4:
         raise ValueError("C and D must be matching (nt, nx, 3, 3) stacks")
-    if C.shape[0] < 2:
-        raise GridTooSmall("zero-curvature residual needs >= 2 time slices")
+    require_time_slices(C.shape[0])
     resid = _d1_any(C, dt, 0) - _d1_any(D, dx, 1) + C @ D - D @ C
     return resid, float(np.abs(resid).max())
 
@@ -165,10 +170,10 @@ def solve_D(C, D_at_x0, dx, dt):
         for j in range(i1 - i0):
             np.matmul(M[j], d[i0 + j], out=d[i0 + j + 1])
             d[i0 + j + 1] += v[j]
-    # a non-finite entry carries into all later columns: the first one is the step
+    # a non-finite entry carries into all later columns: the first one is named
     bad = ~np.isfinite(d[1:]).all(axis=(1, 2, 3))
     if bad.any():
-        raise Blowup(int(bad.argmax()) + 1)
+        raise Blowup(int(bad.argmax()) + 1, "x column")
     return _hat(d[..., 0].swapaxes(0, 1))
 
 

@@ -244,6 +244,8 @@ FAILURES = [
         d, "--model", "m-xxxiv", "--nx", "16", "--dx", "0.2", "--dt", "1e-5",
         "--param", "self=1")),
     ("zc-non-finite-residual", 3, lambda d: _curve(d, _huge_curve)),
+    ("zc-one-time-slice", 2, lambda d: _curve(
+        d, lambda ls: [ls[0], ls[1].replace("nt=5", "nt=1")] + ls[2:10])),
     ("dt-safety-nan", 2, lambda d: _simulate(
         d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
         "--dt-safety", "nan")),
@@ -381,6 +383,7 @@ FAILURE_MESSAGES = {
     "output-holds-snapshots": "holds another run's snapshots; name a new --output",
     "mxiiia-periodic": "mxiiia solves for its potential on a clamped grid",
     "mxiiib-clamped": "mxiiib solves for its potential on a periodic grid",
+    "zc-one-time-slice": "zero-curvature residual needs >= 2 time slices",
 }
 
 
@@ -401,9 +404,11 @@ def test_failure_message_names_the_cause(tmp_path, capsys, name):
     assert FAILURE_MESSAGES[name] in capsys.readouterr().err
 
 
-# what the exit-3 message of an overflow in FAILURES names: the setting and its value
+# what the exit-3 message of an overflow in FAILURES names: the setting and its
+# value, or where the integration overflowed (solve_D steps over x columns)
 OVERFLOW_MESSAGES = {"step-bound-overflow": "h = 1e+200, p = 2, dt_safety = 0.2",
-                     "phonon-speed-overflow": "nu0 = 1e+200"}
+                     "phonon-speed-overflow": "nu0 = 1e+200",
+                     "zc-non-finite-residual": "non-finite value at x column 1\n"}
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOW_MESSAGES))

@@ -46,7 +46,7 @@ class TestRk4Step:
 
     def test_blowup_on_nan(self):
         state = State({"y": np.array([[1.0]])})
-        with pytest.raises(Blowup):
+        with pytest.raises(Blowup, match="^non-finite value at step 7$"):
             rk4_step(state, lambda st, k: np.copyto(k["y"], st["y"] * np.nan), 0.1, step=7)
 
     def test_blowup_when_only_the_final_sum_overflows(self):

@@ -367,12 +367,15 @@ def _compensate(rows):
 # rows 3 and 2500 (in the second block) of a 64x40 field: node i is 3 and 4
 @pytest.mark.parametrize("edit, outcome", [
     (_set(3, 0, "+3"), Grid), (_set(3, 0, " 3"), Grid), (_set(2500, 0, "+4"), Grid),
-    (_set(3, 2, "1_0"), Grid), (_set(2500, 3, " 1.5"), Grid),
+    (_set(3, 0, "3.0"), FormatError), (_set(3, 0, "3e0"), FormatError),
+    (_set(3, 0, "0x3"), FormatError), (_set(3, 0, "\u0663"), Grid),
+    (_set(3, 2, "1_0"), Grid), (_set(2500, 3, " 1.5"), Grid), (_set(3, 2, "1.5e"), FormatError),
     (_set(3, 2, "nan"), NonFiniteValue), (_set(3, 4, "inf"), NonFiniteValue),
     (_set(2500, 2, "1e999"), NonFiniteValue),
     (_set(3, 2, "0x1p3"), FormatError), (_set(2500, 2, "0x1p3"), FormatError),
     (_compensate, FormatError)],
-    ids=["plus-index", "space-index", "plus-index-2nd-block", "underscore", "space-value",
+    ids=["plus-index", "space-index", "plus-index-2nd-block", "float-index", "exp-index",
+         "hex-index", "arabic-indic-index", "underscore", "space-value", "cut-exponent",
          "nan", "inf", "1e999", "hex-float", "hex-float-2nd-block", "compensating-rows"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_bulk_reader_explicit_rows(edit, outcome, newline):
@@ -445,6 +448,14 @@ def test_export_mesh_peak_memory_below_file_size(tmp_path):
     path = tmp_path / "m.obj"
     peak = _traced_peak(lambda: fileio.export_mesh(path, mesh, normals))
     assert peak < path.stat().st_size
+
+
+def test_read_field_peak_memory_within_four_file_sizes(tmp_path):
+    # the bench history, 7.1 MB: the file's text and lines, parsed block by block
+    path = tmp_path / "S.csv"
+    fileio.write_field(path, synth.smooth_spin(Grid(256, 401, 0.1, 0.01, CLAMPED), seed=5))
+    peak = _traced_peak(lambda: fileio.read_field(path))
+    assert peak < 4 * path.stat().st_size
 
 
 def test_write_field_peak_memory_below_file_size(tmp_path):

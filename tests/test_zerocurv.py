@@ -149,6 +149,7 @@ class TestSolveD:
         with pytest.raises(Blowup) as exc:
             solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
         assert exc.value.step == 1
+        assert str(exc.value) == "non-finite value at x column 1"     # not a time step
 
 
 class TestSolveDAgainstMatrixScheme:
