@@ -5,19 +5,19 @@ first, see `fields`) and for magnetoelastic models the (ny, nx) "u" and "w",
 are named views of one contiguous float array, so `rk4_step`, the
 classical 4-stage Runge-Kutta update, runs its stage, sum and finite-check
 arithmetic once per stage on the whole array. Model right-hand sides are
-the array functions of `models` and `magnetoelastic`, so no field object is
+array binders from `models` and `magnetoelastic`, so no field object is
 built inside the time loop; fields wrap the state only when a snapshot is
 taken. After every full step the spin part is renormalized (the
 pre-projection norm drift is recorded as the integrator's error monitor)
 unless renormalization is switched off.
 
-A model's `rhs(state, k, work)` writes the derivative into k, a State laid
-out like the state, with the plans of work, a `fields.Scratch`. Each run
-binds its step once: `rk4_workspace` makes RK4's arrays and binds the
-right-hand side, with the run's Scratch, to its two (state, derivative)
-pairs, and the run keeps buffers for the spin norms and their squares. The
-step runs in place on the state, with no allocation, and the run drops it
-all at the end. `evolve` knows no model: each family's
+A model's `rhs` is a binder: rhs(state, k) returns a runner, run(), that
+writes the derivative at state into k, a State laid out like the state,
+with every view and buffer made at binding. Each run binds its step once:
+`rk4_workspace` makes RK4's arrays and binds the right-hand side to its two
+(state, derivative) pairs, and the run keeps buffers for the spin norms and
+their squares. The step runs in place on the state, with no allocation, and
+the run drops it all at the end. `evolve` knows no model: each family's
 module wires its formulas into a flow (`models.section_flow`,
 `magnetoelastic.catalog_flow`), and `evolution_model` only refuses and
 dispatches. A model's `monitor`, when it has one, adds fields and
@@ -25,13 +25,11 @@ diagnostics to each snapshot.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .errors import Blowup, ConfigError, NonFiniteResult
-from .fields import (ScalarField, Scratch, SpinField, VecField, diff, dot, is_unit, norm,
-                     project_sphere)
+from .fields import ScalarField, SpinField, VecField, diff, dot, is_unit, norm, project_sphere
 from .magnetoelastic import catalog_flow, catalog_lookup
 from .models import STATIONARY_KINDS, section_flow
 
@@ -74,7 +72,7 @@ class EvolutionModel:
     snapshot monitor."""
 
     name: str
-    rhs: object                    # (State, k, work) -> None, the derivative written into k
+    rhs: object                    # (State, k) -> run; run() writes the derivative into k
     grid: object
     fields: tuple = ("S",)
     spatial_order: int = 2
@@ -94,20 +92,21 @@ class State(dict):
             start += np.size(v)
 
 
-def rk4_workspace(state, rhs_fn, dt, out=None):
+def rk4_workspace(state, bind, dt, out=None):
     """One classical Runge-Kutta step bound to a `State`: the function
     step(n) of `rk4_step` for these arguments. It holds the stage state, k1,
     which then takes the running sum k1 + 2 k2 + 2 k3 + k4, the derivative k
     of the later stages (all States; the stage state and k also take the
     products), a boolean mask for the finite check of every stage's k and of
-    the new state, and rhs_fn bound to its two (state, derivative) pairs."""
+    the new state, and the runners that bind(st, k) returns for its two
+    (state, derivative) pairs."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     out = State(state) if out is None else out
     stage, k, k1 = State(state), State(state), State(state)
     y, sd, kd, acc, od = state.data, stage.data, k.data, k1.data, out.data
     mask = np.empty(y.shape, bool)
-    first, later = partial(rhs_fn, state, k1), partial(rhs_fn, stage, k)
+    first, later = bind(state, k1), bind(stage, k)
     h, size = dt / 2.0, y.size
     add, mul, finite, count = np.add, np.multiply, np.isfinite, np.count_nonzero
 
@@ -135,16 +134,18 @@ def rk4_workspace(state, rhs_fn, dt, out=None):
     return step
 
 
-def rk4_step(state, rhs_fn, dt, step=0, out=None, work=None):
+def rk4_step(state, bind, dt, step=0, out=None, work=None):
     """One classical Runge-Kutta step on a `State`.
 
-    rhs_fn(st, k) writes the derivative at st into the State k. The new
-    state is written into out, a State (which may be state itself; allocated
-    when not given). A non-finite k at any stage, or a non-finite new state,
-    raises Blowup(step). work, when given, is `rk4_workspace(state, rhs_fn,
-    dt, out)`, the step bound to these same arguments, which a run makes once.
+    bind(st, k) returns a runner whose every call writes the derivative at
+    the State st into the State k; the step binds it once to the state and
+    once to its stage state. The new state is written into out, a State
+    (which may be state itself; allocated when not given). A non-finite k at
+    any stage, or a non-finite new state, raises Blowup(step). work, when
+    given, is `rk4_workspace(state, bind, dt, out)`, the step bound to these
+    same arguments, which a run makes once.
     """
-    return (rk4_workspace(state, rhs_fn, dt, out) if work is None else work)(step)
+    return (rk4_workspace(state, bind, dt, out) if work is None else work)(step)
 
 
 def energy_proxy(S):
@@ -238,9 +239,8 @@ def evolve(model, initial, opts):
     """
     check_stability(model, opts)
     state = pack_state(model, initial)
-    # the run's bound step and plans (see the module docstring); each step overwrites state
-    rhs = partial(model.rhs, work=Scratch())
-    work, s = rk4_workspace(state, rhs, opts.dt, state), state["S"]
+    # the run's bound step (see the module docstring); each step overwrites state
+    work, s = rk4_workspace(state, model.rhs, opts.dt, state), state["S"]
     n, sq = np.empty(s.shape[1:]), np.empty(s.shape)
 
     traj = Trajectory()
@@ -254,7 +254,7 @@ def evolve(model, initial, opts):
     record(0.0, 0.0)
     drift_window = 0.0
     for step in range(1, opts.steps + 1):
-        rk4_step(state, rhs, opts.dt, step, out=state, work=work)
+        rk4_step(state, model.rhs, opts.dt, step, out=state, work=work)
         norm(s, out=n, sq=sq)
         if opts.renormalize:
             project_sphere(s, n, out=s)

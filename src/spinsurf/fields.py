@@ -13,14 +13,14 @@ axis is one contiguous pass; their `out` and `tmp` arrays must be
 C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
 (S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
 Each kernel has a binder, `_bind_<kernel>`, that makes its views (flat
-slices, end slabs, component rows) once and returns a `_runner` replaying its
-ufunc calls: `diff`, `wedge_lap`, `cross` and `dot` bind and run once, and a
-run keeps its runners in its `Scratch` (`plan`), so no RK4 stage rebuilds a
-view.
+slices, end slabs, component rows) and buffers once and returns a `_runner`
+replaying its ufunc calls: `diff`, `wedge_lap`, `cross` and `dot` bind and run
+once, and a flow's binder (`models.section_flow`,
+`magnetoelastic.catalog_flow`) binds its kernels once per run, so no RK4
+stage rebuilds a view.
 """
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,34 +142,6 @@ def named_params(owner, table, given=None):
         raise ValueError(f"{owner} reads only {list(table)}, not {unread}" if unread
                          else f"{owner} needs {missing}")
     return params
-
-
-class Scratch(dict):
-    """Float arrays and kernel runners (`plan`) kept from call to call:
-    `scratch[name, shape]` makes an array on the first request for that name
-    and shape and returns it after, so a fresh Scratch allocates everything."""
-
-    def __missing__(self, key):
-        buf = self[key] = np.empty(key[1])
-        return buf
-
-    def plan(self, bind, *args):
-        """The runner bind(*args), made on the first request for these args (by
-        identity) and kept with them, so that no id is reused while it lives."""
-        got = self.get((bind, *map(id, args)))     # dict.get: no __missing__
-        return self.plan_inputs(bind, args, ()) if got is None else got[0]
-
-    def plan_inputs(self, bind, args, inputs):
-        """plan(bind, *args, *inputs), but the inputs are not part of the key:
-        a request with other inputs binds again in the same entry, so a caller
-        handing in fresh arrays at every call keeps one plan, not one a call."""
-        key = (bind, *map(id, args))
-        got = self.get(key)
-        if got is None or not all(map(operator.is_, inputs, got[2])):
-            got = bind(*args, *inputs), args, inputs
-            if all(a.flags.c_contiguous for a in (*args, *inputs) if isinstance(a, np.ndarray)):
-                self[key] = got     # other arrays' flat views are copies: bound per call
-        return got[0]
 
 
 def _runner(calls, result=None):

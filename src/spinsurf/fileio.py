@@ -71,7 +71,11 @@ def _read_table(path, magic, keys, layout):
     """
     # undecodable bytes fail the token checks below, with their line number
     with open(path, errors="replace") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    # numpy's loadtxt can crash the process on a character beyond the BMP in
+    # an integer column, so only an all-ASCII file is parsed in bulk
+    bulk, lines = text.isascii(), text.splitlines()
+    del text                # the rows alone, while they are parsed
     if not lines or lines[0] != magic:
         raise FormatError(1, f"expected header {magic!r}")
     if len(lines) < 2:
@@ -96,6 +100,8 @@ def _read_table(path, magic, keys, layout):
     for a in range(0, expected, _BLOCK):
         rows = lines[2 + a:2 + a + _BLOCK]
         try:
+            if not bulk:
+                raise ValueError
             vals[a:a + len(rows)] = _parse_block(rows, a, nx, ncols)
         except Exception:       # per line: names the first bad row, or reads them all
             for n, line in enumerate(rows, a):

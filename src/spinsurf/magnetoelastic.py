@@ -29,12 +29,11 @@ the order the formula reads (so the bits are those of the written-out
 expression), with the entry's constants and family branches resolved there,
 and the last call writes into the result. The constants are the entry's
 `params`: its two families' constants, at 1 unless `with_params`
-(`fields.named_params`) sets them. `me_spin_rhs` and `me_phonon_rhs` run the
-plan that `work`, a `fields.Scratch`, keeps for their arrays (a fresh one
-binds and runs once). Catalog models evolve on 1-D chains only, where a step
-costs numpy calls rather than memory traffic: `catalog_flow` hands both the
-run's Scratch, the derivative State's fields as their results, and one
-x-pass per stage for S_x and u_x.
+(`fields.named_params`) sets them. `me_spin_rhs` and `me_phonon_rhs` bind
+and run once. Catalog models evolve on 1-D chains only, where a step costs
+numpy calls rather than memory traffic: `catalog_flow`'s binder binds one
+x-pass for S_x and u_x and both formulas, into the derivative State's
+fields, in one runner per run.
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,8 +42,7 @@ import numpy as np
 
 from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedModel,
                      UnknownModel)
-from .fields import (Scratch, _bind_cross, _bind_diff, _bind_dot, _bind_wedge, _runner, diff,
-                     named_params)
+from .fields import _bind_cross, _bind_diff, _bind_dot, _bind_wedge, _runner, diff, named_params
 
 SPIN_FAMILIES = ("A", "B", "C", "D", "E")
 
@@ -207,17 +205,13 @@ def _bind_spin(spec, s, u, g, out, sx):
     return _runner(calls, out)
 
 
-def me_spin_rhs(spec, s, u, g, sx=None, work=None, out=None):
+def me_spin_rhs(spec, s, u, g, sx=None, out=None):
     """Vector-form spin right-hand side of a catalog model, on a spin array s
     and a displacement array u, written into out (not s, u or sx) when
     given. sx, when given, must be S_x = diff(s, g, "dx"), so that a caller
-    stepping both equations computes it once for this and `me_phonon_rhs`.
-    work, a `fields.Scratch`, keeps the formula's plan for s, u and out with
-    its arrays (without out, the result is one), bound again when a call
-    hands in another sx."""
+    stepping both equations computes it once for this and `me_phonon_rhs`."""
     _check(spec)
-    work = Scratch() if work is None else work
-    return work.plan_inputs(_bind_spin, (spec, s, u, g, out), (sx,))()
+    return _bind_spin(spec, s, u, g, out, sx)()
 
 
 def _source(calls, spec, s, sx):
@@ -292,23 +286,23 @@ def _bind_phonon(spec, s, u, w, g, du, dw, sx, ux):
     return _runner(calls, (w if du is None else du, dw))
 
 
-def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, work=None, out=None):
+def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, out=None):
     """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays,
     written into out = (du_dt, dw_dt) (neither s, u, w, sx nor ux) when
     given; dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself (or its copy in out) for wave-type ones. sx, ux = u_x
-    and work as for `me_spin_rhs`."""
+    velocity w itself (or its copy in out) for wave-type ones. sx as for
+    `me_spin_rhs`; ux, when given, must be u_x."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
-    work = Scratch() if work is None else work
-    return work.plan_inputs(_bind_phonon, (spec, s, u, w, g, *(out or (None, None))),
-                             (sx, ux))()
+    return _bind_phonon(spec, s, u, w, g, *(out or (None, None)), sx, ux)()
 
 
 def catalog_flow(spec, grid, external_u=None):
-    """An entry's state fields, highest x-derivative and rhs(st, k, work=None)
-    on a 1-D grid; a 0-type entry needs external_u, a ScalarField held fixed."""
+    """An entry's state fields, highest x-derivative and binder, bind(st, k)
+    -> run, whose run() writes the derivative at the State st into the State
+    k, on a 1-D grid; a 0-type entry needs external_u, a ScalarField held
+    fixed."""
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
     order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
@@ -323,22 +317,21 @@ def catalog_flow(spec, grid, external_u=None):
     reads_sx = spec.spin in ("C", "D", "E")
     shared = reads_sx and names == ("S", "u")
 
-    def x_pass(data):       # bound once for each State's data, with its views S_x and u_x
-        d = np.empty((4 if shared else 3, 1, grid.nx))
-        return _runner([(_bind_diff(data.reshape(-1, 1, grid.nx)[:len(d)], d, None, grid, "dx"),
-                         ())], (d[:3], d[3] if shared else None))
-
-    def rhs(st, k, work=None):
-        s, u = st["S"], (st["u"] if "u" in st else external_u.values)
-        work = Scratch() if work is None else work
-        # S_x once per stage, for both equations of the families that read it; a
+    def bind(st, k):
+        s, u, calls = st["S"], (st["u"] if "u" in st else external_u.values), []
+        # S_x once per run, for both equations of the families that read it; a
         # first-order phonon's state is S's rows then u's, so that pass gives u_x too
-        sx, ux = work.plan(x_pass, st.data)() if reads_sx else (None, None)
-        me_spin_rhs(spec, s, u, grid, sx, work, k["S"])
+        sx = ux = None
+        if reads_sx:
+            d = _x(calls, st.data.reshape(-1, 1, grid.nx)[:4 if shared else 3], grid, "dx")
+            sx, ux = d[:3], (d[3] if shared else None)
+        calls.append((_bind_spin(spec, s, u, grid, k["S"], sx), ()))
         if spec.phonon != "none":
-            me_phonon_rhs(spec, s, u, st.get("w"), grid, sx, ux, work, (k["u"], k.get("w")))
+            calls.append((_bind_phonon(spec, s, u, st.get("w"), grid, k["u"], k.get("w"), sx, ux),
+                          ()))
+        return _runner(calls)
 
-    return names, order, rhs
+    return names, order, bind
 
 
 # ---------------------------------------------------------------------------

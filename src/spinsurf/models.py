@@ -9,21 +9,22 @@ to the sphere up to the discrete S.S_x = O(h^2) identity. HF and LLE are
 `fields.wedge_lap`; M-XIII's flows cross S with `diff`'s second differences.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
-grid passed explicitly; `section_flow` wires them into the flows that
-`evolve` steps, and `stationary_residual` runs the same functions (the
-M-XIII family's `_system` with phi given), bit for bit. Each right-hand
-side takes an optional `work` (a `fields.Scratch` for its temporaries and
-kernel plans) and `out`; without them it allocates, on the same code path.
-A flow is handed the run's Scratch, so a step after the first binds no plan
-and allocates no grid-sized array (but M-XIIIA/B's potential). Section
-models read named parameters; `mxiii_terms` maps M-XIII's once per run.
+grid passed explicitly, as a binder in `fields`' `_bind_*` idiom
+(`_bind_wedge`, `_bind_lle`, the M-XIII family's `_bind_system`) that makes
+its views, buffers and products once and returns a runner. `section_flow`
+hands `evolve` a flow that binds them to a State and its derivative, so no
+RK4 stage looks anything up or allocates a grid-sized array (but M-XIIIA/B's
+potential solve). The named right-hand sides (`hf_rhs`, `mxiiib_system`, ...)
+bind and run once, into `out` when given, and `stationary_residual` runs the
+same binders (the M-XIII family's with phi given), bit for bit. Section
+models read named parameters; `mxiii_terms` maps M-XIII's once per model.
 """
 
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
-from .fields import (CLAMPED, PERIODIC, ScalarField, Scratch, VecField, _bind_cross, _bind_diff,
-                     _bind_wedge, diff, named_params, triple)
+from .fields import (CLAMPED, PERIODIC, ScalarField, VecField, _bind_cross, _bind_diff,
+                     _bind_wedge, _runner, diff, named_params, triple)
 from .geometry import CoefficientSet, ResidualReport, phi_drift
 from .solvers import mixed_integrate, poisson_solve
 
@@ -39,37 +40,21 @@ PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
 STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulate not
 
 
-def hf_rhs(s, g, work=None, out=None):
+def hf_rhs(s, g, out=None):
     """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when
-    given. work, a `Scratch`, keeps the `wedge_lap` plan for s and out (and,
-    without out, its result array) from call to call."""
-    w = Scratch() if work is None else work
-    return w.plan(_bind_wedge, s, out, w["t", s.shape], g, False)()
+    given."""
+    return _bind_wedge(s, out, None, g, False)()
 
 
-def lle_rhs(s, g, work=None, out=None):
-    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; work and out as for
-    hf_rhs."""
+def _bind_lle(s, out, g):
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    w = Scratch() if work is None else work
-    return w.plan(_bind_wedge, s, out, w["t", s.shape], g, True)()
+    return _bind_wedge(s, out, None, g, True)
 
 
-def _flow(s, g, sx, drift, a1, a2, b1, b2, w, out):
-    """S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] + c1 v1 + c2 v2, the M-XIII
-    family's wedge core plus its drift ((c1, v1), (c2, v2)). S_xy is the
-    y-difference of sx, which must be S_x; w is a `Scratch`, out as for hf_rhs."""
-    t, inner, sxy = w["t", s.shape], w["inner", s.shape], w["sxy", s.shape]
-    np.multiply(a2, w.plan(_bind_diff, s, inner, t, g, "dyy")(), out=inner)
-    w.plan(_bind_diff, sx, sxy, None, g, "dy")()
-    inner += np.multiply(a1, sxy, out=t)
-    inner -= np.multiply(b2, sxy, out=t)
-    inner -= np.multiply(b1, w.plan(_bind_diff, s, sxy, t, g, "dxx")(), out=sxy)
-    out = w.plan(_bind_cross, s, inner, out)()
-    for c, v in drift:
-        out += np.multiply(c, v, out=t)
-    return out
+def lle_rhs(s, g, out=None):
+    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; out as for hf_rhs."""
+    return _bind_lle(s, out, g)()
 
 
 def mxiii_terms(params, g):
@@ -92,11 +77,11 @@ def mxiii_constraint(s, g, sx, sy, terms):
     return (curl - (a1 + b2) * triple(s, sx, sy)) * np.ones((g.ny, g.nx))
 
 
-def mxiii_rhs(s, g, terms, work=None, out=None):
-    """M-XIII flow from `mxiii_terms`; work and out as for hf_rhs. The flow
-    is supposed to keep `mxiii_constraint` small; it is monitored, never
+def mxiii_rhs(s, g, terms, out=None):
+    """M-XIII flow from `mxiii_terms`; out as for hf_rhs. The flow is
+    supposed to keep `mxiii_constraint` small; it is monitored, never
     enforced."""
-    return _system("mxiii", s, g, terms[0], terms[1], work, out)[0]
+    return _bind_system("mxiii", s, g, terms[0], terms[1], out)()[0]
 
 
 def _source(kind, s, sx, sy, coeffs):
@@ -117,21 +102,35 @@ def mxiii_potential(kind, s, g, sx, sy, coeffs):
     return poisson_solve(src - src.mean(), g)
 
 
-def _system(kind, s, g, coeffs, drift, work, out, phi=None):
-    """The M-XIII family's flow and its potential phi, None for M-XIII, whose
-    drift coefficients of S_x and S_y are drift; for A/B, phi's `phi_drift`,
-    phi solved from S unless given. S_x and S_y stay in work's "sx", "sy"."""
-    w = Scratch() if work is None else work
-    sx = w.plan(_bind_diff, s, w["sx", s.shape], None, g, "dx")()
-    sy = w.plan(_bind_diff, s, w["sy", s.shape], None, g, "dy")()
-    if kind != "mxiii" and phi is None:
-        phi = mxiii_potential(kind, s, g, sx, sy, coeffs)
-    cx, cy = drift if phi is None else phi_drift(kind, phi, g)
-    return _flow(s, g, sx, ((cx, sx), (cy, sy)), *coeffs, w, out), phi
+def _bind_system(kind, s, g, coeffs, drift, out=None, phi=None):
+    """The M-XIII family's flow S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] +
+    cx S_x + cy S_y bound to s and out: its differences, products and cross
+    product replay on arrays made here, and each run returns (out, phi, S_x,
+    S_y). M-XIII's phi is None and its drift (cx, cy) is drift; for A/B,
+    (cx, cy) is phi's `phi_drift`, with phi solved from S at each run unless
+    given."""
+    a1, a2, b1, b2 = coeffs
+    sx, sy, t, inner, sxy = (np.empty(s.shape) for _ in range(5))
+    out = np.empty(s.shape) if out is None else out
+    core = _runner([(_bind_diff(s, sx, None, g, "dx"), ()), (_bind_diff(s, sy, None, g, "dy"), ()),
+                    (_bind_diff(s, inner, t, g, "dyy"), ()), (np.multiply, (a2, inner, inner)),
+                    (_bind_diff(sx, sxy, None, g, "dy"), ()),
+                    (np.multiply, (a1, sxy, t)), (np.add, (inner, t, inner)),
+                    (np.multiply, (b2, sxy, t)), (np.subtract, (inner, t, inner)),
+                    (_bind_diff(s, sxy, t, g, "dxx"), ()), (np.multiply, (b1, sxy, sxy)),
+                    (np.subtract, (inner, sxy, inner)), (_bind_cross(s, inner, out), ())])
+
+    def run():
+        core()
+        p = mxiii_potential(kind, s, g, sx, sy, coeffs) if kind != "mxiii" and phi is None else phi
+        for c, v in zip(drift if p is None else phi_drift(kind, p, g), (sx, sy)):
+            np.add(out, np.multiply(c, v, out=t), out=out)
+        return out, p, sx, sy
+    return run
 
 
-def mxiiia_system(s, g, a1, a2, b1, b2, work=None, out=None):
-    """M-XIIIA right-hand side with its potential; work and out as for hf_rhs.
+def mxiiia_system(s, g, a1, a2, b1, b2, out=None):
+    """M-XIIIA right-hand side with its potential; out as for hf_rhs.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
     quadrature on a clamped grid, gauged to zero on the seed row and
@@ -139,11 +138,11 @@ def mxiiia_system(s, g, a1, a2, b1, b2, work=None, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    return _system("mxiiia", s, g, (a1, a2, b1, b2), None, work, out)
+    return _bind_system("mxiiia", s, g, (a1, a2, b1, b2), None, out)()[:2]
 
 
-def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
-    """M-XIIIB right-hand side with its potential; work and out as for hf_rhs.
+def mxiiib_system(s, g, a1, a2, b1, b2, out=None):
+    """M-XIIIB right-hand side with its potential; out as for hf_rhs.
 
     phi solves phi_xx + phi_yy = (a1+b2) S.(S_x ^ S_y) on a periodic grid
     in the zero-mean gauge. The discrete source mean (a quadrature leftover
@@ -153,41 +152,37 @@ def mxiiib_system(s, g, a1, a2, b1, b2, work=None, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    return _system("mxiiib", s, g, (a1, a2, b1, b2), None, work, out)
-
-
-def _rhs(kind):
-    """The right-hand side a section model steps; the table is built per call,
-    so names rebound on this module (as a tracer rebinds them) are the ones used."""
-    return {"hf": hf_rhs, "lle": lle_rhs, "mxiii": mxiii_rhs,
-            "mxiiia": mxiiia_system, "mxiiib": mxiiib_system}[kind]
+    return _bind_system("mxiiib", s, g, (a1, a2, b1, b2), None, out)()[:2]
 
 
 def section_flow(kind, grid, params=None):
-    """A section model's rhs(st, k, work=None), the State st's spin derivative
-    into k's with work's plans (a fresh Scratch when None), and its monitor,
-    st -> (fields, diagnostics) per snapshot: None for hf/lle, mxiii's
-    constraint residual, mxiiia/b's phi. params: `SECTION_PARAMS[kind]`'s names."""
+    """A section model's binder, bind(st, k) -> run, whose run() writes the
+    spin derivative at the State st into k's with every array made at
+    binding, and its monitor, st -> (fields, diagnostics) per snapshot: None
+    for hf/lle, mxiii's constraint residual, mxiiia/b's phi. params:
+    `SECTION_PARAMS[kind]`'s names."""
     if kind in STATIONARY_ONLY:
         raise ValueError(f"{kind} is stationary, with no flow; use check --model {kind}")
     need = {"mxiiia": CLAMPED, "mxiiib": PERIODIC}.get(kind, grid.boundary)
     if grid.boundary != need:
         raise ValueError(f"{kind} solves for its potential on a {need} grid, not {grid.boundary}")
     p = named_params(kind, SECTION_PARAMS[kind], params)
-    flow, args, monitor = _rhs(kind), (), None
-    if kind not in ("hf", "lle"):
-        terms = mxiii_terms(p, grid)        # once per run
-        args = (terms,) if kind == "mxiii" else terms[0]
+    if kind == "hf":
+        return (lambda st, k: _bind_wedge(st["S"], k["S"], None, grid, False)), None
+    if kind == "lle":
+        return (lambda st, k: _bind_lle(st["S"], k["S"], grid)), None
+    terms = mxiii_terms(p, grid)        # once per model
+    drift = terms[1] if kind == "mxiii" else None
 
-        def monitor(st):
-            s = st["S"]
-            sx, sy = diff(s, grid, "dx"), diff(s, grid, "dy")
-            if kind == "mxiii":
-                residual = np.abs(mxiii_constraint(s, grid, sx, sy, terms)).max()
-                return {}, {"constraint_residual": float(residual)}
-            return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, terms[0]))}, {}
+    def monitor(st):
+        s = st["S"]
+        sx, sy = diff(s, grid, "dx"), diff(s, grid, "dy")
+        if kind == "mxiii":
+            residual = np.abs(mxiii_constraint(s, grid, sx, sy, terms)).max()
+            return {}, {"constraint_residual": float(residual)}
+        return {"phi": ScalarField(grid, mxiii_potential(kind, s, grid, sx, sy, terms[0]))}, {}
 
-    return (lambda st, k, work=None: flow(st["S"], grid, *args, work, k["S"])), monitor
+    return (lambda st, k: _bind_system(kind, st["S"], grid, terms[0], drift, k["S"])), monitor
 
 
 def stationary_residual(kind, S, phi=None, params=None):
@@ -212,7 +207,7 @@ def stationary_residual(kind, S, phi=None, params=None):
         raise GridMismatch(f"phi lives on {phi.grid}, the spin field on {g}")
     if kind in ("hf", "lle"):       # no scalar part
         zeros = ScalarField(g, np.zeros((g.ny, g.nx)))
-        return ResidualReport(VecField(g, _rhs(kind)(s, g)), zeros)
+        return ResidualReport(VecField(g, (hf_rhs if kind == "hf" else lle_rhs)(s, g)), zeros)
     if kind == "ishimori":
         if not p["alpha"]:
             raise ValueError("ishimori stationary residual needs an alpha != 0")
@@ -221,9 +216,9 @@ def stationary_residual(kind, S, phi=None, params=None):
     else:
         terms = mxiii_terms(p, g)
         coeffs, drift = terms[:2]
-    w, phi = Scratch(), None if phi is None else phi.values
-    vec, _ = _system("mxiiia" if kind == "ishimori" else kind, s, g, coeffs, drift, w, None, phi)
-    sx, sy = w["sx", s.shape], w["sy", s.shape]
+    phi = None if phi is None else phi.values
+    flow = _bind_system("mxiiia" if kind == "ishimori" else kind, s, g, coeffs, drift, phi=phi)
+    vec, _, sx, sy = flow()
     if kind == "mxiii":
         scal = mxiii_constraint(s, g, sx, sy, terms)
     elif kind == "ishimori":

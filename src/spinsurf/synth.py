@@ -47,3 +47,21 @@ def equator_spin(grid, a=1.0, b=0.0):
     theta = a * x + b * y
     s = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
     return SpinField(grid, project_sphere(s, norm(s)))
+
+
+def hasimoto_soliton(grid, t=0.0, nu=1.0, tau=0.5, x0=0.0):
+    """Hasimoto's one-soliton of HF, S_t = S ^ S_xx, at time t, on x = x0 +
+    grid.x() (constant in y): S = r_x of the vortex filament r = (x - A tanh
+    nu eta, A sech nu eta cos theta, A sech nu eta sin theta) that the
+    binormal flow r_t = r_x ^ r_xx carries, with A = 2 nu / (nu^2 + tau^2),
+    eta = x - 2 tau t and theta = tau x + (nu^2 - tau^2) t: curvature 2 nu
+    sech nu eta, torsion tau (Hasimoto, J. Fluid Mech. 51, 1972). The
+    soliton moves in +x at speed 2 tau; |S| = 1 in exact arithmetic."""
+    x = x0 + grid.x()
+    a, eta = 2 * nu / (nu * nu + tau * tau), x - 2 * tau * t
+    theta = tau * x + (nu * nu - tau * tau) * t
+    sech, tanh = 1 / np.cosh(nu * eta), np.tanh(nu * eta)
+    s = np.stack([1 - a * nu * sech * sech,
+                  -a * sech * (nu * tanh * np.cos(theta) + tau * np.sin(theta)),
+                  -a * sech * (nu * tanh * np.sin(theta) - tau * np.cos(theta))])
+    return SpinField(grid, np.broadcast_to(s[:, None, :], (3, grid.ny, grid.nx)))

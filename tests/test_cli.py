@@ -490,7 +490,7 @@ def test_check_and_simulate_share_defaults(tmp_path, capsys, kind):
     assert main(argv) == 0
     got = json.loads((tmp_path / "r.json").read_text())["vector_residual"]
     k = {"S": np.empty_like(s)}
-    model.rhs({"S": s}, k)
+    model.rhs({"S": s}, k)()
     want = ResidualReport(VecField(g, k["S"]),
                           ScalarField(g, np.zeros((g.ny, g.nx))))
     assert want.vector_max > 0.0

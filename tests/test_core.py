@@ -421,15 +421,17 @@ def test_ishimori_residual_is_mxiiias_row(boundary):
 # failure paths of the time loop
 
 def counting_rhs(bad_call, bad=np.nan):
-    """A zero right-hand side that writes bad into one node on call bad_call;
-    rhs.calls counts its calls."""
+    """A binder of a zero right-hand side whose runners write bad into one
+    node on run bad_call; rhs.calls counts the runs of all its runners."""
     calls = []
 
-    def rhs(st, k, work=None):
-        calls.append(1)
-        k["S"][...] = 0.0
-        if len(calls) == bad_call:
-            k["S"][1, 0, 3] = bad
+    def rhs(st, k):
+        def run():
+            calls.append(1)
+            k["S"][...] = 0.0
+            if len(calls) == bad_call:
+                k["S"][1, 0, 3] = bad
+        return run
     rhs.calls = calls
     return rhs
 
@@ -450,8 +452,10 @@ def test_rk4_step_checks_each_stage(stage, bad):
     seen = []
 
     def rhs(st, k):
-        seen.append(st["y"].copy())
-        k["y"][...] = bad if len(seen) == stage else 1.0
+        def run():
+            seen.append(st["y"].copy())
+            k["y"][...] = bad if len(seen) == stage else 1.0
+        return run
 
     with pytest.raises(Blowup) as exc:
         rk4_step(State({"y": np.zeros((1, 1))}), rhs, 0.1, step=3)
@@ -477,7 +481,7 @@ def test_collapsing_vector_is_near_zero_norm(grid1d):
     dt = 1e-3
     k = np.zeros_like(S0)
     k[:, 0, 5] = -S0[:, 0, 5] / dt      # one step carries node 5 to the origin
-    model = EvolutionModel("collapse", lambda st, dk, work=None: np.copyto(dk["S"], k), grid1d)
+    model = EvolutionModel("collapse", lambda st, dk: lambda: np.copyto(dk["S"], k), grid1d)
     with pytest.raises(NearZeroNorm) as exc:
         evolve(model, {"S": S0}, EvolveOptions(dt=dt, steps=3))
     assert (exc.value.i, exc.value.j) == (5, 0)
@@ -488,7 +492,7 @@ def test_overflowing_norm_fails_post_projection_check(grid1d):
     S0 = synth.smooth_spin(grid1d, seed=4).values
     k = np.zeros_like(S0)
     k[:, 0, 2] = 1e200                  # finite state, |S|^2 overflows
-    model = EvolutionModel("overflow", lambda st, dk, work=None: np.copyto(dk["S"], k), grid1d)
+    model = EvolutionModel("overflow", lambda st, dk: lambda: np.copyto(dk["S"], k), grid1d)
     with pytest.raises(Blowup) as exc, np.errstate(over="ignore"):
         evolve(model, {"S": S0}, EvolveOptions(dt=1e-3, steps=1))
     assert exc.value.step == 1

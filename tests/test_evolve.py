@@ -2,6 +2,7 @@ import gc
 import importlib
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
                       ScalarField, SpinField, SpinsurfError, check_stability,
                       constant_field, energy_proxy, evolve, evolution_model,
-                      diff, mxiii_constraint, mxiii_terms, rk4_step, synth)
+                      diff, me_phonon_rhs, me_spin_rhs, mxiii_constraint, mxiii_terms,
+                      rk4_step, synth)
 from spinsurf import VecField
 from spinsurf.evolve import State
-from spinsurf.fields import Scratch
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
@@ -30,24 +31,25 @@ def pole(grid):
 class TestRk4Step:
     def test_zero_rhs_bitwise_unchanged(self, rng):
         state = State({"S": rng.standard_normal((3, 1, 16))})
-        out = rk4_step(state, lambda st, k: k["S"].fill(0.0), 0.1)
+        out = rk4_step(state, lambda st, k: lambda: k["S"].fill(0.0), 0.1)
         assert np.array_equal(out["S"], state["S"])
 
     def test_exponential_taylor_remainder(self):
         dt = 0.1
         state = State({"y": np.array([[1.0]])})
-        out = rk4_step(state, lambda st, k: np.copyto(k["y"], st["y"]), dt)
+        out = rk4_step(state, lambda st, k: lambda: np.copyto(k["y"], st["y"]), dt)
         assert abs(out["y"][0, 0] - np.exp(dt)) <= dt ** 5
 
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_non_positive_dt_is_refused(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            rk4_step(State({"y": np.array([[1.0]])}), lambda st, k: None, dt)
+            rk4_step(State({"y": np.array([[1.0]])}), lambda st, k: lambda: None, dt)
 
     def test_blowup_on_nan(self):
         state = State({"y": np.array([[1.0]])})
         with pytest.raises(Blowup, match="^non-finite value at step 7$"):
-            rk4_step(state, lambda st, k: np.copyto(k["y"], st["y"] * np.nan), 0.1, step=7)
+            rk4_step(state, lambda st, k: lambda: np.copyto(k["y"], st["y"] * np.nan), 0.1,
+                     step=7)
 
     def test_blowup_when_only_the_final_sum_overflows(self):
         """y' = y from 1e308: every stage and k is finite, but 2 k2 overflows
@@ -55,8 +57,10 @@ class TestRk4Step:
         ks = []
 
         def rhs(st, k):
-            np.copyto(k["y"], st["y"])
-            ks.append(float(k["y"][0, 0]))
+            def run():
+                np.copyto(k["y"], st["y"])
+                ks.append(float(k["y"][0, 0]))
+            return run
 
         with pytest.raises(Blowup) as exc, np.errstate(over="ignore"):
             rk4_step(State({"y": np.array([[1e308]])}), rhs, 0.5, step=5)
@@ -358,10 +362,10 @@ def test_field_of_a_right_hand_side_leaves_the_model_usable():
     model = evolution_model("lle", g)
     s = synth.smooth_spin(g, seed=1).values
     k = State({"S": np.zeros_like(s)})
-    model.rhs({"S": s}, k)
+    model.rhs({"S": s}, k)()
     field = VecField(g, k["S"])
     before = k["S"].copy()
-    model.rhs({"S": synth.smooth_spin(g, seed=2).values}, k)
+    model.rhs({"S": synth.smooth_spin(g, seed=2).values}, k)()
     evolve(model, {"S": s}, EvolveOptions(dt=0.002, steps=2, snapshot_every=2))
     assert k["S"].flags.writeable and not np.array_equal(k["S"], before)
     assert np.array_equal(field.values, before)
@@ -385,9 +389,10 @@ def test_0_type_model_needs_u_on_its_grid():
 # loop that allocates them)
 
 def test_lle_steps_allocate_no_grid_sized_array(monkeypatch):
-    """After the first, an LLE step on 128^2 (RK4 with its right-hand sides,
-    projection and drift) allocates no (3, ny, nx) float array: its traced
-    peak stays below one."""
+    """An LLE step on 128^2 (RK4 with its right-hand sides, projection and
+    drift) allocates no (3, ny, nx) float array, the first one included: the
+    run binds its flow, neighbour sums and all, before it steps, and each
+    step's traced peak stays below one array."""
     g = Grid(128, 128, 0.2, 0.2, "periodic")
     grid_array = g.ny * g.nx * 3 * 8
     marks = []      # (current, peak) traced bytes as each step starts
@@ -407,8 +412,10 @@ def test_lle_steps_allocate_no_grid_sized_array(monkeypatch):
         tracemalloc.stop()
     # growth above the level at its start, for steps 1-3
     growth = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
-    assert growth[0] > grid_array     # the first step allocates the neighbour sums
-    assert max(growth[1:]) < grid_array
+    assert max(growth) < grid_array
+    # before step 1: the state, RK4's stage, k and k1, both neighbour sums,
+    # the norms' squares and the first snapshot's copy of S
+    assert marks[0][0] > 8 * grid_array
 
 
 def count_calls(monkeypatch, module, name):
@@ -418,24 +425,47 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_runs(monkeypatch, module, name):
+    """Binds and runs of the binder module.name: each call appends "bind",
+    and each run of a runner it returned appends "run"."""
+    calls = []
+    original = getattr(module, name)
+
+    def bind(*a):
+        run = original(*a)
+        calls.append("bind")
+        return lambda: calls.append("run") or run()
+
+    monkeypatch.setattr(module, name, bind)
+    return calls
+
+
 def test_snapshot_potential_does_not_rerun_the_flow(monkeypatch):
     """The monitor solves only for phi: 20 steps are 80 flow evaluations,
     whatever the number of snapshots."""
-    calls = count_calls(monkeypatch, models_module, "_flow")
+    calls = count_runs(monkeypatch, models_module, "_bind_system")
     g = Grid(64, 64, 0.2, 0.2, "periodic")
     traj = evolve(evolution_model("mxiiib", g), {"S": synth.smooth_spin(g, seed=2).values},
                   EvolveOptions(dt=0.008, steps=20, snapshot_every=4))
     assert len(traj.snapshots) == 6 and all("phi" in snap for snap in traj.snapshots)
-    assert len(calls) == 80
+    assert (calls.count("bind"), calls.count("run")) == (2, 80)
 
 
 def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
-    calls = count_calls(monkeypatch, models_module, "mxiii_rhs")
+    calls = count_runs(monkeypatch, models_module, "_bind_system")
     g = Grid(16, 14, 0.25, 0.3, "periodic")
     traj = evolve(evolution_model("mxiii", g, params={"a1": 0.7}),
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
-    assert len(traj.diagnostics) == 4 and len(calls) == 24
+    assert len(traj.diagnostics) == 4 and (calls.count("bind"), calls.count("run")) == (2, 24)
+
+
+# each named right-hand side -> the binder its flow runs
+FLOW_BINDERS = {"hf_rhs": (models_module, "_bind_wedge"), "lle_rhs": (models_module, "_bind_lle"),
+                "mxiiia_system": (models_module, "_bind_system"),
+                "mxiiib_system": (models_module, "_bind_system"),
+                "me_spin_rhs": (magnetoelastic_module, "_bind_spin"),
+                "me_phonon_rhs": (magnetoelastic_module, "_bind_phonon")}
 
 
 @pytest.mark.parametrize("kind, name, grid", [
@@ -446,21 +476,22 @@ def test_mxiii_constraint_does_not_rerun_the_flow(monkeypatch):
     ("m-xxxiv", "me_spin_rhs", Grid(32, 1, 0.25, 0.25, "periodic")),
     ("m-xxxiv", "me_phonon_rhs", Grid(32, 1, 0.25, 0.25, "periodic")),
 ])
-def test_flow_calls_the_name_bound_on_models(monkeypatch, kind, name, grid):
-    """A right-hand side rebound on `spinsurf.models` (or, for the catalog's,
-    `spinsurf.magnetoelastic`) before `evolution_model`, as the benchmark
-    tracer rebinds it, is the one the flow steps, 4 calls a step, and for hf
-    and lle the one `stationary_residual` evaluates. A flow that ran its
-    stencil plans around these names would zero their traced metrics."""
+def test_a_flow_runs_its_bound_runner_not_the_named_function(monkeypatch, kind, name, grid):
+    """A flow binds its formula twice per run, for the state and for RK4's
+    stage array, and runs those runners 4 times a step. It never calls the
+    named right-hand side on `spinsurf.models` (or `spinsurf.magnetoelastic`),
+    which binds and runs the same binder once per call; for hf and lle,
+    `stationary_residual` evaluates that name."""
     module = magnetoelastic_module if name.startswith("me_") else models_module
-    calls = count_calls(monkeypatch, module, name)
+    named = count_calls(monkeypatch, module, name)
+    runs = count_runs(monkeypatch, *FLOW_BINDERS[name])
     S = synth.smooth_spin(grid, seed=3)
     initial = {"S": S.values, "u": 0.1 * synth.smooth_scalar(grid, seed=4).values}
     evolve(evolution_model(kind, grid), initial, EvolveOptions(dt=0.002, steps=6, snapshot_every=3))
-    assert len(calls) == 24
+    assert (runs.count("bind"), runs.count("run"), len(named)) == (2, 24, 0)
     if kind in ("hf", "lle"):
         models_module.stationary_residual(kind, S)
-        assert len(calls) == 25
+        assert len(named) == 1
 
 
 def count_binds(monkeypatch):
@@ -480,27 +511,42 @@ def count_binds(monkeypatch):
 @pytest.mark.parametrize("name, boundary, fields", [
     ("hf", "periodic", ("S",)), ("m-xxxiv", "periodic", ("S", "u")),
     ("m-xliv", "clamped", ("S", "u", "w")), ("m-lvii", "clamped", ("S",)),
-    ("m-lii", "periodic", ("S", "u", "w")), ("m-xl", "periodic", ("S", "u", "w"))])
+    ("m-lii", "periodic", ("S", "u", "w")), ("m-xl", "periodic", ("S", "u", "w")),
+    ("lle", "clamped", ("S",)), ("mxiii", "periodic", ("S",)), ("mxiiia", "clamped", ("S",)),
+    ("mxiiib", "periodic", ("S",)), ("m-xlvii", "clamped", ("S", "u", "w")),
+    ("m-xli", "periodic", ("S", "u"))])
 def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, fields):
-    """A flow binds each kernel, cross products included, once for the state
-    and once for RK4's stage array, lazily on the first step: 12 steps bind
-    what 6 do. The two snapshots of each run (snapshot_every = steps)
-    difference S once each."""
-    g = Grid(32, 1, 0.25, 0.25, boundary)
+    """A flow's binder runs exactly twice per evolve call, for the state and
+    for RK4's stage array, and binds the same kernels, cross products
+    included, each time: 12 steps bind what 6 do. The two snapshots of each run
+    (snapshot_every = steps) difference S once each. The rows cover every
+    section flow, spin families A-E and phonon families none, wave,
+    boussinesq, advection and kdv."""
+    g = Grid(32, 1 if name.startswith(("hf", "m-")) else 12, 0.25, 0.25, boundary)
     initial = {"S": synth.smooth_spin(g, seed=5).values, "u": np.zeros((1, 32)),
                "w": np.zeros((1, 32))}
     external = ScalarField(g, 0.1 * synth.smooth_scalar(g, seed=6).values)
     counts = []
     for steps in (6, 12):
         calls = count_binds(monkeypatch)
-        model = evolution_model(name, g, external_u=external if fields == ("S",) and name != "hf"
-                                else None)
-        evolve(model, {k: initial[k] for k in fields},
+        model = evolution_model(name, g, external_u=external if name == "m-lvii" else None)
+        binds = []      # the kernel binds each call of the flow's binder made
+
+        def bind(st, k, flow=model.rhs):
+            start = len(calls)
+            run = flow(st, k)
+            binds.append(calls[start:])
+            return run
+
+        evolve(replace(model, rhs=bind), {k: initial[k] for k in fields},
                EvolveOptions(dt=0.2 * 0.25 ** model.spatial_order, steps=steps,
                              snapshot_every=steps))
+        assert len(binds) == 2 and sorted(binds[0]) == sorted(binds[1])
         counts.append(sorted(calls))
         monkeypatch.undo()
-    assert counts[0] == counts[1]
+    # M-XIIIA/B's potential solve, one allocating call in each run of the
+    # flow, differences phi and crosses S_x with S_y at every stage
+    assert name in ("mxiiia", "mxiiib") or counts[0] == counts[1]
     if name == "hf":    # wedge_lap (sums, cross) for state and stage; a diff per snapshot
         assert counts[0] == ["_bind_cross", "_bind_cross", "_bind_d1", "_bind_d1",
                              "_bind_sum", "_bind_sum", "_bind_wedge", "_bind_wedge"]
@@ -508,17 +554,19 @@ def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, f
         assert counts[0].count("_bind_cross") == 4
 
 
-def test_a_model_keeps_no_plans_between_runs(monkeypatch):
-    """Each run's kernel plans live in its own Scratch, which ends with the
-    run: after three runs of one model, no Scratch that bound a plan is alive
-    while the model is."""
-    scratches, plan = [], Scratch.plan
-    monkeypatch.setattr(Scratch, "plan",
-                        lambda self, *a: scratches.append(weakref.ref(self)) or plan(self, *a))
-    kept = []
+def test_a_model_keeps_no_plans_between_runs():
+    """Each run's runners, with the arrays bound to them, end with the run:
+    after three runs of one model, no runner its binder made is alive while
+    the model is."""
+    runners, kept = [], []
+
+    def remembered(bind):
+        return lambda st, k: runners.append(weakref.ref(run := bind(st, k))) or run
+
     for name, g in (("lle", Grid(16, 16, 0.25, 0.25, "periodic")),
                     ("m-xl", Grid(32, 1, 0.25, 0.25, "periodic"))):
         model = evolution_model(name, g)
+        model = replace(model, rhs=remembered(model.rhs))
         initial = {"S": synth.smooth_spin(g, seed=1).values, "u": np.zeros((1, 32)),
                    "w": np.zeros((1, 32))}
         for _ in range(3):
@@ -526,7 +574,7 @@ def test_a_model_keeps_no_plans_between_runs(monkeypatch):
                    EvolveOptions(dt=0.2 * 0.25 ** model.spatial_order, steps=4, snapshot_every=4))
         kept.append(model)
     gc.collect()
-    assert len(kept) == 2 and scratches and all(ref() is None for ref in scratches)
+    assert len(kept) == 2 and len(runners) == 12 and all(ref() is None for ref in runners)
 
 
 def test_mxiii_coefficients_resolved_once_per_run(monkeypatch):
@@ -552,3 +600,64 @@ def test_mxiii_constraint_once_per_snapshot(monkeypatch):
                   {"S": synth.smooth_spin(g, seed=3).values},
                   EvolveOptions(dt=0.002, steps=6, snapshot_every=2))
     assert len(traj.snapshots) == sum(map(len, calls)) == 4
+
+
+# ---------------------------------------------------------------------------
+# a bound flow and its named function share one binder, so the same bits
+
+SECTION_ROWS = [("hf", "periodic"), ("hf", "clamped"), ("lle", "periodic"), ("lle", "clamped"),
+                ("mxiii", "periodic"), ("mxiii", "clamped"), ("mxiiia", "clamped"),
+                ("mxiiib", "periodic")]
+# each section flow's constants, away from their defaults
+_AB = {"a1": 0.7, "a2": 1.1, "b1": -0.5, "b2": 0.4}
+ROW_PARAMS = {"hf": {}, "lle": {}, "mxiii": {**_AB, "a3": 0.3, "a5": -0.2, "b5": 0.1},
+              "mxiiia": _AB, "mxiiib": _AB}
+
+
+def named_section_rhs(kind, s, g, params):
+    if kind in ("hf", "lle"):
+        return getattr(models_module, f"{kind}_rhs")(s, g)
+    terms = mxiii_terms(params, g)
+    if kind == "mxiii":
+        return models_module.mxiii_rhs(s, g, terms)
+    return getattr(models_module, f"{kind}_system")(s, g, *terms[0])[0]
+
+
+@pytest.mark.parametrize("kind, boundary", SECTION_ROWS)
+def test_a_bound_section_flow_is_bitwise_its_named_function(kind, boundary):
+    """Every section flow, on each boundary it accepts, at a non-constant
+    state: the k that evolution_model's bound flow writes is the named
+    right-hand side's result, bit for bit."""
+    g = Grid(32, 1, 0.25, 0.25, boundary) if kind == "hf" else Grid(16, 14, 0.25, 0.3, boundary)
+    params = ROW_PARAMS[kind]
+    s = synth.smooth_spin(g, seed=7).values
+    st, k = State({"S": s}), State({"S": np.full(s.shape, np.nan)})
+    evolution_model(kind, g, params=params).rhs(st, k)()
+    assert np.array_equal(k["S"], named_section_rhs(kind, s, g, params))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("name", [n for n, spec in _REGISTRY.items() if spec.implemented])
+def test_a_bound_catalog_flow_is_bitwise_its_named_functions(name, boundary):
+    """Every implemented catalog entry, on both boundaries, at a non-constant
+    state and with constants away from 1: the k that evolution_model's bound
+    flow writes is me_spin_rhs's and me_phonon_rhs's results, bit for bit."""
+    g = Grid(24, 1, 0.2, 1.0, boundary)
+    spec = _REGISTRY[name]
+    rng = np.random.default_rng(len(name))
+    params = {c: rng.uniform(0.5, 2.0) for c in spec.params}
+    external = ScalarField(g, 0.3 * synth.smooth_scalar(g, seed=8).values)
+    model = evolution_model(name, g, params=params,
+                            external_u=external if spec.phonon == "none" else None)
+    s, u = synth.smooth_spin(g, seed=5).values, 0.3 * synth.smooth_scalar(g, seed=6).values
+    w = 0.2 * synth.smooth_scalar(g, seed=7).values
+    st = State({n: a for n, a in (("S", s), ("u", u), ("w", w)) if n in model.fields})
+    k = State({n: np.full(st[n].shape, np.nan) for n in model.fields})
+    model.rhs(st, k)()
+    spec = spec.with_params(**params)
+    u = external.values if spec.phonon == "none" else u
+    want = [me_spin_rhs(spec, s, u, g)]
+    if spec.phonon != "none":
+        want += me_phonon_rhs(spec, s, u, w, g)
+    assert all(np.array_equal(k[n], b) for n, b in zip(("S", "u", "w"), want) if b is not None)
+    assert len([b for b in want if b is not None]) == len(model.fields)

@@ -9,7 +9,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       triple)
 from spinsurf.errors import GridTooSmall
 from spinsurf import fields
-from spinsurf.fields import Scratch, wedge_lap
+from spinsurf.fields import wedge_lap
 
 E1, E2, E3 = np.eye(3)
 
@@ -258,7 +258,7 @@ class TestWedgeLap:
 
 
 # ---------------------------------------------------------------------------
-# plans: a kernel bound once to its arrays (`Scratch.plan`), run at every stage
+# plans: a kernel bound once to its arrays (`fields._bind_*`), run at every stage
 
 def planned_kernels(ny):
     """(name, binder, the parameters after its arrays, the fresh allocating
@@ -273,40 +273,29 @@ def planned_kernels(ny):
 @pytest.mark.parametrize("ny, dx, dy", [(1, 0.2, 1.0), (7, 0.2, 0.2), (7, 0.2, 0.3)],
                          ids=["chain", "square", "dx!=dy"])
 def test_a_plan_equals_the_kernel_it_replaces(boundary, ny, dx, dy, rng):
-    """Each plan, run three times on an input overwritten in place between
-    runs, writes what a fresh allocating call returns, bit for bit, into the
-    out it was bound to."""
+    """Each plan, bound once and run three times on an input overwritten in
+    place between runs, writes what a fresh allocating call returns, bit for
+    bit, into the out it was bound to."""
     g = Grid(9, ny, dx, dy, boundary)
     for name, bind, params, fresh in planned_kernels(ny):
-        a, out, tmp, w = np.empty((3, ny, 9)), np.empty((3, ny, 9)), np.empty((3, ny, 9)), Scratch()
-        run = w.plan(bind, a, out, tmp, g, *params)
+        a, out, tmp = np.empty((3, ny, 9)), np.empty((3, ny, 9)), np.empty((3, ny, 9))
+        run = bind(a, out, tmp, g, *params)
         for _ in range(3):
             a[...] = rng.standard_normal(a.shape)
-            assert w.plan(bind, a, out, tmp, g, *params) is run, name
             assert run() is out and np.array_equal(out, fresh(a, g)), name
 
 
 def test_a_plan_is_bound_to_its_arrays_not_to_their_shape(rng):
-    """A Scratch asked for a plan on another array of the same shape binds a
-    new one, which differences that array."""
-    g, w = Grid(9, 1, 0.2, 1.0, PERIODIC), Scratch()
+    """Plans bound to two arrays of the same shape, writing into one out,
+    each difference their own array, and read it afresh at every run."""
+    g = Grid(9, 1, 0.2, 1.0, PERIODIC)
     a, b, out = rng.standard_normal((3, 3, 1, 9))
-    run_a = w.plan(fields._bind_diff, a, out, None, g, "dx")
-    run_b = w.plan(fields._bind_diff, b, out, None, g, "dx")
-    assert run_b is not run_a and w.plan(fields._bind_diff, a, out, None, g, "dx") is run_a
+    run_a = fields._bind_diff(a, out, None, g, "dx")
+    run_b = fields._bind_diff(b, out, None, g, "dx")
     assert np.array_equal(run_b(), diff(b, g, "dx"))
     assert np.array_equal(run_a(), diff(a, g, "dx"))
-
-
-def test_a_plan_is_never_kept_for_an_array_that_is_not_c_contiguous(rng):
-    """The flat view of such an array is a copy, so a kept plan would read
-    stale values: it is bound for the call and not kept."""
-    g, w = Grid(9, 1, 0.2, 1.0, PERIODIC), Scratch()
-    a = np.empty((3, 1, 18))[..., ::2]
-    for _ in range(2):
-        a[...] = rng.standard_normal(a.shape)
-        assert np.array_equal(w.plan(fields._bind_diff, a, None, None, g, "dx")(), diff(a, g, "dx"))
-    assert len(w) == 0
+    a[...] = b
+    assert np.array_equal(run_a(), diff(b, g, "dx"))
 
 
 class TestProjectSphere:
@@ -359,14 +348,6 @@ def test_norm_is_numpys(rng):
     a = rng.standard_normal((3, 6, 4)) * 10.0 ** rng.integers(-5, 5, (1, 6, 4))
     assert np.array_equal(norm(a), np.linalg.norm(a, axis=0))
     assert np.array_equal(norm(a), np.sqrt(dot(a, a)))
-
-
-def test_scratch_keeps_one_array_per_name_and_shape():
-    w = Scratch()
-    a = w["x", (4, 3)]
-    assert w["x", (4, 3)] is a
-    assert w["x", (3, 4)] is not a and w["y", (4, 3)] is not a
-    assert a.dtype == float and len(w) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -373,15 +373,36 @@ def _compensate(rows):
     (_set(3, 2, "nan"), NonFiniteValue), (_set(3, 4, "inf"), NonFiniteValue),
     (_set(2500, 2, "1e999"), NonFiniteValue),
     (_set(3, 2, "0x1p3"), FormatError), (_set(2500, 2, "0x1p3"), FormatError),
-    (_compensate, FormatError)],
+    (_compensate, FormatError), (_set(3, 0, "\U0008c57c"), FormatError)],
     ids=["plus-index", "space-index", "plus-index-2nd-block", "float-index", "exp-index",
          "hex-index", "arabic-indic-index", "underscore", "space-value", "cut-exponent",
-         "nan", "inf", "1e999", "hex-float", "hex-float-2nd-block", "compensating-rows"])
+         "nan", "inf", "1e999", "hex-float", "hex-float-2nd-block", "compensating-rows",
+         "astral-index"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_bulk_reader_explicit_rows(edit, outcome, newline):
     vals = np.random.default_rng(7).standard_normal((40, 64, 3))
     got = _assert_readers_agree("field", vals, edit, newline)[0]
     assert (got if isinstance(got, type) else type(got)) is outcome
+
+
+@pytest.mark.parametrize("token, bulk", [("3", True), ("\u0663", False), ("\U0008c57c", False)],
+                         ids=["ascii", "arabic-indic", "astral"])
+def test_only_an_ascii_file_reaches_loadtxt(tmp_path, token, bulk):
+    """numpy's loadtxt can crash the process on a character beyond the BMP in
+    an integer column (seen with numpy 2.4.6, in about one call of a few
+    thousand), so a file with any non-ASCII character is read line by line."""
+    path = tmp_path / "t.csv"
+    fileio.write_field(path, ScalarField(Grid(8, 2, 0.25, 0.5, CLAMPED), np.ones((2, 8))))
+    lines = path.read_text().splitlines()
+    lines[5] = token + lines[5][1:]         # node i = 3 of row 0
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        if token == "\U0008c57c":
+            with pytest.raises(FormatError, match="line 6"):
+                fileio.read_field(path)
+        else:
+            assert np.array_equal(fileio.read_field(path).values, np.ones((2, 8)))
+    assert loadtxt.called is bulk
 
 
 # -0.0, the smallest subnormal, huge and integral values at the head of a
