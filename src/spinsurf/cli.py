@@ -227,7 +227,7 @@ def cmd_simulate(cfg):
 
 def cmd_reconstruct(cfg):
     S = _read(cfg.require("input"), SpinField)
-    kind = cfg.get("coeffs", "hf")
+    kind = cfg.get("coeffs", "hf").lower()
     coeffs = classical_coeffs(kind, **cfg.params)
     mesh, mismatch = reconstruct_surface(S, coeffs)
     normals = unit_normal(mesh) if cfg.get("normals", False) else None

@@ -9,15 +9,16 @@ copy of a writeable array it is given, so the caller's array stays
 writeable and the field does not change with it.
 
 The stencils difference the C-order flat array at a fixed offset, so every
-axis is one contiguous pass; their `out` and `tmp` arrays must be
-C-contiguous. `wedge_lap`, S ^ S_xx (HF, catalog families A, B, E) or S ^
-(S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops the stencil's -2 S.
-Each kernel has a binder, `_bind_<kernel>`, that makes its views (flat
-slices, end slabs, component rows) and buffers once and returns a `_runner`
-replaying its ufunc calls: `diff`, `wedge_lap`, `cross` and `dot` bind and run
-once, and a flow's binder (`models.section_flow`,
-`magnetoelastic.catalog_flow`) binds its kernels once per run, so no RK4
-stage rebuilds a view.
+axis is one contiguous pass. `_bind_wedge`, S ^ S_xx (HF, catalog families
+A, B, E) or S ^ (S_xx + S_yy) (LLE), sums neighbours instead: S ^ S drops
+the stencil's -2 S. Each kernel has a binder, `_bind_<kernel>`, that makes
+its views (flat slices, end slabs, component rows) and buffers once and
+returns a `_runner` replaying its ufunc calls. Buffers are chosen only at
+binding: a flow's binder (`models.section_flow`,
+`magnetoelastic.catalog_flow`) binds its kernels into its own arrays once
+per run, so no RK4 stage rebuilds a view, while `diff`, `cross` and `dot`
+bind, run once and return a new array. `norm` and `project_sphere` take
+`out=`, which `evolve` hands them at every step.
 """
 
 import functools
@@ -169,10 +170,9 @@ def _bind_cross(a, b, out=None):
     return _runner(calls, out)
 
 
-def cross(a, b, out=None):
-    """Right-handed cross product on (3, ...) arrays, written into out (which
-    must not overlap a or b) when given."""
-    return _bind_cross(a, b, out)()
+def cross(a, b):
+    """Right-handed cross product on (3, ...) arrays."""
+    return _bind_cross(a, b)()
 
 
 def _bind_dot(a, b, out=None):
@@ -213,11 +213,11 @@ def norm(a, out=None, sq=None):
 # from unrelated nodes, finite below magnitudes of about 8.9e307) until the
 # boundary slabs, a[..., i] for the last axis and a[..., i, :] for the one
 # before, overwrite them. Difference-of-neighbours form makes constant fields
-# differentiate to exactly zero. `out` receives the result and `tmp`, shaped
-# like the input, the second difference's forward differences; each is
-# allocated at binding when not given, must be C-contiguous (a flat view of
-# any other array is a copy, and the result would be lost), and may not
-# overlap the input, except that `_d2` may write out over its own input.
+# differentiate to exactly zero. A binder's `out` receives the result and
+# `tmp`, shaped like the input, the second difference's forward differences;
+# each is allocated at binding when None, must be C-contiguous (a flat view
+# of any other array is a copy, and the result would be lost), and may not
+# overlap the input, except that `_bind_d2` may write out over its own input.
 
 @functools.lru_cache
 def _slabs(n, after):
@@ -259,8 +259,8 @@ def _bind_d1(a, out, h, axis, periodic):
     return _runner(calls + [(np.divide, (out, 2.0 * h, out))], out)
 
 
-def _d1(a, h, axis, periodic, out=None):
-    return _bind_d1(a, out, h, axis, periodic)()
+def _d1(a, h, axis, periodic):
+    return _bind_d1(a, None, h, axis, periodic)()
 
 
 def _bind_d2(a, out, tmp, h, axis, periodic):
@@ -291,8 +291,8 @@ def _bind_d2(a, out, tmp, h, axis, periodic):
     return _runner(calls + [(np.divide, (out, h * h, out))], out)
 
 
-def _d2(a, h, axis, periodic, out=None, tmp=None):
-    return _bind_d2(a, out, tmp, h, axis, periodic)()
+def _d2(a, h, axis, periodic):
+    return _bind_d2(a, None, None, h, axis, periodic)()
 
 
 def _bind_sum(s, axis, periodic, out):
@@ -310,13 +310,19 @@ def _bind_sum(s, axis, periodic, out):
                             (_end_d2, (out[at[-1]], e[at[2]], e[at[1]], e[at[0]]))])
 
 
-def _bind_wedge(s, out, tmp, grid, y):
+def _bind_wedge(s, out, grid, y):
+    """S ^ S_xx of a (3, ..., nx) array s, or S ^ (S_xx + S_yy) when y, into
+    out (not s; made here when None), with the neighbour sums in an array
+    like s made here. As S ^ S = 0, an axis takes S_i ^ (S_{i+1} + S_{i-1});
+    axes sharing a spacing h add their sums, cross once and divide once by
+    h^2. Crossing before dividing keeps constant fields exactly 0, so dx !=
+    dy takes two cross products, y's into a temporary like s."""
     periodic, need = grid.periodic, 3 if grid.periodic else 4
     if y and s.shape[-2] < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
     if s.shape[-1] < need or (y and s.shape[-2] < need):
         raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
-    tmp, out = (np.empty(s.shape) if b is None else b for b in (tmp, out))
+    tmp, out = np.empty(s.shape), (np.empty(s.shape) if out is None else out)
     calls = [(_bind_sum(s, -1, periodic, tmp), ())]
     if y and grid.dx == grid.dy:
         calls += [(_bind_sum(s, -2, periodic, out), ()), (np.add, (tmp, out, tmp))]
@@ -326,16 +332,6 @@ def _bind_wedge(s, out, tmp, grid, y):
         calls += [(_bind_sum(s, -2, periodic, tmp), ()), (_bind_cross(s, tmp, c), ()),
                   (np.divide, (c, grid.dy * grid.dy, c)), (np.add, (out, c, out))]
     return _runner(calls, out)
-
-
-def wedge_lap(s, grid, out=None, tmp=None, y=False):
-    """S ^ S_xx of a (3, ..., nx) array s, or S ^ (S_xx + S_yy) when y, into
-    out (not s) when given; tmp (C-contiguous, like s) holds neighbour sums.
-    As S ^ S = 0, an axis takes S_i ^ (S_{i+1} + S_{i-1}); axes sharing a
-    spacing h add their sums, cross once and divide once by h^2. Crossing
-    before dividing keeps constant fields exactly 0, so dx != dy takes two
-    cross products, y's into a temporary like s."""
-    return _bind_wedge(s, out, tmp, grid, y)()
 
 
 def _bind_diff(a, out, tmp, grid, which):
@@ -362,20 +358,20 @@ def _bind_diff(a, out, tmp, grid, which):
     return _bind_d2(a, out, tmp, grid.dy, -2, grid.periodic)
 
 
-def diff(a, grid, which, out=None, tmp=None):
-    """Finite difference of a plain (ny, nx) or (3, ny, nx) array, written
-    into out when given; tmp, shaped like a, is second-difference scratch.
+def diff(a, grid, which):
+    """Finite difference of a plain (ny, nx) or (3, ny, nx) array, as a new
+    array.
 
     which: one of "dx", "dy", "dxx", "dyy", "dxy", "dxxxx". Periodic grids
     wrap; clamped grids use one-sided second-order stencils at the edges.
     "dxy" is the composition dy(dx(a)), "dxxxx" is dxx(dxx(a)). On periodic
     grids "dxxxx" is exactly the centered 5-point stencil
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
-    out and tmp must be C-contiguous. Values above about 8.9e307 in
-    magnitude may overflow, with numpy's warning, in lanes that the
-    boundary stencils then overwrite (see the comment above `_slabs`).
+    Values above about 8.9e307 in magnitude may overflow, with numpy's
+    warning, in lanes that the boundary stencils then overwrite (see the
+    comment above `_slabs`).
     """
-    return _bind_diff(a, out, tmp, grid, which)()
+    return _bind_diff(a, None, None, grid, which)()
 
 
 def cumtrapz(y, d, axis):

@@ -30,10 +30,10 @@ expression), with the entry's constants and family branches resolved there,
 and the last call writes into the result. The constants are the entry's
 `params`: its two families' constants, at 1 unless `with_params`
 (`fields.named_params`) sets them. `me_spin_rhs` and `me_phonon_rhs` bind
-and run once. Catalog models evolve on 1-D chains only, where a step costs
-numpy calls rather than memory traffic: `catalog_flow`'s binder binds one
-x-pass for S_x and u_x and both formulas, into the derivative State's
-fields, in one runner per run.
+and run once, each into new arrays. Catalog models evolve on 1-D chains
+only, where a step costs numpy calls rather than memory traffic:
+`catalog_flow`'s binder binds one x-pass for S_x (and u_x) and both
+formulas, into the derivative's fields, in one runner per run.
 """
 
 from dataclasses import dataclass, field, replace
@@ -162,7 +162,7 @@ def _x(calls, a, g, which):
 
 def _spin_a(calls, p, s, u, g, sx, out):        # S^S_xx + u (S^e3)
     c = np.empty(s.shape)
-    calls += [(_bind_wedge(s, out, None, g, False), ()), (_bind_cross(s, E3, c), ()),
+    calls += [(_bind_wedge(s, out, g, False), ()), (_bind_cross(s, E3, c), ()),
               (np.multiply, (u, c, c)), (np.add, (out, c, out))]
 
 
@@ -188,7 +188,7 @@ def _spin_d(calls, p, s, u, g, sx, out):        # n (S^S_xxxx) + 2 C's flux
 
 def _spin_e(calls, p, s, u, g, sx, out):        # S^S_xx + u S_x
     t = np.empty(s.shape)
-    calls += [(_bind_wedge(s, out, None, g, False), ()), (np.multiply, (u, sx, t)),
+    calls += [(_bind_wedge(s, out, g, False), ()), (np.multiply, (u, sx, t)),
               (np.add, (out, t, out))]
 
 
@@ -205,13 +205,11 @@ def _bind_spin(spec, s, u, g, out, sx):
     return _runner(calls, out)
 
 
-def me_spin_rhs(spec, s, u, g, sx=None, out=None):
+def me_spin_rhs(spec, s, u, g):
     """Vector-form spin right-hand side of a catalog model, on a spin array s
-    and a displacement array u, written into out (not s, u or sx) when
-    given. sx, when given, must be S_x = diff(s, g, "dx"), so that a caller
-    stepping both equations computes it once for this and `me_phonon_rhs`."""
+    and a displacement array u."""
     _check(spec)
-    return _bind_spin(spec, s, u, g, out, sx)()
+    return _bind_spin(spec, s, u, g, None, None)()
 
 
 def _source(calls, spec, s, sx):
@@ -286,23 +284,23 @@ def _bind_phonon(spec, s, u, w, g, du, dw, sx, ux):
     return _runner(calls, (w if du is None else du, dw))
 
 
-def me_phonon_rhs(spec, s, u, w, g, sx=None, ux=None, out=None):
-    """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays,
-    written into out = (du_dt, dw_dt) (neither s, u, w, sx nor ux) when
-    given; dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself (or its copy in out) for wave-type ones. sx as for
-    `me_spin_rhs`; ux, when given, must be u_x."""
+def me_phonon_rhs(spec, s, u, w, g):
+    """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
+    dw_dt is None for first-order phonon equations, and du_dt is the
+    velocity w itself for wave-type ones."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
-    return _bind_phonon(spec, s, u, w, g, *(out or (None, None)), sx, ux)()
+    return _bind_phonon(spec, s, u, w, g, None, None, None, None)()
 
 
 def catalog_flow(spec, grid, external_u=None):
     """An entry's state fields, highest x-derivative and binder, bind(st, k)
-    -> run, whose run() writes the derivative at the State st into the State
-    k, on a 1-D grid; a 0-type entry needs external_u, a ScalarField held
-    fixed."""
+    -> run, whose run() writes the derivative at the state st into k, on a
+    1-D grid; a 0-type entry needs external_u, a ScalarField held fixed. st
+    and k may be dicts of arrays, except that an entry with the shared S/u
+    x-pass (spin family C, D or E with an advection or KdV phonon) needs st
+    to be an `evolve.State`: that pass reads its packed `data`."""
     if not grid.is_1d:
         raise ValueError("magnetoelastic models need a 1-D grid")
     order = max(FAMILIES[spec.spin][1], FAMILIES[spec.phonon][1])
@@ -323,7 +321,7 @@ def catalog_flow(spec, grid, external_u=None):
         # first-order phonon's state is S's rows then u's, so that pass gives u_x too
         sx = ux = None
         if reads_sx:
-            d = _x(calls, st.data.reshape(-1, 1, grid.nx)[:4 if shared else 3], grid, "dx")
+            d = _x(calls, st.data.reshape(-1, 1, grid.nx)[:4] if shared else s, grid, "dx")
             sx, ux = d[:3], (d[3] if shared else None)
         calls.append((_bind_spin(spec, s, u, grid, k["S"], sx), ()))
         if spec.phonon != "none":

@@ -6,7 +6,8 @@ variants, the latter two carrying an auxiliary potential phi), and the
 stationary Ishimori equation, whose vector part is M-XIIIA's flow at
 (a1, a2, b1, b2) = (0, alpha^2, -1, 0). All right-hand sides are tangent
 to the sphere up to the discrete S.S_x = O(h^2) identity. HF and LLE are
-`fields.wedge_lap`; M-XIII's flows cross S with `diff`'s second differences.
+`fields._bind_wedge`'s neighbour sums; M-XIII's flows cross S with `diff`'s
+second differences.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly, as a binder in `fields`' `_bind_*` idiom
@@ -15,7 +16,7 @@ its views, buffers and products once and returns a runner. `section_flow`
 hands `evolve` a flow that binds them to a State and its derivative, so no
 RK4 stage looks anything up or allocates a grid-sized array (but M-XIIIA/B's
 potential solve). The named right-hand sides (`hf_rhs`, `mxiiib_system`, ...)
-bind and run once, into `out` when given, and `stationary_residual` runs the
+bind and run once, each into a new array, and `stationary_residual` runs the
 same binders (the M-XIII family's with phi given), bit for bit. Section
 models read named parameters; `mxiii_terms` maps M-XIII's once per model.
 """
@@ -40,21 +41,20 @@ PHI_KINDS = ("mxiiia", "mxiiib", "ishimori")
 STATIONARY_ONLY = ("ishimori",)     # no time evolution: check reads it, simulate not
 
 
-def hf_rhs(s, g, out=None):
-    """S ^ S_xx: the HF flow of a 1-D-in-x spin array, into out (not s) when
-    given."""
-    return _bind_wedge(s, out, None, g, False)()
+def hf_rhs(s, g):
+    """S ^ S_xx: the HF flow of a 1-D-in-x spin array."""
+    return _bind_wedge(s, None, g, False)()
 
 
 def _bind_lle(s, out, g):
     if g.is_1d:
         raise GridTooSmall("the 2+1-D Landau-Lifshitz flow needs a 2-D grid")
-    return _bind_wedge(s, out, None, g, True)
+    return _bind_wedge(s, out, g, True)
 
 
-def lle_rhs(s, g, out=None):
-    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow; out as for hf_rhs."""
-    return _bind_lle(s, out, g)()
+def lle_rhs(s, g):
+    """S ^ (S_xx + S_yy): the 2+1-D Landau-Lifshitz flow."""
+    return _bind_lle(s, None, g)()
 
 
 def mxiii_terms(params, g):
@@ -77,11 +77,10 @@ def mxiii_constraint(s, g, sx, sy, terms):
     return (curl - (a1 + b2) * triple(s, sx, sy)) * np.ones((g.ny, g.nx))
 
 
-def mxiii_rhs(s, g, terms, out=None):
-    """M-XIII flow from `mxiii_terms`; out as for hf_rhs. The flow is
-    supposed to keep `mxiii_constraint` small; it is monitored, never
-    enforced."""
-    return _bind_system("mxiii", s, g, terms[0], terms[1], out)()[0]
+def mxiii_rhs(s, g, terms):
+    """M-XIII flow from `mxiii_terms`. The flow is supposed to keep
+    `mxiii_constraint` small; it is monitored, never enforced."""
+    return _bind_system("mxiii", s, g, terms[0], terms[1])()[0]
 
 
 def _source(kind, s, sx, sy, coeffs):
@@ -129,8 +128,8 @@ def _bind_system(kind, s, g, coeffs, drift, out=None, phi=None):
     return run
 
 
-def mxiiia_system(s, g, a1, a2, b1, b2, out=None):
-    """M-XIIIA right-hand side with its potential; out as for hf_rhs.
+def mxiiia_system(s, g, a1, a2, b1, b2):
+    """M-XIIIA right-hand side with its potential.
 
     phi solves phi_xy = ((a1+b2)/2) S.(S_x ^ S_y) by mixed-derivative
     quadrature on a clamped grid, gauged to zero on the seed row and
@@ -138,11 +137,11 @@ def mxiiia_system(s, g, a1, a2, b1, b2, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_y S_x + phi_x S_y.
     """
-    return _bind_system("mxiiia", s, g, (a1, a2, b1, b2), None, out)()[:2]
+    return _bind_system("mxiiia", s, g, (a1, a2, b1, b2), None)()[:2]
 
 
-def mxiiib_system(s, g, a1, a2, b1, b2, out=None):
-    """M-XIIIB right-hand side with its potential; out as for hf_rhs.
+def mxiiib_system(s, g, a1, a2, b1, b2):
+    """M-XIIIB right-hand side with its potential.
 
     phi solves phi_xx + phi_yy = (a1+b2) S.(S_x ^ S_y) on a periodic grid
     in the zero-mean gauge. The discrete source mean (a quadrature leftover
@@ -152,7 +151,7 @@ def mxiiib_system(s, g, a1, a2, b1, b2, out=None):
 
         S ^ [a2 S_yy + (a1-b2) S_xy - b1 S_xx] + phi_x S_x + phi_y S_y.
     """
-    return _bind_system("mxiiib", s, g, (a1, a2, b1, b2), None, out)()[:2]
+    return _bind_system("mxiiib", s, g, (a1, a2, b1, b2), None)()[:2]
 
 
 def section_flow(kind, grid, params=None):
@@ -168,7 +167,7 @@ def section_flow(kind, grid, params=None):
         raise ValueError(f"{kind} solves for its potential on a {need} grid, not {grid.boundary}")
     p = named_params(kind, SECTION_PARAMS[kind], params)
     if kind == "hf":
-        return (lambda st, k: _bind_wedge(st["S"], k["S"], None, grid, False)), None
+        return (lambda st, k: _bind_wedge(st["S"], k["S"], grid, False)), None
     if kind == "lle":
         return (lambda st, k: _bind_lle(st["S"], k["S"], grid)), None
     terms = mxiii_terms(p, grid)        # once per model

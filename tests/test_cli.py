@@ -711,6 +711,20 @@ class TestEndToEnd:
         assert rc == 0
         assert obj.read_text().count("\nf ") == 15 * 15 - 1 + 1
 
+    def test_reconstruct_report_does_not_depend_on_the_spelling_of_coeffs(self, tmp_path,
+                                                                          capsys):
+        """--coeffs HF and --coeffs hf write the same report.json, as check
+        and simulate do for their model names."""
+        spin = tmp_path / "S.csv"
+        write_spin(spin, Grid(16, 16, 0.25, 0.25, "clamped"), seed=42)
+        reports = []
+        for kind in ("HF", "hf"):
+            report = tmp_path / f"{kind}.json"
+            assert main(["reconstruct", "--input", str(spin), "--coeffs", kind, "--output",
+                         str(tmp_path / f"{kind}.obj"), "--report", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1] and b'"model":"reconstruct:hf"' in reports[0]
+
     def test_simulate_snapshot_files(self, tmp_path, capsys):
         outdir = tmp_path / "run"
         rc = main(["simulate", "--model", "hf", "--nx", "32", "--dx", "0.2",

@@ -249,7 +249,7 @@ def test_hf_chain_conserves_energy_and_total_spin():
 # E = sum[(1 - S.S_{i+1,j}) / dx^2 + (1 - S.S_{i,j+1}) / dy^2] dx dy and
 # sum S dx dy, as HF does along each axis. 2,000 steps at dt = 0.2 min(dx,
 # dy)^2 from smooth_spin(seed=1) on a square-cell and a dx != dy grid (the
-# two branches of `fields.wedge_lap`) measured E drifts of 3.1e-8 and
+# two branches of `fields._bind_wedge`) measured E drifts of 3.1e-8 and
 # 4.8e-8 and total-spin drifts of 2.7e-9 and 4.0e-9.
 LLE_ENERGY_DRIFT = 5e-7
 LLE_TOTAL_SPIN_DRIFT = 5e-8
@@ -495,7 +495,7 @@ def test_a_flow_runs_its_bound_runner_not_the_named_function(monkeypatch, kind, 
 
 
 def count_binds(monkeypatch):
-    """Calls of the kernel binders: first and second differences, `wedge_lap`
+    """Calls of the kernel binders: first and second differences, `_bind_wedge`
     with its neighbour sums, and cross products, patched on every module that
     imports them by name (a from-import escapes a patch on `fields` alone)."""
     calls = []
@@ -547,10 +547,10 @@ def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, f
     # M-XIIIA/B's potential solve, one allocating call in each run of the
     # flow, differences phi and crosses S_x with S_y at every stage
     assert name in ("mxiiia", "mxiiib") or counts[0] == counts[1]
-    if name == "hf":    # wedge_lap (sums, cross) for state and stage; a diff per snapshot
+    if name == "hf":    # _bind_wedge (sums, cross) for state and stage; a diff per snapshot
         assert counts[0] == ["_bind_cross", "_bind_cross", "_bind_d1", "_bind_d1",
                              "_bind_sum", "_bind_sum", "_bind_wedge", "_bind_wedge"]
-    if name in ("m-lii", "m-xl"):   # A: wedge_lap's and S ^ e3; D: S ^ S_x and S ^ S_xxxx
+    if name in ("m-lii", "m-xl"):   # A: _bind_wedge's and S ^ e3; D: S ^ S_x and S ^ S_xxxx
         assert counts[0].count("_bind_cross") == 4
 
 

@@ -9,7 +9,7 @@ from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
                       triple)
 from spinsurf.errors import GridTooSmall
 from spinsurf import fields
-from spinsurf.fields import wedge_lap
+from spinsurf.models import hf_rhs, lle_rhs
 
 E1, E2, E3 = np.eye(3)
 
@@ -171,8 +171,9 @@ class TestDiff4x:
         assert 3.3 < errs[0] / errs[1] < 4.7
 
 
-# S ^ S_xx: 1-D chains as (3, 1, nx) and as bare (3, nx) arrays, and 2-D
-# (3, ny, nx) arrays, against the cross product of the second difference
+# S ^ S_xx (hf_rhs, `fields._bind_wedge` along x): 1-D chains as (3, 1, nx)
+# and as bare (3, nx) arrays, and 2-D (3, ny, nx) arrays, against the cross
+# product of the second difference
 WEDGE_SHAPES = [(3, 1, 17), (3, 17), (3, 6, 17)]
 
 
@@ -185,7 +186,7 @@ class TestWedgeDxx:
             v = rng.standard_normal(3)
             s = np.broadcast_to((v / np.linalg.norm(v)).reshape(3, *[1] * (len(shape) - 1)),
                                 shape).copy()
-            assert np.all(wedge_lap(s, g) == 0.0)
+            assert np.all(hf_rhs(s, g) == 0.0)
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("shape", WEDGE_SHAPES)
@@ -195,24 +196,25 @@ class TestWedgeDxx:
             s = rng.standard_normal(shape)
             s /= np.linalg.norm(s, axis=0)
             want = cross(s, diff(s, g, "dxx"))
-            err = np.abs(wedge_lap(s, g) - want).max()
+            err = np.abs(hf_rhs(s, g) - want).max()
             assert err <= 16 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     def test_into_out_is_the_allocated_result(self, boundary, rng):
         g = Grid(9, 7, 0.3, 0.2, boundary)
         s = rng.standard_normal((3, 7, 9))
-        out, tmp = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
-        assert wedge_lap(s, g, out=out, tmp=tmp) is out
-        assert np.array_equal(out, wedge_lap(s, g))
+        out = np.full(s.shape, np.nan)
+        assert fields._bind_wedge(s, out, g, False)() is out
+        assert np.array_equal(out, hf_rhs(s, g))
 
     @pytest.mark.parametrize("boundary, nx", [(PERIODIC, 2), (CLAMPED, 3)])
     def test_too_few_nodes(self, boundary, nx):
         with pytest.raises(GridTooSmall):
-            wedge_lap(np.ones((3, 1, nx)), Grid(nx, 1, 0.1, 1.0, boundary))
+            hf_rhs(np.ones((3, 1, nx)), Grid(nx, 1, 0.1, 1.0, boundary))
 
 
-# S ^ (S_xx + S_yy) on square and dx != dy cells. A constant spin with no zero
+# S ^ (S_xx + S_yy) (lle_rhs, `fields._bind_wedge` along x and y; on a chain,
+# hf_rhs) on square and dx != dy cells. A constant spin with no zero
 # component: any vector parallel to the pole crosses it to 0, whatever the
 # rounding, so the pole cannot tell one cross product per spacing from a
 # (dx/dy)^2 folded into one (about 5e-15 at dx = 0.2, dy = 0.3).
@@ -227,7 +229,7 @@ class TestWedgeLap:
         for scale in (1e-3, 1.0, 10.0):
             g = Grid(17, ny, scale * dx, scale * dy, boundary)
             s = np.broadcast_to(CONSTANT_SPIN.reshape(3, 1, 1), (3, ny, 17)).copy()
-            assert np.all(wedge_lap(s, g, y=y) == 0.0)
+            assert np.all((lle_rhs if y else hf_rhs)(s, g) == 0.0)
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("ratio", [1.0, 1.5])
@@ -237,7 +239,7 @@ class TestWedgeLap:
             s = rng.standard_normal((3, 13, 17))
             s /= np.linalg.norm(s, axis=0)
             want = cross(s, diff(s, g, "dxx") + diff(s, g, "dyy"))
-            err = np.abs(wedge_lap(s, g, y=True) - want).max()
+            err = np.abs(lle_rhs(s, g) - want).max()
             assert err <= 16 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
@@ -245,28 +247,29 @@ class TestWedgeLap:
     def test_into_out_is_the_allocated_result(self, boundary, dy, rng):
         g = Grid(9, 7, 0.3, dy, boundary)
         s = rng.standard_normal((3, 7, 9))
-        out, tmp = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
-        assert wedge_lap(s, g, out=out, tmp=tmp, y=True) is out
-        assert np.array_equal(out, wedge_lap(s, g, y=True))
+        out = np.full(s.shape, np.nan)
+        assert fields._bind_wedge(s, out, g, True)() is out
+        assert np.array_equal(out, lle_rhs(s, g))
 
     @pytest.mark.parametrize("boundary, ny, message", [
         (PERIODIC, 2, "y-derivatives need ny >= 3"),
         (CLAMPED, 3, "clamped second derivative needs at least 4 nodes")])
     def test_too_few_y_nodes(self, boundary, ny, message):
         with pytest.raises(GridTooSmall, match=message):
-            wedge_lap(np.ones((3, ny, 8)), Grid(8, ny, 0.1, 0.1, boundary), y=True)
+            lle_rhs(np.ones((3, ny, 8)), Grid(8, ny, 0.1, 0.1, boundary))
 
 
 # ---------------------------------------------------------------------------
 # plans: a kernel bound once to its arrays (`fields._bind_*`), run at every stage
 
 def planned_kernels(ny):
-    """(name, binder, the parameters after its arrays, the fresh allocating
-    call it replaces) for every bound kernel a (3, ny, nx) array admits."""
-    kernels = [(w, fields._bind_diff, (w,), lambda a, g, w=w: diff(a, g, w))
+    """(name, binder bind(a, out, tmp, g), the fresh allocating call it
+    replaces) for every bound kernel a (3, ny, nx) array admits."""
+    kernels = [(w, lambda a, out, tmp, g, w=w: fields._bind_diff(a, out, tmp, g, w),
+                lambda a, g, w=w: diff(a, g, w))
                for w in ("dx", "dxx", "dxxxx") + (("dy", "dyy", "dxy") if ny > 1 else ())]
-    return kernels + [(f"wedge_lap-{y}", fields._bind_wedge, (y,),
-                       lambda a, g, y=y: wedge_lap(a, g, y=y)) for y in {False, ny > 1}]
+    return kernels + [(f"wedge-{y}", lambda a, out, tmp, g, y=y: fields._bind_wedge(a, out, g, y),
+                       lle_rhs if y else hf_rhs) for y in {False, ny > 1}]
 
 
 @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
@@ -277,9 +280,9 @@ def test_a_plan_equals_the_kernel_it_replaces(boundary, ny, dx, dy, rng):
     place between runs, writes what a fresh allocating call returns, bit for
     bit, into the out it was bound to."""
     g = Grid(9, ny, dx, dy, boundary)
-    for name, bind, params, fresh in planned_kernels(ny):
+    for name, bind, fresh in planned_kernels(ny):
         a, out, tmp = np.empty((3, ny, 9)), np.empty((3, ny, 9)), np.empty((3, ny, 9))
-        run = bind(a, out, tmp, g, *params)
+        run = bind(a, out, tmp, g)
         for _ in range(3):
             a[...] = rng.standard_normal(a.shape)
             assert run() is out and np.array_equal(out, fresh(a, g)), name
@@ -320,7 +323,8 @@ class TestProjectSphere:
 
 
 # ---------------------------------------------------------------------------
-# out= arrays: the same code path as allocation, so the same bits
+# given buffers (a binder's, and norm's and project_sphere's out=): the same
+# code path as allocation, so the same bits
 
 @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
 @pytest.mark.parametrize("which", ["dx", "dy", "dxx", "dyy", "dxy", "dxxxx"])
@@ -329,13 +333,15 @@ def test_diff_into_out_is_the_allocated_result(boundary, which, rng):
     for shape in ((9, 12), (3, 9, 12)):
         a = rng.standard_normal(shape)
         out, tmp = np.full(shape, np.nan), np.full(shape, np.nan)
-        assert diff(a, g, which, out=out, tmp=tmp) is out
+        assert fields._bind_diff(a, out, tmp, g, which)() is out
         assert np.array_equal(out, diff(a, g, which))
 
 
 def test_vector_kernels_into_out_are_the_allocated_results(rng):
     a, b = rng.standard_normal((2, 3, 7, 5))
-    for kernel, args in ((cross, (a, b)), (norm, (a,)), (project_sphere, (a, norm(a)))):
+    out = np.full(a.shape, np.nan)
+    assert fields._bind_cross(a, b, out)() is out and np.array_equal(out, cross(a, b))
+    for kernel, args in ((norm, (a,)), (project_sphere, (a, norm(a)))):
         want = kernel(*args)
         out = np.full(want.shape, np.nan)
         assert kernel(*args, out=out) is out

@@ -5,13 +5,12 @@ import pytest
 
 from spinsurf import (Grid, ModelSpec, PhononAbsent, ScalarField, SpinField,
                       UnimplementedModel, UnknownModel, catalog_lookup,
-                      catalog_names, constant_field, cross, diff, dot,
+                      catalog_names, constant_field, cross, diff, dot, hf_rhs,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
                                      _to_vector, SPIN_FAMILIES, catalog_flow)
 from spinsurf.magnetoelastic import FAMILIES
 from spinsurf.evolve import State
-from spinsurf.fields import wedge_lap
 
 IMPLEMENTED = [n for n, s in _REGISTRY.items() if s.implemented]
 FAMILY_EXAMPLES = {"A": "M-LVII", "B": "M-LVI", "C": "M-LV",
@@ -220,14 +219,14 @@ def written_out_rhs(spec, s, u, w, g):
     sx = diff(s, g, "dx")
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
-        ds = wedge_lap(s, g) + drive * cross(s, E3)
+        ds = hf_rhs(s, g) + drive * cross(s, E3)
     elif spec.spin in ("C", "D"):
         coeff = p("mu") * dot(sx, sx) - u + p("m")
         ds = diff(coeff * cross(s, sx), g, "dx")
         if spec.spin == "D":
             ds = p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
     else:
-        ds = wedge_lap(s, g) + u * sx
+        ds = hf_rhs(s, g) + u * sx
     if spec.phonon == "none":
         return [ds]
     q = {"s3": s[2], "s3sq": s[2] ** 2, "sxsq": dot(sx, sx),
@@ -247,8 +246,8 @@ def written_out_rhs(spec, s, u, w, g):
 @pytest.mark.parametrize("boundary", ["periodic", "clamped"])
 @pytest.mark.parametrize("name", IMPLEMENTED)
 def test_buffered_rhs_bitwise_equal_written_out_formula(name, boundary):
-    """Computing S_x themselves, and handed one S_x for both, over two
-    states in turn, both right-hand sides equal the written-out formula."""
+    """Over two states in turn, both right-hand sides equal the written-out
+    formula."""
     g = Grid(24, 1, 0.2, 1.0, boundary)
     spec = catalog_lookup(name)
     rng = np.random.default_rng(len(name))
@@ -258,11 +257,7 @@ def test_buffered_rhs_bitwise_equal_written_out_formula(name, boundary):
         s, u, _ = random_state(g, seed)
         w = synth.smooth_scalar(g, seed=seed + 2000).values
         want = written_out_rhs(spec, s, u, w, g)
-        assert all(np.array_equal(a, b) for a, b in zip(all_rhs(spec, s, u, w, g), want))
-        sx = diff(s, g, "dx")
-        got = [me_spin_rhs(spec, s, u, g, sx)]
-        if spec.phonon != "none":
-            got += [a for a in me_phonon_rhs(spec, s, u, w, g, sx) if a is not None]
+        got = all_rhs(spec, s, u, w, g)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -288,3 +283,31 @@ def test_a_bound_flow_reads_its_state_afresh_at_every_run(name):
         want = [me_spin_rhs(spec, s, u, g), *me_phonon_rhs(spec, s, u, w, g)]
         assert all(np.array_equal(k[n], b) for n, b in zip(("S", "u", "w"), want)
                    if b is not None), i
+
+
+# the spin families that read S_x, without the shared S/u x-pass of an
+# advection or KdV phonon: their S_x pass binds to the state's S
+UNSHARED_SX = [n for n, s in _REGISTRY.items() if s.implemented and s.spin in ("C", "D", "E")
+               and s.phonon in ("none", "wave", "boussinesq")]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("name", UNSHARED_SX)
+def test_a_catalog_flow_binds_a_dict_as_it_binds_a_state(name, boundary):
+    """Each such entry, bound once to a dict of arrays and once to a State
+    holding the same values, writes the same derivative, bit for bit."""
+    assert len(UNSHARED_SX) == 9
+    spec = catalog_lookup(name)
+    g = Grid(24, 1, 0.2, 1.0, boundary)
+    s, u, _ = random_state(g, 5)
+    values = {"S": s, "u": u, "w": synth.smooth_scalar(g, seed=6).values}
+    external = ScalarField(g, u) if spec.phonon == "none" else None
+    names, _, bind = catalog_flow(spec, g, external)
+    got = []
+    for wrap in (dict, State):
+        st = wrap({n: values[n].copy() for n in names})
+        k = wrap({n: np.full(values[n].shape, np.nan) for n in names})
+        bind(st, k)()
+        got.append(k)
+    assert all(np.array_equal(got[0][n], got[1][n]) for n in names)
+    assert not any(np.isnan(got[0][n]).any() for n in names)
