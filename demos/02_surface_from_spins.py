@@ -34,11 +34,11 @@ history = np.concatenate([s["S"].values for s in traj.snapshots], axis=-2)
 hist_grid = Grid(n, history.shape[-2], grid.dx, dt, "periodic")
 S = SpinField(hist_grid, history)
 
-mesh, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
+r, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
 print(f"reconstructed {hist_grid.ny} x {hist_grid.nx} surface nodes")
 print(f"path mismatch between sweep orders: {mismatch:.3e}")
 
 os.makedirs("demos/output", exist_ok=True)
-normals = unit_normal(mesh)
-fileio.export_mesh("demos/output/hf_surface.obj", mesh, normals)
+normals = unit_normal(r)
+fileio.export_mesh("demos/output/hf_surface.obj", r, normals)
 print("wrote demos/output/hf_surface.obj")

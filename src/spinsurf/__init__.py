@@ -8,9 +8,9 @@ from .errors import (Blowup, ConfigError, DegenerateTangent, FormatError,
 from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField, VecField,
                      constant_field, cross, diff, dot, norm,
                      project_sphere, same_grid, triple)
-from .geometry import (CoefficientSet, ResidualReport, SurfaceMesh,
-                       classical_coeffs, mf_tangents, n_system_residual,
-                       reconstruct_surface, unit_normal)
+from .geometry import (CoefficientSet, ResidualReport, classical_coeffs,
+                       mf_tangents, n_system_residual, reconstruct_surface,
+                       unit_normal)
 from .models import (hf_rhs, lle_rhs, mxiii_constraint, mxiii_rhs, mxiii_terms,
                      mxiiia_system, mxiiib_system, stationary_residual)
 from .magnetoelastic import (ModelSpec, catalog_lookup, catalog_names,

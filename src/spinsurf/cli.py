@@ -20,7 +20,7 @@ from . import fileio, synth
 from .errors import ConfigError, GridTooSmall, SpinsurfError, UnknownModel
 from .fields import CLAMPED, Grid, ScalarField, SpinField, named_params
 from .geometry import classical_coeffs, reconstruct_surface, unit_normal
-from .magnetoelastic import _REGISTRY, catalog_lookup
+from .magnetoelastic import catalog_lookup, catalog_names
 from .models import (PHI_KINDS, SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY,
                      stationary_residual)
 from .evolve import EvolveOptions, evolution_model, evolve
@@ -219,8 +219,8 @@ def cmd_simulate(cfg):
             fileio.write_field(os.path.join(outdir, f"snap_{idx:06d}_{fname}.csv"),
                                fobj)
     diag = [{"time": t, **d} for t, d in zip(traj.times, traj.diagnostics)]
-    fileio.report(os.path.join(outdir, "report.json"), model.name, grid, diag,
-                  notes=[f"steps={opts.steps}", f"dt={opts.dt:.17g}"])
+    fileio.report(os.path.join(outdir, "report.json"), model.name, grid,
+                  {"diagnostics": diag}, notes=[f"steps={opts.steps}", f"dt={opts.dt:.17g}"])
     print(f"wrote {len(traj.snapshots)} snapshots to {outdir}")
     return 0
 
@@ -229,12 +229,12 @@ def cmd_reconstruct(cfg):
     S = _read(cfg.require("input"), SpinField)
     kind = cfg.get("coeffs", "hf").lower()
     coeffs = classical_coeffs(kind, **cfg.params)
-    mesh, mismatch = reconstruct_surface(S, coeffs)
-    normals = unit_normal(mesh) if cfg.get("normals", False) else None
-    fileio.export_mesh(cfg.require("output"), mesh, normals)
+    r, mismatch = reconstruct_surface(S, coeffs)
+    normals = unit_normal(r) if cfg.get("normals", False) else None
+    fileio.export_mesh(cfg.require("output"), r, normals)
     if cfg.get("report"):
         fileio.report(cfg.get("report"), f"reconstruct:{kind}", S.grid,
-                      [{"path_mismatch": mismatch}])
+                      {"diagnostics": [{"path_mismatch": mismatch}]})
     print(f"path mismatch {mismatch:.6e}")
     return 0
 
@@ -252,7 +252,10 @@ def cmd_check(cfg):
         notes.append("drift-pairing:phi_x*S_y+phi_y*S_x")
     rr = stationary_residual(kind, S, phi=phi, params=cfg.params)
     out = cfg.get("output", "report.json")
-    fileio.report(out, kind, S.grid, rr, notes=notes)
+    fileio.report(out, kind, S.grid,
+                  {"vector_residual": {"max": rr.vector_max, "l2": rr.vector_l2},
+                   "scalar_residual": {"max": rr.scalar_max, "l2": rr.scalar_l2}},
+                  notes=notes)
     print(f"vector residual max {rr.vector_max:.6e}  "
           f"scalar residual max {rr.scalar_max:.6e}")
     return 0
@@ -272,7 +275,7 @@ def cmd_catalog(cfg):
     if action == "list":
         if cfg.get("name") is not None:
             raise ConfigError(f"catalog list takes no name; use catalog show {cfg.get('name')}")
-        for spec in _REGISTRY.values():
+        for spec in map(catalog_lookup, catalog_names()):
             print("\t".join([spec.name, spec.spin, spec.phonon, spec.source,
                              "true" if spec.implemented else "false"]))
         for name in STATIONARY_KINDS:
@@ -311,7 +314,8 @@ def cmd_zc(cfg):
     except GridTooSmall:
         notes.append("nlse-residual-skipped:needs-nt>=3-and-nx>=4")
     grid = Grid(nx, nt, dx, dt, CLAMPED)
-    fileio.report(cfg.get("output", "report.json"), "zc", grid, [diag], notes=notes)
+    fileio.report(cfg.get("output", "report.json"), "zc", grid, {"diagnostics": [diag]},
+                  notes=notes)
     print(f"zero-curvature residual max {zc_max:.6e}")
     return 0
 

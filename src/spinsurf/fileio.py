@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import FormatError, GridTooSmall, NonFiniteResult, NonFiniteValue
 from .fields import CLAMPED, Grid, ScalarField, SpinField, VecField, is_unit
-from .geometry import ResidualReport
 
 FIELD_MAGIC = "# spinsurf-field v1"
 CURVE_MAGIC = "# spinsurf-curve v1"
@@ -148,13 +147,18 @@ def read_field(path):
     return (SpinField if is_unit(vals) else VecField)(grid, vals)
 
 
-def export_mesh(path, mesh, normals=None):
-    """Wavefront-OBJ-style mesh: v [vn] lines row-major, then 1-based quads."""
+def export_mesh(path, r, normals=None):
+    """Wavefront-OBJ-style mesh of the positions r: v [vn] lines row-major,
+    then one quad per grid cell i, j, its corners the 1-based nodes
+    k, k + 1, k + 1 + nx, k + nx for k = 1 + i + nx*j."""
+    nx = r.grid.nx
+    base = (np.arange(1, nx) + nx * np.arange(r.grid.ny - 1)[:, None]).ravel()
     with open(path, "w") as fh:
-        for tag, data in (("v", mesh.positions), ("vn", normals)):
+        for tag, data in (("v", r), ("vn", normals)):
             if data is not None:
                 _write_rows(fh, tag + " %.9g %.9g %.9g\n", data.values.reshape(3, -1).T)
-        _write_rows(fh, "f %d %d %d %d\n", mesh.quad_indices() + 1)
+        _write_rows(fh, "f %d %d %d %d\n",
+                    np.stack([base, base + 1, base + 1 + nx, base + nx], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +184,13 @@ def _json_value(v):
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def report(path, model, grid, data, notes=()):
-    """Write a residual or diagnostics report as byte-stable JSON.
-
-    data: a ResidualReport (fixed max/l2 layout) or any dict/list of
-    diagnostics records.
-    """
+def report(path, model, grid, sections, notes=()):
+    """Write a report as byte-stable JSON: the model, the grid, each of the
+    sections (a dict of name -> JSON-able value) in order, then the notes."""
     doc = {"model": model,
            "grid": {"nx": grid.nx, "ny": grid.ny, "dx": grid.dx,
-                    "dy": grid.dy, "boundary": grid.boundary}}
-    if isinstance(data, ResidualReport):
-        doc["vector_residual"] = {"max": data.vector_max, "l2": data.vector_l2}
-        doc["scalar_residual"] = {"max": data.scalar_max, "l2": data.scalar_l2}
-    else:
-        doc["diagnostics"] = data
-    doc["notes"] = list(notes)
+                    "dy": grid.dy, "boundary": grid.boundary},
+           **sections, "notes": list(notes)}
     text = _json_value(doc) + "\n"      # raises before the file is created
     with open(path, "w") as fh:
         fh.write(text)

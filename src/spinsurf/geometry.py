@@ -77,24 +77,6 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class SurfaceMesh:
-    """Reconstructed positions r(x, y) with implicit quad connectivity."""
-
-    positions: VecField
-
-    @property
-    def grid(self):
-        return self.positions.grid
-
-    def quad_indices(self):
-        """(n_cells, 4) array of 0-based row-major corner indices per cell."""
-        nx, ny = self.grid.nx, self.grid.ny
-        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1))
-        base = (i + nx * j).ravel()
-        return np.stack([base, base + 1, base + 1 + nx, base + nx], axis=1)
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     """Vector and scalar compatibility residuals with their norms."""
 
@@ -251,13 +233,13 @@ def n_system_residual(N, c):
 # surface reconstruction
 
 def reconstruct_surface(S, c, base=(0.0, 0.0, 0.0)):
-    """Integrate the tangent fields to positions r(x, y).
+    """Integrate the tangent fields to positions r(x, y): returns the
+    VecField r and the path mismatch.
 
     Sweep A runs cumulative trapezoid quadrature of r_x along the row
-    j = 0, then of r_y up each column; sweep B does columns first. The
-    returned mesh is sweep A; the maximum node distance between the two
-    sweeps (path_mismatch) measures how far the tangents are from
-    compatible.
+    j = 0, then of r_y up each column; sweep B does columns first. r is
+    sweep A; the maximum node distance between the two sweeps (the path
+    mismatch) measures how far the tangents are from compatible.
     """
     g = S.grid
     if g.ny < 2:
@@ -272,13 +254,13 @@ def reconstruct_surface(S, c, base=(0.0, 0.0, 0.0)):
     r_b = base + iy[:, :, 0:1] + ix          # column i=0 first, then rows
 
     mismatch = float(norm(r_a - r_b).max())
-    return SurfaceMesh(VecField(g, r_a)), mismatch
+    return VecField(g, r_a), mismatch
 
 
-def unit_normal(mesh):
-    """Discrete unit normal r_x ^ r_y / |r_x ^ r_y| of a surface mesh."""
-    r, g = mesh.positions.values, mesh.grid
-    n = cross(diff(r, g, "dx"), diff(r, g, "dy"))
+def unit_normal(r):
+    """Discrete unit normal r_x ^ r_y / |r_x ^ r_y| of the surface with positions r."""
+    g = r.grid
+    n = cross(diff(r.values, g, "dx"), diff(r.values, g, "dy"))
     mag = norm(n)
     if mag.min() < 1e-10:
         j, i = np.unravel_index(np.argmin(mag), mag.shape)

@@ -701,6 +701,26 @@ class TestEndToEnd:
         assert doc["model"] == "lle"
         assert doc["vector_residual"]["max"] > 0.0
 
+    @pytest.mark.parametrize("command, sections", [
+        ("simulate", ["diagnostics"]), ("reconstruct", ["diagnostics"]),
+        ("check", ["vector_residual", "scalar_residual"]), ("zc", ["diagnostics"])])
+    def test_report_layout(self, tmp_path, capsys, command, sections):
+        """Each command's report: model, grid, the command's sections, notes."""
+        out = tmp_path / "r.json"
+        argv, report = {
+            "simulate": (_initial(tmp_path), tmp_path / "run" / "report.json"),
+            "reconstruct": (["reconstruct", "--input", _spin(tmp_path), "--output",
+                             str(tmp_path / "m.obj"), "--report", str(out)], out),
+            "check": (["check", "--model", "lle", "--input", _spin(tmp_path),
+                       "--output", str(out)], out),
+            "zc": (_curve(tmp_path, lambda ls: ls), tmp_path / "z.json")}[command]
+        assert main(argv) == 0
+        doc = json.loads(report.read_text())
+        assert list(doc) == ["model", "grid", *sections, "notes"]
+        for name in ("vector_residual", "scalar_residual"):
+            if name in doc:
+                assert list(doc[name]) == ["max", "l2"]
+
     def test_reconstruct_writes_mesh(self, tmp_path, capsys):
         g = Grid(16, 16, 0.25, 0.25, "clamped")
         spin = tmp_path / "S.csv"

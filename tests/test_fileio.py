@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinsurf import (CLAMPED, FormatError, Grid, GridTooSmall, NonFiniteResult, NonFiniteValue,
-                      ScalarField, SpinField, SurfaceMesh, VecField,
+                      ScalarField, SpinField, VecField,
                       constant_field, fileio, reconstruct_surface,
                       classical_coeffs, synth, unit_normal)
 
@@ -84,28 +84,25 @@ class TestFieldRoundTrip:
 
 
 class TestExportMesh:
-    def _mesh(self, nx, ny):
+    def _surface(self, nx, ny):
         g = Grid(nx, ny, 1.0, 1.0, CLAMPED)
         x, y = g.meshgrid()
-        pos = np.stack([x, y, 0.1 * x * y])
-        return SurfaceMesh(VecField(g, pos))
+        return VecField(g, np.stack([x, y, 0.1 * x * y]))
 
     def test_two_by_two_connectivity(self, tmp_path):
         g = Grid(2, 2, 1.0, 1.0, CLAMPED)
         pos = np.zeros((3, 2, 2))
         pos[0], pos[1] = g.meshgrid()
-        mesh = SurfaceMesh(VecField(g, pos))
         path = tmp_path / "m.obj"
-        fileio.export_mesh(path, mesh)
+        fileio.export_mesh(path, VecField(g, pos))
         lines = path.read_text().splitlines()
         assert sum(1 for ln in lines if ln.startswith("v ")) == 4
         assert [ln for ln in lines if ln.startswith("f ")] == ["f 1 2 4 3"]
 
     def test_normals_counts_match(self, tmp_path):
-        mesh = self._mesh(4, 3)
-        n = unit_normal(mesh)
+        r = self._surface(4, 3)
         path = tmp_path / "n.obj"
-        fileio.export_mesh(path, mesh, n)
+        fileio.export_mesh(path, r, unit_normal(r))
         lines = path.read_text().splitlines()
         nv = sum(1 for ln in lines if ln.startswith("v "))
         nn = sum(1 for ln in lines if ln.startswith("vn "))
@@ -113,9 +110,8 @@ class TestExportMesh:
 
     def test_degenerate_mesh_still_writes(self, tmp_path):
         g = Grid(3, 3, 1.0, 1.0, CLAMPED)
-        mesh = SurfaceMesh(constant_field(g, (1.0, 2.0, 3.0)))
         path = tmp_path / "d.obj"
-        fileio.export_mesh(path, mesh)
+        fileio.export_mesh(path, constant_field(g, (1.0, 2.0, 3.0)))
         assert path.read_text().count("v 1 2 3") == 9
 
 
@@ -125,35 +121,48 @@ class TestReport:
         rr = n_system_residual(constant_field(grid2d, (0.0, 0.0, 1.0)),
                                CoefficientSet())
         path = tmp_path / "r.json"
-        fileio.report(path, "check", grid2d, rr)
-        text = path.read_text()
-        assert '"max":0' in text
+        fileio.report(path, "check", grid2d,
+                      {"vector_residual": {"max": rr.vector_max, "l2": rr.vector_l2}})
+        assert path.read_text().count('"max":0,"l2":0}') == 1
 
     def test_byte_stable(self, tmp_path, grid1d):
-        data = [{"time": 0.1, "energy_proxy": 1.0 / 3.0}]
+        data = {"diagnostics": [{"time": 0.1, "energy_proxy": 1.0 / 3.0}]}
         fileio.report(tmp_path / "a.json", "m", grid1d, data, notes=["x"])
         fileio.report(tmp_path / "b.json", "m", grid1d, data, notes=["x"])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_key_order_fixed(self, tmp_path, grid1d):
+        # model, grid, the sections in the order given, notes
+        import json
         path = tmp_path / "r.json"
-        fileio.report(path, "m", grid1d, [], notes=["tag"])
-        text = path.read_text()
-        assert text.index('"model"') < text.index('"grid"') < text.index('"notes"')
+        fileio.report(path, "m", grid1d, {"z": 1, "a": [], "m2": {"b": 1, "a": 2}},
+                      notes=["tag"])
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["model", "grid", "z", "a", "m2", "notes"]
+        assert list(doc["m2"]) == ["b", "a"]
 
     def test_valid_json(self, tmp_path, grid1d):
         import json
         path = tmp_path / "r.json"
-        fileio.report(path, "m", grid1d, [{"a": 0.5}], notes=[])
+        fileio.report(path, "m", grid1d, {"diagnostics": [{"a": 0.5}]}, notes=[])
         doc = json.loads(path.read_text())
         assert doc["model"] == "m" and doc["diagnostics"] == [{"a": 0.5}]
+        assert doc["notes"] == []
+
+    def test_no_sections(self, tmp_path, grid1d):
+        path = tmp_path / "r.json"
+        fileio.report(path, "m", grid1d, {})
+        assert path.read_text() == ('{"model":"m","grid":{"nx":%d,"ny":1,"dx":%s,"dy":%s,'
+                                    '"boundary":"%s"},"notes":[]}\n'
+                                    % (grid1d.nx, format(grid1d.dx, ".17g"),
+                                       format(grid1d.dy, ".17g"), grid1d.boundary))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_not_reported(self, tmp_path, grid1d, value):
         # "inf"/"nan" are not JSON; the report is refused before its file exists
         path = tmp_path / "r.json"
         with pytest.raises(NonFiniteResult):
-            fileio.report(path, "m", grid1d, [{"a": 0.5, "b": value}])
+            fileio.report(path, "m", grid1d, {"diagnostics": [{"a": 0.5, "b": value}]})
         assert not path.exists()
 
 
@@ -195,15 +204,17 @@ def _reference_write_table(path, magic, keys, header, vals):
         fh.write("\n".join(lines) + "\n")
 
 
-def _reference_export_mesh(path, mesh, normals=None):
+def _reference_export_mesh(path, r, normals=None):
     lines = []
-    for tag, data in (("v", mesh.positions), ("vn", normals)):
+    for tag, data in (("v", r), ("vn", normals)):
         if data is not None:
             for x, y, z in np.moveaxis(data.values, 0, -1).reshape(-1, 3).tolist():
                 lines.append(f"{tag} {x:.9g} {y:.9g} {z:.9g}")
-    for quad in mesh.quad_indices():
-        a, b, c, d = (int(q) + 1 for q in quad)
-        lines.append(f"f {a} {b} {c} {d}")
+    nx = r.grid.nx
+    for j in range(r.grid.ny - 1):      # one quad per cell, counter-clockwise, 1-based
+        for i in range(nx - 1):
+            k = 1 + i + nx * j
+            lines.append(f"f {k} {k + 1} {k + 1 + nx} {k + nx}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -443,10 +454,10 @@ class TestBlockWriters:
     def test_export_mesh_bytes(self, tmp_path, with_normals):
         g = self.G
         rows = _special((g.ny, g.nx, 3))
-        mesh = SurfaceMesh(VecField(g, np.moveaxis(rows, -1, 0)))
+        r = VecField(g, np.moveaxis(rows, -1, 0))
         normals = VecField(g, np.moveaxis(rows[::-1], -1, 0)) if with_normals else None
-        fileio.export_mesh(tmp_path / "a.obj", mesh, normals)
-        _reference_export_mesh(tmp_path / "b.obj", mesh, normals)
+        fileio.export_mesh(tmp_path / "a.obj", r, normals)
+        _reference_export_mesh(tmp_path / "b.obj", r, normals)
         assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
@@ -464,10 +475,10 @@ def test_export_mesh_peak_memory_below_file_size(tmp_path):
     # line as a string first peaked at about 50 MB
     g = Grid(256, 401, 0.1, 0.01, CLAMPED)
     x, y = g.meshgrid()
-    mesh = SurfaceMesh(VecField(g, np.stack([x, y, np.sin(x) * y])))
-    normals = unit_normal(mesh)
+    r = VecField(g, np.stack([x, y, np.sin(x) * y]))
+    normals = unit_normal(r)
     path = tmp_path / "m.obj"
-    peak = _traced_peak(lambda: fileio.export_mesh(path, mesh, normals))
+    peak = _traced_peak(lambda: fileio.export_mesh(path, r, normals))
     assert peak < path.stat().st_size
 
 

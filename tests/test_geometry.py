@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
-                      Grid, GridMismatch, NearZeroNorm, ScalarField, SpinField, SurfaceMesh,
-                      VecField, classical_coeffs, constant_field, diff, mf_tangents,
+                      Grid, GridMismatch, NearZeroNorm, ScalarField, SpinField, VecField,
+                      classical_coeffs, constant_field, diff, fileio, mf_tangents,
                       n_system_residual, norm, project_sphere, reconstruct_surface,
                       synth, unit_normal)
 from spinsurf.geometry import phi_drift
@@ -165,27 +165,31 @@ class TestReconstructSurface:
     def test_constant_pole_hf_line(self):
         g = Grid(16, 16, 0.25, 0.25, CLAMPED)
         S = SpinField(g, np.broadcast_to(vec(0.0, 0.0, 1.0), (3, 16, 16)).copy())
-        mesh, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
+        r, mismatch = reconstruct_surface(S, classical_coeffs("hf"))
         x, _ = g.meshgrid()
         assert mismatch == 0.0
-        assert np.abs(mesh.positions.values[2] - x).max() < 1e-13
-        assert np.abs(mesh.positions.values[:2]).max() == 0.0
+        assert isinstance(r, VecField) and r.grid == g
+        assert np.abs(r.values[2] - x).max() < 1e-13
+        assert np.abs(r.values[:2]).max() == 0.0
 
     def test_zero_coefficients_stay_at_base(self):
         g = Grid(8, 8, 0.5, 0.5, CLAMPED)
         S = synth.smooth_spin(g, seed=7)
-        mesh, mismatch = reconstruct_surface(S, CoefficientSet(),
-                                             base=(1.0, 2.0, 3.0))
+        r, mismatch = reconstruct_surface(S, CoefficientSet(),
+                                          base=(1.0, 2.0, 3.0))
         assert mismatch == 0.0
-        assert np.all(mesh.positions.values == vec(1.0, 2.0, 3.0))
+        assert np.all(r.values == vec(1.0, 2.0, 3.0))
 
-    def test_quad_indices(self):
+    def test_quad_indices(self, tmp_path):
+        # the OBJ of a 3x3 surface holds 4 quads, the first on nodes 1, 2, 5, 4
         g = Grid(3, 3, 1.0, 1.0, CLAMPED)
         S = SpinField(g, np.broadcast_to(vec(0.0, 0.0, 1.0), (3, 3, 3)).copy())
-        mesh, _ = reconstruct_surface(S, classical_coeffs("hf"))
-        quads = mesh.quad_indices()
-        assert quads.shape == (4, 4)
-        assert list(quads[0]) == [0, 1, 4, 3]
+        r, _ = reconstruct_surface(S, classical_coeffs("hf"))
+        fileio.export_mesh(tmp_path / "m.obj", r)
+        faces = [ln for ln in (tmp_path / "m.obj").read_text().splitlines()
+                 if ln.startswith("f ")]
+        assert len(faces) == 4
+        assert faces[0] == "f 1 2 5 4"
 
 
 class TestUnitNormal:
@@ -193,7 +197,7 @@ class TestUnitNormal:
         g = Grid(12, 10, 0.4, 0.3, CLAMPED)
         x, y = g.meshgrid()
         pos = np.stack([x, y, np.zeros_like(x)])
-        n = unit_normal(SurfaceMesh(VecField(g, pos)))
+        n = unit_normal(VecField(g, pos))
         assert np.allclose(n.values, vec(0.0, 0.0, 1.0), rtol=0, atol=1e-13)
 
     def test_parallel_tangents_rejected(self):
@@ -201,7 +205,7 @@ class TestUnitNormal:
         x, y = g.meshgrid()
         pos = np.stack([x + y, np.zeros_like(x), np.zeros_like(x)])
         with pytest.raises(DegenerateTangent):
-            unit_normal(SurfaceMesh(VecField(g, pos)))
+            unit_normal(VecField(g, pos))
 
     def test_sphere_patch(self):
         errs = []
@@ -213,7 +217,7 @@ class TestUnitNormal:
             pos = R * np.stack([np.sin(theta) * np.cos(phi),
                                 np.sin(theta) * np.sin(phi),
                                 np.cos(theta)])
-            nrm = unit_normal(SurfaceMesh(VecField(g, pos))).values
+            nrm = unit_normal(VecField(g, pos)).values
             radial = pos / R
             sign = np.sign(np.sum(nrm * radial, axis=0, keepdims=True))
             errs.append(np.abs(nrm - sign * radial).max())
