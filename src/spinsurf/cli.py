@@ -24,8 +24,7 @@ from .magnetoelastic import catalog_lookup, catalog_names
 from .models import (PHI_KINDS, SECTION_PARAMS, STATIONARY_KINDS, STATIONARY_ONLY,
                      stationary_residual)
 from .evolve import EvolveOptions, evolution_model, evolve
-from .zerocurv import (build_C, hasimoto, nlse_residual, require_time_slices, solve_D,
-                       zc_residual)
+from .zerocurv import build_C, hasimoto, nlse_residual, solve_D, zc_residual
 
 # key -> (type, help); the single source of truth for config validation
 _GRID_KEYS = {
@@ -304,7 +303,6 @@ def cmd_zc(cfg):
     named_params("zc", {}, cfg.params)
     k, tau, dx, dt = fileio.read_curve(cfg.require("input"))
     nt, nx = k.shape
-    require_time_slices(nt)
     C = build_C(k, tau)
     D = solve_D(C, np.zeros((nt, 3, 3)), dx, dt)
     _, zc_max = zc_residual(C, D, dx, dt)

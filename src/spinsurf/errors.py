@@ -42,14 +42,14 @@ class NonZeroMeanSource(SpinsurfError):
 
 
 class NonConvergence(SpinsurfError):
-    """Iterative solve failed to reach tolerance."""
+    """A solve's back-substitution misses its source by more than the tolerance."""
 
     exit_code = 3
 
-    def __init__(self, iterations, residual):
-        self.iterations, self.residual = iterations, residual
-        super().__init__(f"no convergence after {iterations} iterations "
-                         f"(residual {residual:.3e})")
+    def __init__(self, residual):
+        self.residual = residual
+        super().__init__(f"back-substitution misses its source by relative residual "
+                         f"{residual:.3e}")
 
 
 class Blowup(SpinsurfError):

@@ -174,9 +174,9 @@ def mf_tangents(S, c):
         return np.isscalar(v) and v == 0.0
 
     sx = diff(s, g, "dx")
-    sy = np.zeros_like(s) if all(map(zero, ("a2", "a4", "b2", "b4"))) else diff(s, g, "dy")
+    sy = None if all(map(zero, ("a2", "a4", "b2", "b4"))) else diff(s, g, "dy")
     s_sx = cross(s, sx)
-    s_sy = cross(s, sy)
+    s_sy = None if sy is None else cross(s, sy)     # side() reads neither when None
 
     def side(c1, c2, c3, c4, c5):
         out = np.zeros_like(s)

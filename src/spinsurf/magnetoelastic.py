@@ -67,9 +67,6 @@ class ModelSpec:
     reason: str = ""
     params: dict = field(default_factory=dict)
 
-    def param(self, key):
-        return self.params[key]
-
     def with_params(self, /, **params):
         """This entry with coupling constants set; refuses any name it does not read."""
         _check(self)
@@ -174,8 +171,8 @@ def _spin_b(calls, p, s, u, g, sx, out):        # S^S_xx + u S3 (S^e3): A's, dri
 
 def _spin_c(calls, p, s, u, g, sx, out):        # d/dx[(mu |S_x|^2 - u + m) (S^S_x)]
     q, c = np.empty(sx.shape[1:]), np.empty(s.shape)
-    calls += [(_bind_dot(sx, sx, q), ()), (np.multiply, (p("mu"), q, q)),
-              (np.subtract, (q, u, q)), (np.add, (q, p("m"), q)), (_bind_cross(s, sx, c), ()),
+    calls += [(_bind_dot(sx, sx, q), ()), (np.multiply, (p["mu"], q, q)),
+              (np.subtract, (q, u, q)), (np.add, (q, p["m"], q)), (_bind_cross(s, sx, c), ()),
               (np.multiply, (q, c, c)), (_bind_diff(c, out, None, g, "dx"), ())]
 
 
@@ -183,7 +180,7 @@ def _spin_d(calls, p, s, u, g, sx, out):        # n (S^S_xxxx) + 2 C's flux
     _spin_c(calls, p, s, u, g, sx, out)
     c = np.empty(s.shape)
     calls += [(np.multiply, (out, 2.0, out)), (_bind_cross(s, _x(calls, s, g, "dxxxx"), c), ()),
-              (np.multiply, (p("n"), c, c)), (np.add, (c, out, out))]
+              (np.multiply, (p["n"], c, c)), (np.add, (c, out, out))]
 
 
 def _spin_e(calls, p, s, u, g, sx, out):        # S^S_xx + u S_x
@@ -201,7 +198,7 @@ def _bind_spin(spec, s, u, g, out, sx):
     out, calls = np.empty(s.shape) if out is None else out, []
     if spec.spin in ("C", "D", "E") and sx is None:
         sx = _x(calls, s, g, "dx")
-    _SPIN[spec.spin](calls, spec.param, s, u, g, sx, out)
+    _SPIN[spec.spin](calls, spec.params, s, u, g, sx, out)
     return _runner(calls, out)
 
 
@@ -232,7 +229,7 @@ def _source(calls, spec, s, sx):
 
 def _phonon_wave(calls, p, u, q, g, ux, out):           # nu0^2 u_xx + lam q_xx
     a, b = _x(calls, u, g, "dxx"), _x(calls, q, g, "dxx")
-    calls += [(np.multiply, (p("nu0") ** 2, a, a)), (np.multiply, (p("lam"), b, b)),
+    calls += [(np.multiply, (p["nu0"] ** 2, a, a)), (np.multiply, (p["lam"], b, b)),
               (np.add, (a, b, out))]
 
 
@@ -241,14 +238,14 @@ def _phonon_boussinesq(calls, p, u, q, g, ux, out):     # wave's + alpha (u^2)_x
     u2 = np.empty(u.shape)
     calls.append((np.square, (u, u2)))
     a, b = _x(calls, u2, g, "dxx"), _x(calls, u, g, "dxxxx")
-    calls += [(np.multiply, (p("alpha"), a, a)), (np.multiply, (p("beta"), b, b)),
+    calls += [(np.multiply, (p["alpha"], a, a)), (np.multiply, (p["beta"], b, b)),
               (np.add, (a, b, a)), (np.add, (out, a, out))]
 
 
 def _phonon_advection(calls, p, u, q, g, ux, out):      # -u_x - lam q_x
     ux = _x(calls, u, g, "dx") if ux is None else ux
     b = _x(calls, q, g, "dx")
-    calls += [(np.negative, (ux, out)), (np.multiply, (p("lam"), b, b)),
+    calls += [(np.negative, (ux, out)), (np.multiply, (p["lam"], b, b)),
               (np.subtract, (out, b, out))]
 
 
@@ -257,7 +254,7 @@ def _phonon_kdv(calls, p, u, q, g, ux, out):            # advection's - alpha (u
     u2 = np.empty(u.shape)
     calls.append((np.square, (u, u2)))
     a, b = _x(calls, u2, g, "dx"), _x(calls, _x(calls, u, g, "dxx"), g, "dx")
-    calls += [(np.multiply, (p("alpha"), a, a)), (np.multiply, (p("beta"), b, b)),
+    calls += [(np.multiply, (p["alpha"], a, a)), (np.multiply, (p["beta"], b, b)),
               (np.add, (a, b, a)), (np.subtract, (out, a, out))]
 
 
@@ -266,28 +263,26 @@ _PHONON = {"wave": _phonon_wave, "boussinesq": _phonon_boussinesq,
 
 
 def _bind_phonon(spec, s, u, w, g, du, dw, sx, ux):
-    wave, calls, p = spec.phonon in ("wave", "boussinesq"), [], spec.param
+    wave, calls, p = spec.phonon in ("wave", "boussinesq"), [], spec.params
     if wave and w is None:
         raise ValueError(f"{spec.name} needs the velocity field w = u_t")
     if spec.source in ("sxsq", "trform") and sx is None:
         sx = _x(calls, s, g, "dx")
     q = _source(calls, spec, s, sx)
+    du = np.empty(u.shape) if du is None else du
     if not wave:
-        du = np.empty(u.shape) if du is None else du
         _PHONON[spec.phonon](calls, p, u, q, g, ux, du)
         return _runner(calls, (du, None))
     dw = np.empty(u.shape) if dw is None else dw
     _PHONON[spec.phonon](calls, p, u, q, g, ux, dw)
-    calls.append((np.divide, (dw, p("rho"), dw)))
-    if du is not None:
-        calls.append((np.copyto, (du, w)))
-    return _runner(calls, (w if du is None else du, dw))
+    calls += [(np.divide, (dw, p["rho"], dw)), (np.copyto, (du, w))]
+    return _runner(calls, (du, dw))
 
 
 def me_phonon_rhs(spec, s, u, w, g):
     """First-order-form phonon right-hand side (du_dt, dw_dt) on arrays;
-    dw_dt is None for first-order phonon equations, and du_dt is the
-    velocity w itself for wave-type ones."""
+    dw_dt is None for first-order phonon equations, and du_dt is a copy of
+    the velocity w for wave-type ones."""
     _check(spec)
     if spec.phonon == "none":
         raise PhononAbsent(f"{spec.name} prescribes u externally")
@@ -375,10 +370,10 @@ def pauli_oracle_rhs(spec, s, u, g):
     elif spec.spin in ("C", "D"):
         smx = diff(sm, g, "dx")
         sx2 = np.real(np.einsum("ab...,ba...->...", smx, smx)) / 2.0        # tr(S_x S_x) / 2
-        coeff = spec.param("mu") * sx2 - u + spec.param("m")
+        coeff = spec.params["mu"] * sx2 - u + spec.params["m"]
         m = diff(coeff * _comm(sm, smx), g, "dx")
         if spec.spin == "D":
-            m = spec.param("n") * _comm(sm, diff(sm, g, "dxxxx")) + 2.0 * m
+            m = spec.params["n"] * _comm(sm, diff(sm, g, "dxxxx")) + 2.0 * m
     elif spec.spin == "E":
         m = _comm(sm, diff(sm, g, "dxx")) + 2j * u * diff(sm, g, "dx")
     else:

@@ -49,7 +49,7 @@ def poisson_solve(f, g):
 
     resid = np.abs(diff(phi, g, "dxx") + diff(phi, g, "dyy") - f).max()
     if fmax > 0 and resid > POISSON_RTOL * fmax:
-        raise NonConvergence(1, resid / fmax)
+        raise NonConvergence(resid / fmax)
     return phi
 
 

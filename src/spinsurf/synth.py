@@ -5,14 +5,14 @@ import numpy as np
 from .fields import ScalarField, SpinField, VecField, norm, project_sphere
 
 
-def smooth_scalar(grid, seed=0, modes=3, amplitude=1.0):
-    """Band-limited random scalar field, periodic in both directions."""
+def smooth_scalar(grid, seed=0, amplitude=1.0):
+    """Band-limited random scalar field, periodic in both directions: three sine waves."""
     rng = np.random.default_rng(seed)
     x, y = grid.meshgrid()
     lx = grid.nx * grid.dx
     ly = grid.ny * grid.dy
     out = np.zeros((grid.ny, grid.nx))
-    for _ in range(modes):
+    for _ in range(3):
         kx = rng.integers(-2, 3)
         ky = rng.integers(-2, 3) if grid.ny > 1 else 0
         phase = rng.uniform(0, 2 * np.pi)
@@ -24,19 +24,19 @@ def smooth_scalar(grid, seed=0, modes=3, amplitude=1.0):
     return ScalarField(grid, out)
 
 
-def smooth_vec(grid, seed=0, modes=3, amplitude=1.0):
-    comps = [smooth_scalar(grid, seed=seed * 3 + k + 1, modes=modes,
-                           amplitude=amplitude).values for k in range(3)]
+def smooth_vec(grid, seed=0, amplitude=1.0):
+    comps = [smooth_scalar(grid, seed=seed * 3 + k + 1, amplitude=amplitude).values
+             for k in range(3)]
     return VecField(grid, np.stack(comps))
 
 
-def smooth_spin(grid, seed=0, modes=3, tilt=0.5):
+def smooth_spin(grid, seed=0):
     """Unit spin field: a perturbed north pole, projected onto the sphere.
 
     The bias toward (0, 0, 1) keeps norms safely away from zero so the
     projection is well conditioned for every seed.
     """
-    v = smooth_vec(grid, seed=seed, modes=modes, amplitude=tilt).values.copy()
+    v = smooth_vec(grid, seed=seed, amplitude=0.5).values.copy()
     v[2] += 2.0
     return SpinField(grid, project_sphere(v, norm(v)))
 

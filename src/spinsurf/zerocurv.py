@@ -38,34 +38,26 @@ def _d1_any(a, h, axis):
 
 
 def build_C(k, tau):
-    """Frame matrix C from curvature and torsion arrays of equal shape."""
+    """Frame matrix C, the so(3) matrix of (-tau, 0, -k), for k and tau of equal shape."""
     k, tau = np.asarray(k, dtype=float), np.asarray(tau, dtype=float)
     if k.shape != tau.shape:
         raise ValueError("k and tau must share a shape")
-    c = np.zeros(k.shape + (3, 3))
-    c[..., 0, 1] = k
-    c[..., 1, 0] = -k
-    c[..., 1, 2] = tau
-    c[..., 2, 1] = -tau
-    return c
+    return _hat(np.stack([-tau, np.zeros(k.shape), -k], axis=-1))
 
 
 def build_D(w1, w2, w3, antisymmetrize=False):
-    """Frame matrix D, by default exactly as printed (D[2,1] = +w1)."""
-    w1, w2, w3 = np.broadcast_arrays(*(np.asarray(w, dtype=float)
-                                       for w in (w1, w2, w3)))
-    d = np.zeros(w1.shape + (3, 3))
-    d[..., 0, 1] = w3
-    d[..., 0, 2] = -w2
-    d[..., 1, 0] = -w3
-    d[..., 1, 2] = w1
-    d[..., 2, 0] = w2
-    d[..., 2, 1] = -w1 if antisymmetrize else w1
+    """Frame matrix D, by default exactly as printed (D[2,1] = +w1): the
+    so(3) matrix of -(w1, w2, w3), with that one entry flipped."""
+    w = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w1, w2, w3))),
+                 axis=-1)
+    d = _hat(-w)
+    if not antisymmetrize:
+        d[..., 2, 1] = w[..., 0]
     return d
 
 
 def require_time_slices(nt):
-    """The residual's rule, for callers that check it before building D."""
+    """The residual's rule, which `solve_D` checks before it builds D."""
     if nt < 2:
         raise GridTooSmall("zero-curvature residual needs >= 2 time slices")
 
@@ -147,18 +139,20 @@ def _rk4_maps(c, ct, h):
 def solve_D(C, D_at_x0, dx, dt):
     """Integrate D_x = C_t + [C, D] in x, per time slice, by RK4.
 
-    C: (nt, nx, 3, 3); D_at_x0: (nt, 3, 3) initial data on the line x = x0.
-    Both must be antisymmetric wherever they are finite (a ValueError
-    otherwise, so `build_D`'s printed form with w1 != 0 is refused), and
-    the returned D is exactly antisymmetric. The equation is solved for
-    the vectors, d_x = c_t + c x d, each x-step one affine map built for a
-    block of steps at once. C and C_t are linearly interpolated to the RK
-    midpoints, so the resulting zero-curvature residual is second-order
-    small by construction. A non-finite entry, given or reached, is a
-    Blowup naming the first x column it reaches.
+    C: (nt, nx, 3, 3), nt >= 2 as for the residual (`require_time_slices`);
+    D_at_x0: (nt, 3, 3) initial data on the line x = x0. Both must be
+    antisymmetric wherever they are finite (a ValueError otherwise, so
+    `build_D`'s printed form with w1 != 0 is refused), and the returned D
+    is exactly antisymmetric. The equation is solved for the vectors,
+    d_x = c_t + c x d, each x-step one affine map built for a block of
+    steps at once. C and C_t are linearly interpolated to the RK midpoints,
+    so the resulting zero-curvature residual is second-order small by
+    construction. A non-finite entry, given or reached, is a Blowup naming
+    the first x column it reaches.
     """
     C = np.asarray(C, dtype=float)
     nt, nx = C.shape[:2]
+    require_time_slices(nt)
     c = np.ascontiguousarray(_vee(C, "C").transpose(2, 1, 0))     # (3, nx, nt)
     ct = _d1_any(c, dt, 2)
     d = np.empty((nx, nt, 3, 1))

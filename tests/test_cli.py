@@ -562,7 +562,7 @@ def test_catalog_show_lists_the_families_constants(capsys, name):
     assert rows["parameters"] == (", ".join(f"{c}=1" for c in reads) or "none")
     for c in {c for consts, _ in FAMILIES.values() for c in consts} - set(reads):
         with pytest.raises(KeyError):       # no default past the entry's own table
-            spec.param(c)
+            spec.params[c]
 
 
 # prints the top-level packages from site-packages that `import spinsurf.cli` loads

@@ -6,6 +6,7 @@ from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, DegenerateTangent,
                       classical_coeffs, constant_field, diff, fileio, mf_tangents,
                       n_system_residual, norm, project_sphere, reconstruct_surface,
                       synth, unit_normal)
+from spinsurf import geometry
 from spinsurf.geometry import phi_drift
 
 
@@ -100,6 +101,18 @@ class TestMfTangents:
         S = synth.smooth_spin(grid1d, seed=4)
         rx, ry = mf_tangents(S, classical_coeffs("hf"))
         assert rx.values.shape == (3, 1, 64)
+
+    def test_no_y_coefficient_builds_no_y_cross_product(self, grid2d, monkeypatch):
+        """hf reads no S_y term: one cross product, S ^ S_x, and nothing more."""
+        calls, cross = [], geometry.cross
+
+        def counted(a, b):
+            calls.append(1)
+            return cross(a, b)
+
+        monkeypatch.setattr(geometry, "cross", counted)
+        mf_tangents(synth.smooth_spin(grid2d, seed=4), classical_coeffs("hf"))
+        assert len(calls) == 1
 
 
 class TestNSystemResidual:

@@ -64,14 +64,14 @@ class TestCatalog:
 
     def test_with_params(self):
         spec = catalog_lookup("M-XXXIV").with_params(lam=0.5)
-        assert spec.param("lam") == 0.5
-        assert catalog_lookup("M-XXXIV").param("lam") == 1.0
+        assert spec.params["lam"] == 0.5
+        assert catalog_lookup("M-XXXIV").params["lam"] == 1.0
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
     def test_density_must_be_finite_and_positive(self, rho):
         with pytest.raises(ValueError, match="rho"):
             catalog_lookup("M-LII").with_params(rho=rho)
-        assert catalog_lookup("M-LII").with_params(rho=1e-3).param("rho") == 1e-3
+        assert catalog_lookup("M-LII").with_params(rho=1e-3).params["rho"] == 1e-3
 
 
 class TestSpinRhs:
@@ -108,6 +108,18 @@ class TestPhononRhs:
                                constant_field(grid1d, 0.0).values, grid1d)
         assert np.all(du == 0.0)
         assert np.all(dw == 0.0)
+
+    @pytest.mark.parametrize("name", ["M-LII", "M-LI"])
+    def test_wave_du_dt_is_a_new_array(self, grid1d, name):
+        """A wave-type entry's du/dt is w's values in an array of its own:
+        writing into w after the call leaves it as it was."""
+        s, u, _ = random_state(grid1d, 4)
+        w = synth.smooth_scalar(grid1d, seed=2004).values.copy()
+        du, _ = me_phonon_rhs(catalog_lookup(name), s, u, w, grid1d)
+        assert du is not w and not np.shares_memory(du, w)
+        want = w.copy()
+        w[...] = 7.0
+        assert np.array_equal(du, want)
 
     def test_advection_pure_transport(self, grid1d):
         u = synth.smooth_scalar(grid1d, seed=9)
@@ -215,16 +227,16 @@ E3 = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
 def written_out_rhs(spec, s, u, w, g):
     """Each catalog formula as one allocating expression, in the
     floating-point order that me_spin_rhs and me_phonon_rhs keep."""
-    p = spec.param
+    p = spec.params
     sx = diff(s, g, "dx")
     if spec.spin in ("A", "B"):
         drive = u if spec.spin == "A" else u * s[2]
         ds = hf_rhs(s, g) + drive * cross(s, E3)
     elif spec.spin in ("C", "D"):
-        coeff = p("mu") * dot(sx, sx) - u + p("m")
+        coeff = p["mu"] * dot(sx, sx) - u + p["m"]
         ds = diff(coeff * cross(s, sx), g, "dx")
         if spec.spin == "D":
-            ds = p("n") * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
+            ds = p["n"] * cross(s, diff(s, g, "dxxxx")) + 2.0 * ds
     else:
         ds = hf_rhs(s, g) + u * sx
     if spec.phonon == "none":
@@ -232,14 +244,14 @@ def written_out_rhs(spec, s, u, w, g):
     q = {"s3": s[2], "s3sq": s[2] ** 2, "sxsq": dot(sx, sx),
          "trform": 0.5 * dot(sx, sx)}[spec.source]
     if spec.phonon in ("wave", "boussinesq"):
-        acc = p("nu0") ** 2 * diff(u, g, "dxx") + p("lam") * diff(q, g, "dxx")
+        acc = p["nu0"] ** 2 * diff(u, g, "dxx") + p["lam"] * diff(q, g, "dxx")
         if spec.phonon == "boussinesq":
-            acc += p("alpha") * diff(u ** 2, g, "dxx") + p("beta") * diff(u, g, "dxxxx")
-        return [ds, w, acc / p("rho")]
-    du = -diff(u, g, "dx") - p("lam") * diff(q, g, "dx")
+            acc += p["alpha"] * diff(u ** 2, g, "dxx") + p["beta"] * diff(u, g, "dxxxx")
+        return [ds, w, acc / p["rho"]]
+    du = -diff(u, g, "dx") - p["lam"] * diff(q, g, "dx")
     if spec.phonon == "kdv":
-        du -= (p("alpha") * diff(u ** 2, g, "dx")
-               + p("beta") * diff(diff(u, g, "dxx"), g, "dx"))
+        du -= (p["alpha"] * diff(u ** 2, g, "dx")
+               + p["beta"] * diff(diff(u, g, "dxx"), g, "dx"))
     return [ds, du]
 
 

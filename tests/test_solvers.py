@@ -59,8 +59,10 @@ class TestPoisson:
         symbol = solvers._symbol
         monkeypatch.setattr(solvers, "_symbol", lambda g: 2.0 * symbol(g))
         src = rng.standard_normal((32, 32))
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match=r"^back-substitution misses its source "
+                           r"by relative residual 5\.000e-01$") as exc:
             poisson_solve(src - src.mean(), grid2d)
+        assert exc.value.residual == pytest.approx(0.5)
 
     def test_symbol_built_once_per_grid(self, grid2d, rng):
         """Equal grids share one read-only symbol, and a solve leaves it as

@@ -47,11 +47,13 @@ class TestBuildC:
         assert np.all(C == 0.0)
 
     def test_curvature_entry_placement(self):
-        C = build_C(np.ones((1, 1)), np.zeros((1, 1)))[0, 0]
-        expect = np.array([[0.0, 1.0, 0.0],
-                           [-1.0, 0.0, 0.0],
-                           [0.0, 0.0, 0.0]])
-        assert np.array_equal(C, expect)
+        """C = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]], with k and tau apart."""
+        k, tau = 2.0, 3.0
+        C = build_C(np.full((2, 1), k), np.full((2, 1), tau))
+        expect = np.array([[0.0, k, 0.0],
+                           [-k, 0.0, tau],
+                           [0.0, -tau, 0.0]])
+        assert np.array_equal(C, np.broadcast_to(expect, (2, 1, 3, 3)))
 
     def test_antisymmetric(self, rng):
         C = build_C(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)))
@@ -63,15 +65,23 @@ class TestBuildD:
         z = np.zeros((2, 4))
         assert np.all(build_D(z, z, z) == 0.0)
 
+    @staticmethod
+    def _written_out(w1, w2, w3, d21):
+        """D = [[0, w3, -w2], [-w3, 0, w1], [w2, d21, 0]]."""
+        return np.array([[0.0, w3, -w2],
+                         [-w3, 0.0, w1],
+                         [w2, d21, 0.0]])
+
     def test_printed_entry_placement(self):
-        one, zero = np.ones((1, 1)), np.zeros((1, 1))
-        D = build_D(one, zero, zero)[0, 0]
-        assert D[1, 2] == 1.0 and D[2, 1] == 1.0     # as printed
+        """As printed, D[2, 1] = +w1; w1, w2, w3 apart and broadcast together."""
+        D = build_D(2.0, np.full((2, 1), 3.0), np.full((1, 4), 5.0))
+        assert np.array_equal(D, np.broadcast_to(self._written_out(2.0, 3.0, 5.0, 2.0),
+                                                 (2, 4, 3, 3)))
 
     def test_antisymmetrize_flag(self):
-        one, zero = np.ones((1, 1)), np.zeros((1, 1))
-        D = build_D(one, zero, zero, antisymmetrize=True)[0, 0]
-        assert D[1, 2] == 1.0 and D[2, 1] == -1.0
+        D = build_D(2.0, np.full((2, 1), 3.0), np.full((1, 4), 5.0), antisymmetrize=True)
+        assert np.array_equal(D, np.broadcast_to(self._written_out(2.0, 3.0, 5.0, -2.0),
+                                                 (2, 4, 3, 3)))
 
 
 class TestZcResidual:
@@ -331,5 +341,5 @@ def test_nlse_residual_needs_four_x_nodes():
 
 def test_solve_D_refuses_a_one_slice_stack():
     C = build_C(np.ones((1, 8)), np.zeros((1, 8)))
-    with pytest.raises(GridTooSmall, match="at least 2 samples"):
+    with pytest.raises(GridTooSmall, match="^zero-curvature residual needs >= 2 time slices$"):
         solve_D(C, np.zeros((1, 3, 3)), 0.1, 0.1)
