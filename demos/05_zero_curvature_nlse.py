@@ -1,9 +1,9 @@
 """From curvature/torsion data to the nonlinear Schrodinger equation.
 
 Curvature k and torsion tau of a moving curve define an antisymmetric
-matrix C; a partner matrix D solving D_x = C_t + [C, D] closes the
-zero-curvature condition C_t - D_x + [C, D] = 0 up to discretization
-error. The same k, tau feed the map psi = (k/2) exp(-i integral tau),
+matrix C, held as its so(3) vector c; a partner d solving
+d_x = c_t + c x d closes the zero-curvature condition c_t - d_x + c x d = 0,
+the vector form of C_t - D_x + [C, D] = 0, up to discretization error. The same k, tau feed the map psi = (k/2) exp(-i integral tau),
 which for the right curve data satisfies i psi_t + psi_xx + 2|psi|^2 psi
 = 0. Both residuals are computed here on the standing bright soliton and
 on generic smooth data, with a refinement sweep showing the expected
@@ -38,7 +38,7 @@ for n in (32, 64, 128):
     nx = nt = n + 1
     dx, dt = 4.0 / n, 1.0 / n
     X, T = np.meshgrid(np.linspace(0, 4, nx), np.linspace(0, 1, nt))
-    C = build_C(1.0 + 0.3 * np.sin(X - 2 * T), 0.2 * np.cos(X + T))
-    D = solve_D(C, np.zeros((nt, 3, 3)), dx, dt)
-    _, mx = zc_residual(C, D, dx, dt)
+    c = build_C(1.0 + 0.3 * np.sin(X - 2 * T), 0.2 * np.cos(X + T))
+    d = solve_D(c, np.zeros((3, nt)), dx, dt)
+    _, mx = zc_residual(c, d, dx, dt)
     print(f"  n={n:4d}  max residual {mx:.3e}")

@@ -18,8 +18,8 @@ from .magnetoelastic import (ModelSpec, catalog_lookup, catalog_names,
 from .solvers import mixed_integrate, poisson_solve
 from .evolve import (EvolveOptions, Trajectory, check_stability, diagnostics,
                      energy_proxy, evolution_model, evolve, rk4_step)
-from .zerocurv import (build_C, build_D, hasimoto, nlse_residual,
-                       nlse_soliton, solve_D, vector_zc_residual, zc_residual)
+from .zerocurv import (build_C, hasimoto, nlse_residual, nlse_soliton, solve_D,
+                       zc_residual)
 from . import synth
 
 __version__ = "0.1.0"

@@ -303,9 +303,8 @@ def cmd_zc(cfg):
     named_params("zc", {}, cfg.params)
     k, tau, dx, dt = fileio.read_curve(cfg.require("input"))
     nt, nx = k.shape
-    C = build_C(k, tau)
-    D = solve_D(C, np.zeros((nt, 3, 3)), dx, dt)
-    _, zc_max = zc_residual(C, D, dx, dt)
+    c = build_C(k, tau)
+    _, zc_max = zc_residual(c, solve_D(c, np.zeros(3), dx, dt), dx, dt)
     diag, notes = {"zc_residual_max": zc_max}, ["time-axis-identified-with-second-coordinate"]
     try:        # nlse_residual's shape rule is the one rule: skipped, with a note
         diag["nlse_residual_max"] = float(nlse_residual(hasimoto(k, tau, dx), dx, dt).max())

@@ -173,10 +173,11 @@ def mf_tangents(S, c):
         v = c.value(name)
         return np.isscalar(v) and v == 0.0
 
+    # a term is built only when a coefficient that is not the constant 0 reads it
     sx = diff(s, g, "dx")
     sy = None if all(map(zero, ("a2", "a4", "b2", "b4"))) else diff(s, g, "dy")
-    s_sx = cross(s, sx)
-    s_sy = None if sy is None else cross(s, sy)     # side() reads neither when None
+    s_sx = None if zero("a1") and zero("b1") else cross(s, sx)
+    s_sy = None if zero("a2") and zero("b2") else cross(s, sy)
 
     def side(c1, c2, c3, c4, c5):
         out = np.zeros_like(s)

@@ -5,8 +5,7 @@ import numpy as np
 from .fields import ScalarField, SpinField, VecField, norm, project_sphere
 
 
-def smooth_scalar(grid, seed=0, amplitude=1.0):
-    """Band-limited random scalar field, periodic in both directions: three sine waves."""
+def _sines(grid, seed, amplitude):
     rng = np.random.default_rng(seed)
     x, y = grid.meshgrid()
     lx = grid.nx * grid.dx
@@ -21,24 +20,35 @@ def smooth_scalar(grid, seed=0, amplitude=1.0):
         if grid.ny > 1:
             arg = arg + 2 * np.pi * ky * y / ly
         out += amp * np.sin(arg)
-    return ScalarField(grid, out)
+    return out
+
+
+def _sines_vec(grid, seed, amplitude):
+    return np.stack([_sines(grid, seed * 3 + k + 1, amplitude) for k in range(3)])
+
+
+def smooth_scalar(grid, seed=0, amplitude=1.0):
+    """Band-limited random scalar field, periodic in both directions: three sine waves."""
+    return ScalarField(grid, _sines(grid, seed, amplitude))
 
 
 def smooth_vec(grid, seed=0, amplitude=1.0):
-    comps = [smooth_scalar(grid, seed=seed * 3 + k + 1, amplitude=amplitude).values
-             for k in range(3)]
-    return VecField(grid, np.stack(comps))
+    return VecField(grid, _sines_vec(grid, seed, amplitude))
 
 
 def smooth_spin(grid, seed=0):
     """Unit spin field: a perturbed north pole, projected onto the sphere.
 
     The bias toward (0, 0, 1) keeps norms safely away from zero so the
-    projection is well conditioned for every seed.
+    projection is well conditioned for every seed. The one array is
+    projected in place and handed over read-only, which SpinField keeps
+    without a copy.
     """
-    v = smooth_vec(grid, seed=seed, amplitude=0.5).values.copy()
+    v = _sines_vec(grid, seed, 0.5)
     v[2] += 2.0
-    return SpinField(grid, project_sphere(v, norm(v)))
+    project_sphere(v, norm(v), out=v)
+    v.flags.writeable = False
+    return SpinField(grid, v)
 
 
 def equator_spin(grid, a=1.0, b=0.0):

@@ -1,20 +1,13 @@
-"""Frenet-type matrix zero-curvature checks and the map to the NLSE.
+"""Frame zero-curvature checks in so(3) vectors, and the map to the NLSE.
 
-Data here lives on stacks of 1-D x-slices: arrays indexed (t, x), with
-3x3 matrix fields shaped (nt, nx, 3, 3). The central identity is the
-zero-curvature condition C_t - D_x + [C, D] = 0 for the frame matrices
-
-    C = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]]
-    D = [[0, w3, -w2], [-w3, 0, w1], [w2, w1, 0]]
-
-built from curvature k, torsion tau, and angular-velocity entries w1..w3.
-D is used exactly as printed in the source system, which is *not*
-antisymmetric (the (3,2) entry is +w1); an antisymmetrize flag flips that
-entry for callers who want a proper so(3) frame. `solve_D` works in so(3)
-only: it takes an antisymmetric C and initial D, and returns an exactly
-antisymmetric D, so it never returns the printed form. An antisymmetric
-matrix A acts as A b = a x b for its vector a, and [A, B] is the matrix
-of a x b, which is how `solve_D` integrates. The complex field
+Data here lives on stacks of 1-D x-slices indexed (t, x), components
+first like every field of the package: a vector stack is (3, nt, nx). The
+frame matrices of the zero-curvature condition C_t - D_x + [C, D] = 0 lie
+in so(3), C = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]] for curvature k and
+torsion tau, and a matrix A of so(3) acts as A b = a x b for its vector
+a = (A[2,1], A[0,2], A[1,0]), with [A, B] the matrix of a x b. So the
+condition is c_t - d_x + c x d = 0 for the vectors, c = (-tau, 0, -k),
+and that is how it is solved and checked here. The complex field
 psi = (k/2) exp(-i Int tau dx) turns compatible curve data into a
 solution of the focusing NLSE  i psi_t + psi_xx + 2 |psi|^2 psi = 0.
 """
@@ -22,7 +15,7 @@ solution of the focusing NLSE  i psi_t + psi_xx + 2 |psi|^2 psi = 0.
 import numpy as np
 
 from .errors import Blowup, GridTooSmall
-from .fields import cross, cumtrapz, diff, norm, same_grid, VecField, _d1, _d2
+from .fields import cross, cumtrapz, _d1, _d2
 
 
 def _d1_any(a, h, axis):
@@ -38,73 +31,36 @@ def _d1_any(a, h, axis):
 
 
 def build_C(k, tau):
-    """Frame matrix C, the so(3) matrix of (-tau, 0, -k), for k and tau of equal shape."""
+    """c = (-tau, 0, -k), the vector of the frame matrix C, as a (3, ...)
+    stack for k and tau of equal shape."""
     k, tau = np.asarray(k, dtype=float), np.asarray(tau, dtype=float)
     if k.shape != tau.shape:
         raise ValueError("k and tau must share a shape")
-    return _hat(np.stack([-tau, np.zeros(k.shape), -k], axis=-1))
-
-
-def build_D(w1, w2, w3, antisymmetrize=False):
-    """Frame matrix D, by default exactly as printed (D[2,1] = +w1): the
-    so(3) matrix of -(w1, w2, w3), with that one entry flipped."""
-    w = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (w1, w2, w3))),
-                 axis=-1)
-    d = _hat(-w)
-    if not antisymmetrize:
-        d[..., 2, 1] = w[..., 0]
-    return d
+    return np.stack([-tau, np.zeros(k.shape), -k])
 
 
 def require_time_slices(nt):
-    """The residual's rule, which `solve_D` checks before it builds D."""
+    """The residual's rule, which `solve_D` checks before it builds d."""
     if nt < 2:
         raise GridTooSmall("zero-curvature residual needs >= 2 time slices")
 
 
-def zc_residual(C, D, dx, dt):
-    """Matrix residual C_t - D_x + [C, D] and its max entry magnitude.
+def zc_residual(c, d, dx, dt):
+    """Residual c_t - d_x + c x d and its largest component magnitude, the
+    largest entry of the matrix residual C_t - D_x + [C, D].
 
-    C, D: (nt, nx, 3, 3) stacks; the time axis of the stack plays the role
-    of the second surface coordinate. Needs nt >= 2.
+    c, d: (3, nt, nx) stacks; the time axis plays the role of the second
+    surface coordinate. Needs nt >= 2.
     """
-    C, D = np.asarray(C, dtype=float), np.asarray(D, dtype=float)
-    if C.shape != D.shape or C.ndim != 4:
-        raise ValueError("C and D must be matching (nt, nx, 3, 3) stacks")
-    require_time_slices(C.shape[0])
-    resid = _d1_any(C, dt, 0) - _d1_any(D, dx, 1) + C @ D - D @ C
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+    if c.shape != d.shape or c.ndim != 3 or c.shape[0] != 3:
+        raise ValueError("c and d must be matching (3, nt, nx) stacks")
+    require_time_slices(c.shape[1])
+    resid = _d1_any(c, dt, 1) - _d1_any(d, dx, 2) + cross(c, d)
     return resid, float(np.abs(resid).max())
 
 
-# an so(3) matrix A and its vector a, with A b = a x b
-_LOWER = (..., [2, 0, 1], [1, 2, 0])    # A[2,1], A[0,2], A[1,0]: a1, a2, a3
-_UPPER = (..., [1, 2, 0], [2, 0, 1])    # their mirrors: -a1, -a2, -a3
 _MAP_BLOCK = 256    # x-steps whose maps are built at once: bounds their memory
-
-
-def _vee(A, name):
-    """The vectors a of a stack of antisymmetric matrices A, (..., 3, 3) -> (..., 3).
-
-    Both triangles are read, a1 = (A[2,1] - A[1,2]) / 2 and so on, and a
-    non-finite diagonal entry makes its node's a NaN, so every non-finite
-    entry of A reaches a. A finite entry that breaks antisymmetry is a
-    ValueError naming the argument.
-    """
-    lo, up, diag = A[_LOWER], A[_UPPER], np.diagonal(A, axis1=-2, axis2=-1)
-    if (((lo != -up) & np.isfinite(lo) & np.isfinite(up)).any()
-            or ((diag != 0.0) & np.isfinite(diag)).any()):
-        raise ValueError(f"{name} must be antisymmetric (in so(3)) where it is finite")
-    a = 0.5 * (lo - up)
-    a[~np.isfinite(diag).all(axis=-1)] = np.nan
-    return a
-
-
-def _hat(a):
-    """The antisymmetric matrices of a stack of vectors, (..., 3) -> (..., 3, 3)."""
-    A = np.zeros(a.shape + (3,))
-    A[_LOWER] = a
-    A[_UPPER] = -a
-    return A
 
 
 def _rk4_maps(c, ct, h):
@@ -136,28 +92,25 @@ def _rk4_maps(c, ct, h):
     return np.ascontiguousarray(y[..., :3]), np.ascontiguousarray(y[..., 3:])
 
 
-def solve_D(C, D_at_x0, dx, dt):
-    """Integrate D_x = C_t + [C, D] in x, per time slice, by RK4.
+def solve_D(c, d0, dx, dt):
+    """Integrate d_x = c_t + c x d in x, per time slice, by RK4: the vector
+    form of D_x = C_t + [C, D].
 
-    C: (nt, nx, 3, 3), nt >= 2 as for the residual (`require_time_slices`);
-    D_at_x0: (nt, 3, 3) initial data on the line x = x0. Both must be
-    antisymmetric wherever they are finite (a ValueError otherwise, so
-    `build_D`'s printed form with w1 != 0 is refused), and the returned D
-    is exactly antisymmetric. The equation is solved for the vectors,
-    d_x = c_t + c x d, each x-step one affine map built for a block of
-    steps at once. C and C_t are linearly interpolated to the RK midpoints,
-    so the resulting zero-curvature residual is second-order small by
-    construction. A non-finite entry, given or reached, is a Blowup naming
-    the first x column it reaches.
+    c: (3, nt, nx), nt >= 2 as for the residual (`require_time_slices`);
+    d0: (3, nt) initial data on the line x = x0, or one (3,) vector for
+    every t. Returns d, (3, nt, nx). Each x-step is one affine map built
+    for a block of steps at once. c and c_t are linearly interpolated to
+    the RK midpoints, so the resulting zero-curvature residual is
+    second-order small by construction. A non-finite value, given or
+    reached, is a Blowup naming the first x column it reaches.
     """
-    C = np.asarray(C, dtype=float)
-    nt, nx = C.shape[:2]
+    c = np.asarray(c, dtype=float)
+    nt, nx = c.shape[1:]
     require_time_slices(nt)
-    c = np.ascontiguousarray(_vee(C, "C").transpose(2, 1, 0))     # (3, nx, nt)
+    c = np.ascontiguousarray(c.swapaxes(1, 2))      # (3, nx, nt)
     ct = _d1_any(c, dt, 2)
     d = np.empty((nx, nt, 3, 1))
-    d0 = np.broadcast_to(np.asarray(D_at_x0, dtype=float), (nt, 3, 3))
-    d[0, ..., 0] = _vee(d0, "D_at_x0")
+    d[0, ..., 0] = np.asarray(d0, dtype=float).T
     for i0 in range(0, nx - 1, _MAP_BLOCK):
         i1 = min(i0 + _MAP_BLOCK, nx - 1)
         M, v = _rk4_maps(c[:, i0:i1 + 1], ct[:, i0:i1 + 1], dx)
@@ -168,7 +121,7 @@ def solve_D(C, D_at_x0, dx, dt):
     bad = ~np.isfinite(d[1:]).all(axis=(1, 2, 3))
     if bad.any():
         raise Blowup(int(bad.argmax()) + 1, "x column")
-    return _hat(d[..., 0].swapaxes(0, 1))
+    return d[..., 0].transpose(2, 1, 0)
 
 
 def hasimoto(k, tau, dx):
@@ -211,13 +164,3 @@ def nlse_soliton(a, x, t):
     if t.ndim == 0:
         return envelope * phase
     return envelope[None, :] * phase[:, None]
-
-
-def vector_zc_residual(R1, R2):
-    """R1_y - R2_x + 2 R1 ^ R2 for a pair of 2-D vector fields."""
-    g = same_grid(R1, R2)
-    if g.is_1d:
-        raise GridTooSmall("vector zero-curvature residual needs a 2-D grid")
-    resid = (diff(R1.values, g, "dy") - diff(R2.values, g, "dx")
-             + 2.0 * cross(R1.values, R2.values))
-    return VecField(g, resid), float(norm(resid).max())

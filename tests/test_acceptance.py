@@ -15,8 +15,7 @@ from spinsurf import (CLAMPED, PERIODIC, CoefficientSet, EvolveOptions, Grid,
                       mf_tangents, mixed_integrate, n_system_residual,
                       nlse_residual, nlse_soliton, pauli_oracle_rhs,
                       poisson_solve, reconstruct_surface, solve_D,
-                      stationary_residual, synth, vector_zc_residual,
-                      zc_residual, catalog_lookup)
+                      stationary_residual, synth, zc_residual, catalog_lookup)
 from spinsurf.cli import main
 from spinsurf.magnetoelastic import _REGISTRY
 from spinsurf.models import PHI_KINDS
@@ -216,25 +215,25 @@ def test_7_nlse_pipeline():
         nx, nt = n + 1, n + 1
         dx, dt = 4.0 / n, 1.0 / n
         X, T = np.meshgrid(np.linspace(0, 4, nx), np.linspace(0, 1, nt))
-        C = build_C(1.0 + 0.3 * np.sin(X - 2 * T), 0.2 * np.cos(X + T))
-        D = solve_D(C, np.zeros((nt, 3, 3)), dx, dt)
-        zc_errs.append(zc_residual(C, D, dx, dt)[1])
+        c = build_C(1.0 + 0.3 * np.sin(X - 2 * T), 0.2 * np.cos(X + T))
+        d = solve_D(c, np.zeros((3, nt)), dx, dt)
+        zc_errs.append(zc_residual(c, d, dx, dt)[1])
     assert RATIO_WINDOW[0] < zc_errs[0] / zc_errs[1] < RATIO_WINDOW[1]
 
 
 def test_8_vector_zero_curvature_closed_forms():
-    """Constant distinct inputs give exactly twice their wedge product;
-    zero and equal-constant inputs give exactly zero."""
-    g = Grid(16, 16, 0.5, 0.5, PERIODIC)
+    """Constant distinct inputs give exactly their cross product c x d;
+    zero and equal-constant inputs give exactly zero. The residual is the
+    so(3) one, c_t - d_x + c x d, whose bracket has factor 1: in the su(2)
+    convention of half-vectors, R1_y - R2_x + 2 R1 ^ R2, the same constants
+    give twice the wedge."""
     r1, r2 = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, -0.5])
-    resid, _ = vector_zc_residual(constant_field(g, r1), constant_field(g, r2))
-    assert np.array_equal(resid.values,
-                          np.broadcast_to(2.0 * cross(r1, r2).reshape(3, 1, 1),
-                                          resid.values.shape))
-    zero = constant_field(g, (0.0, 0.0, 0.0))
-    assert vector_zc_residual(zero, zero)[1] == 0.0
-    same = constant_field(g, r1)
-    assert vector_zc_residual(same, same)[1] == 0.0
+    c, d = (np.broadcast_to(r.reshape(3, 1, 1), (3, 16, 16)) for r in (r1, r2))
+    resid, _ = zc_residual(c, d, 0.5, 0.5)
+    assert np.array_equal(resid, np.broadcast_to(cross(r1, r2).reshape(3, 1, 1), resid.shape))
+    zero = np.zeros((3, 16, 16))
+    assert np.array_equal(zc_residual(zero, zero, 0.5, 0.5)[0], zero)
+    assert np.array_equal(zc_residual(c, c, 0.5, 0.5)[0], zero)
 
 
 def test_9_simulate_determinism(tmp_path):

@@ -103,7 +103,8 @@ class TestMfTangents:
         assert rx.values.shape == (3, 1, 64)
 
     def test_no_y_coefficient_builds_no_y_cross_product(self, grid2d, monkeypatch):
-        """hf reads no S_y term: one cross product, S ^ S_x, and nothing more."""
+        """A cross product is built only when a coefficient reads it: hf reads
+        S ^ S_x and no S_y term, Rodrigues (a3 and b4) reads neither."""
         calls, cross = [], geometry.cross
 
         def counted(a, b):
@@ -111,8 +112,12 @@ class TestMfTangents:
             return cross(a, b)
 
         monkeypatch.setattr(geometry, "cross", counted)
-        mf_tangents(synth.smooth_spin(grid2d, seed=4), classical_coeffs("hf"))
-        assert len(calls) == 1
+        S = synth.smooth_spin(grid2d, seed=4)
+        for coeffs, crosses in ((classical_coeffs("hf"), 1),
+                                (classical_coeffs("rodrigues", rho1=1.0, rho2=2.0), 0)):
+            calls.clear()
+            mf_tangents(S, coeffs)
+            assert len(calls) == crosses
 
 
 class TestNSystemResidual:

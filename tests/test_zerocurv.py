@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
 
-from spinsurf import (Grid, build_C, build_D, constant_field, cross, hasimoto,
-                      nlse_residual, nlse_soliton, solve_D, synth,
-                      vector_zc_residual, zc_residual)
+from spinsurf import (build_C, cross, hasimoto, nlse_residual, nlse_soliton, solve_D,
+                      zc_residual)
 from spinsurf.errors import Blowup, GridTooSmall
 from spinsurf.zerocurv import _d1_any
+
+
+def _hat(a):
+    """The antisymmetric matrices of components-first vectors, (3, ...) ->
+    (..., 3, 3): A[2,1], A[0,2], A[1,0] = a and their mirrors -a, so that
+    A b = a x b."""
+    a = np.moveaxis(np.asarray(a, dtype=float), 0, -1)
+    A = np.zeros(a.shape + (3,))
+    A[..., 2, 1], A[..., 0, 2], A[..., 1, 0] = a[..., 0], a[..., 1], a[..., 2]
+    return A - np.swapaxes(A, -1, -2)
+
+
+def zc_residual_reference(c, d, dx, dt):
+    """The matrix residual C_t - D_x + CD - DC of C = _hat(c), D = _hat(d),
+    (nt, nx, 3, 3), and the largest magnitude of its three terms C_t, D_x
+    and [C, D]."""
+    C, D = _hat(c), _hat(d)
+    terms = _d1_any(C, dt, 0), _d1_any(D, dx, 1), C @ D - D @ C
+    return terms[0] - terms[1] + terms[2], max(np.abs(t).max() for t in terms)
 
 
 def solve_D_reference(C, D_at_x0, dx, dt):
@@ -33,78 +51,62 @@ def solve_D_reference(C, D_at_x0, dx, dt):
     return D
 
 
-def _so3(a):
-    """Antisymmetric matrices of (..., 3) vectors, built from one triangle."""
-    A = np.zeros(a.shape + (3,))
-    A[..., 2, 1], A[..., 0, 2], A[..., 1, 0] = a[..., 0], a[..., 1], a[..., 2]
-    return A - np.swapaxes(A, -1, -2)
-
-
 class TestBuildC:
     def test_zero_inputs(self):
-        C = build_C(np.zeros((2, 8)), np.zeros((2, 8)))
-        assert C.shape == (2, 8, 3, 3)
-        assert np.all(C == 0.0)
+        c = build_C(np.zeros((2, 8)), np.zeros((2, 8)))
+        assert c.shape == (3, 2, 8)
+        assert np.all(c == 0.0)
 
     def test_curvature_entry_placement(self):
-        """C = [[0, k, 0], [-k, 0, tau], [0, -tau, 0]], with k and tau apart."""
+        """c = (-tau, 0, -k), the vector of C = [[0, k, 0], [-k, 0, tau],
+        [0, -tau, 0]], with k and tau apart."""
         k, tau = 2.0, 3.0
-        C = build_C(np.full((2, 1), k), np.full((2, 1), tau))
+        c = build_C(np.full((2, 1), k), np.full((2, 1), tau))
+        assert np.array_equal(c, np.broadcast_to([[[-tau]], [[0.0]], [[-k]]], (3, 2, 1)))
         expect = np.array([[0.0, k, 0.0],
                            [-k, 0.0, tau],
                            [0.0, -tau, 0.0]])
-        assert np.array_equal(C, np.broadcast_to(expect, (2, 1, 3, 3)))
+        assert np.array_equal(_hat(c), np.broadcast_to(expect, (2, 1, 3, 3)))
 
     def test_antisymmetric(self, rng):
-        C = build_C(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)))
-        assert np.all(C + np.swapaxes(C, -1, -2) == 0.0)
-
-
-class TestBuildD:
-    def test_zero_inputs(self):
-        z = np.zeros((2, 4))
-        assert np.all(build_D(z, z, z) == 0.0)
-
-    @staticmethod
-    def _written_out(w1, w2, w3, d21):
-        """D = [[0, w3, -w2], [-w3, 0, w1], [w2, d21, 0]]."""
-        return np.array([[0.0, w3, -w2],
-                         [-w3, 0.0, w1],
-                         [w2, d21, 0.0]])
-
-    def test_printed_entry_placement(self):
-        """As printed, D[2, 1] = +w1; w1, w2, w3 apart and broadcast together."""
-        D = build_D(2.0, np.full((2, 1), 3.0), np.full((1, 4), 5.0))
-        assert np.array_equal(D, np.broadcast_to(self._written_out(2.0, 3.0, 5.0, 2.0),
-                                                 (2, 4, 3, 3)))
-
-    def test_antisymmetrize_flag(self):
-        D = build_D(2.0, np.full((2, 1), 3.0), np.full((1, 4), 5.0), antisymmetrize=True)
-        assert np.array_equal(D, np.broadcast_to(self._written_out(2.0, 3.0, 5.0, -2.0),
-                                                 (2, 4, 3, 3)))
+        """The printed C is the antisymmetric matrix of c: C b = c x b."""
+        k, tau, b = rng.standard_normal((3, 3, 5))
+        z = np.zeros_like(k)
+        C = np.array([[z, k, z], [-k, z, tau], [z, -tau, z]])
+        assert np.array_equal(np.einsum("ij...,j...->i...", C, b), cross(build_C(k, tau), b))
 
 
 class TestZcResidual:
     def test_zero_matrices(self):
-        z = np.zeros((2, 8, 3, 3))
+        z = np.zeros((3, 2, 8))
         _, mx = zc_residual(z, z, 0.1, 0.1)
         assert mx == 0.0
 
     def test_commuting_constants(self):
-        C = np.broadcast_to(build_C(np.ones((1, 1)),
-                                    0.5 * np.ones((1, 1)))[0, 0],
-                            (4, 8, 3, 3)).copy()
-        _, mx = zc_residual(C, 2.5 * C, 0.1, 0.1)
+        c = np.broadcast_to(build_C(np.ones((1, 1)), 0.5 * np.ones((1, 1))), (3, 4, 8))
+        _, mx = zc_residual(c, 2.5 * c, 0.1, 0.1)
         assert mx == 0.0
 
     def test_needs_two_time_slices(self):
-        z = np.zeros((1, 8, 3, 3))
+        z = np.zeros((3, 1, 8))
         with pytest.raises(GridTooSmall):
             zc_residual(z, z, 0.1, 0.1)
 
+    @pytest.mark.parametrize("nt", [2, 5])
+    def test_is_the_matrix_residuals_vector(self, nt, rng):
+        """c_t - d_x + c x d is the vector of C_t - D_x + CD - DC, and its
+        largest component the matrix's largest entry, to rounding: at nt = 2
+        (the two-point time difference) and nt >= 3."""
+        c, d = rng.standard_normal((2, 3, nt, 9))
+        resid, mx = zc_residual(c, d, 0.1, 0.05)
+        ref, scale = zc_residual_reference(c, d, 0.1, 0.05)
+        assert resid.shape == (3, nt, 9)
+        assert np.abs(_hat(resid) - ref).max() <= 1e-12 * scale
+        assert abs(mx - np.abs(ref).max()) <= 1e-12 * scale
+
     def test_pipeline_second_order(self):
         # smooth time-dependent curvature/torsion data: solve_D integrates
-        # D_x = C_t + [C, D], then the finite-difference residual is
+        # d_x = c_t + c x d, then the finite-difference residual is
         # O(dx^2 + dt^2)
         errs = []
         for n in (64, 128):
@@ -115,49 +117,48 @@ class TestZcResidual:
             X, T = np.meshgrid(x, t)
             k = 1.0 + 0.3 * np.sin(X - 2.0 * T)
             tau = 0.2 * np.cos(X + T)
-            C = build_C(k, tau)
-            D = solve_D(C, np.zeros((nt, 3, 3)), dx, dt)
-            errs.append(zc_residual(C, D, dx, dt)[1])
+            c = build_C(k, tau)
+            d = solve_D(c, np.zeros((3, nt)), dx, dt)
+            errs.append(zc_residual(c, d, dx, dt)[1])
         assert 3.3 < errs[0] / errs[1] < 4.7
 
 
 class TestSolveD:
     def test_zero_everything(self):
-        C = np.zeros((3, 8, 3, 3))
-        D = solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-        assert np.all(D == 0.0)
+        d = solve_D(np.zeros((3, 3, 8)), np.zeros((3, 3)), 0.1, 0.1)
+        assert d.shape == (3, 3, 8)
+        assert np.all(d == 0.0)
 
     def test_time_constant_C_keeps_zero_solution(self):
-        C = np.broadcast_to(build_C(np.ones((1, 1)),
-                                    np.ones((1, 1)))[0, 0],
-                            (3, 8, 3, 3)).copy()
-        D = solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-        assert np.abs(D).max() == 0.0
+        c = np.broadcast_to(build_C(np.ones((1, 1)), np.ones((1, 1))), (3, 3, 8))
+        d = solve_D(c, np.zeros(3), 0.1, 0.1)
+        assert np.abs(d).max() == 0.0
 
     @pytest.mark.parametrize("column", [1, 5, 7])
     def test_blowup_names_first_non_finite_column(self, column):
-        # C[:, column] first enters the step that computes D[:, column]; an
-        # entry of either triangle or of the diagonal counts
-        for entry in ((0, 1), (1, 0), (2, 1), (1, 1)):
-            C = build_C(np.ones((3, 8)), np.ones((3, 8)))
-            C[(1, column) + entry] = np.inf
+        # c[:, :, column] first enters the step that computes d[:, :, column];
+        # any component counts
+        for component in range(3):
+            c = build_C(np.ones((3, 8)), np.ones((3, 8)))
+            c[component, 1, column] = np.inf
             with pytest.raises(Blowup) as exc, np.errstate(invalid="ignore"):
-                solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-            assert exc.value.step == column, entry
+                solve_D(c, np.zeros((3, 3)), 0.1, 0.1)
+            assert exc.value.step == column, component
 
-    @pytest.mark.parametrize("entry", [(1, 0), (0, 2), (0, 0)])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 0)])
     def test_blowup_from_non_finite_initial_data_in_any_entry(self, entry):
-        D0 = np.zeros((3, 3, 3))
-        D0[(1,) + entry] = np.inf
+        # entry: (component, time slice) of d0
+        d0 = np.zeros((3, 3))
+        d0[entry] = np.inf
         with pytest.raises(Blowup) as exc, np.errstate(invalid="ignore"):
-            solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
+            solve_D(np.zeros((3, 3, 8)), d0, 0.1, 0.1)
         assert exc.value.step == 1
 
     def test_non_finite_initial_data_is_blowup_at_step_1(self):
-        D0 = np.zeros((3, 3, 3))
-        D0[2, 1, 0] = np.nan
+        d0 = np.zeros((3, 3))
+        d0[0, 2] = np.nan
         with pytest.raises(Blowup) as exc:
-            solve_D(np.zeros((3, 8, 3, 3)), D0, 0.1, 0.1)
+            solve_D(np.zeros((3, 3, 8)), d0, 0.1, 0.1)
         assert exc.value.step == 1
         assert str(exc.value) == "non-finite value at x column 1"     # not a time step
 
@@ -166,12 +167,11 @@ class TestSolveDAgainstMatrixScheme:
     """solve_D integrates vectors; the per-node matrix RK4 is its reference."""
 
     @staticmethod
-    def _agree(C, D0, dx, dt):
-        D = solve_D(C, D0, dx, dt)
-        ref = solve_D_reference(C, D0, dx, dt)
-        assert np.abs(D - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.all(D + np.swapaxes(D, -1, -2) == 0.0)
-        return D
+    def _agree(c, d0, dx, dt):
+        d = solve_D(c, d0, dx, dt)
+        ref = solve_D_reference(_hat(c), _hat(d0), dx, dt)
+        assert np.abs(_hat(d) - ref).max() <= 1e-12 * np.abs(ref).max()
+        return d
 
     def test_soliton_curve(self):
         # k = 2a sech(a(x - 2at)), tau = -a: the boosted NLSE soliton's curve
@@ -179,49 +179,23 @@ class TestSolveDAgainstMatrixScheme:
         x, t = np.linspace(-20.0, 20.0, nx), np.linspace(0.0, 1.0, nt)
         X, T = np.meshgrid(x, t)
         k = 2 * a / np.cosh(a * (X - 2 * a * T))
-        C = build_C(k, np.full_like(k, -a))
-        D = self._agree(C, np.zeros((nt, 3, 3)), x[1] - x[0], t[1] - t[0])
-        assert np.abs(D).max() > 1.0
+        c = build_C(k, np.full_like(k, -a))
+        d = self._agree(c, np.zeros((3, nt)), x[1] - x[0], t[1] - t[0])
+        assert np.abs(d).max() > 1.0
 
     def test_random_so3_data_and_initial_line(self, rng):
         nt, nx = 7, 300       # more x-steps than one block of maps
-        C = _so3(rng.standard_normal((nt, nx, 3)))
-        D0 = _so3(rng.standard_normal((nt, 3)))
-        D = self._agree(C, D0, 0.01, 0.05)
-        assert np.array_equal(D[:, 0], D0)
+        c = rng.standard_normal((3, nt, nx))
+        d0 = rng.standard_normal((3, nt))
+        d = self._agree(c, d0, 0.01, 0.05)
+        assert np.array_equal(d[:, :, 0], d0)
 
     def test_one_initial_matrix_broadcasts_over_time(self, rng):
-        C = _so3(rng.standard_normal((4, 6, 3)))
-        D0 = _so3(rng.standard_normal(3))
-        assert np.array_equal(solve_D(C, D0, 0.1, 0.1),
-                              solve_D(C, np.broadcast_to(D0, (4, 3, 3)), 0.1, 0.1))
-
-
-class TestSolveDRefusesNonSo3:
-    @pytest.mark.parametrize("entry, value", [((0, 1), 2.0), ((1, 0), 0.5),
-                                              ((2, 2), 1e-300), ((0, 2), 1e308)])
-    def test_finite_C_off_antisymmetry(self, entry, value):
-        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
-        C[(2, 4) + entry] = value
-        with pytest.raises(ValueError, match="^C must be antisymmetric"):
-            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-
-    def test_printed_D_as_initial_data(self):
-        one, zero = np.ones(3), np.zeros(3)
-        D0 = build_D(one, zero, zero)            # D[2,1] = +w1, as printed
-        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
-        with pytest.raises(ValueError, match="^D_at_x0 must be antisymmetric"):
-            solve_D(C, D0, 0.1, 0.1)
-        D = solve_D(C, build_D(one, zero, zero, antisymmetrize=True), 0.1, 0.1)
-        assert np.all(D + np.swapaxes(D, -1, -2) == 0.0)
-
-    def test_non_finite_off_antisymmetry_is_blowup(self):
-        # a NaN whose mirror is finite is no refusal: it ends in Blowup
-        C = build_C(np.ones((3, 8)), np.ones((3, 8)))
-        C[0, 3, 1, 2] = np.nan
-        with pytest.raises(Blowup) as exc:
-            solve_D(C, np.zeros((3, 3, 3)), 0.1, 0.1)
-        assert exc.value.step == 3
+        c = rng.standard_normal((3, 4, 6))
+        d0 = rng.standard_normal(3)
+        self._agree(c, d0, 0.1, 0.1)
+        assert np.array_equal(solve_D(c, d0, 0.1, 0.1),
+                              solve_D(c, np.broadcast_to(d0[:, None], (3, 4)), 0.1, 0.1))
 
 
 class TestHasimoto:
@@ -289,28 +263,22 @@ class TestNlseSoliton:
 
 
 class TestVectorZcResidual:
-    def test_zero_pair(self, grid2d):
-        R = constant_field(grid2d, (0.0, 0.0, 0.0))
-        _, mx = vector_zc_residual(R, R)
-        assert mx == 0.0
+    """zc_residual on constant data: the so(3) bracket c x d with factor 1."""
 
-    def test_equal_constants(self, grid2d):
-        R = constant_field(grid2d, (0.4, -1.0, 2.0))
-        _, mx = vector_zc_residual(R, R)
-        assert mx == 0.0
+    def test_zero_pair(self):
+        z = np.zeros((3, 16, 16))
+        assert zc_residual(z, z, 0.5, 0.5)[1] == 0.0
 
-    def test_distinct_constants_closed_form(self, grid2d):
+    def test_equal_constants(self):
+        c = np.broadcast_to(np.array([0.4, -1.0, 2.0]).reshape(3, 1, 1), (3, 16, 16))
+        assert zc_residual(c, c, 0.5, 0.5)[1] == 0.0
+
+    def test_distinct_constants_closed_form(self):
         r1, r2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
-        resid, _ = vector_zc_residual(constant_field(grid2d, r1),
-                                      constant_field(grid2d, r2))
-        assert np.array_equal(resid.values,
-                              np.broadcast_to(2.0 * cross(r1, r2).reshape(3, 1, 1),
-                                              resid.values.shape))
-
-    def test_needs_2d(self, grid1d):
-        R = constant_field(grid1d, (1.0, 0.0, 0.0))
-        with pytest.raises(GridTooSmall):
-            vector_zc_residual(R, R)
+        c, d = (np.broadcast_to(r.reshape(3, 1, 1), (3, 16, 16)) for r in (r1, r2))
+        resid, _ = zc_residual(c, d, 0.5, 0.5)
+        assert np.array_equal(resid, np.broadcast_to(cross(r1, r2).reshape(3, 1, 1),
+                                                     resid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +290,13 @@ def test_build_C_refuses_unequal_shapes():
 
 
 def test_zc_residual_refuses_unmatched_stacks():
-    C = build_C(np.zeros((3, 8)), np.zeros((3, 8)))
+    c = build_C(np.zeros((3, 8)), np.zeros((3, 8)))
     with pytest.raises(ValueError, match="matching"):
-        zc_residual(C, C[:, :7], 0.1, 0.1)
+        zc_residual(c, c[:, :, :7], 0.1, 0.1)
     with pytest.raises(ValueError, match="matching"):
-        zc_residual(C[0], C[0], 0.1, 0.1)
+        zc_residual(c[:, 0], c[:, 0], 0.1, 0.1)
+    with pytest.raises(ValueError, match="matching"):
+        zc_residual(c[:2], c[:2], 0.1, 0.1)
 
 
 def test_nlse_residual_needs_three_time_slices():
@@ -340,6 +310,6 @@ def test_nlse_residual_needs_four_x_nodes():
 
 
 def test_solve_D_refuses_a_one_slice_stack():
-    C = build_C(np.ones((1, 8)), np.zeros((1, 8)))
+    c = build_C(np.ones((1, 8)), np.zeros((1, 8)))
     with pytest.raises(GridTooSmall, match="^zero-curvature residual needs >= 2 time slices$"):
-        solve_D(C, np.zeros((1, 3, 3)), 0.1, 0.1)
+        solve_D(c, np.zeros((3, 1)), 0.1, 0.1)
