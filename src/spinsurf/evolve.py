@@ -189,15 +189,16 @@ def evolution_model(name, grid, params=None, external_u=None):
 
 
 def pack_state(model, initial):
-    """Copy an initial state, a dict of arrays, into one `State`, each field
-    checked against the shape that model.grid gives it."""
+    """Copy an initial state, a dict of arrays or of fields (their `values`),
+    into one `State`, each field checked against the shape that model.grid
+    gives it."""
     missing = set(model.fields) - set(initial)
     if missing:
         raise ValueError(f"initial state is missing fields {sorted(missing)}")
     arrays, g = {}, model.grid
     for k in model.fields:
         want = (3, g.ny, g.nx) if k == "S" else (g.ny, g.nx)
-        arrays[k] = np.asarray(initial[k], dtype=float)
+        arrays[k] = np.asarray(getattr(initial[k], "values", initial[k]), dtype=float)
         if arrays[k].shape != want:
             raise ValueError(f"initial {k} has shape {arrays[k].shape}, expected {want}")
     return State(arrays)

@@ -21,7 +21,6 @@ bind, run once and return a new array. `norm` and `project_sphere` take
 `out=`, which `evolve` hands them at every step.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,51 +210,62 @@ def norm(a, out=None, sq=None):
 # flat array: one pass at offset k differences any axis with contiguous reads
 # and writes. It also fills lanes that straddle the ends of the axis (garbage
 # from unrelated nodes, finite below magnitudes of about 8.9e307) until the
-# boundary slabs, a[..., i] for the last axis and a[..., i, :] for the one
-# before, overwrite them. Difference-of-neighbours form makes constant fields
+# end slabs overwrite them. A binder takes its end slabs from the axis-first
+# views v = a.swapaxes(axis, 0), where v[0] is node 0; a clamped end
+# formula is written once, for node 0, and reaches node n-1 as node 0 of the
+# reversed view v[::-1], where a first difference changes sign and a second
+# difference does not. Difference-of-neighbours form makes constant fields
 # differentiate to exactly zero. A binder's `out` receives the result and
 # `tmp`, shaped like the input, the second difference's forward differences;
 # each is allocated at binding when None, must be C-contiguous (a flat view
 # of any other array is a copy, and the result would be lost), and may not
 # overlap the input, except that `_bind_d2` may write out over its own input.
 
-@functools.lru_cache
-def _slabs(n, after):
-    """Boundary slabs along an axis of n nodes and `after` axes after it: at[i]
-    indexes node i (a[..., i, :] when after = 1), at[i, j] nodes i and j, and
-    at["i:j"] the slice i:j of nodes."""
-    rest = (slice(None),) * after
-    at = {i: (..., i, *rest) for i in (0, 1, 2, -1, -2, -3, -4)}
-    at["1:4"], at[":3"] = (..., slice(1, 4), *rest), (..., slice(3), *rest)
-    at["-3:"], at["-4:-1"] = (..., slice(-3, None), *rest), (..., slice(-4, -1), *rest)
-    at[0, -1] = (..., slice(None, None, n - 1), *rest)
-    at[1, 0] = (..., slice(1, None, -1), *rest)
-    at[-1, -2] = (..., slice(-1, -3, -1), *rest)
-    return at
+def _end_d1(o, f, s):
+    """o[0] = s (-3 f0 + 4 f1 - f2), s = -1 on a reversed axis. The sign goes
+    on each difference, as 4s (f1 - f0) - s (f2 - f0), so that a zero result
+    keeps the sign of the unreversed form unless the input mixes -0 and +0."""
+    o[0] = 4.0 * s * (f[1] - f[0]) - s * (f[2] - f[0])
 
 
-def _end_d1(o, f1, f0, f2, g0):    # one-sided -3f0 + 4f1 - f2 = 4(f1-f0) - (f2-f0), g0 = f0
-    o[...] = 4.0 * (f1 - f0) - (f2 - g0)
+def _end_d2(o, d):      # o[0] = 2f0 - 5f1 + 4f2 - f3 from forward differences d = f[1:4] - f[:3]
+    o[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
 
 
-def _end_d2(o, d0, d1, d2):         # one-sided 2f0 - 5f1 + 4f2 - f3 in forward differences
-    o[...] = -2.0 * d0 + 3.0 * d1 - d2
+def _d2_nodes(n, periodic):
+    """n, the nodes on an axis that a second difference takes, refused when
+    too few."""
+    if n < 3:
+        raise GridTooSmall("second derivative needs at least 3 nodes")
+    if not periodic and n < 4:
+        raise GridTooSmall("clamped second derivative needs at least 4 nodes")
+    return n
+
+
+def _bind_ends_d2(v, ov):
+    """The clamped second difference at both ends of axis 0 of v, into ov:
+    the calls taking each end's forward differences, which read v before
+    anything writes ov (which may be v), and the calls, after the flat pass,
+    combining them into ov."""
+    ends = [(f, o, np.empty(f[:3].shape, f.dtype)) for f, o in ((v, ov), (v[::-1], ov[::-1]))]
+    return ([(np.subtract, (f[1:4], f[:3], d)) for f, _, d in ends],
+            [(_end_d2, (o, d)) for _, o, d in ends])
 
 
 def _bind_d1(a, out, h, axis, periodic):
-    if a.shape[axis] < 3:
+    n = a.shape[axis]
+    if n < 3:
         raise GridTooSmall("first derivative needs at least 3 nodes")
     out = np.empty(a.shape, a.dtype) if out is None else out
     if not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array")
     xf, of, k = a.ravel(), out.ravel(), out.strides[axis] // out.itemsize
-    at = _slabs(a.shape[axis], (-1 - axis) % a.ndim)
+    v, ov = a.swapaxes(axis, 0), out.swapaxes(axis, 0)
     calls = [(np.subtract, (xf[2 * k:], xf[:-2 * k], of[k:-k]))]
     if periodic:        # out[0] = x[1] - x[n-1], out[n-1] = x[0] - x[n-2]
-        calls.append((np.subtract, (a[at[1, 0]], a[at[-1, -2]], out[at[0, -1]])))
+        calls.append((np.subtract, (v[1::-1], v[-1:-3:-1], ov[::n - 1])))
     else:
-        calls += [(_end_d1, (out[at[0]], a[at[1]], a[at[0]], a[at[2]], a[at[0]])),
-                  (_end_d1, (out[at[-1]], a[at[-1]], a[at[-2]], a[at[-1]], a[at[-3]]))]
+        calls += [(_end_d1, (ov, v, 1.0)), (_end_d1, (ov[::-1], v[::-1], -1.0))]
     return _runner(calls + [(np.divide, (out, 2.0 * h, out))], out)
 
 
@@ -264,30 +274,23 @@ def _d1(a, h, axis, periodic):
 
 
 def _bind_d2(a, out, tmp, h, axis, periodic):
-    n = a.shape[axis]
-    if n < 3:
-        raise GridTooSmall("second derivative needs at least 3 nodes")
-    if not periodic and n < 4:
-        raise GridTooSmall("clamped second derivative needs at least 4 nodes")
+    n = _d2_nodes(a.shape[axis], periodic)
     tmp = np.empty(a.shape, a.dtype) if tmp is None else tmp
     out = np.empty(a.shape, a.dtype) if out is None else out
     if not (out.flags.c_contiguous and tmp.flags.c_contiguous):
         raise ValueError("out and tmp must be C-contiguous arrays")
     xf, df, of, k = a.ravel(), tmp.ravel(), out.ravel(), out.strides[axis] // out.itemsize
-    at = _slabs(n, (-1 - axis) % a.ndim)
+    v, ov, dv = (b.swapaxes(axis, 0) for b in (a, out, tmp))
     # forward differences d[i] = x[i+1] - x[i] in tmp, wrapping to d[n-1] =
     # x[0] - x[n-1] when periodic (clamped, the last slab of tmp is never
-    # set); every read of the input comes before the first write to out
-    calls = [(np.subtract, (xf[k:], xf[:-k], df[:-k]))]
-    if periodic:
-        calls.append((np.subtract, (a[at[0]], a[at[-1]], tmp[at[-1]])))
-    # the stencil d[i] - d[i-1]
-    calls.append((np.subtract, (df[k:-k], df[:-2 * k], of[k:-k])))
-    if periodic:        # out[0] = d[0] - d[n-1], out[n-1] = d[n-1] - d[n-2]
-        calls.append((np.subtract, (tmp[at[0, -1]], tmp[at[-1, -2]], out[at[0, -1]])))
-    else:               # from d[0], d[1], d[2] and d[n-2], d[n-3], d[n-4]
-        calls += [(_end_d2, (out[at[0]], tmp[at[0]], tmp[at[1]], tmp[at[2]])),
-                  (_end_d2, (out[at[-1]], tmp[at[-2]], tmp[at[-3]], tmp[at[-4]]))]
+    # set, and the ends take their own); every read of the input comes
+    # before the first write to out; then the stencil d[i] - d[i-1], and
+    # when periodic out[0] = d[0] - d[n-1], out[n-1] = d[n-1] - d[n-2]
+    ends, last = (([(np.subtract, (v[0], v[-1], dv[-1, ...]))],
+                   [(np.subtract, (dv[::n - 1], dv[-1:-3:-1], ov[::n - 1]))]) if periodic
+                  else _bind_ends_d2(v, ov))
+    calls = ([(np.subtract, (xf[k:], xf[:-k], df[:-k]))] + ends
+             + [(np.subtract, (df[k:-k], df[:-2 * k], of[k:-k]))] + last)
     return _runner(calls + [(np.divide, (out, h * h, out))], out)
 
 
@@ -298,16 +301,12 @@ def _d2(a, h, axis, periodic):
 def _bind_sum(s, axis, periodic, out):
     """S_{i+1} + S_{i-1} along axis -1 (x) or -2 (y) of a (3, ..., nx) array s,
     into out (C-contiguous, not s); the ends, written over the flat pass's
-    lanes across rows, wrap or hold `_d2`'s one-sided -2 d0 + 3 d1 - d2."""
-    k, sf, at = 1 if axis == -1 else s.shape[-1], s.ravel(), _slabs(s.shape[axis], -1 - axis)
-    calls = [(np.add, (sf[2 * k:], sf[:-2 * k], out.ravel()[k:-k]))]
-    if periodic:
-        return _runner(calls + [(np.add, (s[at[1, 0]], s[at[-1, -2]], out[at[0, -1]]))])
-    d, e = np.empty(s[at[":3"]].shape), np.empty(s[at[":3"]].shape)
-    return _runner(calls + [(np.subtract, (s[at["1:4"]], s[at[":3"]], d)),
-                            (np.subtract, (s[at["-3:"]], s[at["-4:-1"]], e)),
-                            (_end_d2, (out[at[0]], d[at[0]], d[at[1]], d[at[2]])),
-                            (_end_d2, (out[at[-1]], e[at[2]], e[at[1]], e[at[0]]))])
+    lanes across rows, wrap or hold `_d2`'s one-sided 2 S_0 - 5 S_1 + 4 S_2 - S_3."""
+    n, sf, k = _d2_nodes(s.shape[axis], periodic), s.ravel(), 1 if axis == -1 else s.shape[-1]
+    v, ov = s.swapaxes(axis, 0), out.swapaxes(axis, 0)
+    ends, last = (([], [(np.add, (v[1::-1], v[-1:-3:-1], ov[::n - 1]))]) if periodic
+                  else _bind_ends_d2(v, ov))
+    return _runner(ends + [(np.add, (sf[2 * k:], sf[:-2 * k], out.ravel()[k:-k]))] + last)
 
 
 def _bind_wedge(s, out, grid, y):
@@ -317,19 +316,16 @@ def _bind_wedge(s, out, grid, y):
     axes sharing a spacing h add their sums, cross once and divide once by
     h^2. Crossing before dividing keeps constant fields exactly 0, so dx !=
     dy takes two cross products, y's into a temporary like s."""
-    periodic, need = grid.periodic, 3 if grid.periodic else 4
     if y and s.shape[-2] < 3:
         raise GridTooSmall("y-derivatives need ny >= 3")
-    if s.shape[-1] < need or (y and s.shape[-2] < need):
-        raise GridTooSmall(f"{grid.boundary} second derivative needs at least {need} nodes")
     tmp, out = np.empty(s.shape), (np.empty(s.shape) if out is None else out)
-    calls = [(_bind_sum(s, -1, periodic, tmp), ())]
+    calls = [(_bind_sum(s, -1, grid.periodic, tmp), ())]
     if y and grid.dx == grid.dy:
-        calls += [(_bind_sum(s, -2, periodic, out), ()), (np.add, (tmp, out, tmp))]
+        calls += [(_bind_sum(s, -2, grid.periodic, out), ()), (np.add, (tmp, out, tmp))]
     calls += [(_bind_cross(s, tmp, out), ()), (np.divide, (out, grid.dx * grid.dx, out))]
     if y and grid.dx != grid.dy:            # y's cross product into a temporary c
         c = np.empty(s.shape)
-        calls += [(_bind_sum(s, -2, periodic, tmp), ()), (_bind_cross(s, tmp, c), ()),
+        calls += [(_bind_sum(s, -2, grid.periodic, tmp), ()), (_bind_cross(s, tmp, c), ()),
                   (np.divide, (c, grid.dy * grid.dy, c)), (np.add, (out, c, out))]
     return _runner(calls, out)
 
@@ -368,9 +364,8 @@ def diff(a, grid, which):
     grids "dxxxx" is exactly the centered 5-point stencil
     (1, -4, 6, -4, 1)/dx^4; clamped grids inherit the one-sided variants.
     Values above about 8.9e307 in magnitude may overflow, with numpy's
-    warning, in lanes that the boundary stencils then overwrite (see the
-    comment above `_slabs`).
-    """
+    warning, in lanes that the end slabs then overwrite (see the comment
+    above `_end_d1`)."""
     return _bind_diff(a, None, None, grid, which)()
 
 

@@ -7,6 +7,9 @@ the public right-hand sides. Bitwise equality is the contract: the
 array core reorders no floating-point operation.
 """
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,8 +53,8 @@ def ref_d2(a, h, axis, periodic):
     out[1:-1] = (a[2:] - a[1:-1]) - (a[1:-1] - a[:-2])
     d = np.diff(a[:4], axis=0)
     out[0] = -2.0 * d[0] + 3.0 * d[1] - d[2]
-    d = np.diff(a[-4:], axis=0)
-    out[-1] = -2.0 * d[2] + 3.0 * d[1] - d[0]
+    d = np.diff(a[:-5:-1], axis=0)
+    out[-1] = -2.0 * d[0] + 3.0 * d[1] - d[2]
     return np.moveaxis(out, 0, axis) / (h * h)
 
 
@@ -217,24 +220,32 @@ def test_cumtrapz_of_linear_integrand_is_exact():
 # ---------------------------------------------------------------------------
 # evolve against a reference RK4 loop on the public right-hand sides
 
-def reference_run(grid, rhs, state, dt, steps, every, drifts=None, renormalize=True):
+def reference_run(grid, rhs, state, dt, steps, every, drifts=None, renormalize=True, out=None):
     """The classical RK4 step with per-step sphere projection (unless not
     renormalize), each projected state admitted as a SpinField; returns the
-    states at the snapshot steps, and appends to drifts, when given, each
-    snapshot's largest pre-projection | |S| - 1 | since the one before."""
+    states at the snapshot steps, appended to out when given, and appends to
+    drifts, when given, each snapshot's largest pre-projection | |S| - 1 |
+    since the one before. As `rk4_step`, it raises Blowup(step) at a
+    non-finite derivative of any stage or a non-finite new state."""
     def shifted(k, h):
         return {n: state[n] + h * k[n] for n in state}
 
-    out, window = [dict(state)], 0.0
+    def finite(d):
+        if not all(np.isfinite(d[n]).all() for n in state):
+            raise Blowup(step)
+        return d
+
+    out, window = [] if out is None else out, 0.0
+    out.append(dict(state))
     drifts = [] if drifts is None else drifts
     drifts.append(0.0)
     for step in range(1, steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(shifted(k1, dt / 2.0))
-        k3 = rhs(shifted(k2, dt / 2.0))
-        k4 = rhs(shifted(k3, dt))
-        state = {n: state[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
-                 for n in state}
+        k1 = finite(rhs(state))
+        k2 = finite(rhs(shifted(k1, dt / 2.0)))
+        k3 = finite(rhs(shifted(k2, dt / 2.0)))
+        k4 = finite(rhs(shifted(k3, dt)))
+        state = finite({n: state[n] + (dt / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+                        for n in state})
         window = max(window, np.abs(np.linalg.norm(state["S"], axis=0) - 1.0).max())
         if renormalize:
             state["S"] = SpinField(grid, project_sphere(state["S"], norm(state["S"]))).values
@@ -300,7 +311,12 @@ def test_evolve_bitwise_equal_field_api_loop(name):
 def test_evolve_without_renormalization_bitwise_equal_loop(name):
     """With renormalization off, the states and each window's norm drift,
     measured on a state that is never projected, match the allocating loop
-    bit for bit."""
+    bit for bit. Clamped M-XIIIA grows at its one-sided ends (ROADMAP item
+    3) and turns non-finite at step 20: that run alone goes under
+    `cli.main`'s np.errstate(all="ignore"), with the finite check of
+    `rk4_step` standing in for numpy's warnings; both runs stop there with
+    Blowup, and every snapshot both took, copied by evolve's monitor as it
+    is taken, matches."""
     grid, rhs = FLOWS[name]
     model = evolution_model(name, grid)
     dt = 0.2 * grid.dx ** model.spatial_order
@@ -308,16 +324,37 @@ def test_evolve_without_renormalization_bitwise_equal_loop(name):
                "u": 0.3 * synth.smooth_scalar(grid, seed=6).values,
                "w": 0.1 * synth.smooth_scalar(grid, seed=7).values}
     initial = {k: initial[k] for k in model.fields}
-    traj = evolve(model, initial, EvolveOptions(dt=dt, steps=24, snapshot_every=8,
-                                                renormalize=False))
-    drifts = []
-    want = reference_run(grid, rhs, initial, dt, 24, 8, drifts, renormalize=False)
-    assert len(traj.snapshots) == len(want) == 4
-    for snap, ref in zip(traj.snapshots, want):
+    taken, want, drifts = [], [], []
+
+    def monitor(st):
+        taken.append({k: st[k].copy() for k in model.fields})
+        return model.monitor(st) if model.monitor else ({}, {})
+
+    def blowup_step(run):
+        try:
+            return run(), None
+        except Blowup as exc:
+            return None, exc.step
+
+    blows_up = name == "mxiiia"
+    with np.errstate(all="ignore") if blows_up else contextlib.nullcontext():
+        traj, stop = blowup_step(lambda: evolve(
+            dataclasses.replace(model, monitor=monitor), initial,
+            EvolveOptions(dt=dt, steps=24, snapshot_every=8, renormalize=False)))
+        _, ref_stop = blowup_step(lambda: reference_run(grid, rhs, initial, dt, 24, 8, drifts,
+                                                        renormalize=False, out=want))
+    assert stop == ref_stop == (20 if blows_up else None)
+    assert len(taken) == len(want) == (3 if blows_up else 4)
+    for snap, ref in zip(taken, want):
         for key in ref:
-            assert np.array_equal(snap[key].values, ref[key])
-    assert [d["max_norm_drift"] for d in traj.diagnostics] == drifts
-    assert drifts[-1] > 0.0
+            assert np.array_equal(snap[key], ref[key])
+    if not blows_up:
+        assert len(traj.snapshots) == 4
+        for snap, ref in zip(traj.snapshots, want):
+            for key in ref:
+                assert np.array_equal(snap[key].values, ref[key])
+        assert [d["max_norm_drift"] for d in traj.diagnostics] == drifts
+        assert drifts[-1] > 0.0
 
 
 @pytest.mark.parametrize("name, grid", [("mxiiib", G2), ("mxiiia", G2C)])

@@ -131,6 +131,19 @@ class TestEvolve:
                               "w": np.zeros((1, g.nx))}, opts)
         assert "u" in traj.snapshots[-1]
 
+    def test_a_run_takes_the_fields_a_trajectory_holds(self):
+        """An initial state of field objects runs as their values do, so a
+        run can go on from another run's last snapshot."""
+        g = Grid(32, 1, 0.25, 1.0, "periodic")
+        model, opts = evolution_model("m-xxxiv", g), EvolveOptions(dt=1e-3, steps=4)
+        first = evolve(model, {"S": synth.hasimoto_soliton(g),
+                               "u": ScalarField(g, np.zeros((1, 32)))}, opts)
+        again = evolve(model, first.snapshots[-1], opts)
+        want = evolve(model, {k: first.snapshots[-1][k].values for k in model.fields}, opts)
+        for snap, ref in zip(again.snapshots, want.snapshots):
+            for k in model.fields:
+                assert np.array_equal(snap[k].values, ref[k].values)
+
     @pytest.mark.parametrize("name", ["S", "u"])
     def test_initial_shapes_checked_against_grid(self, name):
         g = Grid(16, 1, 0.2, 1.0, "periodic")

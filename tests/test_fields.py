@@ -139,6 +139,31 @@ class TestDiff:
         f = ScalarField(g, x * y)
         assert np.allclose(diff(f.values, g, "dxy"), 1.0, rtol=0, atol=1e-12)
 
+    # f, and each kind its stencils take exactly at every node, ends included:
+    # the three-node first differences are exact on quadratics, the central
+    # and the one-sided four-node second differences on cubics. Dyadic
+    # spacings keep every value and every rounding step exact.
+    CLOSED_FORMS = [
+        (lambda x, y: x * x + 3 * x * y - y * y, "dx", lambda x, y: 2 * x + 3 * y),
+        (lambda x, y: x * x + 3 * x * y - y * y, "dy", lambda x, y: 3 * x - 2 * y),
+        (lambda x, y: x ** 3 - 2 * x * x * y + y ** 3, "dxx", lambda x, y: 6 * x - 4 * y),
+        (lambda x, y: x ** 3 - 2 * x * x * y + y ** 3, "dyy", lambda x, y: 6 * y),
+        (lambda x, y: x * x * y, "dxy", lambda x, y: 2 * x)]
+
+    @pytest.mark.parametrize("nx, ny, dx, dy", [(10, 1, 1.0, 1.0), (9, 7, 0.5, 0.25),
+                                                (6, 4, 0.125, 2.0)])
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_clamped_exact_on_closed_forms(self, nx, ny, dx, dy, vector):
+        g = Grid(nx, ny, dx, dy, CLAMPED)
+        x, y = g.meshgrid()
+        for f, which, exact in self.CLOSED_FORMS:
+            if g.is_1d and which not in ("dx", "dxx"):
+                continue
+            a, want = f(x, y), exact(x, y)
+            if vector:
+                a, want = np.stack([a, -2.0 * a, a + 1.0]), np.stack([want, -2.0 * want, want])
+            assert np.array_equal(diff(a, g, which), want), which
+
     def test_dy_needs_2d(self, grid1d):
         f = constant_field(grid1d, 1.0)
         with pytest.raises(GridTooSmall):
@@ -250,6 +275,17 @@ class TestWedgeLap:
         out = np.full(s.shape, np.nan)
         assert fields._bind_wedge(s, out, g, True)() is out
         assert np.array_equal(out, lle_rhs(s, g))
+
+    @pytest.mark.parametrize("dy", [0.25, 0.5])
+    def test_clamped_exact_on_a_cubic(self, dy):
+        """On cubic components over dyadic spacings every value and every
+        rounding step is exact, so at every node, ends included, the result
+        is the cross product with the exact Laplacian."""
+        g = Grid(9, 7, 0.25, dy, CLAMPED)
+        x, y = g.meshgrid()
+        s = np.stack([x ** 3 - 2 * x * x * y + y ** 3, 1.0 + x * y, y * y - x])
+        lap = np.stack([6 * x + 2 * y, 0.0 * x, 2.0 + 0.0 * x])
+        assert np.array_equal(lle_rhs(s, g), cross(s, lap))
 
     @pytest.mark.parametrize("boundary, ny, message", [
         (PERIODIC, 2, "y-derivatives need ny >= 3"),

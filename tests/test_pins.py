@@ -121,11 +121,11 @@ PINS = {
     "hf-periodic-chain": (_simulate("hf", 64, 1, 0.1, "periodic", 40, 20), 4,
                           "50eb75795c5458b2e7dd93a7660a4a0a54cbf9a0af9a1cd91119b077d5729ef6"),
     "hf-clamped-chain": (_simulate("hf", 32, 1, 0.2, "clamped", 20, 10), 4,
-                         "0f178efe4329138d84cb0d08e5e511eec0f39f10ea8a13e15937c27013faec77"),
+                         "c9a7f230f1b5cebc23728bf697d8730bf9a1a5a996a4dc69eb72bb4a6bae3866"),
     "m-xxxiv-periodic-chain": (_simulate("m-xxxiv", 64, 1, 0.1, "periodic", 40, 20), 7,
                                "f2e6f8ec07c7c21311fb2b74f4ab8a8729d05516ecc39f108236bd38250578a9"),
     "m-xliv-clamped-chain": (_simulate("m-xliv", 32, 1, 0.2, "clamped", 20, 10), 10,
-                             "0b4327117502bfac87aed8a90706f1ecce0fe8d81d97da5fcd14171c80b22d39"),
+                             "c9ced9e9233304e9a651c891bc0147c0a83688679ed22029af85b8e5bfdec284"),
     "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
                   "d47bcde2b6f42e413bda7ccee670e7be8d4d27ebc91349ff87eb945186d2bcdb"),
     "m-lii-periodic-chain": (_simulate("m-lii", 64, 1, 0.1, "periodic", 40, 20), 10,
@@ -140,30 +140,30 @@ PINS = {
                               "4dd22404c6c1f40c6106f698b2d9d3008f8357e4c2c9d102fd3aa62638b09a38"),
     "m-xlvii-clamped-chain": (_simulate("m-xlvii", 32, 1, 0.2, "clamped", 20, 10,
                                         factor=0.1, order=4), 10,
-                              "cf4d8e8eef015506af8dda2c96b259ce60c99f02adae76f0ab52e53c2f4bdc74"),
+                              "33921444f7e11d4d5513da42c11114c0830d9b37f59036d0b30e1c3c8f259561"),
     "m-lvii-external-u": (_simulate("m-lvii", 64, 1, 0.1, "periodic", 40, 20,
                                     external_u=True), 4,
                           "1a24d43ddc3d8a208791b3140cef17a01e2f63ad3feb5d7c8c3fbeee08436f12"),
     "mxiii-16x16": (_simulate("mxiii", 16, 16, 0.25, "periodic", 20, 10), 4,
                     "e37610056edb4ad616348f9263fae43ffd35f02ea16c417b58e0dbfd20005d29"),
     "mxiiia-clamped-16x16": (_simulate("mxiiia", 16, 16, 0.25, "clamped", 20, 10), 7,
-                             "eb373ac5e93fdfccaf47d83dbabc21a854c18f79481a87285f1b4ea7421aab9c"),
+                             "d1e3d69b7de65dd23b0363544d990a258e5f8a04a3ce7a0cd0ac80200592244d"),
     "reconstruct-hf": (_reconstruct, 2,
                        "b2469b155f4e19f57dc5477b2275251dc3cad82a7ce2b742d2baedd156e21d99"),
     "lle-clamped-16x14-dy": (_simulate("lle", 16, 14, 0.25, "clamped", 20, 10, dy=0.3), 4,
-                             "da1020de480346031c449c6240ac0114a2a221689c4de0e29792322c2f5497cb"),
+                             "0e694deda67bd13f60ec86ad320ec9f8e4ee3324e689002ed1f90b92dbf78b3d"),
     "check-hf": (_check("hf", "periodic", {}), 1,
                  "e40646e6060c82e98bebc346ce1063a3fbfc4ca546fe3354603c74e47fb55fb7"),
     "check-lle": (_check("lle", "clamped", {}), 1,
-                  "5c318de385c00791e284df6bc2a30c07473cc5ec8d377797d087385c5244cdb2"),
+                  "05f711b157d59616ee228a4725a46c3ffe26e03a2c0505f216d2a8193b82ab7c"),
     "check-mxiii": (_check("mxiii", "periodic", {**_AB, "a3": 0.2, "a5": 0.1, "b5": -0.3}), 1,
                     "defa97678605b7fa589a98b27e1501b289d730ead4e9b2ff95a503a4c2436e6e"),
     "check-mxiiia": (_check("mxiiia", "clamped", _AB), 1,
-                     "a3d228a148b9496f4f4beaf8214c2993eb39f4e2f2a15c25956568561fa8934c"),
+                     "802b717f173a06d69c310705004dd585fd208a04f7456c75d0ba5b1459733982"),
     "check-mxiiib": (_check("mxiiib", "periodic", _AB), 1,
                      "928e549b052228994e2e232dc0e74fb4e95a484b17a6e4352f141e605e664902"),
     "check-ishimori": (_check("ishimori", "clamped", {"alpha": 0.8}), 1,
-                       "f2cff5c603ad9a18fc1d8a91af847ca469eea5a500cd69ec0f9ef98b879e0761"),
+                       "b42457d696cce3b40a53e274581a12e1a9b5d106769086bd12a8a36d285ff1e8"),
 }
 
 
@@ -200,55 +200,55 @@ def _rhs_digest(name, boundary):
 
 RHS_PINS = {
     ("M-LVII", "periodic"): "027166dcab5f067766916d42f338ef163c4088c8cdd1495eace7e0f974f15c7e",
-    ("M-LVII", "clamped"): "67310740fe6d2f4105a91095423224b053062f25e80ff309626cd40ce987e862",
+    ("M-LVII", "clamped"): "f3de38f2fd35f0b8c5ee28d1d475fdff381c9581954952bea54ec4fdf14df304",
     ("M-LVI", "periodic"): "ca0cd72951a1b30b89068c1223c7101ec665a5b26601b1fded3dd291b7464d1e",
-    ("M-LVI", "clamped"): "f3b76677eb6e4001f353c2eab99792cf1f0d87bbe6f1a437262452ddc5459694",
+    ("M-LVI", "clamped"): "7e5b90fe0b481d110d6f0c6ed8b12846f010daee5cb4a99580075a4c40022974",
     ("M-LV", "periodic"): "276a43dd4e590bdef36518b24324d250a6014eaa1d65a30e1f9584389f8a8a3c",
     ("M-LV", "clamped"): "730e0b6130c7faed8bd137fae254d64cb0b275c3d11619356190eedb56a82e2d",
     ("M-LIV", "periodic"): "13aa5d9ea47892c7af0599c1c482d0b77363e671bf69cf05edf8a5e63a743d98",
-    ("M-LIV", "clamped"): "c122ff9bdf60d366523dc8be7ba80b1aadf8d74a21afa785997dde3df58fe48d",
+    ("M-LIV", "clamped"): "5410c6be3d7083751f0b67a4bd5844d3748e4631444d07da05d21b9fbcdbffd0",
     ("M-LIII", "periodic"): "d241f5ea5804f7ba5cc4ef6473e46d26ad8f2bbebd5574bb931b54246cce38df",
-    ("M-LIII", "clamped"): "494a7ed27a05d0db7aff89c0a92c426164405f378a4a50f60b87da3d3ab7a9f6",
+    ("M-LIII", "clamped"): "5fac2a7786b8ec590bba2462c29431a183bc38c27453365d8ddcda53e168e492",
     ("M-LII", "periodic"): "a20360b0ff663c10b5d290003c76a3118eab5e317e73b00b8fb5e3fb32077d05",
-    ("M-LII", "clamped"): "c019f114a50cd59a979d7eacb15d0d4440692fdffe4182e3201f1f6fcdb564ac",
+    ("M-LII", "clamped"): "b1f2b438ae35c444510e334a80a9f94aa975b27a22a148f33c99d1bf91f09a50",
     ("M-LI", "periodic"): "74227b7fead80c45618b38b3785608679abdfbd996008ce998e2cf8a8bd5cb93",
-    ("M-LI", "clamped"): "1f7acb78d84348e4b416ffc914752ffb512b20698b07fea8b82e403443c04ad5",
+    ("M-LI", "clamped"): "ad8ec9e91d09c5e1aba6007917064639fc3c14ffe7b52f5ca1e2b3c59f5121cd",
     ("M-L", "periodic"): "0538654807bb58dfdf7537ccc45bfc016c1d699ed63613efa5a8caeae523568e",
-    ("M-L", "clamped"): "008cc7fe4233f78563254057c3c92d3588532ef6f83de1a7787f873cb0c88630",
+    ("M-L", "clamped"): "e84c1a609ece9e2e4e9c190ff2734f28c0ff4462959092acfcef9b79755402fe",
     ("M-XLIX", "periodic"): "65df4e1605205d5cc6b339274b29b316c9a329a05d0ecfde8fcce33138472297",
-    ("M-XLIX", "clamped"): "31be0e2e9f66823f70af3eba845a2f84194d27d301c57e0dd2cca0e390326a6e",
+    ("M-XLIX", "clamped"): "eaa0f59e51efd2819656245e1cfaf0cf9c888ced65984c1e9eed14d0b01fcd57",
     ("M-XLVIII", "periodic"): "a2f170e699f91cbfb93c37ac19bef89da14a1183bc3e56cad5d0254df47e2c1a",
-    ("M-XLVIII", "clamped"): "29004a85953c7c5f72d2e726a214ea677affc0e36f7e1e048b89ea2b543d6136",
+    ("M-XLVIII", "clamped"): "23d7e3d92a7f32e9ac256b31f97bfee01d513a010ef22f4c0456599f9365aa92",
     ("M-XLVII", "periodic"): "651779d623eff22aae73fbc3cbf69cbdc8fe5bd6131a0c31378ca23e10e82fd5",
-    ("M-XLVII", "clamped"): "31630938bf34e91a3aebf2f7a95546c27c7a7044c8c467051d62b98ce27cc193",
+    ("M-XLVII", "clamped"): "c973e6a5f0a2bb033fbaf6edd56d04d1dcdaa2deecd8a2c9573dd47e5f55dccb",
     ("M-XLVI", "periodic"): "4856725e4e58db9e26d002d9178953a345953b157e3ac1895dd8560d5d2b7f20",
-    ("M-XLVI", "clamped"): "9208920a16cef6e59ebcbd22323156e8013c48694ecf8b5bb83a625602fa23e7",
+    ("M-XLVI", "clamped"): "38dfbab682f16c1555dc3770b8eb4f6fb36965aa3bca6df7c739e232d17ea50b",
     ("M-XLV", "periodic"): "9e9e195ea7fbceee747f2959607ccdfe8714295b693820cc7d24d94594c11917",
-    ("M-XLV", "clamped"): "c34ba259ce7a48a5c3e584ef1f1a6de243bcbaeb36471a3045448c0357128536",
+    ("M-XLV", "clamped"): "69d79e2b8b2ca36954d76849e8109420f3298226b99c36ea643d5482e152686d",
     ("M-XLIV", "periodic"): "d47e6ae876d45d01d565bfec885c632b357fddc51860ed4480d59b40c8fef7b9",
-    ("M-XLIV", "clamped"): "1dca35aa74dbdded0e68fc7b0f6eb663d441115fa9bdf84a84a41b24133731e0",
+    ("M-XLIV", "clamped"): "062aa9d97339fcc4e5858908b8f179a7fd000454b6ea2659410096586733176c",
     ("M-XLIII", "periodic"): "5d0fdf7057fe5ebebd61a4e882d57cdc46203cc0ea091273f51eb02b5305fd7f",
-    ("M-XLIII", "clamped"): "a9273320a75518b754017466f5bb5f627593290ec9e8eed7cbe185a5cb85ff6b",
+    ("M-XLIII", "clamped"): "4294cfbc441cf44d7877a32621a7deb57c972906b1ca70e82bf61eb9f63876a7",
     ("M-XLII", "periodic"): "ba88c5a3bbcb9a637f6da00b8f31414d3c6207c598765652ebb4cdcd580b56d8",
     ("M-XLII", "clamped"): "1de2356110260c6c520358cda76194a9f9ae067b56e9d5030f273022009c8322",
     ("M-XLI", "periodic"): "4a269176c2e0b8d198b48cea28d204b01d13987eda5ff4f6679d48aa348db424",
-    ("M-XLI", "clamped"): "0ddd2a26ed3d18fa1325be48a85ea12b30224aff72eea746520cd659d95c991c",
+    ("M-XLI", "clamped"): "1b31b161210db765426839f64bc8dbb66eec12c8f48956676a4a2f22b1144ee6",
     ("M-XL", "periodic"): "f3a1e2e7f0ca3fc659f0f9dab9bb5b58b9505424e6c83f2fdfd1f23b063cb7c4",
-    ("M-XL", "clamped"): "9c20bba44719e57b49633aa3cb66ee6b690c776503c505eb2f992fd343a8a7d5",
+    ("M-XL", "clamped"): "be08b9aaffb1352b8015fcd2d9859d1ceb84d3a4ed61a9f81e66136d62f4dd8f",
     ("M-XXXIX", "periodic"): "150041647b8e55478a9690153a9b761ce98db4e06910da0bf131e5204b52e270",
-    ("M-XXXIX", "clamped"): "1a5e47401893ce47066179c7bbfdd0c9b87e9d379dbcbf6f1ff93fba8514aa56",
+    ("M-XXXIX", "clamped"): "3c87b2c21ceabce4a18322f4dc18e1b8cb479266f7c064a590791c5b45075dbd",
     ("M-XXXVIII", "periodic"): "4320fc169edcfcf89e79145c8160e99dd23644153510ecd74d9820453ee85786",
-    ("M-XXXVIII", "clamped"): "209e591b59a3966a72dcdff32b38e32552a23c6ea2d3a6272170acaa34fe8466",
+    ("M-XXXVIII", "clamped"): "7955ae0fbf6050c7dd11d068542b29395021c247e33054fa885da853ccaa0fe6",
     ("M-XXXVII", "periodic"): "8ea93bce561bad110f10c1debaed8550a237a8efc876c81249dd5a91a646e285",
-    ("M-XXXVII", "clamped"): "6ac75f7f2b2f9d17c41c588934980917df70ce00965a806f0077931fd1c4570c",
+    ("M-XXXVII", "clamped"): "4018ba22f0814943a28bf9e49c100deb90f88bdbf29d352dfce0bf96983d0f30",
     ("M-XXXVI", "periodic"): "f823deeaa16aaed5202aec2710fb7e42fa630ccbdfe4da328ea8c3951e281e9a",
-    ("M-XXXVI", "clamped"): "5fc93b0a9c59a7bb9aaab20aae3aa5ba3214d14395e4110390d6d4c36de27ef7",
+    ("M-XXXVI", "clamped"): "acd99e6c0481282cf1fb27d77a2a2c59eb2f4562041b3a05f96027d43cca0896",
     ("M-XXXV", "periodic"): "ea09445d930ba8a603122b07e24afcb7c0636e70f1c0e5cc72b6bf5c7dbcb28e",
-    ("M-XXXV", "clamped"): "a0517861278b28c842b059a6dff312cf4cfa2a96c5b95abb5105de169cb7a7e8",
+    ("M-XXXV", "clamped"): "06d3f3b035789f0ef87cf731d27825a186c8737ae8672fd8883e66328eac2132",
     ("M-XXXIV", "periodic"): "614b69399daecc29541310c5963389b6e5445985777af29fe4ec82efa64e8858",
-    ("M-XXXIV", "clamped"): "83c01a46806c9fb47ac57c9817ce3242bfb6032bfbde6925083398eb665bfd37",
+    ("M-XXXIV", "clamped"): "93e0b0846876601900a89c9ebb85beed5d7cce82a6542d8380bfd138c52b3fe1",
     ("M-XXXIII", "periodic"): "74238f4d0fe929705404ab8da07240211fcb1ef5ee063cb3ce3f7e1f8ac91831",
-    ("M-XXXIII", "clamped"): "89454fc0e1d318788b51a5911081561ca84e03753f512f0d3a6c75318510f753",
+    ("M-XXXIII", "clamped"): "e048d621304aae1249c7438c4eef2ab26fe326769a96bad6c45085debe5b9a2b",
 }
 
 
