@@ -6,6 +6,7 @@ runs produce byte-identical files. A file row holds one node's components,
 which come first in memory, (comps, ny, nx): the transpose is made here.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -27,14 +28,18 @@ def _g17(x):
     return format(float(x), ".17g")
 
 
+@functools.lru_cache(maxsize=16)
+def _indexed(fmt, first, rows, nx):
+    """fmt for the grid rows first, ..., first + rows - 1, each led by "i,j"."""
+    return "".join(f"{n % nx},{n // nx}{fmt}" for n in range(first, first + rows))
+
+
 def _write_rows(fh, fmt, rows, nx=None):
     """Write a 2-D array's rows, one `%` of fmt per block, led by node i, j given nx."""
     for a in range(0, len(rows), _BLOCK):
         block = rows[a:a + _BLOCK]
-        if nx is not None:
-            n = np.arange(a, a + len(block))
-            block = np.column_stack([n % nx, n // nx, block])
-        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+        f = fmt * len(block) if nx is None else _indexed(fmt, a, len(block), nx)
+        fh.write(f % tuple(block.ravel().tolist()))
 
 
 def _write_table(path, magic, keys, header, vals):
@@ -45,7 +50,7 @@ def _write_table(path, magic, keys, header, vals):
     items = (f"{k}={_g17(v) if keys[k] is float else v}" for k, v in header.items())
     with open(path, "w") as fh:
         fh.write(f"{magic}\n# {' '.join(items)}\n")
-        _write_rows(fh, "%d,%d" + ",%.17g" * ncols + "\n", vals.reshape(ncols, -1).T, nx)
+        _write_rows(fh, ",%.17g" * ncols + "\n", vals.reshape(ncols, -1).T, nx)
 
 
 def _parse_block(rows, first, nx, ncols):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateTangent, GridMismatch
-from .fields import (ScalarField, SpinField, VecField, cross, cumtrapz, diff, dot,
-                     named_params, norm, project_sphere, triple)
+from .fields import (ScalarField, SpinField, VecField, _bind_diff, _runner, cross, cumtrapz,
+                     diff, dot, named_params, norm, project_sphere, triple)
 
 COEFF_NAMES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
 
@@ -143,12 +143,18 @@ def classical_coeffs(kind, /, **params):
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
+def _bind_phi_drift(kind, phi, g, out):
+    """Coefficients (cx, cy) of the M-XIIIA/B drift cx S_x + cy S_y, bound
+    to the potential array phi, into out, (2, ny, nx): M-XIIIA pairs phi_y
+    S_x + phi_x S_y, M-XIIIB phi_x S_x + phi_y S_y."""
+    px, py = out[::-1] if kind == "mxiiia" else out
+    return _runner([(_bind_diff(phi, px, None, g, "dx"), ()),
+                    (_bind_diff(phi, py, None, g, "dy"), ())], out)
+
+
 def phi_drift(kind, phi, g):
-    """Coefficients (cx, cy) of the M-XIIIA/B drift cx S_x + cy S_y, from
-    the potential array phi: M-XIIIA pairs phi_y S_x + phi_x S_y, M-XIIIB
-    phi_x S_x + phi_y S_y."""
-    px, py = diff(phi, g, "dx"), diff(phi, g, "dy")
-    return (py, px) if kind == "mxiiia" else (px, py)
+    """`_bind_phi_drift`'s (cx, cy) of the potential array phi, as a new array."""
+    return _bind_phi_drift(kind, phi, g, np.empty((2,) + phi.shape))()
 
 
 def _neg(c):

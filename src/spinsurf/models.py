@@ -11,11 +11,12 @@ second differences.
 
 Each formula is written once, on plain (3, ny, nx) spin arrays with the
 grid passed explicitly, as a binder in `fields`' `_bind_*` idiom
-(`_bind_wedge`, `_bind_lle`, the M-XIII family's `_bind_system`) that makes
-its views, buffers and products once and returns a runner. `section_flow`
-hands `evolve` a flow that binds them to a State and its derivative, so no
-RK4 stage looks anything up or allocates a grid-sized array (but M-XIIIA/B's
-potential solve). The named right-hand sides (`hf_rhs`, `mxiiib_system`, ...)
+(`_bind_wedge`, `_bind_lle`, the M-XIII family's `_bind_system` with its
+potential's `_bind_potential`) that makes its views, buffers and products
+once and returns a runner. `section_flow` hands `evolve` a flow that binds
+them to a State and its derivative, so no RK4 stage binds or looks anything
+up; only M-XIIIB's FFT pair and M-XIIIA's quadrature allocate grid-sized
+arrays. The named right-hand sides (`hf_rhs`, `mxiiib_system`, ...)
 bind and run once, each into a new array, and `stationary_residual` runs the
 same binders (the M-XIII family's with phi given), bit for bit. Section
 models read named parameters; `mxiii_terms` maps M-XIII's once per model.
@@ -25,9 +26,9 @@ import numpy as np
 
 from .errors import GridMismatch, GridTooSmall
 from .fields import (CLAMPED, PERIODIC, ScalarField, VecField, _bind_cross, _bind_diff,
-                     _bind_wedge, _runner, diff, named_params, triple)
-from .geometry import CoefficientSet, ResidualReport, phi_drift
-from .solvers import mixed_integrate, poisson_solve
+                     _bind_dot, _bind_wedge, _runner, diff, named_params, triple)
+from .geometry import CoefficientSet, ResidualReport, _bind_phi_drift
+from .solvers import _bind_poisson, mixed_integrate
 
 # section model -> the parameters its formulas read and their defaults
 # (None: no default); M-XIII also has b4 = a3 and b3 = a4 = 0
@@ -83,49 +84,58 @@ def mxiii_rhs(s, g, terms):
     return _bind_system("mxiii", s, g, terms[0], terms[1])()[0]
 
 
-def _source(kind, s, sx, sy, coeffs):
+def _bind_source(kind, s, sx, sy, coeffs, out=None):
     """f (a1 + b2) S.(S_x ^ S_y), the right side of phi's equation for
-    M-XIIIA (f = 1/2) or M-XIIIB (f = 1), from S, its first differences and
-    the flow's coefficients (a1, a2, b1, b2)."""
+    M-XIIIA (f = 1/2) or M-XIIIB (f = 1), bound to S, its first differences
+    and the flow's coefficients (a1, a2, b1, b2), into out (made here when None)."""
     a1, _, _, b2 = coeffs
-    return (0.5 * (a1 + b2) if kind == "mxiiia" else a1 + b2) * triple(s, sx, sy)
+    w, out = np.empty(s.shape), np.empty(s.shape[1:]) if out is None else out
+    f = 0.5 * (a1 + b2) if kind == "mxiiia" else a1 + b2
+    return _runner([(_bind_cross(sx, sy, w), ()), (_bind_dot(s, w, out), ()),
+                    (np.multiply, (f, out, out))], out)
+
+
+def _bind_potential(kind, s, g, sx, sy, coeffs, phi=None):
+    """The potential phi of `mxiiia_system` or `mxiiib_system` (kind "mxiiia"
+    or "mxiiib") bound to S, S_x, S_y and the flow's coefficients, into phi
+    (made here when None): M-XIIIB centres its source in place for
+    `solvers._bind_poisson`; M-XIIIA's quadrature allocates, copied into phi."""
+    q, phi = np.empty(s.shape[1:]), np.empty(s.shape[1:]) if phi is None else phi
+    solve = ([(lambda: np.copyto(phi, mixed_integrate(q, g)), ())] if kind == "mxiiia" else
+             [(lambda: np.subtract(q, q.mean(), out=q), ()), (_bind_poisson(q, g, phi), ())])
+    return _runner([(_bind_source(kind, s, sx, sy, coeffs, q), ())] + solve, phi)
 
 
 def mxiii_potential(kind, s, g, sx, sy, coeffs):
-    """The potential phi of M-XIIIA (kind "mxiiia") or M-XIIIB (kind
-    "mxiiib"), from S, its first differences and the flow's coefficients;
-    see `mxiiia_system` and `mxiiib_system` for the equations it solves."""
-    src = _source(kind, s, sx, sy, coeffs)
-    if kind == "mxiiia":
-        return mixed_integrate(src, g)
-    return poisson_solve(src - src.mean(), g)
+    """`_bind_potential`'s phi of S, S_x, S_y and coeffs, as a new array."""
+    return _bind_potential(kind, s, g, sx, sy, coeffs)()
 
 
 def _bind_system(kind, s, g, coeffs, drift, out=None, phi=None):
     """The M-XIII family's flow S ^ [a2 S_yy + (a1 - b2) S_xy - b1 S_xx] +
-    cx S_x + cy S_y bound to s and out: its differences, products and cross
-    product replay on arrays made here, and each run returns (out, phi, S_x,
-    S_y). M-XIII's phi is None and its drift (cx, cy) is drift; for A/B,
-    (cx, cy) is phi's `phi_drift`, with phi solved from S at each run unless
-    given."""
+    cx S_x + cy S_y bound to s and out, replaying on arrays made here; each
+    run returns (out, phi, S_x, S_y). M-XIII's phi is None and its drift (cx,
+    cy) is drift; for A/B, (cx, cy) is phi's `_bind_phi_drift`, with phi
+    solved from S by `_bind_potential` unless given."""
     a1, a2, b1, b2 = coeffs
     sx, sy, t, inner, sxy = (np.empty(s.shape) for _ in range(5))
     out = np.empty(s.shape) if out is None else out
-    core = _runner([(_bind_diff(s, sx, None, g, "dx"), ()), (_bind_diff(s, sy, None, g, "dy"), ()),
-                    (_bind_diff(s, inner, t, g, "dyy"), ()), (np.multiply, (a2, inner, inner)),
-                    (_bind_diff(sx, sxy, None, g, "dy"), ()),
-                    (np.multiply, (a1, sxy, t)), (np.add, (inner, t, inner)),
-                    (np.multiply, (b2, sxy, t)), (np.subtract, (inner, t, inner)),
-                    (_bind_diff(s, sxy, t, g, "dxx"), ()), (np.multiply, (b1, sxy, sxy)),
-                    (np.subtract, (inner, sxy, inner)), (_bind_cross(s, inner, out), ())])
-
-    def run():
-        core()
-        p = mxiii_potential(kind, s, g, sx, sy, coeffs) if kind != "mxiii" and phi is None else phi
-        for c, v in zip(drift if p is None else phi_drift(kind, p, g), (sx, sy)):
-            np.add(out, np.multiply(c, v, out=t), out=out)
-        return out, p, sx, sy
-    return run
+    calls = [(_bind_diff(s, sx, None, g, "dx"), ()), (_bind_diff(s, sy, None, g, "dy"), ()),
+             (_bind_diff(s, inner, t, g, "dyy"), ()), (np.multiply, (a2, inner, inner)),
+             (_bind_diff(sx, sxy, None, g, "dy"), ()),
+             (np.multiply, (a1, sxy, t)), (np.add, (inner, t, inner)),
+             (np.multiply, (b2, sxy, t)), (np.subtract, (inner, t, inner)),
+             (_bind_diff(s, sxy, t, g, "dxx"), ()), (np.multiply, (b1, sxy, sxy)),
+             (np.subtract, (inner, sxy, inner)), (_bind_cross(s, inner, out), ())]
+    if kind != "mxiii":
+        if phi is None:
+            phi = np.empty(s.shape[1:])
+            calls.append((_bind_potential(kind, s, g, sx, sy, coeffs, phi), ()))
+        drift = np.empty((2,) + phi.shape)
+        calls.append((_bind_phi_drift(kind, phi, g, drift), ()))
+    for c, v in zip(drift, (sx, sy)):
+        calls += [(np.multiply, (c, v, t)), (np.add, (out, t, out))]
+    return _runner(calls, (out, phi, sx, sy))
 
 
 def mxiiia_system(s, g, a1, a2, b1, b2):
@@ -222,8 +232,7 @@ def stationary_residual(kind, S, phi=None, params=None):
         scal = mxiii_constraint(s, g, sx, sy, terms)
     elif kind == "ishimori":
         scal = alpha2 * diff(phi, g, "dyy") - diff(phi, g, "dxx") - alpha2 * triple(s, sx, sy)
-    elif kind == "mxiiia":
-        scal = diff(phi, g, "dxy") - _source(kind, s, sx, sy, coeffs)
-    else:
-        scal = diff(phi, g, "dxx") + diff(phi, g, "dyy") - _source(kind, s, sx, sy, coeffs)
+    else:       # phi's equation, its left-hand side minus its source
+        lhs = diff(phi, g, "dxy") if kind == "mxiiia" else diff(phi, g, "dxx") + diff(phi, g, "dyy")
+        scal = lhs - _bind_source(kind, s, sx, sy, coeffs)()
     return ResidualReport(VecField(g, vec), ScalarField(g, scal))

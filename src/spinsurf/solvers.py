@@ -5,7 +5,7 @@ import functools
 import numpy as np
 
 from .errors import NonConvergence, NonZeroMeanSource
-from .fields import CLAMPED, PERIODIC, cumtrapz, diff
+from .fields import CLAMPED, PERIODIC, _bind_diff, _runner, cumtrapz
 
 POISSON_RTOL = 1e-10
 MEAN_RTOL = 1e-8
@@ -25,32 +25,42 @@ def _symbol(g):
     return lam
 
 
+def _bind_poisson(f, g, phi=None):
+    """`poisson_solve` bound to the source array f and to phi (made here when
+    None): a run allocates only in `np.fft.rfft2` and `irfft2`."""
+    if g.boundary != PERIODIC or g.is_1d:
+        raise ValueError("Poisson solve needs a periodic 2-D grid")
+    lam, phi = _symbol(g), np.empty(f.shape) if phi is None else phi
+    r, t, d = (np.empty(f.shape) for _ in range(3))
+    back = _runner([(_bind_diff(phi, r, t, g, "dxx"), ()), (_bind_diff(phi, d, t, g, "dyy"), ()),
+                    (np.add, (r, d, r)), (np.subtract, (r, f, r)), (np.abs, (r, r))], r)
+
+    def run():
+        fmax = np.abs(f, out=d).max()          # d is free until back() runs
+        if fmax > 0 and abs(f.mean()) > MEAN_RTOL * fmax:
+            raise NonZeroMeanSource(f"source mean {f.mean():.3e} exceeds "
+                                    f"{MEAN_RTOL:g} * max|rhs|")
+        fhat = np.fft.rfft2(f)
+        fhat[0, 0] = 0.0
+        phi[...] = np.fft.irfft2(np.divide(fhat, lam, out=fhat), s=f.shape)
+        np.subtract(phi, phi.mean(), out=phi)
+        resid = back().max()
+        if fmax > 0 and resid > POISSON_RTOL * fmax:
+            raise NonConvergence(resid / fmax)
+        return phi
+    return run
+
+
 def poisson_solve(f, g):
     """Solve the discrete 5-point Laplacian L(phi) = f on a periodic grid.
 
     f is the (ny, nx) source array; returns phi's array. The inversion is
     spectral, on the real FFT's half spectrum, diagonalizing the exact
-    stencil symbol, so back-substitution through `diff` reproduces f to
+    stencil symbol, so back-substitution through the stencil reproduces f to
     machine precision. The gauge is mean(phi) = 0; a source whose mean
     exceeds the solvability tolerance is rejected.
     """
-    if g.boundary != PERIODIC or g.is_1d:
-        raise ValueError("Poisson solve needs a periodic 2-D grid")
-    fmax = np.abs(f).max()
-    if fmax > 0 and abs(f.mean()) > MEAN_RTOL * fmax:
-        raise NonZeroMeanSource(f"source mean {f.mean():.3e} exceeds "
-                                f"{MEAN_RTOL:g} * max|rhs|")
-
-    fhat = np.fft.rfft2(f)
-    fhat[0, 0] = 0.0
-    fhat /= _symbol(g)
-    phi = np.fft.irfft2(fhat, s=f.shape)
-    phi -= phi.mean()
-
-    resid = np.abs(diff(phi, g, "dxx") + diff(phi, g, "dyy") - f).max()
-    if fmax > 0 and resid > POISSON_RTOL * fmax:
-        raise NonConvergence(resid / fmax)
-    return phi
+    return _bind_poisson(f, g)()
 
 
 def mixed_integrate(f, g):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsurf import ConfigError, Grid, constant_field, fileio, synth
-from spinsurf import cli
+from spinsurf import cli, solvers
 from spinsurf.cli import main, parse_config
 from spinsurf import (ResidualReport, ScalarField, VecField, catalog_lookup,
                       classical_coeffs, evolution_model)
@@ -449,6 +449,18 @@ def test_output_may_hold_files_of_no_run(tmp_path, other):
         write_spin(tmp_path / "run" / other, Grid(16, 1, 0.2, 1.0, "periodic"), seed=2)
     argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
     assert main(argv) == 0 and (tmp_path / "run" / "snap_000001_S.csv").exists()
+
+
+def test_a_failed_potential_solve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    """M-XIIIB's Poisson solve checks its back-substitution inside the bound
+    flow too: with the symbol doubled, simulate ends in one numeric line."""
+    symbol = solvers._symbol
+    monkeypatch.setattr(solvers, "_symbol", lambda g: 2.0 * symbol(g))
+    rc = main(_simulate(tmp_path, "--model", "mxiiib", "--nx", "16", "--ny", "16",
+                        "--dx", "0.2", "--dy", "0.2", "--dt", "1e-4"))
+    err = capsys.readouterr().err
+    assert rc == 3 and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "back-substitution misses its source by relative residual 5.000e-01" in err
 
 
 @pytest.mark.parametrize("name", ["mxiiia-periodic", "mxiiib-clamped"])

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from spinsurf import (Blowup, CoefficientSet, EvolveOptions, Grid, GridMismatch,
-                      ScalarField, SpinField, SpinsurfError, check_stability,
+                      NonConvergence, ScalarField, SpinField, SpinsurfError, check_stability,
                       constant_field, energy_proxy, evolve, evolution_model,
                       diff, me_phonon_rhs, me_spin_rhs, mxiii_constraint, mxiii_terms,
                       rk4_step, synth)
 from spinsurf import VecField
-from spinsurf.evolve import State
+from spinsurf.evolve import State, rk4_workspace
 from spinsurf.magnetoelastic import _REGISTRY
 
 evolve_module = importlib.import_module("spinsurf.evolve")
@@ -21,6 +21,7 @@ models_module = importlib.import_module("spinsurf.models")
 magnetoelastic_module = importlib.import_module("spinsurf.magnetoelastic")
 fields_module = importlib.import_module("spinsurf.fields")
 geometry_module = importlib.import_module("spinsurf.geometry")
+solvers_module = importlib.import_module("spinsurf.solvers")
 
 
 def pole(grid):
@@ -507,12 +508,14 @@ def test_a_flow_runs_its_bound_runner_not_the_named_function(monkeypatch, kind, 
         assert len(named) == 1
 
 
-def count_binds(monkeypatch):
-    """Calls of the kernel binders: first and second differences, `_bind_wedge`
-    with its neighbour sums, and cross products, patched on every module that
-    imports them by name (a from-import escapes a patch on `fields` alone)."""
+def count_binds(monkeypatch, names=("_bind_d1", "_bind_d2", "_bind_sum", "_bind_wedge",
+                                    "_bind_cross")):
+    """Calls of the kernel binders names, by default first and second
+    differences, `_bind_wedge` with its neighbour sums, and cross products,
+    patched on every module that imports them by name (a from-import escapes
+    a patch on `fields` alone)."""
     calls = []
-    for name in ("_bind_d1", "_bind_d2", "_bind_sum", "_bind_wedge", "_bind_cross"):
+    for name in names:
         original = getattr(fields_module, name)
         for module in (fields_module, models_module, magnetoelastic_module):
             if hasattr(module, name):
@@ -557,14 +560,52 @@ def test_stencils_bind_once_per_run_not_per_stage(monkeypatch, name, boundary, f
         assert len(binds) == 2 and sorted(binds[0]) == sorted(binds[1])
         counts.append(sorted(calls))
         monkeypatch.undo()
-    # M-XIIIA/B's potential solve, one allocating call in each run of the
-    # flow, differences phi and crosses S_x with S_y at every stage
-    assert name in ("mxiiia", "mxiiib") or counts[0] == counts[1]
+    assert counts[0] == counts[1]
     if name == "hf":    # _bind_wedge (sums, cross) for state and stage; a diff per snapshot
         assert counts[0] == ["_bind_cross", "_bind_cross", "_bind_d1", "_bind_d1",
                              "_bind_sum", "_bind_sum", "_bind_wedge", "_bind_wedge"]
     if name in ("m-lii", "m-xl"):   # A: _bind_wedge's and S ^ e3; D: S ^ S_x and S ^ S_xxxx
         assert counts[0].count("_bind_cross") == 4
+
+
+@pytest.mark.parametrize("kind, boundary", [("mxiiib", "periodic"), ("mxiiia", "clamped")])
+def test_a_bound_potential_flow_replays_without_binding(monkeypatch, kind, boundary):
+    """M-XIIIA/B's potential (its source, the solve and phi's drift
+    differences) is bound with the rest of the flow: three steps of a bound
+    RK4 step bind no difference, cross or dot product. The bound runner's k
+    and phi, and the monitor's phi, are the named system's, bit for bit."""
+    g = Grid(16, 14, 0.25, 0.3, boundary)
+    model = evolution_model(kind, g, params=_AB)
+    s = synth.smooth_spin(g, seed=7).values
+    state = State({"S": s})
+    step = rk4_workspace(state, model.rhs, 1e-3, State(state))
+    calls = count_binds(monkeypatch, ("_bind_d1", "_bind_d2", "_bind_cross", "_bind_dot"))
+    for n in (1, 2, 3):
+        step(n)
+    assert calls == []
+    monkeypatch.undo()
+    k = State({"S": np.full(s.shape, np.nan)})
+    out, phi, _, _ = model.rhs(state, k)()
+    named = getattr(models_module, f"{kind}_system")(s, g, *mxiii_terms(_AB, g)[0])
+    assert out is k["S"] and np.array_equal(out, named[0]) and np.array_equal(phi, named[1])
+    assert np.array_equal(model.monitor(state)[0]["phi"].values, phi)
+
+
+def test_a_bound_potential_keeps_its_back_substitution_check(monkeypatch):
+    """The bound Poisson solve checks its back-substitution at every run: with
+    the symbol doubled before binding, the flow, without the monitor that
+    solves at the first snapshot, fails in step 1."""
+    symbol = solvers_module._symbol
+    monkeypatch.setattr(solvers_module, "_symbol", lambda g: 2.0 * symbol(g))
+    steps = []
+    monkeypatch.setattr(evolve_module, "rk4_step",
+                        lambda *a, f=rk4_step, **kw: steps.append(a[3]) or f(*a, **kw))
+    g = Grid(16, 16, 0.25, 0.25, "periodic")
+    model = evolution_model("mxiiib", g)
+    with pytest.raises(NonConvergence):
+        evolve(replace(model, monitor=None), {"S": synth.smooth_spin(g, seed=2).values},
+               EvolveOptions(dt=1e-3, steps=4, snapshot_every=4))
+    assert steps == [1]
 
 
 def test_a_model_keeps_no_plans_between_runs():

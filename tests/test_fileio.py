@@ -443,6 +443,31 @@ class TestBlockWriters:
                                    fileio._FIELD_KEYS, header, vals)
             assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("comps", [1, 3])
+    @pytest.mark.parametrize("nx, ny", [(2, 5), (2048, 3), (3000, 2), (4100, 1), (200, 180)])
+    def test_write_field_bytes_by_grid_shape(self, tmp_path, nx, ny, comps):
+        """A block's node indices come from its cached format: grids 2 and one
+        block wide, rows longer than a block, a 1-D grid, and 18 blocks, more
+        than the cache holds. Each grid is written twice; the second write
+        reads every block's format from the cache when they fit in it."""
+        g = Grid(nx, ny, 0.25, 0.5, CLAMPED)
+        vals = np.random.default_rng(nx + comps).standard_normal(ny * nx * comps)
+        vals[:len(_SPECIAL)] = _SPECIAL[:vals.size]
+        vals = vals.reshape(ny, nx, comps)
+        f = (VecField(g, np.moveaxis(vals, -1, 0)) if comps == 3
+             else ScalarField(g, vals[..., 0]))
+        header = {"nx": nx, "ny": ny, "dx": g.dx, "dy": g.dy, "boundary": g.boundary,
+                  "comps": comps}
+        _reference_write_table(tmp_path / "b.csv", fileio.FIELD_MAGIC, fileio._FIELD_KEYS,
+                               header, vals)
+        blocks = -(-nx * ny // fileio._BLOCK)
+        for _ in range(2):
+            hits = fileio._indexed.cache_info().hits
+            fileio.write_field(tmp_path / "a.csv", f)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        fits = blocks <= fileio._indexed.cache_info().maxsize
+        assert fileio._indexed.cache_info().hits - hits == (blocks if fits else 0)
+
     def test_write_curve_bytes(self, tmp_path):
         vals = _special((61, 70, 2))
         fileio.write_curve(tmp_path / "a.csv", vals[..., 0], vals[..., 1], 0.1, 1 / 3)
