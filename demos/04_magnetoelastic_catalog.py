@@ -44,4 +44,4 @@ traj = evolve(model,
               EvolveOptions(dt=0.2 * grid.dx ** 2, steps=500,
                             snapshot_every=100))
 for t, rec in zip(traj.times, traj.diagnostics):
-    print(f"  t={t:7.4f}  energy proxy {rec['energy_proxy']:.6f}")
+    print(f"  t={t:7.4f}  max_norm_drift {rec['max_norm_drift']:.3e}")

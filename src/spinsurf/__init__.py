@@ -7,7 +7,7 @@ from .errors import (Blowup, ConfigError, DegenerateTangent, FormatError,
                      UnknownModel)
 from .fields import (CLAMPED, PERIODIC, Grid, ScalarField, SpinField, VecField,
                      constant_field, cross, diff, dot, norm,
-                     project_sphere, same_grid, triple)
+                     project_sphere, triple)
 from .geometry import (CoefficientSet, ResidualReport, classical_coeffs,
                        mf_tangents, n_system_residual, reconstruct_surface,
                        unit_normal)
@@ -17,7 +17,7 @@ from .magnetoelastic import (ModelSpec, catalog_lookup, catalog_names,
                              me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs)
 from .solvers import mixed_integrate, poisson_solve
 from .evolve import (EvolveOptions, Trajectory, check_stability, diagnostics,
-                     energy_proxy, evolution_model, evolve, rk4_step)
+                     evolution_model, evolve, rk4_step)
 from .zerocurv import (build_C, hasimoto, nlse_residual, nlse_soliton, solve_D,
                        zc_residual)
 from . import synth

@@ -38,7 +38,6 @@ _EVOLVE_KEYS = {
     "dt": (float, "time step"),
     "steps": (int, "number of time steps"),
     "snapshot_every": (int, f"snapshot stride (default {EvolveOptions.snapshot_every})"),
-    "dt_safety": (float, f"stability safety factor (default {EvolveOptions.dt_safety})"),
     "allow_unstable_dt": (bool, "override the dt stability bound"),
     "renormalize": (bool, f"renormalize S each step (default {EvolveOptions.renormalize})"),
 }
@@ -194,6 +193,8 @@ def cmd_simulate(cfg):
     else:
         grid = Grid(cfg.require("nx"), cfg.get("ny", 1), cfg.require("dx"),
                     cfg.get("dy", 1.0), cfg.require("boundary"))
+        if cfg.get("seed", 0) < 0:
+            raise ConfigError(f"key 'seed' must be >= 0, got {cfg.get('seed')}")
         try:
             S0 = synth.smooth_spin(grid, seed=cfg.get("seed", 0))
         except MemoryError as exc:

@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Blowup, ConfigError, NonFiniteResult
-from .fields import ScalarField, SpinField, VecField, diff, dot, is_unit, norm, project_sphere
+from .fields import ScalarField, SpinField, VecField, is_unit, norm, project_sphere
 from .magnetoelastic import catalog_flow, catalog_lookup
 from .models import STATIONARY_KINDS, section_flow
+
+DT_SAFETY = 0.2     # `check_stability` admits dt <= DT_SAFETY * h^p
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class EvolveOptions:
     steps: int
     renormalize: bool = True
     snapshot_every: int = 1
-    dt_safety: float = 0.2
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
@@ -52,8 +53,6 @@ class EvolveOptions:
             # would break the uniform time spacing of the stack
             raise ValueError(f"steps = {self.steps} is not a multiple of "
                              f"snapshot_every = {self.snapshot_every}")
-        if not 0 < self.dt_safety < np.inf:
-            raise ValueError(f"need a finite dt_safety > 0, got {self.dt_safety}")
 
 
 @dataclass
@@ -148,20 +147,9 @@ def rk4_step(state, bind, dt, step=0, out=None, work=None):
     return (rk4_workspace(state, bind, dt, out) if work is None else work)(step)
 
 
-def energy_proxy(S):
-    """Sum |S_x|^2 dx (+ |S_y|^2 term in 2-D). A monitoring aid only, not
-    a conserved quantity of any of the flows."""
-    g = S.grid
-    sx = diff(S.values, g, "dx")
-    e = float(np.sum(dot(sx, sx)))
-    if g.is_1d:
-        return e * g.dx
-    sy = diff(S.values, g, "dy")
-    return (e + float(np.sum(dot(sy, sy)))) * g.dx * g.dy
-
-
 def diagnostics(S, drift=0.0):
-    return {"max_norm_drift": float(drift), "energy_proxy": energy_proxy(S)}
+    """A snapshot's readout: the largest pre-projection norm drift since the last one."""
+    return {"max_norm_drift": float(drift)}
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +205,18 @@ def _snapshot(model, state):
 
 
 def check_stability(model, opts):
+    """Refuse dt > DT_SAFETY * h^p, h the finer spacing, unless opts.allow_unstable_dt."""
     g = model.grid
     h, p = (g.dx if g.is_1d else min(g.dx, g.dy)), model.spatial_order
     try:
-        bound = opts.dt_safety * h ** p
+        bound = DT_SAFETY * h ** p
     except OverflowError:
-        raise NonFiniteResult(f"the stability bound dt_safety * h^p overflows at "
-                              f"h = {h:g}, p = {p}, dt_safety = {opts.dt_safety:g}") from None
+        raise NonFiniteResult(f"the stability bound {DT_SAFETY:g} * h^p overflows at "
+                              f"h = {h:g}, p = {p}") from None
     if opts.dt > bound and not opts.allow_unstable_dt:
         raise ConfigError(
             f"dt = {opts.dt:g} exceeds the stability bound "
-            f"{opts.dt_safety:g} * h^{p} = {bound:g}; "
+            f"{DT_SAFETY:g} * h^{p} = {bound:g}; "
             f"pass allow_unstable_dt to override")
 
 

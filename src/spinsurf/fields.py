@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooSmall, NearZeroNorm, NonFiniteResult
+from .errors import GridTooSmall, NearZeroNorm, NonFiniteResult
 
 PERIODIC = "periodic"
 CLAMPED = "clamped"
@@ -123,14 +123,6 @@ def constant_field(grid, value):
     if value.ndim == 0:
         return ScalarField(grid, np.full((grid.ny, grid.nx), float(value)))
     return VecField(grid, np.broadcast_to(value.reshape(3, 1, 1), (3, grid.ny, grid.nx)).copy())
-
-
-def same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatch(f"{f.grid} != {g}")
-    return g
 
 
 def named_params(owner, table, given=None):

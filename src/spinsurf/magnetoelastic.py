@@ -44,8 +44,6 @@ from .errors import (GridMismatch, NonFiniteResult, PhononAbsent, UnimplementedM
                      UnknownModel)
 from .fields import _bind_cross, _bind_diff, _bind_dot, _bind_wedge, _runner, diff, named_params
 
-SPIN_FAMILIES = ("A", "B", "C", "D", "E")
-
 # family -> (the coupling constants its formula reads, its highest x-derivative);
 # each entry's params hold them at 1 so runs are reproducible without further input
 FAMILIES = {"A": ((), 2), "B": ((), 2), "C": (("mu", "m"), 2),

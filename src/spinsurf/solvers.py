@@ -1,7 +1,5 @@
 """Auxiliary linear solvers: half-spectrum periodic Poisson and mixed-derivative quadrature."""
 
-import functools
-
 import numpy as np
 
 from .errors import NonConvergence, NonZeroMeanSource
@@ -11,17 +9,15 @@ POISSON_RTOL = 1e-10
 MEAN_RTOL = 1e-8
 
 
-@functools.lru_cache(maxsize=8)
 def _symbol(g):
-    """The 5-point Laplacian's Fourier symbol on a periodic grid, read-only,
-    on the nx // 2 + 1 columns of `np.fft.rfft2`'s half spectrum, with 1 in
-    the zero mode that the solve gauges away (avoiding 0/0)."""
+    """The 5-point Laplacian's Fourier symbol on a periodic grid, on the
+    nx // 2 + 1 columns of `np.fft.rfft2`'s half spectrum, with 1 in the
+    zero mode that the solve gauges away (avoiding 0/0)."""
     kx = np.arange(g.nx // 2 + 1)
     ky = np.arange(g.ny)
     lam = ((2.0 * np.cos(2 * np.pi * kx[None, :] / g.nx) - 2.0) / g.dx ** 2
            + (2.0 * np.cos(2 * np.pi * ky[:, None] / g.ny) - 2.0) / g.dy ** 2)
     lam[0, 0] = 1.0
-    lam.flags.writeable = False
     return lam
 
 

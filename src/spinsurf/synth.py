@@ -5,7 +5,7 @@ import numpy as np
 from .fields import ScalarField, SpinField, VecField, norm, project_sphere
 
 
-def _sines(grid, seed, amplitude):
+def _sines(grid, seed, amplitude=1.0):
     rng = np.random.default_rng(seed)
     x, y = grid.meshgrid()
     lx = grid.nx * grid.dx
@@ -23,17 +23,17 @@ def _sines(grid, seed, amplitude):
     return out
 
 
-def _sines_vec(grid, seed, amplitude):
+def _sines_vec(grid, seed, amplitude=1.0):
     return np.stack([_sines(grid, seed * 3 + k + 1, amplitude) for k in range(3)])
 
 
-def smooth_scalar(grid, seed=0, amplitude=1.0):
+def smooth_scalar(grid, seed=0):
     """Band-limited random scalar field, periodic in both directions: three sine waves."""
-    return ScalarField(grid, _sines(grid, seed, amplitude))
+    return ScalarField(grid, _sines(grid, seed))
 
 
-def smooth_vec(grid, seed=0, amplitude=1.0):
-    return VecField(grid, _sines_vec(grid, seed, amplitude))
+def smooth_vec(grid, seed=0):
+    return VecField(grid, _sines_vec(grid, seed))
 
 
 def smooth_spin(grid, seed=0):

@@ -246,9 +246,13 @@ FAILURES = [
     ("zc-non-finite-residual", 3, lambda d: _curve(d, _huge_curve)),
     ("zc-one-time-slice", 2, lambda d: _curve(
         d, lambda ls: [ls[0], ls[1].replace("nt=5", "nt=1")] + ls[2:10])),
-    ("dt-safety-nan", 2, lambda d: _simulate(
+    # the step factor is the constant 0.2 of 0.2 * h^p: no flag or key sets it
+    ("argparse-dt-safety-flag-removed", 2, lambda d: _simulate(
         d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4",
         "--dt-safety", "nan")),
+    ("config-dt-safety-key-removed", 2, lambda d: _config(d, "dt_safety = 0.2\n")),
+    ("seed-negative", 2, lambda d: _simulate(
+        d, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4", "--seed", "-1")),
     ("param-nan", 2, lambda d: _simulate(
         d, "--model", "mxiiib", "--nx", "16", "--ny", "16", "--dx", "0.2",
         "--dy", "0.2", "--dt", "1e-4", "--param", "a1=nan")),
@@ -375,6 +379,9 @@ FAILURE_MESSAGES = {
     "argparse-unknown-flag": "unrecognized arguments: --bogus 1",
     "argparse-no-command": "the following arguments are required: command",
     "argparse-param-without-value": "argument --param: expected one argument",
+    "argparse-dt-safety-flag-removed": "unrecognized arguments: --dt-safety nan",
+    "config-dt-safety-key-removed": "run.cfg:1: unknown key 'dt_safety'",
+    "seed-negative": "error: key 'seed' must be >= 0, got -1",
     "dt-zero": "error: dt must be positive, got 0.0",
     "steps-zero": "error: steps must be positive, got 0",
     "snapshot-every-negative": "error: snapshot_every must be positive, got -1",
@@ -406,7 +413,7 @@ def test_failure_message_names_the_cause(tmp_path, capsys, name):
 
 # what the exit-3 message of an overflow in FAILURES names: the setting and its
 # value, or where the integration overflowed (solve_D steps over x columns)
-OVERFLOW_MESSAGES = {"step-bound-overflow": "h = 1e+200, p = 2, dt_safety = 0.2",
+OVERFLOW_MESSAGES = {"step-bound-overflow": "0.2 * h^p overflows at h = 1e+200, p = 2",
                      "phonon-speed-overflow": "nu0 = 1e+200",
                      "zc-non-finite-residual": "non-finite value at x column 1\n"}
 
@@ -449,6 +456,21 @@ def test_output_may_hold_files_of_no_run(tmp_path, other):
         write_spin(tmp_path / "run" / other, Grid(16, 1, 0.2, 1.0, "periodic"), seed=2)
     argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--dx", "0.2", "--dt", "1e-4")
     assert main(argv) == 0 and (tmp_path / "run" / "snap_000001_S.csv").exists()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+def test_hf_on_a_2_row_grid_writes_both_snapshots(tmp_path, boundary):
+    """HF steps along x only, so no y-derivative refuses its 2-row grid, and
+    each report row holds the time, the norm drift and nothing else."""
+    argv = _simulate(tmp_path, "--model", "hf", "--nx", "16", "--ny", "2", "--dx", "0.2",
+                     "--dy", "0.2", "--boundary", boundary, "--dt", "0.004", "--steps", "2",
+                     "--snapshot-every", "2")
+    assert main(argv) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "report.json", "snap_000000_S.csv", "snap_000001_S.csv"]
+    doc = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert doc["grid"]["ny"] == 2 and doc["grid"]["boundary"] == boundary
+    assert [list(row) for row in doc["diagnostics"]] == [["time", "max_norm_drift"]] * 2
 
 
 def test_a_failed_potential_solve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
@@ -826,7 +848,6 @@ model = hf
 dx = 0.2
 boundary = periodic
 dt = 0.001
-dt_safety = 0.2
 allow_unstable_dt = false
 renormalize = true
 seed = 3

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinsurf import (CLAMPED, PERIODIC, Grid, GridMismatch, NearZeroNorm,
-                      ScalarField, SpinField, VecField, constant_field, cross,
-                      diff, dot, norm, project_sphere, same_grid,
+from spinsurf import (CLAMPED, PERIODIC, Grid, NearZeroNorm, ScalarField, SpinField,
+                      VecField, constant_field, cross, diff, dot, norm, project_sphere,
                       triple)
 from spinsurf.errors import GridTooSmall
 from spinsurf import fields
@@ -66,12 +65,6 @@ class TestFields:
         a += 1.0
         assert np.all(f.values == 0.0)
         assert kind(grid1d, f.values).values is f.values     # read-only: not copied again
-
-    def test_same_grid_mismatch(self, grid1d, grid2d):
-        a = constant_field(grid1d, 1.0)
-        b = constant_field(grid2d, 1.0)
-        with pytest.raises(GridMismatch):
-            same_grid(a, b)
 
 
 class TestCross:

@@ -126,7 +126,7 @@ class TestReport:
         assert path.read_text().count('"max":0,"l2":0}') == 1
 
     def test_byte_stable(self, tmp_path, grid1d):
-        data = {"diagnostics": [{"time": 0.1, "energy_proxy": 1.0 / 3.0}]}
+        data = {"diagnostics": [{"time": 0.1, "max_norm_drift": 1.0 / 3.0}]}
         fileio.report(tmp_path / "a.json", "m", grid1d, data, notes=["x"])
         fileio.report(tmp_path / "b.json", "m", grid1d, data, notes=["x"])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

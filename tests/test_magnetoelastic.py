@@ -8,7 +8,7 @@ from spinsurf import (Grid, ModelSpec, PhononAbsent, ScalarField, SpinField,
                       catalog_names, constant_field, cross, diff, dot, hf_rhs,
                       me_phonon_rhs, me_spin_rhs, pauli_oracle_rhs, synth)
 from spinsurf.magnetoelastic import (_REGISTRY, _SIGMA, _comm, _to_matrix,
-                                     _to_vector, SPIN_FAMILIES, catalog_flow)
+                                     _to_vector, catalog_flow)
 from spinsurf.magnetoelastic import FAMILIES
 from spinsurf.evolve import State
 

@@ -119,39 +119,39 @@ _AB = {"a1": 0.7, "a2": 1.1, "b1": -0.4, "b2": 0.3}
 # digest of the output tree)
 PINS = {
     "hf-periodic-chain": (_simulate("hf", 64, 1, 0.1, "periodic", 40, 20), 4,
-                          "50eb75795c5458b2e7dd93a7660a4a0a54cbf9a0af9a1cd91119b077d5729ef6"),
+                          "1e3078540db7d2898007d957bd67a76d226dc63b453f77561f24da26db7140eb"),
     "hf-clamped-chain": (_simulate("hf", 32, 1, 0.2, "clamped", 20, 10), 4,
-                         "c9a7f230f1b5cebc23728bf697d8730bf9a1a5a996a4dc69eb72bb4a6bae3866"),
+                         "d1f3f8d16d9f6fa14d512f100eefad10896cab4c7d9d48e603aafef362987034"),
     "m-xxxiv-periodic-chain": (_simulate("m-xxxiv", 64, 1, 0.1, "periodic", 40, 20), 7,
-                               "f2e6f8ec07c7c21311fb2b74f4ab8a8729d05516ecc39f108236bd38250578a9"),
+                               "8779dd8c83e7f91fe21b5d4bae2014a7e369753c1ac9991f4f6842aa8265b4e5"),
     "m-xliv-clamped-chain": (_simulate("m-xliv", 32, 1, 0.2, "clamped", 20, 10), 10,
-                             "c9ced9e9233304e9a651c891bc0147c0a83688679ed22029af85b8e5bfdec284"),
+                             "41bccf623f516b1f0f99923a49c1f7e83e5d6d0b579a24018f9a92335a8dc273"),
     "lle-16x16": (_simulate("lle", 16, 16, 0.25, "periodic", 20, 10), 4,
-                  "d47bcde2b6f42e413bda7ccee670e7be8d4d27ebc91349ff87eb945186d2bcdb"),
+                  "ff08ea15e146c86011ef5515adecf234b1c23989069b48496aa0acf4973a93eb"),
     "m-lii-periodic-chain": (_simulate("m-lii", 64, 1, 0.1, "periodic", 40, 20), 10,
-                             "5057895491f798523e00eab9bcb67460586a6ac4476868c8e1d31703e0b24370"),
+                             "c90d1c1a50455265a293b08622dde4bf21912f8786deb9a6ce82e7bc1fba71e4"),
     "m-xlv-periodic-chain": (_simulate("m-xlv", 64, 1, 0.1, "periodic", 40, 20, order=3), 7,
-                             "9fcb1d22f6f0007741c6b70d4d53b41a83f701facca439cf732ea4000c00b302"),
+                             "156099ac819e46a6e5f55768e4dd604f79ac08d4b9c389077db1464753028658"),
     "m-xxxviii-periodic-chain": (_simulate("m-xxxviii", 64, 1, 0.1, "periodic", 40, 20,
                                            factor=0.1, order=4), 7,
-                                 "7b49b5a8b79175eb09045912ad97fb02a1a61846ca8a9ee20f905c34ea80230e"),
+                                 "33692fbffe8e984194a98f7b6cdbaad72f817f881353393f1d220862f7ab8300"),
     "m-xxxv-periodic-chain": (_simulate("m-xxxv", 64, 1, 0.1, "periodic", 40, 20,
                                         factor=0.1, order=4), 10,
-                              "4dd22404c6c1f40c6106f698b2d9d3008f8357e4c2c9d102fd3aa62638b09a38"),
+                              "12ee7a3c40e1db749399f3a42bd06fc277077b9bc4833ed32bd37737730f0b2a"),
     "m-xlvii-clamped-chain": (_simulate("m-xlvii", 32, 1, 0.2, "clamped", 20, 10,
                                         factor=0.1, order=4), 10,
-                              "33921444f7e11d4d5513da42c11114c0830d9b37f59036d0b30e1c3c8f259561"),
+                              "80ae3fc2979d66ddc47f2cb71e43e05b2312f4d125437e136eb4fc3a53dd25a5"),
     "m-lvii-external-u": (_simulate("m-lvii", 64, 1, 0.1, "periodic", 40, 20,
                                     external_u=True), 4,
-                          "1a24d43ddc3d8a208791b3140cef17a01e2f63ad3feb5d7c8c3fbeee08436f12"),
+                          "0394a462da22440d6f2b2ec4628b45212dcff1e1662973ef88e57bff52c543f9"),
     "mxiii-16x16": (_simulate("mxiii", 16, 16, 0.25, "periodic", 20, 10), 4,
-                    "e37610056edb4ad616348f9263fae43ffd35f02ea16c417b58e0dbfd20005d29"),
+                    "0b1d065ee2d6dcd400bb24cbd81d01b756ed5204c1420a03dad48152f63a6d5a"),
     "mxiiia-clamped-16x16": (_simulate("mxiiia", 16, 16, 0.25, "clamped", 20, 10), 7,
-                             "d1e3d69b7de65dd23b0363544d990a258e5f8a04a3ce7a0cd0ac80200592244d"),
+                             "d9a275ba469be4077f8602febd85277f894e8bfca15053660874e884d866c574"),
     "reconstruct-hf": (_reconstruct, 2,
                        "b2469b155f4e19f57dc5477b2275251dc3cad82a7ce2b742d2baedd156e21d99"),
     "lle-clamped-16x14-dy": (_simulate("lle", 16, 14, 0.25, "clamped", 20, 10, dy=0.3), 4,
-                             "0e694deda67bd13f60ec86ad320ec9f8e4ee3324e689002ed1f90b92dbf78b3d"),
+                             "879a9330beb2eee7ff35a208cdf12641c2228613fed17e935e32b6b1c106fe1f"),
     "check-hf": (_check("hf", "periodic", {}), 1,
                  "e40646e6060c82e98bebc346ce1063a3fbfc4ca546fe3354603c74e47fb55fb7"),
     "check-lle": (_check("lle", "clamped", {}), 1,
